@@ -148,25 +148,26 @@ buildConfigs(bool smoke)
     const auto off = dmr::DmrConfig::off();
 
     std::vector<PerfConfig> configs;
-    configs.push_back({"matrixmul_dmr", {matmul}, on, {}});
-    configs.push_back({"matrixmul_nodmr", {matmul}, off, {}});
+    configs.push_back({"matrixmul_dmr", {matmul}, on, {}, {}});
+    configs.push_back({"matrixmul_nodmr", {matmul}, off, {}, {}});
     // Rollback-replay enabled on the fault-free path: measures the
     // pure checkpointing overhead (delta capture + BAR/EXIT drain
     // stalls) the recovery engine adds on top of DMR.
     configs.push_back({"matrixmul_dmr_recovery",
                        {matmul},
                        on,
-                       recovery::RecoveryConfig::paperDefault()});
-    configs.push_back({"bfs_dmr", {bfs}, on, {}});
-    configs.push_back({"bfs_nodmr", {bfs}, off, {}});
-    configs.push_back({"scan_dmr", {scan}, on, {}});
-    configs.push_back({"scan_nodmr", {scan}, off, {}});
+                       recovery::RecoveryConfig::paperDefault(),
+                       {}});
+    configs.push_back({"bfs_dmr", {bfs}, on, {}, {}});
+    configs.push_back({"bfs_nodmr", {bfs}, off, {}, {}});
+    configs.push_back({"scan_dmr", {scan}, on, {}, {}});
+    configs.push_back({"scan_nodmr", {scan}, off, {}, {}});
     // The fault-campaign reference mix: every injection run in
     // bench/fault_campaign simulates one of these five golden
     // workloads under paper-default DMR, so their back-to-back
     // throughput tracks campaign wall time directly.
     configs.push_back(
-        {"campaign_ref", {bfs, scan, matmul, sha, fft}, on, {}});
+        {"campaign_ref", {bfs, scan, matmul, sha, fft}, on, {}, {}});
     // Non-DMR protection backends through the seam: R-Thread is the
     // cheapest software scheme with per-issue work, Replay-Compare
     // the heaviest (full end-of-kernel replay), so together they

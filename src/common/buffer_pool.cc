@@ -19,7 +19,15 @@ constexpr std::size_t kMinPooledBytes = 1 << 16;
  *  space. */
 constexpr std::size_t kMaxPooledBuffers = 4;
 
-thread_local std::vector<std::vector<std::uint8_t>> pool;
+/** A retired buffer: zero everywhere outside [dirtyLo, dirtyHi). */
+struct Retired
+{
+    std::vector<std::uint8_t> buf;
+    std::size_t dirtyLo;
+    std::size_t dirtyHi;
+};
+
+thread_local std::vector<Retired> pool;
 
 } // namespace
 
@@ -28,10 +36,13 @@ acquireBuffer(std::size_t bytes)
 {
     if (bytes >= kMinPooledBytes) {
         for (auto it = pool.begin(); it != pool.end(); ++it) {
-            if (it->size() == bytes) {
-                std::vector<std::uint8_t> buf = std::move(*it);
+            if (it->buf.size() == bytes) {
+                std::vector<std::uint8_t> buf = std::move(it->buf);
+                const std::size_t lo = it->dirtyLo;
+                const std::size_t hi = std::min(it->dirtyHi, bytes);
                 pool.erase(it);
-                std::memset(buf.data(), 0, buf.size());
+                if (lo < hi)
+                    std::memset(buf.data() + lo, 0, hi - lo);
                 return buf;
             }
         }
@@ -40,11 +51,12 @@ acquireBuffer(std::size_t bytes)
 }
 
 void
-releaseBuffer(std::vector<std::uint8_t> &&buf)
+releaseBuffer(std::vector<std::uint8_t> &&buf, std::size_t dirty_lo,
+              std::size_t dirty_hi)
 {
     if (buf.size() < kMinPooledBytes || pool.size() >= kMaxPooledBuffers)
         return; // freed by the vector's own destructor
-    pool.push_back(std::move(buf));
+    pool.push_back({std::move(buf), dirty_lo, dirty_hi});
 }
 
 } // namespace common

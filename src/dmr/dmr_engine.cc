@@ -9,7 +9,7 @@ namespace dmr {
 
 DmrEngine::DmrEngine(const arch::GpuConfig &gpu, const DmrConfig &cfg,
                      func::Executor &exec, std::uint64_t seed)
-    : gpu_(gpu), cfg_(cfg), exec_(exec), hookIsNull_(exec.hookIsNull()),
+    : gpu_(gpu), cfg_(cfg), exec_(exec),
       mapping_(cfg.mapping, gpu.warpSize, gpu.lanesPerCluster),
       queue_(cfg.replayQSize, gpu.warpSize), rng_(seed)
 {
@@ -263,12 +263,14 @@ DmrEngine::intraWarpVerify(const func::ExecRecord &rec, Cycle now)
     const unsigned n_clusters = gpu_.clustersPerWarp();
     const LaneMask lane_active = mapping_.toLaneSpace(rec.active);
 
-    // Fault-free fast path: re-execute every slot at once with the
+    // Dormant-hook fast path: re-execute every slot at once with the
     // vectorized plane compute; the RFU pairing below then compares
     // plane entries instead of re-running computeLane + the virtual
-    // hook per monitored lane. Identical statistics and (impossible
-    // here) mismatches fall back to the full per-slot comparator.
-    if (hookIsNull_) {
+    // hook per monitored lane. Identical statistics; a mismatch (a
+    // result corrupted while the hook was live) falls back to the
+    // full per-slot comparator, whose hook call is the identity.
+    const bool dormant = !exec_.hookLiveAt(now);
+    if (dormant) {
         func::Executor::computePlane(rec.instr, rec.operands,
                                      rec.laneInfo, gpu_.warpSize,
                                      verifyPlane_.data());
@@ -288,7 +290,7 @@ DmrEngine::intraWarpVerify(const func::ExecRecord &rec, Cycle now)
             const unsigned monitored_lane = c * w + verifies[m];
             const unsigned checker_lane = c * w + m;
             const unsigned slot = mapping_.slotOf(monitored_lane);
-            if (hookIsNull_ &&
+            if (dormant &&
                 verifyPlane_[slot] == rec.results[slot]) [[likely]] {
                 ++stats_.comparisons;
             } else {
@@ -319,13 +321,13 @@ DmrEngine::interWarpVerify(const func::ExecRecord &rec, Cycle now)
     unsigned verified = 0;
     bool mismatch = false;
 
-    // Fault-free fast path: re-execute all slots with the vectorized
-    // plane compute and run the comparator as one masked bulk
-    // compare. Semantically identical to the per-slot loop below —
-    // same comparison/redundant-exec counts, same events — it only
+    // Dormant-hook fast path: re-execute all slots with the
+    // vectorized plane compute and run the comparator as one masked
+    // bulk compare. Semantically identical to the per-slot loop below
+    // — same comparison/redundant-exec counts, same events — it only
     // skips the virtual hook dispatch that is known to be identity.
     bool fast_clean = false;
-    if (hookIsNull_) {
+    if (!exec_.hookLiveAt(now)) {
         func::Executor::computePlane(rec.instr, rec.operands,
                                      rec.laneInfo, ws,
                                      verifyPlane_.data());
@@ -343,10 +345,9 @@ DmrEngine::interWarpVerify(const func::ExecRecord &rec, Cycle now)
         stats_.comparisons += verified;
         stats_.redundantThreadExecs[unit] += verified;
     } else {
-        // A mismatch under the null hook is impossible (the plane
-        // compute is the function that produced the record), so this
-        // loop only runs for real fault hooks — per-slot dispatch in
-        // slot order, exactly as campaigns require.
+        // A live hook, or a record corrupted while the hook was live:
+        // per-slot dispatch in slot order, exactly as campaigns
+        // require.
         for (unsigned slot = 0; slot < ws; ++slot) {
             if (!rec.active.test(slot))
                 continue;

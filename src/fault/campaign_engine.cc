@@ -529,6 +529,17 @@ runOne(std::uint64_t run_index, const FaultSiteSpace &space,
         return rec;
     }
 
+    // Early exits (docs/FAULT_MODEL.md): stop simulating once the
+    // run's class can no longer change. Window-closed: nothing has
+    // activated and no window is open any more, so the run is the
+    // golden run from here on — Masked, not activated, for every
+    // scheme. First-detection: with recovery off a comparator alarm
+    // already makes the run Detected, and the latency inputs
+    // (errorLog.front(), firstActivationCycle()) are final.
+    const bool firstDetectionExit =
+        !cfg.recovery.enabled &&
+        cfg.scheme.id == protection::SchemeId::WarpedDmr;
+
     // An injected fault (or, with recovery on, a rollback livelock)
     // can drive the simulator into one of its own sanity panics —
     // warped_panic throws. That must cost the campaign one run, not
@@ -538,6 +549,13 @@ runOne(std::uint64_t run_index, const FaultSiteSpace &space,
     for (unsigned attempt = 0; attempt < 2; ++attempt) {
         FaultInjector injector;
         injector.add(spec);
+        const gpu::StopPredicate stop =
+            [&injector, firstDetectionExit](Cycle cycle,
+                                            const gpu::LaunchLoop &loop) {
+                if (injector.activations() == 0)
+                    return injector.windowsClosedBy(cycle);
+                return firstDetectionExit && loop.detections() > 0;
+            };
         auto w = factory();
         try {
             gpu::Gpu g(cfg.gpu, cfg.dmr, /*seed=*/1, &injector,
@@ -548,7 +566,7 @@ runOne(std::uint64_t run_index, const FaultSiteSpace &space,
             // fault-free span.
             const Cycle watchdog = span * 20 + 100000;
             const auto r = g.launch(w->program(), w->gridBlocks(),
-                                    w->blockThreads(), watchdog);
+                                    w->blockThreads(), watchdog, stop);
 
             rec.activated = injector.activations() > 0;
             const bool detected = r.dmr.errorsDetected > 0;

@@ -49,6 +49,26 @@ FaultInjector::apply(RegValue pure, const func::FaultCtx &ctx)
     return out;
 }
 
+bool
+FaultInjector::liveAt(unsigned sm, Cycle cycle) const
+{
+    for (const auto &f : faults_) {
+        if (f.sm == sm && cycle >= f.cycleBegin && cycle <= f.cycleEnd)
+            return true;
+    }
+    return false;
+}
+
+bool
+FaultInjector::windowsClosedBy(Cycle cycle) const
+{
+    for (const auto &f : faults_) {
+        if (f.cycleEnd > cycle)
+            return false;
+    }
+    return true;
+}
+
 RandomFaultHook::RandomFaultHook(double per_value_prob,
                                  std::uint64_t seed)
     : prob_(per_value_prob), seed_(seed), rng_(seed)

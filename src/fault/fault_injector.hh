@@ -77,6 +77,17 @@ class FaultInjector final : public func::FaultHook
 
     RegValue apply(RegValue pure, const func::FaultCtx &ctx) override;
 
+    /** Live only on a spec's SM inside its [cycleBegin, cycleEnd]
+     *  window: apply() matches on SM and window before anything
+     *  else, so outside them it is the identity with no side
+     *  effects. */
+    bool liveAt(unsigned sm, Cycle cycle) const override;
+
+    /** Has every fault window closed by the end of @p cycle? Hook
+     *  calls never look back in time (their cycle is at least the one
+     *  being simulated), so after that no fault can activate. */
+    bool windowsClosedBy(Cycle cycle) const;
+
     /** Times a fault actually changed a produced value. */
     std::uint64_t activations() const { return activations_; }
 

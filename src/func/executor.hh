@@ -195,18 +195,17 @@ class Executor
     unsigned smId() const { return smId_; }
     FaultHook &hook() { return *hook_; }
 
-    /** True when the fault boundary is the NullFaultHook: the hook is
-     *  the identity, so execution and DMR re-execution may take the
-     *  vectorized plane path with no per-lane virtual dispatch.
-     *  Detected once at construction. */
-    bool hookIsNull() const { return hookIsNull_; }
+    /** May the fault boundary change a value this SM produces at
+     *  @p now? When not, execution and DMR re-execution take the
+     *  vectorized plane path with no per-lane virtual dispatch
+     *  (FaultHook::liveAt). */
+    bool hookLiveAt(Cycle now) const { return hook_->liveAt(smId_, now); }
 
   private:
     const arch::GpuConfig &cfg_;
     unsigned smId_;
     mem::Memory &global_;
     FaultHook *hook_;
-    bool hookIsNull_;
 };
 
 } // namespace func

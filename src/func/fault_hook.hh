@@ -39,6 +39,19 @@ class FaultHook
     /** Transform the pure result into what the (possibly faulty)
      *  physical unit actually produces. */
     virtual RegValue apply(RegValue pure, const FaultCtx &ctx) = 0;
+
+    /**
+     * May apply() return anything but `pure` for a value produced on
+     * SM @p sm at cycle @p cycle (any lane, any unit)? false is a
+     * promise: apply() is the identity there and calling it has no
+     * side effects, so the executor and the DMR verify loops may skip
+     * it and take the vectorized plane path. The default (always
+     * live) is safe for any hook.
+     */
+    virtual bool liveAt(unsigned /*sm*/, Cycle /*cycle*/) const
+    {
+        return true;
+    }
 };
 
 /** The fault-free machine. */
@@ -47,6 +60,8 @@ class NullFaultHook final : public FaultHook
   public:
     RegValue apply(RegValue pure, const FaultCtx &) override
     { return pure; }
+
+    bool liveAt(unsigned, Cycle) const override { return false; }
 
     /** Shared singleton. The hook carries no state, so one instance
      *  may be applied concurrently from any number of simulation

@@ -37,7 +37,8 @@ Gpu::Gpu(arch::GpuConfig cfg, dmr::DmrConfig dcfg, std::uint64_t seed,
 
 LaunchResult
 Gpu::launch(const isa::Program &prog, unsigned grid_blocks,
-            unsigned block_threads, Cycle cycle_cap)
+            unsigned block_threads, Cycle cycle_cap,
+            const StopPredicate &stop)
 {
     if (grid_blocks == 0 || block_threads == 0)
         warped_fatal("launch of '", prog.name(), "' with empty grid");
@@ -83,6 +84,8 @@ Gpu::launch(const isa::Program &prog, unsigned grid_blocks,
         loop.attachRecorder(&*recorder);
     if (mem_.faultPlane()) [[unlikely]]
         loop.attachFaultPlane(mem_.faultPlane());
+    if (stop)
+        loop.setStopPredicate(&stop);
     const auto outcome = loop.run();
 
     stats::LaunchAggregator agg(cfg_.warpSize);

@@ -16,6 +16,7 @@
 #include "arch/gpu_config.hh"
 #include "dmr/dmr_config.hh"
 #include "func/fault_hook.hh"
+#include "gpu/launch_loop.hh"
 #include "isa/program.hh"
 #include "mem/memory.hh"
 #include "protection/protection_scheme.hh"
@@ -78,9 +79,14 @@ class Gpu
      *        exceeding it ends the launch with `hung` set, which
      *        fault-injection campaigns use to classify kernels whose
      *        control flow a fault destroyed.
+     * @param stop  early-stop test checked once per cycle (see
+     *        StopPredicate); empty = run to completion. A stopped
+     *        launch reports the cycles it simulated and the statistics
+     *        gathered so far.
      */
     LaunchResult launch(const isa::Program &prog, unsigned grid_blocks,
-                        unsigned block_threads, Cycle cycle_cap = 0);
+                        unsigned block_threads, Cycle cycle_cap = 0,
+                        const StopPredicate &stop = {});
 
   private:
     arch::GpuConfig cfg_;

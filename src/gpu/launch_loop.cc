@@ -66,6 +66,10 @@ LaunchLoop::run()
         }
         if (!anything && next_block == gridBlocks_)
             break;
+        if (stop_ && (*stop_)(cycle, *this)) [[unlikely]] {
+            ++cycle; // cycles simulated, as a natural end counts them
+            break;
+        }
         ++cycle;
         if (cycleCap_ != 0 && cycle > cycleCap_) {
             hung = true;
@@ -86,6 +90,15 @@ LaunchLoop::run()
     }
 
     return {cycle, hung, next_block, ticks};
+}
+
+std::uint64_t
+LaunchLoop::detections() const
+{
+    std::uint64_t n = 0;
+    for (const auto &s : sms_)
+        n += s->scheme().stats().errorsDetected;
+    return n;
 }
 
 } // namespace gpu

@@ -9,6 +9,7 @@
 #ifndef WARPED_GPU_LAUNCH_LOOP_HH
 #define WARPED_GPU_LAUNCH_LOOP_HH
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -23,6 +24,19 @@ class MemFaultPlane;
 }
 
 namespace gpu {
+
+class LaunchLoop;
+
+/**
+ * Early-stop test for a launch whose remaining cycles cannot change
+ * what the caller wants to know (the fault campaign's window-closed
+ * and first-detection exits). Called once per cycle, after every SM
+ * has ticked: @p cycle is the cycle just simulated, and @p loop
+ * answers live queries such as LaunchLoop::detections(). Returning
+ * true ends the launch after that cycle.
+ */
+using StopPredicate =
+    std::function<bool(Cycle cycle, const LaunchLoop &loop)>;
 
 class LaunchLoop
 {
@@ -69,9 +83,19 @@ class LaunchLoop
         plane_ = plane;
     }
 
+    /** End the launch early once @p stop returns true (see
+     *  StopPredicate). Call before run(); an empty predicate (the
+     *  default) runs every launch to completion. Non-owning. */
+    void setStopPredicate(const StopPredicate *stop) { stop_ = stop; }
+
+    /** Comparator mismatches so far, summed over the SMs' live
+     *  protection statistics. */
+    std::uint64_t detections() const;
+
   private:
     trace::Recorder *recorder_ = nullptr;
     mem::MemFaultPlane *plane_ = nullptr;
+    const StopPredicate *stop_ = nullptr;
     std::vector<std::unique_ptr<sm::Sm>> &sms_;
     const std::string &kernelName_;
     unsigned gridBlocks_;

@@ -11,13 +11,13 @@ namespace warped {
 namespace mem {
 
 Memory::Memory(std::size_t bytes)
-    : bytes_(common::acquireBuffer(bytes))
+    : bytes_(common::acquireBuffer(bytes)), dirtyLo_(bytes_.size())
 {
 }
 
 Memory::~Memory()
 {
-    common::releaseBuffer(std::move(bytes_));
+    common::releaseBuffer(std::move(bytes_), dirtyLo_, dirtyHi_);
 }
 
 void
@@ -61,6 +61,7 @@ Memory::writeByte(Addr addr, std::uint8_t value)
 {
     check(addr, 1);
     bytes_[addr] = value;
+    markDirty(addr, 1);
     if (plane_) [[unlikely]]
         plane_->onWrite(addr, 1);
 }
@@ -70,6 +71,7 @@ Memory::copyIn(Addr addr, const void *src, std::size_t n)
 {
     check(addr, n);
     std::memcpy(bytes_.data() + addr, src, n);
+    markDirty(addr, n);
     if (plane_) [[unlikely]]
         plane_->onWrite(addr, n);
 }
@@ -86,7 +88,10 @@ Memory::copyOut(Addr addr, void *dst, std::size_t n) const
 void
 Memory::clear()
 {
-    std::fill(bytes_.begin(), bytes_.end(), 0);
+    if (dirtyLo_ < dirtyHi_)
+        std::memset(bytes_.data() + dirtyLo_, 0, dirtyHi_ - dirtyLo_);
+    dirtyLo_ = bytes_.size();
+    dirtyHi_ = 0;
 }
 
 LinearAllocator::LinearAllocator(std::size_t capacity, Addr base)

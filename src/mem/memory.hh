@@ -13,6 +13,7 @@
 #ifndef WARPED_MEM_MEMORY_HH
 #define WARPED_MEM_MEMORY_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -38,9 +39,10 @@ class Memory
   public:
     /** Backing storage comes zeroed from the thread-local buffer pool
      *  (common/buffer_pool.hh) and is retired back to it on
-     *  destruction, so per-launch Memory construction in campaign
-     *  loops reuses warm pages instead of paying mmap + soft faults
-     *  for every 8 MB global-memory image. */
+     *  destruction together with the span of bytes this Memory
+     *  wrote, so per-launch Memory construction in campaign loops
+     *  reuses warm pages and re-zeroes only the previous owner's
+     *  footprint instead of the whole 8 MB global-memory image. */
     explicit Memory(std::size_t bytes);
     ~Memory();
 
@@ -77,6 +79,7 @@ class Memory
         if (addr + 4 > bytes_.size() || addr + 4 < addr) [[unlikely]]
             outOfBounds(addr, 4);
         std::memcpy(bytes_.data() + addr, &value, 4);
+        markDirty(addr, 4);
         if (plane_) [[unlikely]]
             onWriteSlow(addr, 4);
     }
@@ -88,10 +91,18 @@ class Memory
     void copyIn(Addr addr, const void *src, std::size_t n);
     void copyOut(Addr addr, void *dst, std::size_t n) const;
 
-    /** Zero the whole memory. */
+    /** Zero the whole memory (only the written span needs it). */
     void clear();
 
   private:
+    /** Widen the written span to cover [addr, addr + n). */
+    void
+    markDirty(Addr addr, std::size_t n)
+    {
+        dirtyLo_ = std::min<std::size_t>(dirtyLo_, addr);
+        dirtyHi_ = std::max<std::size_t>(dirtyHi_, addr + n);
+    }
+
     void check(Addr addr, std::size_t n) const;
     [[noreturn]] void outOfBounds(Addr addr, std::size_t n) const;
     /** Out-of-line fault-plane hops (plane_ != nullptr only). */
@@ -100,6 +111,11 @@ class Memory
 
     std::vector<std::uint8_t> bytes_;
     MemFaultPlane *plane_ = nullptr; ///< non-owning; campaign-run scoped
+    /** Every byte outside [dirtyLo_, dirtyHi_) is still zero (empty
+     *  when dirtyLo_ >= dirtyHi_). Covers every store, including
+     *  wrapped stores to fault-corrupted addresses. */
+    std::size_t dirtyLo_;
+    std::size_t dirtyHi_ = 0;
 };
 
 /**

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests: fault models, the injector's matching rules, and
- * campaign outcome classification.
+ * Unit tests: fault models, the injector's matching rules and
+ * liveness, and campaign outcome classification.
  */
 
 #include <gtest/gtest.h>
@@ -9,8 +9,10 @@
 #include <bit>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "fault/campaign.hh"
 #include "fault/fault_injector.hh"
+#include "gpu/gpu.hh"
 #include "workloads/workload.hh"
 
 using namespace warped;
@@ -251,4 +253,131 @@ TEST(RandomFaultHook, ResetRestoresConstructionState)
     for (unsigned i = 0; i < 500; ++i)
         EXPECT_EQ(h.apply(i, c), first[i]);
     EXPECT_EQ(h.activations(), acts);
+}
+
+// ---------------------------------------------------------------------
+// FaultHook::liveAt — the promise behind the dormant-hook fast path.
+
+TEST(FaultHookLiveness, DormantInjectorIsIdentityWithoutSideEffects)
+{
+    // Property: !liveAt(sm, cycle) implies apply(x, ctx) == x and no
+    // change to the activation bookkeeping, for any spec mix and any
+    // context on that SM and cycle.
+    Rng rng(2024);
+    unsigned dormant = 0, live = 0;
+    for (unsigned trial = 0; trial < 400; ++trial) {
+        FaultInjector inj;
+        const auto nspecs = 1 + rng.nextBelow(3);
+        for (unsigned k = 0; k < nspecs; ++k) {
+            FaultSpec s;
+            s.kind = static_cast<FaultKind>(rng.nextBelow(3));
+            s.sm = static_cast<unsigned>(rng.nextBelow(4));
+            s.lane = static_cast<unsigned>(rng.nextBelow(32));
+            s.bit = static_cast<unsigned>(rng.nextBelow(32));
+            if (s.kind == FaultKind::TransientBitFlip || rng.nextBool()) {
+                s.cycleBegin = rng.nextBelow(64);
+                s.cycleEnd = s.cycleBegin + rng.nextBelow(4);
+            }
+            if (rng.nextBool())
+                s.unit = static_cast<isa::UnitType>(
+                    rng.nextBelow(isa::kNumUnitTypes));
+            inj.add(s);
+        }
+        for (unsigned k = 0; k < 200; ++k) {
+            func::FaultCtx c;
+            c.sm = static_cast<unsigned>(rng.nextBelow(4));
+            c.lane = static_cast<unsigned>(rng.nextBelow(32));
+            c.unit = static_cast<isa::UnitType>(
+                rng.nextBelow(isa::kNumUnitTypes));
+            c.cycle = rng.nextBelow(80);
+            c.isAddress = rng.nextBool();
+            const auto x = static_cast<RegValue>(rng.next());
+            if (inj.liveAt(c.sm, c.cycle)) {
+                ++live;
+                inj.apply(x, c);
+                continue;
+            }
+            ++dormant;
+            const auto acts = inj.activations();
+            const auto first = inj.firstActivationCycle();
+            ASSERT_EQ(inj.apply(x, c), x);
+            ASSERT_EQ(inj.activations(), acts);
+            ASSERT_EQ(inj.firstActivationCycle(), first);
+        }
+    }
+    EXPECT_GT(dormant, 1000u);
+    EXPECT_GT(live, 1000u);
+}
+
+TEST(FaultHookLiveness, InjectorIsLiveOnlyOnItsSmInsideItsWindow)
+{
+    FaultInjector inj;
+    EXPECT_FALSE(inj.liveAt(0, 0)); // no faults at all
+    EXPECT_TRUE(inj.windowsClosedBy(0));
+    FaultSpec s;
+    s.sm = 2;
+    s.cycleBegin = 10;
+    s.cycleEnd = 12;
+    inj.add(s);
+    EXPECT_FALSE(inj.liveAt(2, 9));
+    EXPECT_TRUE(inj.liveAt(2, 10));
+    EXPECT_TRUE(inj.liveAt(2, 12));
+    EXPECT_FALSE(inj.liveAt(2, 13));
+    EXPECT_FALSE(inj.liveAt(1, 11));
+    EXPECT_FALSE(inj.windowsClosedBy(11));
+    EXPECT_TRUE(inj.windowsClosedBy(12));
+
+    FaultSpec stuck; // whole-run window: never closes
+    stuck.kind = FaultKind::StuckAtOne;
+    inj.add(stuck);
+    EXPECT_TRUE(inj.liveAt(0, 123456));
+    EXPECT_FALSE(inj.windowsClosedBy(~Cycle{0} - 1));
+}
+
+TEST(FaultHookLiveness, NullNeverLiveRandomAlwaysLive)
+{
+    Rng rng(9);
+    RandomFaultHook random(0.0, 1);
+    for (unsigned k = 0; k < 1000; ++k) {
+        const auto sm = static_cast<unsigned>(rng.nextBelow(64));
+        const Cycle cycle = rng.next();
+        EXPECT_FALSE(func::NullFaultHook::instance().liveAt(sm, cycle));
+        EXPECT_TRUE(random.liveAt(sm, cycle));
+    }
+}
+
+TEST(FaultHookLiveness, DormantInjectorLaunchMatchesNullHook)
+{
+    // A FaultInjector whose only window is on an SM the machine does
+    // not have, or after the run ends, is dormant on every cycle: the
+    // launch takes the null hook's plane paths and must report the
+    // same counters, byte for byte.
+    setVerbose(false);
+    auto cfg = arch::GpuConfig::testDefault();
+    cfg.numSms = 4;
+    const auto launch = [&](func::FaultHook *hook) {
+        auto w = workloads::makeMatrixMul(32);
+        gpu::Gpu g(cfg, dmr::DmrConfig::paperDefault(), 1, hook);
+        w->setup(g);
+        const auto r =
+            g.launch(w->program(), w->gridBlocks(), w->blockThreads());
+        EXPECT_TRUE(w->verify(g));
+        return r;
+    };
+    const auto golden = launch(nullptr);
+
+    FaultSpec elsewhere;
+    elsewhere.kind = FaultKind::StuckAtOne;
+    elsewhere.sm = cfg.numSms; // no such SM
+    FaultSpec late;
+    late.kind = FaultKind::TransientBitFlip;
+    late.cycleBegin = late.cycleEnd = golden.cycles * 10;
+    for (const auto &spec : {elsewhere, late}) {
+        FaultInjector inj;
+        inj.add(spec);
+        const auto r = launch(&inj);
+        EXPECT_EQ(inj.activations(), 0u);
+        EXPECT_EQ(r.metrics.toJson(), golden.metrics.toJson());
+        EXPECT_TRUE(r.dmr.errorLog.empty());
+    }
 }

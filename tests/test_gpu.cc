@@ -204,3 +204,43 @@ TEST(Gpu, SequentialLaunchesShareMemory)
     for (unsigned t = 0; t < 64; ++t)
         EXPECT_EQ(g.mem().readWord(buf + 4 * t), 2 * t + 5);
 }
+
+TEST(Gpu, StopPredicateEndsLaunchAfterThatCycle)
+{
+    setVerbose(false);
+    gpu::Gpu g(arch::GpuConfig::testDefault(),
+               dmr::DmrConfig::paperDefault());
+    const Addr out = g.allocator().alloc(64 * 64 * 4);
+    const auto prog = counterKernel(out, 5);
+    Cycle next = 0; // called once per cycle, in order
+    const gpu::StopPredicate stop = [&](Cycle c,
+                                        const gpu::LaunchLoop &loop) {
+        EXPECT_EQ(c, next++);
+        EXPECT_EQ(loop.detections(), 0u); // fault-free machine
+        return c == 100;
+    };
+    const auto r = g.launch(prog, 64, 64, 0, stop);
+    EXPECT_EQ(next, 101u);
+    EXPECT_EQ(r.cycles, 101u); // cycles simulated, 0..100
+    EXPECT_FALSE(r.hung);
+    EXPECT_LT(r.blocksRetired, 64u);
+}
+
+TEST(Gpu, NeverFiringStopPredicateChangesNothing)
+{
+    setVerbose(false);
+    const auto run = [](const gpu::StopPredicate &stop) {
+        gpu::Gpu g(arch::GpuConfig::testDefault(),
+                   dmr::DmrConfig::paperDefault());
+        const Addr out = g.allocator().alloc(64 * 64 * 4);
+        return g.launch(counterKernel(out, 5), 64, 64, 0, stop);
+    };
+    unsigned calls = 0;
+    const auto plain = run({});
+    const auto checked = run([&](Cycle, const gpu::LaunchLoop &) {
+        ++calls;
+        return false;
+    });
+    EXPECT_EQ(checked.metrics.toJson(), plain.metrics.toJson());
+    EXPECT_EQ(calls, plain.cycles);
+}

@@ -55,6 +55,14 @@ const GoldenCase kCases[] = {
     {"matrixmul", [] { return workloads::makeMatrixMul(32); }},
 };
 
+// Print the label rather than the raw bytes (which hold pointers), so
+// the listed test names are the same on every build and every run.
+void
+PrintTo(const GoldenCase &c, std::ostream *os)
+{
+    *os << c.label;
+}
+
 /**
  * Per-lane ring capacity for the golden runs. Even one-block
  * workloads emit hundreds of thousands of events; the goldens pin
