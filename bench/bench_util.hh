@@ -10,13 +10,13 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "arch/gpu_config.hh"
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "dmr/dmr_config.hh"
 #include "gpu/gpu.hh"
@@ -58,17 +58,21 @@ runWorkload(const std::string &name, const arch::GpuConfig &cfg,
 
 /**
  * Parse the standard `--jobs N` harness flag (0 = hardware
- * concurrency, the default). Every figure/campaign binary accepts it.
+ * concurrency, the default), the only flag every figure/campaign
+ * binary accepts. A malformed command line prints the usage and exits
+ * 2; `--help` prints it and exits 0.
  */
 inline unsigned
 parseJobs(int argc, char **argv)
 {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0)
-            return static_cast<unsigned>(
-                std::strtoul(argv[i + 1], nullptr, 10));
-    }
-    return sim::RunPool::kHardwareConcurrency;
+    unsigned jobs = sim::RunPool::kHardwareConcurrency;
+    cli::FlagTable t(argc > 0 ? argv[0] : "bench", "[--jobs N]",
+                     "Regenerate this figure; output is identical for "
+                     "every --jobs value.\n");
+    t.integer("--jobs", jobs, "worker threads (0 = hardware concurrency)");
+    if (const auto rc = t.parseOrUsage(argc, argv))
+        std::exit(*rc);
+    return jobs;
 }
 
 /**

@@ -13,6 +13,7 @@ using namespace warped;
 int
 main(int argc, char **argv)
 {
+    const unsigned jobs = bench::parseJobs(argc, argv);
     setVerbose(false);
     bench::printHeader(
         "Figure 1",
@@ -26,7 +27,7 @@ main(int argc, char **argv)
             return bench::runWorkload(name, bench::paperGpu(),
                                       dmr::DmrConfig::off());
         },
-        bench::parseJobs(argc, argv));
+        jobs);
 
     double min_full = 1.0;
     std::string min_name;

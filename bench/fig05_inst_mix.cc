@@ -13,6 +13,7 @@ using namespace warped;
 int
 main(int argc, char **argv)
 {
+    const unsigned jobs = bench::parseJobs(argc, argv);
     setVerbose(false);
     bench::printHeader("Figure 5",
                        "Execution time breakdown by instruction type");
@@ -25,7 +26,7 @@ main(int argc, char **argv)
             return bench::runWorkload(name, bench::paperGpu(),
                                       dmr::DmrConfig::off());
         },
-        bench::parseJobs(argc, argv));
+        jobs);
 
     const auto &names = workloads::allNames();
     for (std::size_t i = 0; i < names.size(); ++i) {

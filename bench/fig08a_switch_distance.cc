@@ -16,6 +16,7 @@ using namespace warped;
 int
 main(int argc, char **argv)
 {
+    const unsigned jobs = bench::parseJobs(argc, argv);
     setVerbose(false);
     bench::printHeader(
         "Figure 8a",
@@ -29,7 +30,7 @@ main(int argc, char **argv)
             return bench::runWorkload(name, bench::paperGpu(),
                                       dmr::DmrConfig::off());
         },
-        bench::parseJobs(argc, argv));
+        jobs);
 
     double worst_mean = 0.0;
     const auto &names = workloads::allNames();

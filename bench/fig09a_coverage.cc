@@ -24,6 +24,7 @@ struct Row
 int
 main(int argc, char **argv)
 {
+    const unsigned jobs = bench::parseJobs(argc, argv);
     setVerbose(false);
     bench::printHeader("Figure 9a",
                        "Error coverage vs cluster size and mapping");
@@ -46,7 +47,7 @@ main(int argc, char **argv)
             return Row{100 * r4.coverage(), 100 * r8.coverage(),
                        100 * rx.coverage()};
         },
-        bench::parseJobs(argc, argv));
+        jobs);
 
     std::vector<double> c4, c8, cx;
     const auto &names = workloads::allNames();

@@ -15,6 +15,7 @@ using namespace warped;
 int
 main(int argc, char **argv)
 {
+    const unsigned jobs = bench::parseJobs(argc, argv);
     setVerbose(false);
     bench::printHeader(
         "Figure 9b",
@@ -38,7 +39,7 @@ main(int argc, char **argv)
             }
             return norms;
         },
-        bench::parseJobs(argc, argv));
+        jobs);
 
     std::vector<double> sums[4];
     const auto &names = workloads::allNames();

@@ -31,6 +31,7 @@ struct Row
 int
 main(int argc, char **argv)
 {
+    const unsigned jobs = bench::parseJobs(argc, argv);
     setVerbose(false);
     bench::printHeader("Figure 10",
                        "Execution time of different error-detection "
@@ -60,7 +61,7 @@ main(int argc, char **argv)
             row.xferShare = base_xfer / base_total;
             return row;
         },
-        bench::parseJobs(argc, argv));
+        jobs);
 
     std::vector<double> norm[kN];
     const auto &names = workloads::allNames();

@@ -23,6 +23,7 @@ struct Row
 int
 main(int argc, char **argv)
 {
+    const unsigned jobs = bench::parseJobs(argc, argv);
     setVerbose(false);
     bench::printHeader("Figure 11",
                        "Normalized power and energy (Warped-DMR / "
@@ -46,7 +47,7 @@ main(int argc, char **argv)
             const double e1 = model.energyMj(prot);
             return Row{p1 / p0, e1 / e0, p0, p1};
         },
-        bench::parseJobs(argc, argv));
+        jobs);
 
     std::vector<double> powers, energies;
     const auto &names = workloads::allNames();

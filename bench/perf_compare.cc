@@ -22,55 +22,21 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/flags.hh"
+
+using namespace warped;
+
 namespace {
-
-[[noreturn]] void
-usage(int code)
-{
-    std::fprintf(
-        stderr,
-        "usage: perf_compare BASELINE.json CURRENT.json "
-        "[--tolerance F] [--hard-fail-ratio F] "
-        "[--require-speedup KEY:F]...\n"
-        "  --tolerance F        warn when throughput falls below\n"
-        "                       baseline*(1-F)  (default 0.25)\n"
-        "  --hard-fail-ratio F  exit 1 when baseline/current >= F\n"
-        "                       (default 2.0)\n"
-        "  --require-speedup KEY:F\n"
-        "                       exit 1 unless current[KEY] >=\n"
-        "                       baseline[KEY] * F — an improvement\n"
-        "                       gate (e.g. "
-        "perf.campaign_ref.instr_per_sec:2.0);\n"
-        "                       repeatable\n");
-    std::exit(code);
-}
-
-double
-parseDoubleArg(const char *flag, const char *text)
-{
-    if (!text || !*text)
-        usage(2);
-    char *end = nullptr;
-    errno = 0;
-    const double v = std::strtod(text, &end);
-    if (errno != 0 || end == text || *end != '\0' || !std::isfinite(v) ||
-        v <= 0.0) {
-        std::fprintf(stderr, "perf_compare: bad value '%s' for %s\n",
-                     text, flag);
-        usage(2);
-    }
-    return v;
-}
 
 /**
  * Parse MetricsRegistry::toJson output: one flat object of
@@ -177,18 +143,6 @@ struct SpeedupReq
     double factor;
 };
 
-SpeedupReq
-parseSpeedupArg(const char *text)
-{
-    const char *colon = text ? std::strrchr(text, ':') : nullptr;
-    if (!colon || colon == text)
-        usage(2);
-    SpeedupReq r;
-    r.key.assign(text, colon);
-    r.factor = parseDoubleArg("--require-speedup", colon + 1);
-    return r;
-}
-
 } // namespace
 
 int
@@ -198,33 +152,35 @@ main(int argc, char **argv)
     double tolerance = 0.25;
     double hard_fail_ratio = 2.0;
     std::vector<SpeedupReq> speedups;
+    const double positive = std::numeric_limits<double>::denorm_min();
+    const double inf = std::numeric_limits<double>::infinity();
 
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--tolerance") == 0 && i + 1 < argc) {
-            tolerance = parseDoubleArg("--tolerance", argv[++i]);
-        } else if (std::strcmp(argv[i], "--hard-fail-ratio") == 0 &&
-                   i + 1 < argc) {
-            hard_fail_ratio =
-                parseDoubleArg("--hard-fail-ratio", argv[++i]);
-        } else if (std::strcmp(argv[i], "--require-speedup") == 0 &&
-                   i + 1 < argc) {
-            speedups.push_back(parseSpeedupArg(argv[++i]));
-        } else if (std::strcmp(argv[i], "--help") == 0) {
-            usage(0);
-        } else if (argv[i][0] == '-') {
-            std::fprintf(stderr, "perf_compare: unknown argument "
-                         "'%s'\n", argv[i]);
-            usage(2);
-        } else if (base_path.empty()) {
-            base_path = argv[i];
-        } else if (cur_path.empty()) {
-            cur_path = argv[i];
-        } else {
-            usage(2);
-        }
-    }
-    if (base_path.empty() || cur_path.empty())
-        usage(2);
+    cli::FlagTable t("perf_compare", "BASELINE.json CURRENT.json [options]",
+                     "Compare a perf_harness metrics JSON against a "
+                     "baseline.\n");
+    t.positional("BASELINE.json", base_path, "baseline metrics");
+    t.positional("CURRENT.json", cur_path, "fresh metrics");
+    t.real("--tolerance", tolerance,
+           "warn when throughput falls below baseline*(1-F)", positive,
+           inf);
+    t.real("--hard-fail-ratio", hard_fail_ratio,
+           "exit 1 when baseline/current >= F", positive, inf);
+    t.custom("--require-speedup", "KEY:F",
+             [&](const std::string &v) -> std::string {
+                 const auto colon = v.rfind(':');
+                 const auto f = colon == std::string::npos || colon == 0
+                                    ? std::nullopt
+                                    : cli::parseReal(v.substr(colon + 1));
+                 if (!f || *f <= 0.0)
+                     return "expects KEY:F with F > 0";
+                 speedups.push_back({v.substr(0, colon), *f});
+                 return {};
+             },
+             "exit 1 unless current[KEY] >= baseline[KEY] * F, an "
+             "improvement gate (e.g. "
+             "perf.campaign_ref.instr_per_sec:2.0); repeatable");
+    if (const auto rc = t.parseOrUsage(argc, argv))
+        return *rc;
 
     std::map<std::string, double> base, cur;
     if (!parseFlatJson(base_path, base) || !parseFlatJson(cur_path, cur))

@@ -20,10 +20,8 @@
  * determinism gate behind the perf_smoke ctest target.
  */
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -33,6 +31,7 @@
 #include <sys/resource.h>
 
 #include "arch/gpu_config.hh"
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "dmr/dmr_config.hh"
 #include "gpu/gpu.hh"
@@ -70,44 +69,6 @@ configGpu(const arch::GpuConfig &base, const PerfConfig &cfg)
     gpu.memModel = cfg.memModel;
     gpu.eccKind = cfg.ecc;
     return gpu;
-}
-
-[[noreturn]] void
-usage(int code)
-{
-    std::fprintf(
-        stderr,
-        "usage: perf_harness [--out FILE] [--repeat N] [--smoke] "
-        "[--self-check] [--recovery-noop-check]\n"
-        "  --out FILE    write the metrics JSON here "
-        "(default BENCH_PR4.json)\n"
-        "  --repeat N    measure N back-to-back repetitions per "
-        "config (default 1)\n"
-        "  --smoke       tiny workload instances (CI smoke variant)\n"
-        "  --self-check  run the suite twice; exit 1 unless the\n"
-        "                deterministic counters match exactly\n"
-        "  --recovery-noop-check\n"
-        "                skip measurement; exit 1 unless runs with\n"
-        "                recovery disabled are metric-identical to\n"
-        "                plain baseline runs (byte-identity gate)\n");
-    std::exit(code);
-}
-
-/** Strict numeric flag parse: full-string, in-range, or usage+exit 2. */
-unsigned
-parseUnsignedArg(const char *flag, const char *text)
-{
-    if (!text || !*text)
-        usage(2);
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long v = std::strtoul(text, &end, 10);
-    if (errno != 0 || end == text || *end != '\0' || v > 0xFFFFFFFFul) {
-        std::fprintf(stderr, "perf_harness: bad value '%s' for %s\n",
-                     text, flag);
-        usage(2);
-    }
-    return static_cast<unsigned>(v);
 }
 
 /** The campaign machine: 4 SMs of the short-latency test GPU. */
@@ -332,29 +293,22 @@ main(int argc, char **argv)
     bool self_check = false;
     bool noop_check = false;
 
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-            out = argv[++i];
-        } else if (std::strcmp(argv[i], "--repeat") == 0 &&
-                   i + 1 < argc) {
-            repeat = parseUnsignedArg("--repeat", argv[++i]);
-            if (repeat == 0)
-                usage(2);
-        } else if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else if (std::strcmp(argv[i], "--self-check") == 0) {
-            self_check = true;
-        } else if (std::strcmp(argv[i], "--recovery-noop-check") ==
-                   0) {
-            noop_check = true;
-        } else if (std::strcmp(argv[i], "--help") == 0) {
-            usage(0);
-        } else {
-            std::fprintf(stderr, "perf_harness: unknown argument "
-                         "'%s'\n", argv[i]);
-            usage(2);
-        }
-    }
+    cli::FlagTable t("perf_harness", "[options]",
+                     "Simulator-throughput microbenchmark over the pinned "
+                     "reference configs.\n");
+    t.text("--out", out, "FILE", "write the metrics JSON here");
+    t.integer("--repeat", repeat,
+              "measure N back-to-back repetitions per config", 1);
+    t.flag("--smoke", smoke, "tiny workload instances (CI smoke variant)");
+    t.flag("--self-check", self_check,
+           "run the suite twice; exit 1 unless the deterministic "
+           "counters match exactly");
+    t.flag("--recovery-noop-check", noop_check,
+           "skip measurement; exit 1 unless runs with recovery "
+           "disabled are metric-identical to plain baseline runs "
+           "(byte-identity gate)");
+    if (const auto rc = t.parseOrUsage(argc, argv))
+        return *rc;
 
     if (noop_check) {
         std::printf("perf_harness: recovery noop check%s\n",

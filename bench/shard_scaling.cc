@@ -27,9 +27,9 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "common/flags.hh"
 #include "fault/campaign_engine.hh"
 #include "fault/shard.hh"
-#include "stats/accumulator.hh"
 
 using namespace warped;
 
@@ -44,32 +44,6 @@ struct Args
     unsigned windows = 0;
     unsigned jobs = 1;
 };
-
-Args
-parseArgs(int argc, char **argv)
-{
-    Args a;
-    for (int i = 1; i + 1 < argc; i += 2) {
-        const std::string f = argv[i];
-        const char *v = argv[i + 1];
-        if (f == "--workload")
-            a.workload = v;
-        else if (f == "--size")
-            a.size = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        else if (f == "--sites")
-            a.sites = std::strtoull(v, nullptr, 10);
-        else if (f == "--strata")
-            a.strata = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        else if (f == "--windows")
-            a.windows =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        else if (f == "--jobs")
-            a.jobs = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        else
-            warped_panic("shard_scaling: unknown flag ", f);
-    }
-    return a;
-}
 
 fault::EngineConfig
 baseCfg(const Args &a)
@@ -106,7 +80,22 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    const auto a = parseArgs(argc, argv);
+    Args a;
+    const auto &names = workloads::allNames();
+    cli::FlagTable t("shard_scaling", "[options]",
+                     "Sharded fold invariance and stratified sampling "
+                     "efficiency.\n");
+    t.choice("--workload", names,
+             [&](std::size_t i) { a.workload = names[i]; },
+             "campaign workload", a.workload);
+    t.integer("--size", a.size, "workload size parameter");
+    t.integer("--sites", a.sites, "sampled sites per campaign");
+    t.integer("--strata", a.strata, "window buckets per unit");
+    t.integer("--windows", a.windows,
+              "transient pulse windows (0 = one per cycle)");
+    t.integer("--jobs", a.jobs, "worker threads per campaign");
+    if (const auto rc = t.parseOrUsage(argc, argv))
+        return *rc;
     bench::printHeader(
         "shard scaling (campaign service)",
         "Sharded fold invariance + stratified sampling efficiency");
@@ -161,20 +150,7 @@ main(int argc, char **argv)
     const auto strat =
         fault::CampaignEngine(factoryFor(a), sec).run();
 
-    std::vector<std::string> labels;
-    std::vector<std::uint64_t> sizes;
-    for (const auto &[label, sz] : strat.stratumSizes) {
-        labels.push_back(label);
-        sizes.push_back(sz);
-    }
-    stats::StratifiedEstimator est(sizes);
-    for (std::size_t h = 0; h < labels.size(); ++h) {
-        const auto it = strat.byStratum.find(labels[h]);
-        if (it == strat.byStratum.end())
-            continue;
-        est.addCounts(h, fault::CampaignReport::caught(it->second),
-                      it->second.total());
-    }
+    const auto est = strat.stratifiedCoverage();
     const auto sci = est.interval();
     const double swidth = sci.hi - sci.lo;
 

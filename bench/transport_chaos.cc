@@ -25,6 +25,7 @@
  * a user's distributed campaign does.
  */
 
+#include "common/flags.hh"
 #include "sim/stream.hh"
 #include "sim/subprocess.hh"
 
@@ -62,10 +63,13 @@ waitForPort(const std::string &path, unsigned &port,
     while (std::chrono::steady_clock::now() < deadline) {
         const auto text = readWholeFile(path);
         if (!text.empty()) {
-            port = static_cast<unsigned>(
-                std::strtoul(text.c_str(), nullptr, 10));
-            if (port != 0)
+            // The file holds "PORT\n" once serve has bound.
+            const auto p = cli::parseUint(text.substr(0, text.find('\n')),
+                                          65535);
+            if (p && *p != 0) {
+                port = static_cast<unsigned>(*p);
                 return true;
+            }
         }
         sim::sleepMs(20);
     }
@@ -303,36 +307,18 @@ main(int argc, char **argv)
 {
     Drill d;
     std::string mode = "all";
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        const auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n",
-                             a.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (a == "--sim")
-            d.sim = next();
-        else if (a == "--outdir")
-            d.outdir = next();
-        else if (a == "--mode")
-            mode = next();
-        else {
-            std::fprintf(stderr,
-                         "usage: transport_chaos --sim PATH "
-                         "--outdir DIR [--mode "
-                         "smoke|hang|chaos|all]\n");
-            return 2;
-        }
-    }
-    if (d.sim.empty() || d.outdir.empty()) {
-        std::fprintf(stderr,
-                     "transport_chaos: --sim and --outdir are "
-                     "required\n");
-        return 2;
-    }
+    cli::FlagTable t("transport_chaos",
+                     "--sim PATH --outdir DIR [--mode MODE]",
+                     "End-to-end fault drill for the socket transport.\n");
+    t.text("--sim", d.sim, "PATH", "the warped_sim binary under test");
+    t.text("--outdir", d.outdir, "DIR", "directory for the drill's reports");
+    const std::vector<std::string> modes = {"smoke", "hang", "chaos", "all"};
+    t.choice("--mode", modes, [&](std::size_t i) { mode = modes[i]; },
+             "which drill to run", mode);
+    if (const auto rc = t.parseOrUsage(argc, argv))
+        return *rc;
+    if (d.sim.empty() || d.outdir.empty())
+        return t.fail("--sim and --outdir are required");
     ::mkdir(d.outdir.c_str(), 0755);
 
     std::string baseline;
@@ -346,11 +332,6 @@ main(int argc, char **argv)
         ok = modeHang(d, baseline) && ok;
     if (mode == "chaos" || mode == "all")
         ok = modeChaos(d, baseline) && ok;
-    if (mode != "smoke" && mode != "hang" && mode != "chaos" &&
-        mode != "all") {
-        std::fprintf(stderr, "unknown --mode %s\n", mode.c_str());
-        return 2;
-    }
     std::printf("%s\n", ok ? "transport_chaos: all drills passed"
                            : "transport_chaos: FAILURES");
     return ok ? 0 : 1;

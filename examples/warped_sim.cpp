@@ -2,31 +2,29 @@
  * @file
  * warped_sim: the command-line driver — run any Table-4 workload (or
  * all of them) under a chosen protection configuration and print the
- * full statistics block. The "downstream user" front end.
+ * full statistics block, or run a fault-injection campaign on one
+ * (`campaign`, `serve`, `shard`). The "downstream user" front end.
  *
  *   $ ./warped_sim --help
  *   $ ./warped_sim MatrixMul --qsize 5 --mapping linear
  *   $ ./warped_sim all --dmr off
  *   $ ./warped_sim SHA --sampling 1000:250 --arbitrate --disasm
+ *   $ ./warped_sim campaign SCAN --sites 500 --out report.json
  */
 
-#include <cctype>
-#include <cerrno>
-#include <chrono>
 #include <cstdint>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include <fstream>
 #include <sstream>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "fault/campaign_engine.hh"
 #include "fault/shard.hh"
@@ -49,28 +47,20 @@ using namespace warped;
 
 namespace {
 
+/** Run-mode settings; the machine starts as the paper's Table-3 GPU. */
 struct Options
 {
     std::string workload = "all";
+    arch::GpuConfig gpu = arch::GpuConfig::paperDefault();
     dmr::DmrConfig dmr = dmr::DmrConfig::paperDefault();
     protection::SchemeConfig scheme;
-    unsigned numSms = 30;
-    unsigned cluster = 4;
-    unsigned schedulers = 1;
-    arch::SchedPolicy sched = arch::SchedPolicy::LooseRoundRobin;
-    bool bankConflicts = false;
-    bool coalescing = false;
-    bool contention = false;
-    unsigned warpSize = 32;
-    arch::MemModel memModel = arch::MemModel::Flat;
-    arch::EccKind ecc = arch::EccKind::None;
     std::string kernelFile;
     unsigned kblocks = 4, kthreads = 128;
     bool disasm = false;
     bool verbose = false;
     bool report = false;
     bool json = false;
-    unsigned trace = 0;
+    bool list = false;
     std::string traceOut;
     std::string metricsOut;
 };
@@ -93,607 +83,217 @@ exportPath(const std::string &base, const std::string &name, bool multi)
     return base.substr(0, dot) + "." + name + base.substr(dot);
 }
 
-void
-campaignUsage()
-{
-    std::printf(
-        "usage: warped_sim campaign <workload> [options]\n"
-        "\n"
-        "Statistical fault-injection campaign: sample fault sites\n"
-        "(SM x lane x bit x window x kind), classify each injected\n"
-        "run as Masked/Detected/SDC/DUE against the golden run, and\n"
-        "report coverage with Wilson 95%% confidence intervals\n"
-        "(see docs/FAULT_MODEL.md).\n"
-        "\n"
-        "options:\n"
-        "  --size N            workload size parameter (factory-\n"
-        "                      specific; default = paper scale)\n"
-        "  --sites N           fault sites to sample (default:\n"
-        "                      derived from --moe)\n"
-        "  --moe F             target 95%% margin of error when\n"
-        "                      --sites is absent (default 0.01)\n"
-        "  --kinds K[,K...]    transient,stuck0,stuck1 (default all)\n"
-        "  --unit any|sp|sfu|ldst   unit axis of the site space\n"
-        "  --windows N         transient pulse windows (default:\n"
-        "                      one per cycle, capped at 4096)\n"
-        "  --fault-domain exec|mem|both\n"
-        "                      site-space domain: execution-lane\n"
-        "                      sites (default), memory-cell sites\n"
-        "                      (bank x row x column x bit x window\n"
-        "                      over the workload footprint, classified\n"
-        "                      as Masked/EccCorrected/Detected/SDC/\n"
-        "                      DUE), or both\n"
-        "  --mem-model flat|banked\n"
-        "                      global-memory organization (default\n"
-        "                      flat; banked adds per-bank open-row\n"
-        "                      DRAM timing)\n"
-        "  --ecc none|secded|chipkill\n"
-        "                      memory ECC codec deciding what a cell\n"
-        "                      upset decodes to on read (default none)\n"
-        "  --sms N             SMs (default 4)\n"
-        "  --seed N            campaign master seed (default 42)\n"
-        "  --jobs N            worker threads (0 = hardware\n"
-        "                      concurrency; output identical for\n"
-        "                      every N; default 0)\n"
-        "  --checkpoint F      periodic JSON state file; an existing\n"
-        "                      matching file resumes the campaign\n"
-        "  --checkpoint-every N  runs per checkpoint chunk "
-        "(default 1000;\n"
-        "                      N >= 1 — 0 is rejected)\n"
-        "  --strata T          stratified sampling: T transient\n"
-        "                      window buckets per unit (strata =\n"
-        "                      unit x bucket; default off = uniform\n"
-        "                      i.i.d. sampling). Reports add a\n"
-        "                      weighted stratified coverage estimate\n"
-        "                      with per-stratum Wilson CIs\n"
-        "  --out F             write the campaign report JSON to F\n"
-        "  --sched lrr|gto     warp scheduling policy (default lrr)\n"
-        "  --schedulers N      schedulers per SM (default 1)\n"
-        "  --dmr off | --no-intra | --no-inter | --no-shuffle |\n"
-        "  --mapping linear|cross | --qsize N\n"
-        "                      protection configuration under test\n"
-        "  --scheme NAME       protection backend under test:\n"
-        "                      original, r-naive, r-thread, dmtr,\n"
-        "                      warped-dmr (default), partial-thread,\n"
-        "                      replay-compare\n"
-        "  --protect-frac F    protected warp-slot fraction for\n"
-        "                      --scheme partial-thread (default 1.0)\n"
-        "  --scheme-sweep      run the campaign once per backend over\n"
-        "                      the same site axes and emit one merged\n"
-        "                      JSON (sweep.<scheme>.* keys) plus a\n"
-        "                      coverage/overhead Pareto table\n"
-        "  --recovery          enable rollback-replay recovery:\n"
-        "                      detected mismatches are repaired in\n"
-        "                      place and classify as Recovered\n"
-        "  --recovery-budget N rollbacks allowed per incident window\n"
-        "                      before the warp gives up (default 3;\n"
-        "                      implies --recovery)\n"
-        "  --recovery-ring N   checkpoint deltas retained per SM\n"
-        "                      (default 4096; implies --recovery)\n"
-        "  --recovery-penalty N  stall cycles after a rollback\n"
-        "                      (default 8; implies --recovery)\n"
-        "\n"
-        "Sharded service (see docs/CAMPAIGN_SERVICE.md):\n"
-        "  warped_sim serve <workload> [campaign options] --shards N\n"
-        "  warped_sim shard <workload> [campaign options]\n"
-        "             --shard-index I --shard-count N --delta-out F\n");
-}
-
-void
-serveUsage()
-{
-    std::printf(
-        "usage: warped_sim serve <workload> [campaign options] "
-        "--shards N [options]\n"
-        "       warped_sim shard <workload> [campaign options] "
-        "--shard-index I\n"
-        "                  --shard-count N --delta-out F "
-        "[--expect-signature S]\n"
-        "       warped_sim shard <workload> [campaign options] "
-        "--connect HOST:PORT\n"
-        "\n"
-        "Sharded campaign service: `serve` splits the campaign into\n"
-        "N deterministic run-index shards, dispatches them to worker\n"
-        "processes (`warped_sim shard`), folds each worker's counter\n"
-        "delta into a mergeable aggregate, and re-issues any shard\n"
-        "whose worker dies, hangs, or delivers a corrupt delta. The\n"
-        "final report is byte-identical to a single-process\n"
-        "`warped_sim campaign` run with the same options, for every\n"
-        "shard count, worker count, transport mix, and failure\n"
-        "schedule (docs/CAMPAIGN_SERVICE.md).\n"
-        "\n"
-        "Workers reach the orchestrator two ways: spawned locally as\n"
-        "subprocesses (the default), or connecting over TCP when\n"
-        "serve is given --listen and workers are started with\n"
-        "--connect. Socket frames are length-prefixed and\n"
-        "CRC-checked; hung remote workers are detected by heartbeat\n"
-        "silence.\n"
-        "\n"
-        "All `warped_sim campaign` options except --checkpoint,\n"
-        "--checkpoint-every and --scheme-sweep apply; notably\n"
-        "--strata T enables stratified sampling.\n"
-        "\n"
-        "serve options:\n"
-        "  --shards N          shard count (required, >= 1)\n"
-        "  --workers K         concurrent dispatcher slots "
-        "(default 1)\n"
-        "  --state F           crash-safe aggregator state file; an\n"
-        "                      existing matching file resumes with\n"
-        "                      only the unfolded shards outstanding\n"
-        "  --out F             write the final report JSON to F\n"
-        "  --listen HOST:PORT  also accept socket workers (port 0 =\n"
-        "                      ephemeral; see --port-file)\n"
-        "  --port-file F       write the bound listen port to F\n"
-        "  --heartbeat MS      heartbeat interval advertised to\n"
-        "                      socket workers (default 250; a worker\n"
-        "                      silent for 8x MS is declared hung)\n"
-        "  --shard-deadline MS hard per-shard wall-clock deadline on\n"
-        "                      any transport (default: none; hung\n"
-        "                      subprocess workers need this)\n"
-        "  --grace MS          how long to wait for an idle socket\n"
-        "                      worker before degrading a shard to a\n"
-        "                      local subprocess (default 1500)\n"
-        "  --no-local-fallback never degrade to local subprocesses;\n"
-        "                      wait for socket workers indefinitely\n"
-        "  --strikes N         consecutive failures of one shard\n"
-        "                      before the campaign aborts (default\n"
-        "                      3; raise it for deliberately hostile\n"
-        "                      networks, e.g. chaos drills)\n"
-        "  --kill-worker-for-shard I\n"
-        "                      fault drill: SIGKILL shard I's local\n"
-        "                      worker on its first attempt,\n"
-        "                      exercising the re-issue path\n"
-        "  --hang-worker-for-shard I\n"
-        "                      fault drill: shard I's first worker\n"
-        "                      hangs (sleeps --hang-ms) instead of\n"
-        "                      computing, exercising the deadline /\n"
-        "                      heartbeat re-issue path\n"
-        "  --hang-ms MS        hang-drill duration (default 30000)\n"
-        "\n"
-        "shard options (normally supplied by serve):\n"
-        "  --shard-index I     which shard of the plan to run\n"
-        "  --shard-count N     total shards in the plan\n"
-        "  --delta-out F       where to write the delta JSON "
-        "(atomic)\n"
-        "  --expect-signature S  refuse to run (exit 3) unless this\n"
-        "                      worker derives configuration "
-        "signature S\n"
-        "  --connect HOST:PORT serve shards over a socket instead of\n"
-        "                      running one from flags; deltas stream\n"
-        "                      back as CRC-checked frames and the\n"
-        "                      orchestrator validates the signature\n"
-        "                      at the Hello handshake (mismatch =>\n"
-        "                      exit 3)\n"
-        "  --connect-attempts N  consecutive failed connects before\n"
-        "                      giving up (default 8; backoff doubles\n"
-        "                      from 50ms, capped at 2s)\n"
-        "  --chaos SPEC        wrap the connection in a seeded fault\n"
-        "                      injector, e.g.\n"
-        "                      seed=7,drop=0.1,dup=0.1,corrupt=0.05,\n"
-        "                      trunc=0.05,disc=0.02,delay=5,"
-        "delayp=0.2\n"
-        "  --hang-for-shard I  drill: go silent on shard I once\n"
-        "                      (socket), or sleep before computing\n"
-        "                      (file mode)\n"
-        "  --hang-ms MS        how long the drill hangs "
-        "(default 10000)\n");
-}
-
-void usage();
-
 /**
- * Strict numeric flag parsing. Every numeric option goes through
- * these: the whole argument must be digits (no sign, no trailing
- * junk) and in range for the destination, or the relevant usage text
- * is printed and the process exits 2. The previous prefix-accepting
- * strtoul calls silently turned `--sites banana` into a zero-site
- * campaign.
- */
-[[noreturn]] void
-badNumericArg(const char *flag, const char *text, bool campaign)
-{
-    std::fprintf(stderr, "warped_sim: bad numeric value '%s' for %s\n",
-                 text ? text : "", flag);
-    if (campaign)
-        campaignUsage();
-    else
-        usage();
-    std::exit(2);
-}
-
-std::uint64_t
-parseU64Arg(const char *flag, const char *text, bool campaign,
-            std::uint64_t max = ~std::uint64_t{0})
-{
-    if (!text || !std::isdigit(static_cast<unsigned char>(text[0])))
-        badNumericArg(flag, text, campaign);
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (errno != 0 || *end != '\0' || v > max)
-        badNumericArg(flag, text, campaign);
-    return v;
-}
-
-unsigned
-parseU32Arg(const char *flag, const char *text, bool campaign)
-{
-    return static_cast<unsigned>(
-        parseU64Arg(flag, text, campaign, 0xFFFFFFFFull));
-}
-
-double
-parseF64Arg(const char *flag, const char *text, bool campaign)
-{
-    if (!text || !*text)
-        badNumericArg(flag, text, campaign);
-    char *end = nullptr;
-    errno = 0;
-    const double v = std::strtod(text, &end);
-    if (errno != 0 || end == text || *end != '\0' ||
-        !std::isfinite(v))
-        badNumericArg(flag, text, campaign);
-    return v;
-}
-
-/**
- * Strict HOST:PORT parsing for --listen / --connect. The host may be
- * empty in --listen position ("":PORT binds every interface via
- * 0.0.0.0); the port must be a plain decimal in [0, 65535]. Anything
- * else exits 2 with the serve usage, like every other malformed
- * option.
+ * The machine and protection flags run mode and the campaign family
+ * share. Each writes straight into the configuration it names, so the
+ * defaults shown are the mode's own (30 SMs for a run, 4 for a
+ * campaign); every one is replayed on campaign workers.
  */
 void
-parseHostPortArg(const char *flag, const char *text, std::string &host,
-                 std::uint16_t &port, bool allowEmptyHost)
+addMachineFlags(cli::FlagTable &t, arch::GpuConfig &gpu,
+                dmr::DmrConfig &dmr, protection::SchemeConfig &scheme)
 {
-    const char *colon = text ? std::strrchr(text, ':') : nullptr;
-    if (!colon) {
-        std::fprintf(stderr,
-                     "warped_sim: %s expects HOST:PORT, got '%s'\n",
-                     flag, text ? text : "");
-        serveUsage();
-        std::exit(2);
-    }
-    host.assign(text, colon);
-    if (host.empty()) {
-        if (!allowEmptyHost) {
-            std::fprintf(stderr,
-                         "warped_sim: %s needs a host before the "
-                         "colon\n",
-                         flag);
-            serveUsage();
-            std::exit(2);
-        }
-        host = "0.0.0.0";
-    }
-    port = static_cast<std::uint16_t>(
-        parseU64Arg(flag, colon + 1, true, 65535));
-}
-
-/**
- * Strict scheme-name resolution: only the canonical CLI slugs from
- * the protection registry are accepted; anything else prints the
- * valid set and the usage text and exits 2 (same contract as the
- * numeric options — no prefix or case forgiveness).
- */
-protection::SchemeId
-parseSchemeArg(const char *text, bool campaign)
-{
-    if (text) {
-        if (const auto id = protection::schemeFromName(text))
-            return *id;
-    }
-    std::fprintf(stderr,
-                 "warped_sim: unknown scheme '%s' (expected one of:",
-                 text ? text : "");
+    t.section("machine and protection options:", true);
+    t.choice("--dmr", {"on", "off"},
+             [&dmr](std::size_t i) {
+                 if (i == 1)
+                     dmr = dmr::DmrConfig::off();
+             },
+             "enable/disable Warped-DMR", "on");
+    t.action("--no-intra", [&dmr] { dmr.intraWarp = false; },
+             "disable intra-warp (spatial) DMR");
+    t.action("--no-inter", [&dmr] { dmr.interWarp = false; },
+             "disable inter-warp (temporal) DMR");
+    t.action("--no-shuffle", [&dmr] { dmr.laneShuffle = false; },
+             "disable lane shuffling");
+    t.choice("--mapping", dmr.mapping,
+             {{"linear", dmr::MappingPolicy::Linear},
+              {"cross", dmr::MappingPolicy::CrossCluster}},
+             "thread-to-core mapping");
+    t.integer("--qsize", dmr.replayQSize, "ReplayQ entries");
+    t.integer("--sms", gpu.numSms, "streaming multiprocessors");
+    t.choice("--sched", gpu.schedPolicy,
+             {{"lrr", arch::SchedPolicy::LooseRoundRobin},
+              {"gto", arch::SchedPolicy::GreedyThenOldest}},
+             "warp scheduling policy");
+    t.integer("--schedulers", gpu.numSchedulers, "schedulers per SM");
+    t.choice("--mem-model", gpu.memModel,
+             {{"flat", arch::MemModel::Flat},
+              {"banked", arch::MemModel::Banked}},
+             "global memory; banked adds per-bank open-row DRAM timing");
+    t.choice("--ecc", gpu.eccKind,
+             {{"none", arch::EccKind::None},
+              {"secded", arch::EccKind::Secded},
+              {"chipkill", arch::EccKind::Chipkill}},
+             "memory ECC codec (only fault campaigns inject upsets)");
+    std::vector<std::pair<std::string, protection::SchemeId>> schemes;
     for (const auto id : protection::allSchemes())
-        std::fprintf(stderr, " %s", protection::schemeCliName(id));
-    std::fprintf(stderr, ")\n");
-    if (campaign)
-        campaignUsage();
-    else
-        usage();
-    std::exit(2);
+        schemes.emplace_back(protection::schemeCliName(id), id);
+    t.choice("--scheme", scheme.id, schemes, "protection backend");
+    t.real("--protect-frac", scheme.protectFraction,
+           "protected warp-slot fraction for --scheme partial-thread", 0.0,
+           1.0);
 }
 
-double
-parseProtectFracArg(const char *text, bool campaign)
+/** The simulator's own machine check, run once right after parsing so
+ *  a nonsensical machine is a usage error, not an abort. Returns the
+ *  complaint, empty when the machine is buildable. */
+std::string
+machineError(const arch::GpuConfig &gpu, const dmr::DmrConfig &dmr)
 {
-    const double f = parseF64Arg("--protect-frac", text, campaign);
-    if (f < 0.0 || f > 1.0)
-        badNumericArg("--protect-frac (expects [0,1])",
-                      text, campaign);
-    return f;
-}
-
-/** Strict `--mem-model` resolution: exactly "flat" or "banked",
- *  anything else exits 2 with usage (same contract as --scheme). */
-arch::MemModel
-parseMemModelArg(const char *text, bool campaign)
-{
-    if (text) {
-        if (std::strcmp(text, "flat") == 0)
-            return arch::MemModel::Flat;
-        if (std::strcmp(text, "banked") == 0)
-            return arch::MemModel::Banked;
+    try {
+        gpu.validate();
+        dmr.validate();
+    } catch (const std::runtime_error &e) {
+        return e.what();
     }
-    std::fprintf(stderr,
-                 "warped_sim: unknown memory model '%s' (expected "
-                 "flat or banked)\n",
-                 text ? text : "");
-    if (campaign)
-        campaignUsage();
-    else
-        usage();
-    std::exit(2);
+    return {};
 }
-
-/** Strict `--ecc` resolution: none, secded or chipkill. */
-arch::EccKind
-parseEccArg(const char *text, bool campaign)
-{
-    if (text) {
-        if (std::strcmp(text, "none") == 0)
-            return arch::EccKind::None;
-        if (std::strcmp(text, "secded") == 0)
-            return arch::EccKind::Secded;
-        if (std::strcmp(text, "chipkill") == 0)
-            return arch::EccKind::Chipkill;
-    }
-    std::fprintf(stderr,
-                 "warped_sim: unknown ECC codec '%s' (expected none, "
-                 "secded or chipkill)\n",
-                 text ? text : "");
-    if (campaign)
-        campaignUsage();
-    else
-        usage();
-    std::exit(2);
-}
-
-enum class Domain
-{
-    Exec,
-    Mem,
-    Both
-};
 
 /**
  * Everything the campaign-family subcommands (campaign / serve /
- * shard) share: the engine configuration under assembly, the machine
- * knobs that finalize into it, and the raw flag list to replay on a
- * worker command line (orchestrator-only flags are withheld).
+ * shard) share: the engine configuration the flags write into, plus
+ * the knobs that finalize into it.
  */
 struct CampaignCli
 {
     std::string workload;
     fault::EngineConfig ec;
-    unsigned sms = 4;
     unsigned size = 0;
-    unsigned schedulers = 0;
-    arch::SchedPolicy sched = arch::SchedPolicy::LooseRoundRobin;
-    bool schedSet = false;
     bool sweep = false;
-    arch::MemModel memModel = arch::MemModel::Flat;
-    arch::EccKind ecc = arch::EccKind::None;
-    Domain domain = Domain::Exec;
     std::string outPath;
-    /** Campaign-level flags, verbatim, for worker command lines. */
-    std::vector<std::string> passThrough;
+
+    CampaignCli()
+    {
+        ec.gpu.numSms = 4;
+        ec.jobs = 0;
+    }
+
+    fault::WorkloadFactory
+    factory() const
+    {
+        return [w = workload, s = size] {
+            return workloads::makeByNameSized(w, s);
+        };
+    }
 };
 
 /**
- * Parse the campaign-level option at argv[i], advancing i past its
- * value(s). Returns false when the option is not a campaign-level
- * one (the caller owns its mode-specific flags). Malformed values
- * exit 2 through the strict parsers above.
+ * The campaign-level flags. Forwarded ones are replayed verbatim on
+ * `serve`'s worker command lines; the rest (checkpoint, report
+ * output, the sweep) belong to the orchestrator alone — a worker
+ * writing the orchestrator's files would race it.
  */
-bool
-parseCampaignArg(int argc, char **argv, int &i, CampaignCli &c)
+void
+addCampaignFlags(cli::FlagTable &t, CampaignCli &c)
 {
-    const std::string a = argv[i];
-    const int start = i;
-    auto next = [&]() -> const char * {
-        return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    // Orchestrator-only flags must not replicate onto workers: a
-    // worker writing the orchestrator's checkpoint/out files would
-    // race it.
-    bool forward = true;
-    const char *v = nullptr;
-    fault::EngineConfig &ec = c.ec;
-    if (a == "--size") {
-        c.size = parseU32Arg("--size", next(), true);
-    } else if (a == "--sites") {
-        ec.sites = parseU64Arg("--sites", next(), true);
-    } else if (a == "--moe") {
-        ec.marginOfError = parseF64Arg("--moe", next(), true);
-    } else if (a == "--kinds") {
-        if (!(v = next())) {
-            campaignUsage();
-            std::exit(2);
-        }
-        ec.space.kinds.clear();
-        for (const char *p = v; *p;) {
-            const char *comma = std::strchr(p, ',');
-            const std::string k =
-                comma ? std::string(p, comma) : std::string(p);
-            if (k == "transient")
-                ec.space.kinds.push_back(
-                    fault::FaultKind::TransientBitFlip);
-            else if (k == "stuck0")
-                ec.space.kinds.push_back(
-                    fault::FaultKind::StuckAtZero);
-            else if (k == "stuck1")
-                ec.space.kinds.push_back(
-                    fault::FaultKind::StuckAtOne);
-            else {
-                campaignUsage();
-                std::exit(2);
-            }
-            if (!comma)
-                break;
-            p = comma + 1;
-        }
-        if (ec.space.kinds.empty()) {
-            campaignUsage();
-            std::exit(2);
-        }
-    } else if (a == "--unit") {
-        if (!(v = next())) {
-            campaignUsage();
-            std::exit(2);
-        }
-        if (std::strcmp(v, "any") == 0)
-            ec.space.units = {std::nullopt};
-        else if (std::strcmp(v, "sp") == 0)
-            ec.space.units = {isa::UnitType::SP};
-        else if (std::strcmp(v, "sfu") == 0)
-            ec.space.units = {isa::UnitType::SFU};
-        else if (std::strcmp(v, "ldst") == 0)
-            ec.space.units = {isa::UnitType::LDST};
-        else {
-            campaignUsage();
-            std::exit(2);
-        }
-    } else if (a == "--windows") {
-        ec.space.cycleWindows = parseU32Arg("--windows", next(), true);
-    } else if (a == "--strata") {
-        v = next();
-        const auto n = parseU32Arg("--strata", v, true);
-        if (n == 0)
-            badNumericArg("--strata (expects >= 1)", v, true);
-        ec.strataWindows = n;
-    } else if (a == "--sms") {
-        c.sms = parseU32Arg("--sms", next(), true);
-    } else if (a == "--seed") {
-        ec.seed = parseU64Arg("--seed", next(), true);
-    } else if (a == "--jobs") {
-        ec.jobs = parseU32Arg("--jobs", next(), true);
-    } else if (a == "--checkpoint") {
-        forward = false;
-        if (!(v = next())) {
-            campaignUsage();
-            std::exit(2);
-        }
-        ec.checkpointPath = v;
-    } else if (a == "--checkpoint-every") {
-        forward = false;
-        v = next();
-        const auto n = parseU64Arg("--checkpoint-every", v, true);
-        // Zero would disable periodic checkpointing while claiming
-        // to configure it — reject outright (the engine would clamp,
-        // but a nonsensical CLI value is a user error).
-        if (n == 0)
-            badNumericArg("--checkpoint-every (expects >= 1)", v,
-                          true);
-        ec.checkpointEvery = n;
-    } else if (a == "--out") {
-        forward = false;
-        if (!(v = next())) {
-            campaignUsage();
-            std::exit(2);
-        }
-        c.outPath = v;
-    } else if (a == "--dmr") {
-        if ((v = next()) && std::strcmp(v, "off") == 0)
-            ec.dmr = dmr::DmrConfig::off();
-    } else if (a == "--no-intra") {
-        ec.dmr.intraWarp = false;
-    } else if (a == "--no-inter") {
-        ec.dmr.interWarp = false;
-    } else if (a == "--no-shuffle") {
-        ec.dmr.laneShuffle = false;
-    } else if (a == "--mapping") {
-        if (!(v = next())) {
-            campaignUsage();
-            std::exit(2);
-        }
-        ec.dmr.mapping = std::strcmp(v, "linear") == 0
-                             ? dmr::MappingPolicy::Linear
-                             : dmr::MappingPolicy::CrossCluster;
-    } else if (a == "--qsize") {
-        ec.dmr.replayQSize = parseU32Arg("--qsize", next(), true);
-    } else if (a == "--recovery") {
-        ec.recovery.enabled = true;
-    } else if (a == "--recovery-budget") {
-        ec.recovery.enabled = true;
-        ec.recovery.retryBudget =
-            parseU32Arg("--recovery-budget", next(), true);
-    } else if (a == "--recovery-ring") {
-        ec.recovery.enabled = true;
-        ec.recovery.ringCapacity =
-            parseU32Arg("--recovery-ring", next(), true);
-    } else if (a == "--recovery-penalty") {
-        ec.recovery.enabled = true;
-        ec.recovery.rollbackPenalty =
-            parseU32Arg("--recovery-penalty", next(), true);
-    } else if (a == "--scheme") {
-        ec.scheme.id = parseSchemeArg(next(), true);
-    } else if (a == "--protect-frac") {
-        ec.scheme.protectFraction = parseProtectFracArg(next(), true);
-    } else if (a == "--scheme-sweep") {
-        forward = false;
-        c.sweep = true;
-    } else if (a == "--mem-model") {
-        c.memModel = parseMemModelArg(next(), true);
-    } else if (a == "--ecc") {
-        c.ecc = parseEccArg(next(), true);
-    } else if (a == "--fault-domain") {
-        if (!(v = next())) {
-            campaignUsage();
-            std::exit(2);
-        }
-        if (std::strcmp(v, "exec") == 0)
-            c.domain = Domain::Exec;
-        else if (std::strcmp(v, "mem") == 0)
-            c.domain = Domain::Mem;
-        else if (std::strcmp(v, "both") == 0)
-            c.domain = Domain::Both;
-        else {
-            std::fprintf(stderr,
-                         "warped_sim: unknown fault domain '%s' "
-                         "(expected exec, mem or both)\n",
-                         v);
-            campaignUsage();
-            std::exit(2);
-        }
-    } else if (a == "--sched") {
-        if (!(v = next())) {
-            campaignUsage();
-            std::exit(2);
-        }
-        c.sched = std::strcmp(v, "gto") == 0
-                      ? arch::SchedPolicy::GreedyThenOldest
-                      : arch::SchedPolicy::LooseRoundRobin;
-        c.schedSet = true;
-    } else if (a == "--schedulers") {
-        c.schedulers = parseU32Arg("--schedulers", next(), true);
-    } else {
-        return false;
-    }
-    if (forward)
-        for (int j = start; j <= i; ++j)
-            c.passThrough.push_back(argv[j]);
-    return true;
+    auto &ec = c.ec;
+    t.positional("<workload>", c.workload, "workload to inject into",
+                 workloads::allNames());
+    t.section("campaign options:", true);
+    t.integer("--size", c.size, "workload size parameter (factory-specific)")
+        .withDefault("paper scale");
+    t.integer("--sites", ec.sites, "fault sites to sample")
+        .withDefault("derived from --moe");
+    t.real("--moe", ec.marginOfError,
+           "target 95% margin of error when --sites is absent");
+    t.custom("--kinds", "K[,K...]",
+             [&ec](const std::string &v) -> std::string {
+                 using K = fault::FaultKind;
+                 const std::map<std::string, K> names = {
+                     {"transient", K::TransientBitFlip},
+                     {"stuck0", K::StuckAtZero},
+                     {"stuck1", K::StuckAtOne}};
+                 ec.space.kinds.clear();
+                 std::stringstream ss(v);
+                 for (std::string k; std::getline(ss, k, ',');) {
+                     if (!names.count(k))
+                         return "expects transient, stuck0, stuck1";
+                     ec.space.kinds.push_back(names.at(k));
+                 }
+                 return ec.space.kinds.empty() ? "expects a kind" : "";
+             },
+             "fault kinds to sample: transient, stuck0, stuck1 "
+             "(default all)");
+    t.choice("--unit", ec.space.units,
+             {{"any", {std::nullopt}}, {"sp", {isa::UnitType::SP}},
+              {"sfu", {isa::UnitType::SFU}},
+              {"ldst", {isa::UnitType::LDST}}},
+             "unit axis of the site space");
+    t.integer("--windows", ec.space.cycleWindows, "transient pulse windows")
+        .withDefault("one per cycle, capped at 4096");
+    t.choice("--fault-domain", {"exec", "mem", "both"},
+             [&ec](std::size_t i) {
+                 ec.space.execEnabled = i != 1;
+                 ec.space.memEnabled = i != 0;
+             },
+             "execution-lane sites, memory-cell sites over the workload "
+             "footprint (ECC-filtered; docs/FAULT_MODEL.md), or both",
+             "exec");
+    t.integer("--strata", ec.strataWindows,
+              "stratified sampling over N window buckets per unit; "
+              "reports add a weighted estimate with per-stratum CIs", 1)
+        .withDefault("uniform i.i.d. sampling");
+    t.integer("--seed", ec.seed, "campaign master seed");
+    t.integer("--jobs", ec.jobs, "worker threads (0 = hardware "
+              "concurrency; output identical for every N)");
+    t.flag("--recovery", ec.recovery.enabled,
+           "rollback-replay recovery (repaired runs classify Recovered)");
+    t.integer("--recovery-budget", ec.recovery.retryBudget,
+              "rollbacks per incident window (implies --recovery)");
+    t.integer("--recovery-ring", ec.recovery.ringCapacity,
+              "checkpoint deltas retained per SM (implies --recovery)");
+    t.integer("--recovery-penalty", ec.recovery.rollbackPenalty,
+              "stall cycles after a rollback (implies --recovery)");
+    t.section("orchestrator options (never forwarded to workers):");
+    t.text("--checkpoint", ec.checkpointPath, "F",
+           "periodic JSON state file; a matching one resumes");
+    t.integer("--checkpoint-every", ec.checkpointEvery,
+              "runs per checkpoint chunk", 1);
+    t.text("--out", c.outPath, "F", "write the report JSON to F");
+    addMachineFlags(t, ec.gpu, ec.dmr, ec.scheme);
 }
 
-/** Resolve the machine knobs into the engine configuration. */
-void
-finalizeCampaignConfig(CampaignCli &c)
+/**
+ * Parse a campaign-family command line (argv[2] on) into @p c, resolve
+ * it into the engine configuration, and check the machine. Returns the
+ * exit code when the caller should stop (help or a usage error).
+ */
+std::optional<int>
+parseCampaign(cli::FlagTable &t, CampaignCli &c, int argc, char **argv)
 {
+    if (const auto rc = t.parseOrUsage(argc, argv, 2))
+        return rc;
+    for (const char *f :
+         {"--recovery-budget", "--recovery-ring", "--recovery-penalty"})
+        if (t.seen(f))
+            c.ec.recovery.enabled = true;
     c.ec.workload = c.workload;
-    c.ec.gpu = arch::GpuConfig::testDefault();
-    c.ec.gpu.numSms = c.sms;
-    if (c.schedSet)
-        c.ec.gpu.schedPolicy = c.sched;
-    if (c.schedulers)
-        c.ec.gpu.numSchedulers = c.schedulers;
-    c.ec.gpu.memModel = c.memModel;
-    c.ec.gpu.eccKind = c.ecc;
-    c.ec.space.execEnabled = c.domain != Domain::Mem;
-    c.ec.space.memEnabled = c.domain != Domain::Exec;
+    if (const auto err = machineError(c.ec.gpu, c.ec.dmr); !err.empty())
+        return t.fail(err);
+    return std::nullopt;
+}
+
+/** Reader for a HOST:PORT flag. An empty host is allowed only in
+ *  --listen position, where it binds every interface. */
+cli::FlagTable::Reader
+hostPortReader(std::string &host, std::uint16_t &port, bool allowEmptyHost)
+{
+    return [&host, &port, allowEmptyHost](const std::string &v)
+               -> std::string {
+        const auto colon = v.rfind(':');
+        const auto p = colon == std::string::npos
+                           ? std::nullopt
+                           : cli::parseUint(v.substr(colon + 1), 65535);
+        if (!p)
+            return "expects HOST:PORT with PORT in [0, 65535]";
+        host = v.substr(0, colon);
+        if (host.empty() && !allowEmptyHost)
+            return "needs a host before the colon";
+        host = host.empty() ? "0.0.0.0" : host;
+        port = static_cast<std::uint16_t>(*p);
+        return {};
+    };
 }
 
 /** Crash-atomic text file write: tmp + rename, the same discipline
@@ -728,9 +328,9 @@ printCampaignHeader(const CampaignCli &c, const char *verb)
         std::printf("  stratified sampling: %u window buckets per "
                     "unit\n",
                     c.ec.strataWindows);
-    if (c.domain != Domain::Exec) {
+    if (c.ec.space.memEnabled) {
         std::printf("  fault domain: %s\n",
-                    c.domain == Domain::Mem ? "mem" : "both");
+                    c.ec.space.execEnabled ? "both" : "mem");
         if (!protection::schemeCoversMemory(c.ec.scheme.id))
             std::printf("  note: scheme %s cannot observe "
                         "memory-data faults; ECC (%s) is the only "
@@ -753,22 +353,11 @@ printCampaignHeader(const CampaignCli &c, const char *verb)
  * first to anchor the baseline.
  */
 int
-schemeSweep(const std::string &workload, unsigned size,
-            const fault::EngineConfig &base, const std::string &outPath)
+schemeSweep(const CampaignCli &c)
 {
-    struct Row
-    {
-        protection::SchemeId id;
-        std::uint64_t span = 0, sampled = 0, detected = 0;
-        std::uint64_t sdc = 0, due = 0, masked = 0;
-        double cov = 0, lo = 0, hi = 0, overhead = 0;
-    };
-    std::vector<Row> rows;
-    trace::MetricsRegistry merged;
-    std::uint64_t baseSpan = 0;
-
+    std::vector<std::pair<protection::SchemeId, fault::CampaignReport>> runs;
     for (const auto id : protection::allSchemes()) {
-        fault::EngineConfig ec = base;
+        fault::EngineConfig ec = c.ec;
         ec.scheme.id = id;
         if (id != protection::SchemeId::PartialThread)
             ec.scheme.protectFraction = 1.0;
@@ -785,67 +374,50 @@ schemeSweep(const std::string &workload, unsigned size,
         std::printf("sweep: %s ...\n",
                     protection::schemeDisplayName(id));
         std::fflush(stdout);
-
-        fault::CampaignEngine engine(
-            [&] {
-                return workloads::makeByNameSized(workload, size);
-            },
-            ec);
-        const auto rep = engine.run();
-        if (id == protection::SchemeId::Original)
-            baseSpan = rep.span; // enum order runs Original first
-
-        Row r;
-        r.id = id;
-        r.span = rep.span;
-        r.sampled = rep.sampled;
-        r.detected = rep.overall.detected + rep.overall.recovered;
-        r.sdc = rep.overall.sdc;
-        r.due = rep.overall.due;
-        r.masked = rep.overall.masked;
-        r.cov = rep.overall.coverage();
-        const auto ci = rep.overall.coverageCi();
-        r.lo = ci.lo;
-        r.hi = ci.hi;
-        r.overhead = baseSpan ? double(r.span) / double(baseSpan) - 1.0
-                              : 0.0;
-        rows.push_back(r);
-
-        const std::string k =
-            std::string("sweep.") + protection::schemeCliName(id);
-        merged.counter(k + ".span") = r.span;
-        merged.counter(k + ".sampled") = r.sampled;
-        merged.counter(k + ".detected") = r.detected;
-        merged.counter(k + ".sdc") = r.sdc;
-        merged.counter(k + ".due") = r.due;
-        merged.counter(k + ".masked") = r.masked;
-        merged.gauge(k + ".coverage") = r.cov;
-        merged.gauge(k + ".coverage.wilson_lo") = r.lo;
-        merged.gauge(k + ".coverage.wilson_hi") = r.hi;
-        merged.gauge(k + ".overhead") = r.overhead;
+        runs.emplace_back(id, fault::CampaignEngine(c.factory(), ec).run());
     }
 
+    // Enum order runs Original first: its span anchors the overhead.
+    const std::uint64_t baseSpan = runs.front().second.span;
+    trace::MetricsRegistry merged;
     std::printf("\n%-16s %9s  %-18s %9s  %9s %9s %7s %7s\n",
                 "scheme", "coverage", "Wilson 95% CI", "overhead",
                 "span", "sampled", "SDC", "DUE");
-    for (const auto &r : rows)
+    for (const auto &[id, rep] : runs) {
+        const auto &o = rep.overall;
+        const auto ci = o.coverageCi();
+        const double overhead =
+            baseSpan ? double(rep.span) / double(baseSpan) - 1.0 : 0.0;
         std::printf("%-16s %8.2f%%  [%6.2f, %6.2f]   %+8.2f%%  "
                     "%9llu %9llu %7llu %7llu\n",
-                    protection::schemeDisplayName(r.id), 100 * r.cov,
-                    100 * r.lo, 100 * r.hi, 100 * r.overhead,
-                    static_cast<unsigned long long>(r.span),
-                    static_cast<unsigned long long>(r.sampled),
-                    static_cast<unsigned long long>(r.sdc),
-                    static_cast<unsigned long long>(r.due));
+                    protection::schemeDisplayName(id), 100 * o.coverage(),
+                    100 * ci.lo, 100 * ci.hi, 100 * overhead,
+                    static_cast<unsigned long long>(rep.span),
+                    static_cast<unsigned long long>(rep.sampled),
+                    static_cast<unsigned long long>(o.sdc),
+                    static_cast<unsigned long long>(o.due));
+        const std::string k =
+            std::string("sweep.") + protection::schemeCliName(id);
+        merged.counter(k + ".span") = rep.span;
+        merged.counter(k + ".sampled") = rep.sampled;
+        merged.counter(k + ".detected") = o.detected + o.recovered;
+        merged.counter(k + ".sdc") = o.sdc;
+        merged.counter(k + ".due") = o.due;
+        merged.counter(k + ".masked") = o.masked;
+        merged.gauge(k + ".coverage") = o.coverage();
+        merged.gauge(k + ".coverage.wilson_lo") = ci.lo;
+        merged.gauge(k + ".coverage.wilson_hi") = ci.hi;
+        merged.gauge(k + ".overhead") = overhead;
+    }
 
-    if (!outPath.empty()) {
-        std::ofstream f(outPath);
+    if (!c.outPath.empty()) {
+        std::ofstream f(c.outPath);
         if (!f) {
-            std::fprintf(stderr, "cannot open %s\n", outPath.c_str());
+            std::fprintf(stderr, "cannot open %s\n", c.outPath.c_str());
             return 1;
         }
         f << merged.toJson();
-        std::printf("\nsweep JSON written to %s\n", outPath.c_str());
+        std::printf("\nsweep JSON written to %s\n", c.outPath.c_str());
     }
     return 0;
 }
@@ -966,21 +538,7 @@ printCampaignReport(const fault::CampaignReport &rep)
     }
 
     if (rep.strataWindows && !rep.stratumSizes.empty()) {
-        std::vector<std::string> labels;
-        std::vector<std::uint64_t> sizes;
-        for (const auto &[label, sz] : rep.stratumSizes) {
-            labels.push_back(label);
-            sizes.push_back(sz);
-        }
-        stats::StratifiedEstimator est(sizes);
-        for (std::size_t h = 0; h < labels.size(); ++h) {
-            const auto it = rep.byStratum.find(labels[h]);
-            if (it == rep.byStratum.end())
-                continue;
-            est.addCounts(h,
-                          fault::CampaignReport::caught(it->second),
-                          it->second.total());
-        }
+        const auto est = rep.stratifiedCoverage();
         const auto ci = est.interval();
         const auto pooled = est.pooledWilson();
         std::printf("\nstratified coverage estimate:         %6.2f%%"
@@ -988,7 +546,8 @@ printCampaignReport(const fault::CampaignReport &rep)
                     100 * est.estimate(), 100 * ci.lo, 100 * ci.hi);
         std::printf("  (%llu strata over %llu sites; pooled Wilson "
                     "width %.3f vs stratified %.3f)\n",
-                    static_cast<unsigned long long>(labels.size()),
+                    static_cast<unsigned long long>(
+                        rep.stratumSizes.size()),
                     static_cast<unsigned long long>(est.population()),
                     pooled.hi - pooled.lo, ci.hi - ci.lo);
     }
@@ -1013,33 +572,26 @@ writeReportJson(const fault::CampaignReport &rep,
 int
 campaignMain(int argc, char **argv)
 {
-    if (argc < 3) {
-        campaignUsage();
-        return 2;
-    }
     CampaignCli c;
-    c.workload = argv[2];
-    c.ec.jobs = 0;
-
-    for (int i = 3; i < argc; ++i) {
-        if (!parseCampaignArg(argc, argv, i, c)) {
-            std::fprintf(stderr, "unknown campaign option %s\n",
-                         argv[i]);
-            campaignUsage();
-            return 2;
-        }
-    }
-    finalizeCampaignConfig(c);
+    cli::FlagTable t(
+        "warped_sim", "campaign <workload> [options]",
+        "Sample fault sites (SM x lane x bit x window x kind), classify\n"
+        "each injected run as Masked/Detected/SDC/DUE against the golden\n"
+        "run, and report coverage with Wilson 95% CIs\n"
+        "(docs/FAULT_MODEL.md). `serve --help` shows the sharded service.\n");
+    addCampaignFlags(t, c);
+    t.section("sweep:");
+    t.flag("--scheme-sweep", c.sweep,
+           "run once per protection backend over the same sites; emit "
+           "merged sweep.<scheme>.* JSON and a coverage/overhead table");
+    if (const auto rc = parseCampaign(t, c, argc, argv))
+        return *rc;
     printCampaignHeader(c, "campaign");
 
     if (c.sweep)
-        return schemeSweep(c.workload, c.size, c.ec, c.outPath);
+        return schemeSweep(c);
 
-    fault::CampaignEngine engine(
-        [&] {
-            return workloads::makeByNameSized(c.workload, c.size);
-        },
-        c.ec);
+    fault::CampaignEngine engine(c.factory(), c.ec);
     fault::CampaignReport rep;
     try {
         rep = engine.run();
@@ -1064,112 +616,71 @@ campaignMain(int argc, char **argv)
 int
 shardMain(int argc, char **argv)
 {
-    if (argc < 3) {
-        serveUsage();
-        return 2;
-    }
     CampaignCli c;
-    c.workload = argv[2];
-    c.ec.jobs = 0;
-    std::uint64_t shardIndex = 0, shardCount = 0;
-    std::uint64_t expectSig = 0;
-    bool haveIndex = false, haveCount = false, haveSig = false;
-    std::string deltaOut;
-    std::string connectHost;
+    std::uint64_t shardIndex = 0, shardCount = 0, expectSig = 0;
+    std::uint64_t hangShard = sim::kNoShard, hangMs = 10000;
+    std::string deltaOut, connectHost;
     std::uint16_t connectPort = 0;
-    bool haveConnect = false;
     unsigned connectAttempts = 8;
     sim::ChaosConfig chaos;
-    std::uint64_t hangShard = sim::kNoShard;
-    std::uint64_t hangMs = 10000;
 
-    for (int i = 3; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (a == "--shard-index") {
-            shardIndex = parseU64Arg("--shard-index", next(), true);
-            haveIndex = true;
-        } else if (a == "--shard-count") {
-            shardCount = parseU64Arg("--shard-count", next(), true);
-            haveCount = true;
-        } else if (a == "--expect-signature") {
-            expectSig =
-                parseU64Arg("--expect-signature", next(), true);
-            haveSig = true;
-        } else if (a == "--delta-out") {
-            const char *v = next();
-            if (!v) {
-                serveUsage();
-                return 2;
-            }
-            deltaOut = v;
-        } else if (a == "--connect") {
-            parseHostPortArg("--connect", next(), connectHost,
-                             connectPort, false);
-            haveConnect = true;
-        } else if (a == "--connect-attempts") {
-            const char *v = next();
-            connectAttempts =
-                parseU32Arg("--connect-attempts", v, true);
-            if (connectAttempts == 0)
-                badNumericArg("--connect-attempts (expects >= 1)", v,
-                              true);
-        } else if (a == "--chaos") {
-            const char *v = next();
-            if (!v) {
-                serveUsage();
-                return 2;
-            }
-            try {
-                chaos = sim::ChaosConfig::parse(v);
-            } catch (const std::invalid_argument &e) {
-                std::fprintf(stderr, "warped_sim: %s\n", e.what());
-                serveUsage();
-                return 2;
-            }
-        } else if (a == "--hang-for-shard") {
-            hangShard = parseU64Arg("--hang-for-shard", next(), true);
-        } else if (a == "--hang-ms") {
-            hangMs = parseU64Arg("--hang-ms", next(), true);
-        } else if (parseCampaignArg(argc, argv, i, c)) {
-            // campaign-level option, already recorded
-        } else {
-            std::fprintf(stderr, "unknown shard option %s\n",
-                         argv[i]);
-            serveUsage();
-            return 2;
-        }
-    }
-    if (haveConnect) {
-        // Socket mode: the assignment arrives over the wire, so the
-        // file-mode selectors make no sense here.
-        if (haveIndex || haveCount || !deltaOut.empty() || c.sweep) {
-            std::fprintf(stderr,
-                         "shard: --connect excludes --shard-index/"
-                         "--shard-count/--delta-out\n");
-            serveUsage();
-            return 2;
-        }
-    } else if (!haveIndex || !haveCount || shardCount == 0 ||
-               shardIndex >= shardCount || deltaOut.empty() ||
-               c.sweep) {
-        serveUsage();
-        return 2;
-    }
-    finalizeCampaignConfig(c);
+    cli::FlagTable t("warped_sim",
+                     "shard <workload> [campaign options] --shard-index I "
+                     "--shard-count N --delta-out F\n"
+                     "shard <workload> [campaign options] --connect "
+                     "HOST:PORT",
+                     "A campaign-service worker, normally spawned by "
+                     "`warped_sim serve` (docs/CAMPAIGN_SERVICE.md).\n");
+    addCampaignFlags(t, c);
+    t.section("shard options:");
+    t.integer("--shard-index", shardIndex, "which shard of the plan to run");
+    t.integer("--shard-count", shardCount, "total shards in the plan", 1)
+        .withDefault("");
+    t.text("--delta-out", deltaOut, "F", "write the delta JSON to F");
+    t.integer("--expect-signature", expectSig,
+              "exit 3 unless this worker derives configuration signature N")
+        .withDefault("");
+    t.custom("--connect", "HOST:PORT",
+             hostPortReader(connectHost, connectPort, false),
+             "serve shards over a socket; a signature mismatch at the "
+             "handshake exits 3");
+    t.integer("--connect-attempts", connectAttempts,
+              "failed connects before giving up (backoff 50ms to 2s)", 1);
+    t.custom("--chaos", "SPEC",
+             [&chaos](const std::string &v) -> std::string {
+                 try {
+                     chaos = sim::ChaosConfig::parse(v);
+                 } catch (const std::invalid_argument &e) {
+                     return e.what();
+                 }
+                 return {};
+             },
+             "seeded fault injector on the connection, e.g. seed=7,"
+             "drop=0.1,dup=0.1,corrupt=0.05,trunc=0.05,disc=0.02,delay=5,"
+             "delayp=0.2");
+    t.integer("--hang-for-shard", hangShard,
+              "drill: stall shard N once (socket: silence, file: sleep)")
+        .withDefault("none");
+    t.integer("--hang-ms", hangMs, "how long the drill hangs");
+    if (const auto rc = parseCampaign(t, c, argc, argv))
+        return *rc;
+    const bool socket = t.seen("--connect");
+    if (socket && (t.seen("--shard-index") || t.seen("--shard-count") ||
+                   t.seen("--delta-out")))
+        // The assignment arrives over the wire.
+        return t.fail("--connect excludes --shard-index/--shard-count/"
+                      "--delta-out");
+    if (!socket && (!t.seen("--shard-index") || !t.seen("--shard-count") ||
+                    shardIndex >= shardCount || deltaOut.empty()))
+        return t.fail("a file-mode shard needs --shard-index I < "
+                      "--shard-count N and --delta-out F");
     // Workers never checkpoint: resumability is the orchestrator's
     // job, and per-worker checkpoint files would collide.
     c.ec.checkpointPath.clear();
 
-    fault::CampaignEngine engine(
-        [&] {
-            return workloads::makeByNameSized(c.workload, c.size);
-        },
-        c.ec);
+    fault::CampaignEngine engine(c.factory(), c.ec);
     engine.prepare();
-    if (haveSig && engine.signature() != expectSig) {
+    if (t.seen("--expect-signature") && engine.signature() != expectSig) {
         std::fprintf(stderr,
                      "shard %llu: this configuration derives "
                      "signature %llu, the orchestrator expects %llu "
@@ -1181,7 +692,7 @@ shardMain(int argc, char **argv)
         return 3;
     }
 
-    if (haveConnect) {
+    if (socket) {
         // One engine serves every assignment: runRange builds a
         // fresh skeleton per call, so the golden run is paid once
         // per worker process, not once per shard.
@@ -1207,14 +718,7 @@ shardMain(int argc, char **argv)
                         "-shard plan");
                 const auto &plan =
                     plans[static_cast<std::size_t>(shard)];
-                const auto rep =
-                    engine.runRange(plan.base, plan.count);
-                fault::ShardDelta d;
-                d.shard = plan.index;
-                d.base = plan.base;
-                d.count = plan.count;
-                d.signature = engine.signature();
-                d.counters = rep.toMetrics().counters();
+                const auto d = fault::runShard(engine, plan);
                 std::fprintf(
                     stderr,
                     "shard %llu/%llu: runs [%llu, %llu) -> socket\n",
@@ -1237,18 +741,9 @@ shardMain(int argc, char **argv)
         sim::sleepMs(hangMs);
     }
 
-    const auto plans =
-        fault::planShards(engine.plannedSites(), shardCount);
-    const auto &plan =
-        plans[static_cast<std::size_t>(shardIndex)];
-    const auto rep = engine.runRange(plan.base, plan.count);
-
-    fault::ShardDelta d;
-    d.shard = plan.index;
-    d.base = plan.base;
-    d.count = plan.count;
-    d.signature = engine.signature();
-    d.counters = rep.toMetrics().counters();
+    const auto plan = fault::planShards(engine.plannedSites(),
+                                        shardCount)[shardIndex];
+    const auto d = fault::runShard(engine, plan);
     if (!writeTextAtomic(deltaOut, d.toJson())) {
         std::fprintf(stderr, "shard %llu: cannot write %s\n",
                      static_cast<unsigned long long>(shardIndex),
@@ -1275,133 +770,69 @@ shardMain(int argc, char **argv)
 int
 serveMain(int argc, char **argv)
 {
-    if (argc < 3) {
-        serveUsage();
-        return 2;
-    }
     CampaignCli c;
-    c.workload = argv[2];
-    c.ec.jobs = 0;
-    std::uint64_t shards = 0;
-    unsigned workers = 1;
-    std::uint64_t killShard = 0;
-    bool haveKill = false;
-    std::string statePath;
-    std::string listenHost;
+    std::uint64_t shards = 0, killShard = sim::kNoShard;
+    std::uint64_t hangShard = sim::kNoShard, hangMs = 30000;
+    std::uint64_t heartbeatMs = 250, deadlineMs = 0, graceMs = 1500;
+    unsigned workers = 1, strikes = 3;
+    std::string statePath, listenHost, portFile;
     std::uint16_t listenPort = 0;
-    bool haveListen = false;
-    std::string portFile;
-    std::uint64_t heartbeatMs = 250;
-    std::uint64_t deadlineMs = 0;
-    std::uint64_t graceMs = 1500;
     bool noLocalFallback = false;
-    unsigned strikes = 3;
-    std::uint64_t hangShard = sim::kNoShard;
-    std::uint64_t hangMs = 30000;
 
-    for (int i = 3; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        const char *v = nullptr;
-        if (a == "--shards") {
-            v = next();
-            shards = parseU64Arg("--shards", v, true);
-            if (shards == 0)
-                badNumericArg("--shards (expects >= 1)", v, true);
-        } else if (a == "--workers") {
-            v = next();
-            workers = parseU32Arg("--workers", v, true);
-            if (workers == 0)
-                badNumericArg("--workers (expects >= 1)", v, true);
-        } else if (a == "--state") {
-            if (!(v = next())) {
-                serveUsage();
-                return 2;
-            }
-            statePath = v;
-        } else if (a == "--listen") {
-            parseHostPortArg("--listen", next(), listenHost,
-                             listenPort, true);
-            haveListen = true;
-        } else if (a == "--port-file") {
-            if (!(v = next())) {
-                serveUsage();
-                return 2;
-            }
-            portFile = v;
-        } else if (a == "--heartbeat") {
-            v = next();
-            heartbeatMs = parseU64Arg("--heartbeat", v, true);
-            if (heartbeatMs == 0)
-                badNumericArg("--heartbeat (expects >= 1)", v, true);
-        } else if (a == "--shard-deadline") {
-            v = next();
-            deadlineMs = parseU64Arg("--shard-deadline", v, true);
-            if (deadlineMs == 0)
-                badNumericArg("--shard-deadline (expects >= 1)", v,
-                              true);
-        } else if (a == "--grace") {
-            v = next();
-            graceMs = parseU64Arg("--grace", v, true);
-            if (graceMs == 0)
-                badNumericArg("--grace (expects >= 1)", v, true);
-        } else if (a == "--no-local-fallback") {
-            noLocalFallback = true;
-        } else if (a == "--strikes") {
-            v = next();
-            strikes = parseU32Arg("--strikes", v, true);
-            if (strikes == 0)
-                badNumericArg("--strikes (expects >= 1)", v, true);
-        } else if (a == "--kill-worker-for-shard") {
-            killShard =
-                parseU64Arg("--kill-worker-for-shard", next(), true);
-            haveKill = true;
-        } else if (a == "--hang-worker-for-shard") {
-            hangShard = parseU64Arg("--hang-worker-for-shard",
-                                    next(), true);
-        } else if (a == "--hang-ms") {
-            hangMs = parseU64Arg("--hang-ms", next(), true);
-        } else if (parseCampaignArg(argc, argv, i, c)) {
-            // campaign-level option, already recorded
-        } else {
-            std::fprintf(stderr, "unknown serve option %s\n",
-                         argv[i]);
-            serveUsage();
-            return 2;
-        }
-    }
-    if (shards == 0) {
-        std::fprintf(stderr, "serve: --shards is required\n");
-        serveUsage();
-        return 2;
-    }
-    if (!haveListen && (noLocalFallback || !portFile.empty())) {
-        std::fprintf(stderr,
-                     "serve: %s only makes sense with --listen\n",
-                     noLocalFallback ? "--no-local-fallback"
-                                     : "--port-file");
-        serveUsage();
-        return 2;
-    }
-    if (c.sweep) {
-        std::fprintf(stderr,
-                     "serve: --scheme-sweep is not shardable "
-                     "(run it under `warped_sim campaign`)\n");
-        return 2;
-    }
-    finalizeCampaignConfig(c);
+    cli::FlagTable t(
+        "warped_sim",
+        "serve <workload> [campaign options] --shards N [serve options]",
+        "Split the campaign into N deterministic shards, run them on\n"
+        "worker processes (`warped_sim shard`: local subprocesses, or\n"
+        "socket workers with --listen), fold their deltas, and re-issue\n"
+        "any shard whose worker dies, hangs or delivers a corrupt delta.\n"
+        "The report is byte-identical to `warped_sim campaign` with the\n"
+        "same options (docs/CAMPAIGN_SERVICE.md). --checkpoint does not\n"
+        "apply; --state does.\n");
+    addCampaignFlags(t, c);
+    t.section("serve options:");
+    t.integer("--shards", shards, "shard count (required)", 1)
+        .withDefault("");
+    t.integer("--workers", workers, "concurrent dispatcher slots", 1);
+    t.text("--state", statePath, "F",
+           "crash-safe aggregator state; a matching file resumes");
+    t.custom("--listen", "HOST:PORT",
+             hostPortReader(listenHost, listenPort, true),
+             "also accept socket workers (port 0 = ephemeral)");
+    t.text("--port-file", portFile, "F", "write the bound listen port to F");
+    t.integer("--heartbeat", heartbeatMs, "heartbeat ms advertised to "
+              "socket workers (8x silence = hung)", 1);
+    t.integer("--shard-deadline", deadlineMs, "hard per-shard deadline in "
+              "ms on any transport (hung subprocesses need it)", 1)
+        .withDefault("none");
+    t.integer("--grace", graceMs, "ms to wait for an idle socket worker "
+              "before running a shard as a local subprocess", 1);
+    t.flag("--no-local-fallback", noLocalFallback,
+           "never degrade to local subprocesses");
+    t.integer("--strikes", strikes,
+              "consecutive failures of one shard before aborting", 1);
+    t.integer("--kill-worker-for-shard", killShard,
+              "drill: SIGKILL shard N's first local worker")
+        .withDefault("none");
+    t.integer("--hang-worker-for-shard", hangShard,
+              "drill: shard N's first worker hangs for --hang-ms")
+        .withDefault("none");
+    t.integer("--hang-ms", hangMs, "hang-drill duration in ms");
+    if (const auto rc = parseCampaign(t, c, argc, argv))
+        return *rc;
+    const bool haveListen = t.seen("--listen");
+    if (shards == 0)
+        return t.fail("--shards is required");
+    if (!haveListen && (noLocalFallback || !portFile.empty()))
+        return t.fail(std::string(noLocalFallback ? "--no-local-fallback"
+                                                  : "--port-file") +
+                      " only makes sense with --listen");
     // The aggregator state file is the orchestrator's resume surface;
     // engine checkpoints belong to single-process campaigns.
     c.ec.checkpointPath.clear();
     printCampaignHeader(c, "serve");
 
-    fault::CampaignEngine engine(
-        [&] {
-            return workloads::makeByNameSized(c.workload, c.size);
-        },
-        c.ec);
+    fault::CampaignEngine engine(c.factory(), c.ec);
     engine.prepare();
     const auto total = engine.plannedSites();
     const auto plans = fault::planShards(total, shards);
@@ -1448,13 +879,13 @@ serveMain(int argc, char **argv)
     sim::SubprocessTransportConfig scfg;
     scfg.workerArgv = {exe, "shard", c.workload};
     scfg.workerArgv.insert(scfg.workerArgv.end(),
-                           c.passThrough.begin(),
-                           c.passThrough.end());
+                           t.forwarded().begin(),
+                           t.forwarded().end());
     scfg.deltaPrefix = deltaPrefix;
     scfg.shardCount = shards;
     scfg.signature = engine.signature();
     scfg.deadlineMs = deadlineMs;
-    scfg.killShard = haveKill ? killShard : sim::kNoShard;
+    scfg.killShard = killShard;
     scfg.hangShard = hangShard;
     scfg.hangMs = hangMs;
     sim::SubprocessTransport localTransport(scfg);
@@ -1493,16 +924,8 @@ serveMain(int argc, char **argv)
     // worker's golden run for zero injections.
     for (const auto shard : agg.pendingShards()) {
         const auto &p = plans[static_cast<std::size_t>(shard)];
-        if (p.count != 0)
-            continue;
-        fault::ShardDelta d;
-        d.shard = p.index;
-        d.base = p.base;
-        d.count = 0;
-        d.signature = engine.signature();
-        d.counters =
-            engine.runRange(p.base, 0).toMetrics().counters();
-        agg.fold(d);
+        if (p.count == 0)
+            agg.fold(fault::runShard(engine, p));
     }
 
     sim::ShardQueue queue(agg.pendingShards());
@@ -1550,25 +973,23 @@ serveMain(int argc, char **argv)
                 queue.ack(shard);
                 continue;
             }
-            if (res.status == sim::TransportResult::Status::Reject) {
-                // The worker derived a different configuration
-                // signature; retrying cannot help.
-                std::fprintf(stderr, "serve: shard %llu: %s\n",
-                             static_cast<unsigned long long>(shard),
-                             res.diag.c_str());
-                std::lock_guard<std::mutex> lk(aggMu);
-                fatal = true;
-                queue.ack(shard);
-                continue;
-            }
-            if (attempt >= strikes) {
-                std::fprintf(stderr,
-                             "serve: shard %llu failed %u times "
-                             "(last: %s); giving up\n",
-                             static_cast<unsigned long long>(shard),
-                             attempt,
-                             res.diag.empty() ? "delta rejected"
-                                              : res.diag.c_str());
+            const char *diag =
+                res.diag.empty() ? "delta rejected" : res.diag.c_str();
+            // A Reject means the worker derived a different
+            // configuration signature; retrying cannot help.
+            const bool reject =
+                res.status == sim::TransportResult::Status::Reject;
+            if (reject || attempt >= strikes) {
+                if (reject)
+                    std::fprintf(stderr, "serve: shard %llu: %s\n",
+                                 static_cast<unsigned long long>(shard),
+                                 diag);
+                else
+                    std::fprintf(stderr,
+                                 "serve: shard %llu failed %u times "
+                                 "(last: %s); giving up\n",
+                                 static_cast<unsigned long long>(shard),
+                                 attempt, diag);
                 std::lock_guard<std::mutex> lk(aggMu);
                 fatal = true;
                 queue.ack(shard);
@@ -1577,10 +998,8 @@ serveMain(int argc, char **argv)
             std::fprintf(stderr,
                          "serve: shard %llu attempt %u failed (%s); "
                          "re-issuing\n",
-                         static_cast<unsigned long long>(shard),
-                         attempt,
-                         res.diag.empty() ? "delta rejected"
-                                          : res.diag.c_str());
+                         static_cast<unsigned long long>(shard), attempt,
+                         diag);
             queue.fail(shard);
         }
     };
@@ -1633,204 +1052,56 @@ serveMain(int argc, char **argv)
     return rc;
 }
 
+/** The run-mode flag table, writing into @p o. */
 void
-usage()
+addRunFlags(cli::FlagTable &t, Options &o)
 {
-    std::printf(
-        "usage: warped_sim [workload|all] [options]\n"
-        "       warped_sim campaign <workload> [options]   "
-        "(fault-injection campaign;\n"
-        "                                                  "
-        " see warped_sim campaign)\n"
-        "\n"
-        "workloads: BFS Nqueen MUM SCAN BitonicSort Laplace MatrixMul\n"
-        "           RadixSort SHA Libor CUFFT\n"
-        "\n"
-        "options:\n"
-        "  --dmr on|off          enable/disable Warped-DMR "
-        "(default on)\n"
-        "  --no-intra            disable intra-warp (spatial) DMR\n"
-        "  --no-inter            disable inter-warp (temporal) DMR\n"
-        "  --no-shuffle          disable lane shuffling\n"
-        "  --mapping linear|cross   thread-to-core mapping "
-        "(default cross)\n"
-        "  --qsize N             ReplayQ entries (default 10)\n"
-        "  --cluster 4|8         SIMT-cluster width (default 4)\n"
-        "  --sms N               number of SMs (default 30)\n"
-        "  --sampling E:A        sampling DMR: active A of every E "
-        "cycles\n"
-        "  --sched lrr|gto       warp scheduling policy "
-        "(default lrr)\n"
-        "  --schedulers N        schedulers per SM (default 1)\n"
-        "  --bank-conflicts      model register-bank conflicts\n"
-        "  --coalescing          model global-memory coalescing\n"
-        "  --contention          model memory-partition contention\n"
-        "  --mem-model flat|banked  global-memory organization\n"
-        "                        (default flat; banked adds per-bank\n"
-        "                        open-row DRAM timing)\n"
-        "  --ecc none|secded|chipkill  memory ECC codec (default\n"
-        "                        none; only affects fault campaigns)\n"
-        "  --warp N              warp width (default 32)\n"
-        "  --arbitrate           classify detections by majority "
-        "vote\n"
-        "  --dmtr                DMTR baseline mode\n"
-        "  --scheme NAME         protection backend: original, "
-        "r-naive,\n"
-        "                        r-thread, dmtr, warped-dmr "
-        "(default),\n"
-        "                        partial-thread, replay-compare\n"
-        "  --protect-frac F      protected warp-slot fraction for\n"
-        "                        --scheme partial-thread "
-        "(default 1.0)\n"
-        "  --disasm              print the kernel disassembly\n"
-        "  --trace N             print the first N issue events\n"
-        "  --trace-out F         record structured events and write a\n"
-        "                        Chrome trace_event JSON to F; a .bin\n"
-        "                        path writes the compact binary format\n"
-        "                        instead (convert offline with\n"
-        "                        tools/trace_convert)\n"
-        "  --metrics-out F       write the flat metrics registry "
-        "JSON to F\n"
-        "                        (with 'all', the workload name is\n"
-        "                        spliced in before the extension)\n"
-        "  --report              print the full statistics block\n"
-        "  --json                emit one JSON object per workload\n"
-        "  --verbose             keep warn/info output\n"
-        "  --list                print the workload table and exit\n"
-        "  --kernel F [--blocks N] [--threads M]\n"
-        "                        run a text-assembly kernel file "
-        "instead of a workload\n");
-}
-
-bool
-parse(int argc, char **argv, Options &o)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (a == "--help" || a == "-h") {
-            return false;
-        } else if (a == "--list") {
-            std::printf("%-12s %-26s %8s %8s %10s %10s\n", "name",
-                        "category", "blocks", "threads", "bytes in",
-                        "bytes out");
-            for (const auto &n : workloads::allNames()) {
-                auto w = workloads::makeByName(n);
-                arch::GpuConfig c = arch::GpuConfig::testDefault();
-                gpu::Gpu g(c, dmr::DmrConfig::off());
-                w->setup(g);
-                std::printf("%-12s %-26s %8u %8u %10zu %10zu\n",
-                            n.c_str(), w->category().c_str(),
-                            w->gridBlocks(), w->blockThreads(),
-                            w->bytesIn(), w->bytesOut());
-            }
-            std::exit(0);
-        } else if (a == "--dmr") {
-            const char *v = next();
-            if (!v)
-                return false;
-            if (std::strcmp(v, "off") == 0)
-                o.dmr = dmr::DmrConfig::off();
-        } else if (a == "--no-intra") {
-            o.dmr.intraWarp = false;
-        } else if (a == "--no-inter") {
-            o.dmr.interWarp = false;
-        } else if (a == "--no-shuffle") {
-            o.dmr.laneShuffle = false;
-        } else if (a == "--mapping") {
-            const char *v = next();
-            if (!v)
-                return false;
-            o.dmr.mapping = std::strcmp(v, "linear") == 0
-                                ? dmr::MappingPolicy::Linear
-                                : dmr::MappingPolicy::CrossCluster;
-        } else if (a == "--qsize") {
-            o.dmr.replayQSize = parseU32Arg("--qsize", next(), false);
-        } else if (a == "--cluster") {
-            o.cluster = parseU32Arg("--cluster", next(), false);
-        } else if (a == "--sms") {
-            o.numSms = parseU32Arg("--sms", next(), false);
-        } else if (a == "--sampling") {
-            // E:A — both halves strict; sscanf accepted trailing
-            // junk ("1000:250x") and negative epochs.
-            const char *v = next();
-            const char *colon = v ? std::strchr(v, ':') : nullptr;
-            if (!colon)
-                badNumericArg("--sampling (expects E:A)", v, false);
-            const std::string epoch(v, colon);
-            o.dmr.samplingEpoch =
-                parseU32Arg("--sampling epoch", epoch.c_str(), false);
-            o.dmr.samplingActive =
-                parseU32Arg("--sampling active", colon + 1, false);
-        } else if (a == "--sched") {
-            const char *v = next();
-            if (!v)
-                return false;
-            o.sched = std::strcmp(v, "gto") == 0
-                          ? arch::SchedPolicy::GreedyThenOldest
-                          : arch::SchedPolicy::LooseRoundRobin;
-        } else if (a == "--schedulers") {
-            o.schedulers = parseU32Arg("--schedulers", next(), false);
-        } else if (a == "--bank-conflicts") {
-            o.bankConflicts = true;
-        } else if (a == "--coalescing") {
-            o.coalescing = true;
-        } else if (a == "--contention") {
-            o.contention = true;
-        } else if (a == "--mem-model") {
-            o.memModel = parseMemModelArg(next(), false);
-        } else if (a == "--ecc") {
-            o.ecc = parseEccArg(next(), false);
-        } else if (a == "--warp") {
-            o.warpSize = parseU32Arg("--warp", next(), false);
-        } else if (a == "--arbitrate") {
-            o.dmr.arbitrateErrors = true;
-        } else if (a == "--dmtr") {
-            o.dmr = dmr::DmrConfig::dmtr();
-        } else if (a == "--scheme") {
-            o.scheme.id = parseSchemeArg(next(), false);
-        } else if (a == "--protect-frac") {
-            o.scheme.protectFraction =
-                parseProtectFracArg(next(), false);
-        } else if (a == "--kernel") {
-            const char *v = next();
-            if (!v)
-                return false;
-            o.kernelFile = v;
-        } else if (a == "--blocks") {
-            o.kblocks = parseU32Arg("--blocks", next(), false);
-        } else if (a == "--threads") {
-            o.kthreads = parseU32Arg("--threads", next(), false);
-        } else if (a == "--trace") {
-            o.trace = parseU32Arg("--trace", next(), false);
-        } else if (a == "--trace-out") {
-            const char *v = next();
-            if (!v)
-                return false;
-            o.traceOut = v;
-        } else if (a == "--metrics-out") {
-            const char *v = next();
-            if (!v)
-                return false;
-            o.metricsOut = v;
-        } else if (a == "--report") {
-            o.report = true;
-        } else if (a == "--json") {
-            o.json = true;
-        } else if (a == "--disasm") {
-            o.disasm = true;
-        } else if (a == "--verbose") {
-            o.verbose = true;
-        } else if (a[0] == '-') {
-            std::fprintf(stderr, "unknown option %s\n", a.c_str());
-            return false;
-        } else {
-            o.workload = a;
-        }
-    }
-    return true;
+    auto names = workloads::allNames();
+    names.push_back("all");
+    t.positional("<workload>", o.workload, "workload to run", names);
+    addMachineFlags(t, o.gpu, o.dmr, o.scheme);
+    t.integer("--cluster", o.gpu.lanesPerCluster, "SIMT-cluster width");
+    t.integer("--warp", o.gpu.warpSize, "warp width");
+    t.custom("--sampling", "E:A",
+             [&o](const std::string &v) -> std::string {
+                 const auto colon = v.find(':');
+                 const auto e = cli::parseUint(v.substr(0, colon), ~0u);
+                 const auto a = colon == std::string::npos
+                                    ? std::nullopt
+                                    : cli::parseUint(v.substr(colon + 1), ~0u);
+                 if (!e || !a)
+                     return "expects E:A";
+                 o.dmr.samplingEpoch = *e;
+                 o.dmr.samplingActive = *a;
+                 return {};
+             },
+             "sampling DMR: active A of every E cycles");
+    t.flag("--bank-conflicts", o.gpu.modelBankConflicts,
+           "model register-bank conflicts");
+    t.flag("--coalescing", o.gpu.modelCoalescing,
+           "model global-memory coalescing");
+    t.flag("--contention", o.gpu.modelMemContention,
+           "model memory-partition contention");
+    t.action("--arbitrate", [&o] { o.dmr.arbitrateErrors = true; },
+             "classify detections by majority vote");
+    t.action("--dmtr", [&o] { o.dmr = dmr::DmrConfig::dmtr(); },
+             "DMTR baseline mode");
+    t.section("output options:");
+    t.flag("--disasm", o.disasm, "print the kernel disassembly");
+    t.integer("--trace", o.gpu.traceIssueLimit,
+              "print the first N issue events");
+    t.text("--trace-out", o.traceOut, "F",
+           "write Chrome trace JSON to F (a .bin path: binary format)");
+    t.text("--metrics-out", o.metricsOut, "F",
+           "write the flat metrics JSON to F (under 'all', per workload)");
+    t.flag("--report", o.report, "print the full statistics block");
+    t.flag("--json", o.json, "emit one JSON object per workload");
+    t.flag("--verbose", o.verbose, "keep warn/info output");
+    t.flag("--list", o.list, "print the workload table and exit");
+    t.text("--kernel", o.kernelFile, "F",
+           "run a text-assembly kernel file instead of a workload");
+    t.integer("--blocks", o.kblocks, "--kernel grid blocks");
+    t.integer("--threads", o.kthreads, "--kernel threads per block");
 }
 
 int
@@ -1884,12 +1155,12 @@ runOne(const std::string &name, const Options &o,
         return ok ? 0 : 1;
     }
 
-    if (o.trace) {
+    if (cfg.traceIssueLimit) {
         std::printf("issue trace (first %u events per SM):\n",
-                    o.trace);
+                    cfg.traceIssueLimit);
         unsigned shown = 0;
         for (const auto &ev : r.trace) {
-            if (shown++ >= o.trace)
+            if (shown++ >= cfg.traceIssueLimit)
                 break;
             std::printf("  cy %6llu sm%-2u w%-2u [%2u/32] pc %3u  %s\n",
                         static_cast<unsigned long long>(ev.cycle),
@@ -1949,40 +1220,48 @@ runOne(const std::string &name, const Options &o,
 int
 main(int argc, char **argv)
 {
-    if (argc > 1 && std::strcmp(argv[1], "campaign") == 0) {
-        setVerbose(false);
-        return campaignMain(argc, argv);
-    }
-    if (argc > 1 && std::strcmp(argv[1], "serve") == 0) {
-        setVerbose(false);
-        return serveMain(argc, argv);
-    }
-    if (argc > 1 && std::strcmp(argv[1], "shard") == 0) {
-        setVerbose(false);
-        return shardMain(argc, argv);
+    static const std::pair<std::string_view, int (*)(int, char **)>
+        modes[] = {{"campaign", campaignMain},
+                   {"serve", serveMain},
+                   {"shard", shardMain}};
+    for (const auto &[name, mode] : modes) {
+        if (argc > 1 && argv[1] == name) {
+            setVerbose(false);
+            return mode(argc, argv);
+        }
     }
 
     Options o;
-    if (!parse(argc, argv, o)) {
-        usage();
-        return 2;
-    }
+    cli::FlagTable t(
+        "warped_sim",
+        "[workload|all] [options]\n"
+        "campaign|serve|shard <workload> [options]   (fault-injection "
+        "campaigns; see `warped_sim campaign --help`)",
+        "Run Table-4 workloads on the simulated GPU under a chosen\n"
+        "protection configuration and print their statistics.\n");
+    addRunFlags(t, o);
+    if (const auto rc = t.parseOrUsage(argc, argv))
+        return *rc;
     setVerbose(o.verbose);
+    if (const auto err = machineError(o.gpu, o.dmr); !err.empty())
+        return t.fail(err);
+    if (o.list) {
+        std::printf("%-12s %-26s %8s %8s %10s %10s\n", "name", "category",
+                    "blocks", "threads", "bytes in", "bytes out");
+        for (const auto &n : workloads::allNames()) {
+            auto w = workloads::makeByName(n);
+            gpu::Gpu g(arch::GpuConfig::testDefault(),
+                       dmr::DmrConfig::off());
+            w->setup(g);
+            std::printf("%-12s %-26s %8u %8u %10zu %10zu\n", n.c_str(),
+                        w->category().c_str(), w->gridBlocks(),
+                        w->blockThreads(), w->bytesIn(), w->bytesOut());
+        }
+        return 0;
+    }
 
-    auto cfg = arch::GpuConfig::paperDefault();
-    cfg.numSms = o.numSms;
-    cfg.lanesPerCluster = o.cluster;
-    cfg.numSchedulers = o.schedulers;
-    cfg.schedPolicy = o.sched;
-    cfg.modelBankConflicts = o.bankConflicts;
-    cfg.modelCoalescing = o.coalescing;
-    cfg.modelMemContention = o.contention;
-    cfg.memModel = o.memModel;
-    cfg.eccKind = o.ecc;
-    cfg.warpSize = o.warpSize;
-    cfg.traceIssueLimit = o.trace;
+    auto cfg = o.gpu;
     cfg.traceEvents = !o.traceOut.empty();
-
     std::printf("%s\n", cfg.toString().c_str());
 
     if (!o.kernelFile.empty()) {

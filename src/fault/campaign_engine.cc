@@ -264,6 +264,24 @@ CampaignReport::meanRecoveryCycles() const
                          : 0.0;
 }
 
+stats::StratifiedEstimator
+CampaignReport::stratifiedCoverage() const
+{
+    std::vector<std::uint64_t> sizes;
+    sizes.reserve(stratumSizes.size());
+    for (const auto &[label, n] : stratumSizes)
+        sizes.push_back(n);
+    stats::StratifiedEstimator est(std::move(sizes));
+    std::size_t h = 0;
+    for (const auto &[label, n] : stratumSizes) {
+        const auto it = byStratum.find(label);
+        if (it != byStratum.end())
+            est.addCounts(h, caught(it->second), it->second.total());
+        ++h;
+    }
+    return est;
+}
+
 trace::MetricsRegistry
 CampaignReport::toMetrics() const
 {
@@ -380,19 +398,7 @@ CampaignReport::toMetrics() const
     // proportions combined with population weights, plus per-stratum
     // Wilson intervals. Same gate as the stratum counters above.
     if (strataWindows && !stratumSizes.empty()) {
-        std::vector<std::uint64_t> sizes;
-        sizes.reserve(stratumSizes.size());
-        for (const auto &[label, n] : stratumSizes)
-            sizes.push_back(n);
-        stats::StratifiedEstimator est(std::move(sizes));
-        std::size_t h = 0;
-        for (const auto &[label, n] : stratumSizes) {
-            const auto it = byStratum.find(label);
-            if (it != byStratum.end())
-                est.addCounts(h, caught(it->second),
-                              it->second.total());
-            ++h;
-        }
+        const auto est = stratifiedCoverage();
         const auto ci = est.interval();
         m.gauge("campaign.coverage.stratified") = est.estimate();
         m.gauge("campaign.coverage.stratified_lo") = ci.lo;

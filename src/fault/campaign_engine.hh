@@ -62,6 +62,7 @@
 #include "fault/stratified.hh"
 #include "protection/scheme_registry.hh"
 #include "recovery/recovery_config.hh"
+#include "stats/accumulator.hh"
 #include "stats/confidence.hh"
 #include "stats/histogram.hh"
 #include "trace/metrics.hh"
@@ -291,6 +292,10 @@ struct CampaignReport
     {
         return c.detected + c.recovered + c.eccCorrected;
     }
+
+    /** The stratified (Cochran) coverage estimator: strata in label
+     *  order, weighted by stratumSizes, caught/total from byStratum. */
+    stats::StratifiedEstimator stratifiedCoverage() const;
 
     /**
      * Flat metrics rendering: campaign.* counters and gauges in a

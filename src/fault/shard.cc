@@ -169,12 +169,9 @@ ShardDelta::fromJson(const std::string &text)
 }
 
 ShardDelta
-runShardInProcess(const WorkloadFactory &factory,
-                  const EngineConfig &cfg, const ShardPlan &plan)
+runShard(CampaignEngine &engine, const ShardPlan &plan)
 {
-    CampaignEngine engine(factory, cfg);
-    const CampaignReport delta =
-        engine.runRange(plan.base, plan.count);
+    const CampaignReport delta = engine.runRange(plan.base, plan.count);
     ShardDelta d;
     d.shard = plan.index;
     d.base = plan.base;
@@ -182,6 +179,14 @@ runShardInProcess(const WorkloadFactory &factory,
     d.signature = engine.signature();
     d.counters = delta.toMetrics().counters();
     return d;
+}
+
+ShardDelta
+runShardInProcess(const WorkloadFactory &factory,
+                  const EngineConfig &cfg, const ShardPlan &plan)
+{
+    CampaignEngine engine(factory, cfg);
+    return runShard(engine, plan);
 }
 
 ShardAggregator::ShardAggregator(CampaignReport skeleton,

@@ -93,9 +93,13 @@ struct ShardDelta
     static ShardDelta fromJson(const std::string &text);
 };
 
-/** Run shard @p plan of the campaign in this process and package the
- *  delta (the library-level worker; `warped_sim shard` is a thin
- *  wrapper). */
+/** Run @p plan's range on @p engine and package the result as that
+ *  shard's delta. Every worker path (file mode, socket mode, the
+ *  orchestrator's zero-run fold) builds its delta here. */
+ShardDelta runShard(CampaignEngine &engine, const ShardPlan &plan);
+
+/** Run shard @p plan of the campaign in this process with a fresh
+ *  engine and package the delta (the library-level worker). */
 ShardDelta runShardInProcess(const WorkloadFactory &factory,
                              const EngineConfig &cfg,
                              const ShardPlan &plan);

@@ -1,10 +1,9 @@
 #include "sim/chaos.hh"
 
+#include "common/flags.hh"
 #include "common/rng.hh"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -16,29 +15,22 @@ namespace {
 double
 parseProb(const std::string &key, const std::string &val)
 {
-    char *end = nullptr;
-    errno = 0;
-    const double v = std::strtod(val.c_str(), &end);
-    if (errno != 0 || end == val.c_str() || *end != '\0' || v < 0.0 ||
-        v > 1.0)
+    const auto v = cli::parseReal(val);
+    if (!v || *v < 0.0 || *v > 1.0)
         throw std::invalid_argument("chaos: " + key +
                                     " expects a probability in "
                                     "[0,1], got '" +
                                     val + "'");
-    return v;
+    return *v;
 }
 
 std::uint64_t
 parseU64(const std::string &key, const std::string &val)
 {
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(val.c_str(), &end, 10);
-    if (errno != 0 || end == val.c_str() || *end != '\0')
-        throw std::invalid_argument("chaos: " + key +
-                                    " expects an integer, got '" +
-                                    val + "'");
-    return v;
+    if (const auto v = cli::parseUint(val, ~std::uint64_t{0}))
+        return *v;
+    throw std::invalid_argument("chaos: " + key +
+                                " expects an integer, got '" + val + "'");
 }
 
 } // namespace

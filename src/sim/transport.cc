@@ -1,13 +1,12 @@
 #include "sim/transport.hh"
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "sim/subprocess.hh"
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -43,13 +42,10 @@ splitDeltaPayload(const std::string &payload, std::uint64_t &shard,
     const auto nl = payload.find('\n');
     if (nl == std::string::npos || nl == 0)
         return false;
-    const std::string head = payload.substr(0, nl);
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(head.c_str(), &end, 10);
-    if (errno != 0 || end == head.c_str() || *end != '\0')
+    const auto v = cli::parseUint(payload.substr(0, nl), ~std::uint64_t{0});
+    if (!v)
         return false;
-    shard = v;
+    shard = *v;
     json = payload.substr(nl + 1);
     return true;
 }
@@ -217,25 +213,25 @@ SocketTransport::acceptLoop()
                 continue;
             if (f->type != wire::MsgType::Hello)
                 continue; // tolerate stray frames before the Hello
-            char *end = nullptr;
-            errno = 0;
-            const unsigned long long sig =
-                std::strtoull(f->payload.c_str(), &end, 10);
-            if (errno != 0 || end == f->payload.c_str() ||
-                *end != '\0') {
+            const auto sig = cli::parseUint(f->payload, ~std::uint64_t{0});
+            if (!sig) {
                 warped_warn("serve: dropping connection with "
                            "malformed hello payload");
                 break;
             }
-            if (sig != cfg_.signature) {
+            if (*sig != cfg_.signature) {
+                // Count before replying: the worker exits on the
+                // Reject, and whoever waits on it may read the count.
+                {
+                    std::lock_guard<std::mutex> lk(mu_);
+                    ++workersRejected_;
+                }
                 (void)s->write(wire::encodeFrame(
                     wire::MsgType::Reject,
                     "configuration signature mismatch: orchestrator "
                     "has " +
                         std::to_string(cfg_.signature) +
-                        ", worker computed " + std::to_string(sig)));
-                std::lock_guard<std::mutex> lk(mu_);
-                ++workersRejected_;
+                        ", worker computed " + std::to_string(*sig)));
                 break;
             }
             joined = true;

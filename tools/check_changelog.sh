@@ -65,6 +65,35 @@ if [ "${1:-}" = "--cli-smoke" ]; then
         --heartbeat 0
     expect_exit 2 "$sim" serve SCAN --sites 5 --shards 2 \
         --strikes 0
+    # Values are never guessed: an unknown or missing choice, a second
+    # positional workload and an unknown workload all refuse, in run
+    # mode and campaign mode alike.
+    expect_exit 2 "$sim" --mapping Linear
+    expect_exit 2 "$sim" --sched bogus
+    expect_exit 2 "$sim" --dmr bogus
+    expect_exit 2 "$sim" SCAN --dmr
+    expect_exit 2 "$sim" SCAN BFS
+    expect_exit 2 "$sim" NOPE
+    expect_exit 2 "$sim" campaign SCAN --mapping Linear
+    expect_exit 2 "$sim" campaign SCAN --sched bogus
+    expect_exit 2 "$sim" campaign SCAN --dmr bogus
+    expect_exit 2 "$sim" campaign SCAN --dmr
+    expect_exit 2 "$sim" campaign SCAN BFS
+    expect_exit 2 "$sim" campaign NOPE
+    # A machine the simulator would refuse to build is a usage error,
+    # checked right after parsing in every mode.
+    expect_exit 2 "$sim" SCAN --sms 0
+    expect_exit 2 "$sim" SCAN --warp 0
+    expect_exit 2 "$sim" SCAN --cluster 3
+    expect_exit 2 "$sim" campaign SCAN --sms 0
+    expect_exit 2 "$sim" serve SCAN --sites 5 --shards 2 --warp 0
+    expect_exit 2 "$sim" shard SCAN --sites 5 --shard-index 0 \
+        --shard-count 1 --delta-out /dev/null --cluster 3
+    # --help is a request, not an error, on every mode.
+    expect_exit 0 "$sim" --help
+    expect_exit 0 "$sim" campaign --help
+    expect_exit 0 "$sim" serve --help
+    expect_exit 0 "$sim" shard --help
     echo "check_changelog --cli-smoke: campaign-family CLI edges OK"
     exit 0
 fi

@@ -18,66 +18,29 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 
+#include "common/flags.hh"
 #include "trace/binary.hh"
 #include "trace/export.hh"
-
-namespace {
-
-int
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: trace_convert IN.bin [-o OUT.json] [--label NAME] "
-        "[--info]\n"
-        "  Convert a warped binary trace to Chrome trace_event JSON\n"
-        "  (byte-identical to warped_sim's direct JSON export).\n"
-        "  -o FILE       write JSON here (default: stdout)\n"
-        "  --label NAME  override the header's process label\n"
-        "  --info        print header summary, don't convert\n");
-    return 2;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     std::string in_path, out_path, label;
-    bool have_label = false, info = false;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "-o") {
-            if (i + 1 >= argc)
-                return usage();
-            out_path = argv[++i];
-        } else if (a == "--label") {
-            if (i + 1 >= argc)
-                return usage();
-            label = argv[++i];
-            have_label = true;
-        } else if (a == "--info") {
-            info = true;
-        } else if (a == "-h" || a == "--help") {
-            usage();
-            return 0;
-        } else if (!a.empty() && a[0] == '-') {
-            std::fprintf(stderr, "unknown option %s\n", a.c_str());
-            return usage();
-        } else if (in_path.empty()) {
-            in_path = a;
-        } else {
-            return usage();
-        }
-    }
-    if (in_path.empty())
-        return usage();
+    bool info = false;
+    warped::cli::FlagTable t(
+        "trace_convert", "IN.bin [-o OUT.json] [--label NAME] [--info]",
+        "Convert a warped binary trace to Chrome trace_event JSON\n"
+        "(byte-identical to warped_sim's direct JSON export).\n");
+    t.positional("IN.bin", in_path, "binary trace to read");
+    t.text("-o", out_path, "FILE", "write JSON here (default: stdout)");
+    t.text("--label", label, "NAME", "override the header's process label");
+    t.flag("--info", info, "print header summary, don't convert");
+    if (const auto rc = t.parseOrUsage(argc, argv))
+        return *rc;
 
     std::ifstream in(in_path, std::ios::binary);
     if (!in) {
@@ -105,7 +68,7 @@ main(int argc, char **argv)
         return 0;
     }
 
-    const std::string &use_label = have_label ? label : bt.label;
+    const std::string &use_label = t.seen("--label") ? label : bt.label;
     if (out_path.empty()) {
         warped::trace::writeChromeTrace(std::cout, bt.events,
                                         use_label);
