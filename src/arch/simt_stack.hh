@@ -59,6 +59,15 @@ class SimtStack
     /** Depth, for diagnostics and property tests. */
     unsigned depth() const { return stack_.size(); }
 
+    /** The entries bottom to top (snapshot support). */
+    const std::vector<Entry> &entries() const { return stack_; }
+    /** Replace the entries with [@p first, @p last), bottom to top. */
+    void
+    assign(const Entry *first, const Entry *last)
+    {
+        stack_.assign(first, last);
+    }
+
     /**
      * Complete a non-branch instruction: PC advances to @p next
      * (normally pc()+1) and converged tops are popped.

@@ -30,6 +30,7 @@ WarpContext::reinit(unsigned block_id, unsigned warp_in_block,
     exited_ = LaneMask{};
     atBarrier_ = false;
     std::fill(regs_.begin(), regs_.end(), RegValue{0});
+    written_ = ~std::uint64_t{0};
 
     const unsigned first = warp_in_block * warpSize_;
     for (unsigned lane = 0; lane < warpSize_; ++lane) {
@@ -55,6 +56,7 @@ WarpContext::setReg(unsigned lane, RegIndex r, RegValue v)
         warped_panic("register write out of range: lane ", lane, " r",
                      unsigned(r));
     regs_[std::size_t{r} * warpSize_ + lane] = v;
+    written_ |= regBit(r);
 }
 
 const RegValue *
@@ -70,6 +72,7 @@ WarpContext::regPlane(RegIndex r)
 {
     if (r >= numRegs_)
         warped_panic("register plane out of range: r", unsigned(r));
+    written_ |= regBit(r);
     return regs_.data() + std::size_t{r} * warpSize_;
 }
 

@@ -74,9 +74,62 @@ class WarpContext
     void setReg(unsigned lane, RegIndex r, RegValue v);
 
     /** Contiguous per-lane plane of register @p r (SoA hot path);
-     *  element i is lane i's value. Bounds-checked once per plane. */
+     *  element i is lane i's value. Bounds-checked once per plane.
+     *  The mutable overload counts as a write (see takeWritten), so
+     *  read through a const context. */
     const RegValue *regPlane(RegIndex r) const;
     RegValue *regPlane(RegIndex r);
+
+    /**
+     * Registers possibly written since the previous call, as a bit
+     * mask (bit r = register r; bit 63 stands for every register from
+     * 63 up), then forget them. Everything counts as written after
+     * construction and reinit(). Snapshot capture copies only these
+     * register planes.
+     */
+    std::uint64_t
+    takeWritten()
+    {
+        const std::uint64_t w = written_;
+        written_ = 0;
+        return w;
+    }
+    static std::uint64_t
+    regBit(RegIndex r)
+    {
+        return std::uint64_t{1} << (r < 63 ? r : 63);
+    }
+
+    /** Everything but the register file and the SIMT stack
+     *  (snapshot support). */
+    struct Header
+    {
+        unsigned blockId = 0;
+        unsigned warpInBlock = 0;
+        unsigned blockDim = 0;
+        unsigned gridDim = 0;
+        LaneMask validLanes;
+        LaneMask exited;
+        bool atBarrier = false;
+    };
+    Header
+    header() const
+    {
+        return {blockId_, warpInBlock_, blockDim_, gridDim_,
+                validLanes_, exited_, atBarrier_};
+    }
+    /** Overwrite everything the header holds with @p h. */
+    void
+    restoreHeader(const Header &h)
+    {
+        blockId_ = h.blockId;
+        warpInBlock_ = h.warpInBlock;
+        blockDim_ = h.blockDim;
+        gridDim_ = h.gridDim;
+        validLanes_ = h.validLanes;
+        exited_ = h.exited;
+        atBarrier_ = h.atBarrier;
+    }
 
     SimtStack &stack() { return stack_; }
     const SimtStack &stack() const { return stack_; }
@@ -108,6 +161,7 @@ class WarpContext
     bool atBarrier_ = false;
     SimtStack stack_;
     std::vector<RegValue> regs_; ///< register-major: [r * warpSize + lane]
+    std::uint64_t written_ = ~std::uint64_t{0}; ///< see takeWritten
 };
 
 } // namespace arch

@@ -1,7 +1,11 @@
 #include "common/buffer_pool.hh"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <utility>
 
 namespace warped {
@@ -22,7 +26,7 @@ constexpr std::size_t kMaxPooledBuffers = 4;
 /** A retired buffer: zero everywhere outside [dirtyLo, dirtyHi). */
 struct Retired
 {
-    std::vector<std::uint8_t> buf;
+    ZeroedBuffer buf;
     std::size_t dirtyLo;
     std::size_t dirtyHi;
 };
@@ -31,13 +35,40 @@ thread_local std::vector<Retired> pool;
 
 } // namespace
 
-std::vector<std::uint8_t>
+void *
+allocateZeroed(std::size_t bytes)
+{
+    if (bytes >= kMinPooledBytes) {
+        void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (p == MAP_FAILED)
+            throw std::bad_alloc();
+        return p;
+    }
+    void *p = std::calloc(bytes ? bytes : 1, 1);
+    if (!p)
+        throw std::bad_alloc();
+    return p;
+}
+
+void
+releaseZeroed(void *p, std::size_t bytes) noexcept
+{
+    if (!p)
+        return;
+    if (bytes >= kMinPooledBytes)
+        ::munmap(p, bytes);
+    else
+        std::free(p);
+}
+
+ZeroedBuffer
 acquireBuffer(std::size_t bytes)
 {
     if (bytes >= kMinPooledBytes) {
         for (auto it = pool.begin(); it != pool.end(); ++it) {
             if (it->buf.size() == bytes) {
-                std::vector<std::uint8_t> buf = std::move(it->buf);
+                ZeroedBuffer buf = std::move(it->buf);
                 const std::size_t lo = it->dirtyLo;
                 const std::size_t hi = std::min(it->dirtyHi, bytes);
                 pool.erase(it);
@@ -47,11 +78,11 @@ acquireBuffer(std::size_t bytes)
             }
         }
     }
-    return std::vector<std::uint8_t>(bytes, 0);
+    return ZeroedBuffer(bytes);
 }
 
 void
-releaseBuffer(std::vector<std::uint8_t> &&buf, std::size_t dirty_lo,
+releaseBuffer(ZeroedBuffer &&buf, std::size_t dirty_lo,
               std::size_t dirty_hi)
 {
     if (buf.size() < kMinPooledBytes || pool.size() >= kMaxPooledBuffers)

@@ -15,6 +15,41 @@ DmrEngine::DmrEngine(const arch::GpuConfig &gpu, const DmrConfig &cfg,
 {
 }
 
+std::size_t
+DmrEngine::State::bytes() const
+{
+    return sizeof(State) + queue.bytes() + pending.bytes() +
+           stats.errorLog.size() * sizeof(ErrorEvent);
+}
+
+DmrEngine::State
+DmrEngine::saveStateValue() const
+{
+    State s{queue_.saveState(), func::PackedRecords(gpu_.warpSize), rng_,
+            stats_};
+    if (hasPending_)
+        s.pending.append(scratchIsA_ ? bufB_ : bufA_);
+    return s;
+}
+
+void
+DmrEngine::restoreState(const State &s)
+{
+    queue_.restoreState(s.queue);
+    rng_ = s.rng;
+    stats_ = s.stats;
+    hasPending_ = !s.pending.empty();
+    if (hasPending_)
+        s.pending.unpack(0, pendingRec());
+}
+
+std::unique_ptr<protection::SchemeState>
+DmrEngine::saveState() const
+{
+    return std::make_unique<protection::SchemeStateOf<DmrEngine, State>>(
+        saveStateValue());
+}
+
 void
 DmrEngine::attachRecorder(trace::Recorder *rec)
 {

@@ -146,6 +146,22 @@ class DmrEngine final : public protection::ProtectionScheme
     unsigned replayQueueSize() const override { return queue_.size(); }
     bool hasPending() const override { return hasPending_; }
 
+    /** Mutable state at a cycle boundary: the ReplayQ, the pending
+     *  RF-stage record (when there is one), the ReplayQ pick RNG and
+     *  the counters. */
+    struct State
+    {
+        ReplayQueue::State queue;
+        /** Empty, or the one pending record. */
+        func::PackedRecords pending;
+        Rng rng;
+        DmrStats stats;
+        std::size_t bytes() const;
+    };
+    State saveStateValue() const;
+    void restoreState(const State &s);
+    std::unique_ptr<protection::SchemeState> saveState() const override;
+
   private:
     /** Intra-warp DMR: RFU pairing + comparison; updates coverage. */
     void intraWarpVerify(const func::ExecRecord &rec, Cycle now);

@@ -19,6 +19,43 @@ ReplayQueue::ReplayQueue(unsigned capacity, unsigned warp_size)
         free_.push_back(i);
 }
 
+ReplayQueue::State
+ReplayQueue::saveState() const
+{
+    State s{func::PackedRecords(warpSize_), {}, peakDepth_};
+    s.records.reserve(order_.size());
+    s.enqueued.reserve(order_.size());
+    for (const std::uint32_t slot : order_) {
+        s.records.append(slots_[slot].rec);
+        s.enqueued.push_back(slots_[slot].enqueued);
+    }
+    return s;
+}
+
+void
+ReplayQueue::restoreState(const State &s)
+{
+    if (s.records.size() > capacity_)
+        warped_panic("ReplayQueue restore of ", s.records.size(),
+                     " entries into capacity ", capacity_);
+    order_.clear();
+    free_.clear();
+    for (unsigned i = capacity_; i-- > 0;)
+        free_.push_back(i);
+    writeRegMask_ = 0;
+    for (std::size_t i = 0; i < s.records.size(); ++i) {
+        const std::uint32_t slot = free_.back();
+        free_.pop_back();
+        s.records.unpack(i, slots_[slot].rec);
+        slots_[slot].enqueued = s.enqueued[i];
+        const isa::Instruction &in = s.records.instr(i);
+        writeBit_[slot] = in.hasDst() ? 1ULL << in.dst.idx : 0;
+        writeRegMask_ |= writeBit_[slot];
+        order_.push_back(slot);
+    }
+    peakDepth_ = s.peakDepth;
+}
+
 void
 ReplayQueue::push(const func::ExecRecord &rec, Cycle now)
 {

@@ -125,6 +125,28 @@ class ReplayQueue
                               std::uint64_t reg_read_mask,
                               Cycle now = 0);
 
+    /** The queue's contents at a cycle boundary: the occupied
+     *  entries oldest first, each packed at the machine's warp width,
+     *  plus the depth watermark. */
+    struct State
+    {
+        func::PackedRecords records;
+        std::vector<Cycle> enqueued;
+        unsigned peakDepth = 0;
+
+        std::size_t
+        bytes() const
+        {
+            return sizeof(*this) + records.bytes() +
+                   enqueued.size() * sizeof(Cycle);
+        }
+    };
+    State saveState() const;
+    /** Replace the contents with @p s (a queue of the same capacity
+     *  and warp width). Slot numbering may differ from the saving
+     *  queue's; nothing observes it. */
+    void restoreState(const State &s);
+
     /** Paper §4.3.1: bytes one entry occupies in hardware. */
     static constexpr std::size_t
     entryBytes(unsigned warp_size)

@@ -65,7 +65,7 @@ struct RunRecord
     bool hasRecovery = false;
     std::uint64_t rollbacks = 0;
     std::uint64_t giveUps = 0;
-    /** The run tripped a simulator panic twice (hang-DUE). */
+    /** The run tripped a simulator panic (hang-DUE). */
     bool aborted = false;
     std::uint64_t runIndex = 0;
     std::uint64_t siteIndex = 0;
@@ -465,13 +465,17 @@ CampaignEngine::CampaignEngine(WorkloadFactory factory,
 
 namespace {
 
-/** One injected experiment (thread-safe: everything is run-local).
- *  With @p strat set the site is drawn within the run's stratum;
- *  either way the draw is a pure function of (seed, run_index). */
+/** One injected experiment (thread-safe: everything is run-local;
+ *  the ladder is shared read-only). With @p strat set the site is
+ *  drawn within the run's stratum; either way the draw is a pure
+ *  function of (seed, run_index). The run resumes from the ladder
+ *  rung its fault cannot have touched (docs/FAULT_MODEL.md, "Snapshot
+ *  fork") — a faulty run is the golden run until then. */
 RunRecord
 runOne(std::uint64_t run_index, const FaultSiteSpace &space,
        const StratifiedSpace *strat, Cycle span,
-       const WorkloadFactory &factory, const EngineConfig &cfg)
+       const WorkloadFactory &factory, const EngineConfig &cfg,
+       const gpu::Ladder &ladder)
 {
     const auto siteIdx =
         strat ? strat->siteForRun(cfg.seed, run_index)
@@ -487,52 +491,61 @@ runOne(std::uint64_t run_index, const FaultSiteSpace &space,
         rec.stratumLabel =
             strat->stratum(strat->stratumOfRun(run_index)).label;
 
+    // Watchdog: a fault can corrupt a loop counter and hang the
+    // kernel; give it a generous multiple of the fault-free span.
+    const Cycle watchdog = span * 20 + 100000;
+
+    // An injected fault (or, with recovery on, a rollback livelock)
+    // can drive the simulator into one of its own sanity panics —
+    // warped_panic throws. That must cost the campaign one run, not
+    // the whole campaign: the site is classified as an aborted
+    // hang-DUE. (Retrying is pointless: the run is a pure function of
+    // run_index, so a rerun panics again.)
+    const auto aborted = [&](const std::exception &e) {
+        warped_warn("campaign: ", spec.isMemory ? "memory run " : "run ",
+                    run_index, " (site ", siteIdx, ", seed ", cfg.seed,
+                    ") aborted: ", e.what(), "; classifying as hang-DUE");
+        rec.activated = true;
+        rec.cls = OutcomeClass::Due;
+        rec.hasLatency = false;
+        rec.aborted = true;
+        return rec;
+    };
+
     if (spec.isMemory) {
         // Memory-cell upset: no execution-side hook; the fault lives
         // in the global memory's fault plane and every read of the
         // upset word is filtered through the configured ECC codec.
-        // Same twice-then-hang-DUE retry contract as below.
         rec.isMemory = true;
         rec.memKind = spec.memKind;
-        for (unsigned attempt = 0; attempt < 2; ++attempt) {
-            auto w = factory();
-            try {
-                gpu::Gpu g(cfg.gpu, cfg.dmr, /*seed=*/1, nullptr,
-                           cfg.recovery, cfg.scheme);
-                w->setup(g);
-                mem::MemFaultPlane plane(cfg.gpu.eccKind);
-                plane.inject(spec.memAddr, spec.memKind, spec.bit,
-                             spec.cycleBegin);
-                g.mem().attachFaultPlane(&plane);
-                const Cycle watchdog = span * 20 + 100000;
-                const auto r = g.launch(w->program(), w->gridBlocks(),
-                                        w->blockThreads(), watchdog);
-                // Host readback goes through the plane too, so an
-                // upset that survives in an output word is caught by
-                // verify() whether or not the kernel ever loaded it.
-                bool outputOk = true;
-                if (!r.hung)
-                    outputOk = w->verify(g);
-                g.mem().attachFaultPlane(nullptr);
-                rec.activated = plane.consumedReads() > 0;
-                rec.cls = classifyMemOutcome(
-                    rec.activated, plane.uncorrectable() > 0,
-                    plane.corrected() > 0, r.dmr.errorsDetected > 0,
-                    r.hung, outputOk);
-                return rec;
-            } catch (const std::exception &e) {
-                if (attempt == 0)
-                    continue;
-                warped_warn("campaign: memory run ", run_index,
-                            " (site ", siteIdx, ", seed ", cfg.seed,
-                            ") aborted twice: ", e.what(),
-                            "; classifying as hang-DUE");
-                rec.activated = true;
-                rec.cls = OutcomeClass::Due;
-                rec.aborted = true;
-            }
+        auto w = factory();
+        try {
+            gpu::Gpu g(cfg.gpu, cfg.dmr, /*seed=*/1, nullptr,
+                       cfg.recovery, cfg.scheme);
+            w->setup(g);
+            mem::MemFaultPlane plane(cfg.gpu.eccKind);
+            plane.inject(spec.memAddr, spec.memKind, spec.bit,
+                         spec.cycleBegin);
+            g.mem().attachFaultPlane(&plane);
+            const auto r = g.launch(w->program(), w->gridBlocks(),
+                                    w->blockThreads(), watchdog, {},
+                                    &ladder.forMemFault(spec.cycleBegin));
+            // Host readback goes through the plane too, so an upset
+            // that survives in an output word is caught by verify()
+            // whether or not the kernel ever loaded it.
+            bool outputOk = true;
+            if (!r.hung)
+                outputOk = w->verify(g);
+            g.mem().attachFaultPlane(nullptr);
+            rec.activated = plane.consumedReads() > 0;
+            rec.cls = classifyMemOutcome(
+                rec.activated, plane.uncorrectable() > 0,
+                plane.corrected() > 0, r.dmr.errorsDetected > 0, r.hung,
+                outputOk);
+            return rec;
+        } catch (const std::exception &e) {
+            return aborted(e);
         }
-        return rec;
     }
 
     // Early exits (docs/FAULT_MODEL.md): stop simulating once the
@@ -546,81 +559,57 @@ runOne(std::uint64_t run_index, const FaultSiteSpace &space,
         !cfg.recovery.enabled &&
         cfg.scheme.id == protection::SchemeId::WarpedDmr;
 
-    // An injected fault (or, with recovery on, a rollback livelock)
-    // can drive the simulator into one of its own sanity panics —
-    // warped_panic throws. That must cost the campaign one run, not
-    // the whole campaign: retry the same site once with identical
-    // seeding (everything below is a pure function of run_index), and
-    // if it throws again classify the site as a hang-DUE.
-    for (unsigned attempt = 0; attempt < 2; ++attempt) {
-        FaultInjector injector;
-        injector.add(spec);
-        const gpu::StopPredicate stop =
-            [&injector, firstDetectionExit](Cycle cycle,
-                                            const gpu::LaunchLoop &loop) {
-                if (injector.activations() == 0)
-                    return injector.windowsClosedBy(cycle);
-                return firstDetectionExit && loop.detections() > 0;
-            };
-        auto w = factory();
-        try {
-            gpu::Gpu g(cfg.gpu, cfg.dmr, /*seed=*/1, &injector,
-                       cfg.recovery, cfg.scheme);
-            w->setup(g);
-            // Watchdog: a fault can corrupt a loop counter and hang
-            // the kernel; give it a generous multiple of the
-            // fault-free span.
-            const Cycle watchdog = span * 20 + 100000;
-            const auto r = g.launch(w->program(), w->gridBlocks(),
-                                    w->blockThreads(), watchdog, stop);
+    FaultInjector injector;
+    injector.add(spec);
+    const gpu::StopPredicate stop =
+        [&injector, firstDetectionExit](Cycle cycle,
+                                        const gpu::LaunchLoop &loop) {
+            if (injector.activations() == 0)
+                return injector.windowsClosedBy(cycle);
+            return firstDetectionExit && loop.detections() > 0;
+        };
+    auto w = factory();
+    try {
+        gpu::Gpu g(cfg.gpu, cfg.dmr, /*seed=*/1, &injector,
+                   cfg.recovery, cfg.scheme);
+        w->setup(g);
+        const auto r = g.launch(w->program(), w->gridBlocks(),
+                                w->blockThreads(), watchdog, stop,
+                                &ladder.forExecFault(spec.cycleBegin));
 
-            rec.activated = injector.activations() > 0;
-            const bool detected = r.dmr.errorsDetected > 0;
-            const bool recoveredClean = cfg.recovery.enabled &&
-                                        detected &&
-                                        r.recovery.giveUps == 0;
-            // The golden-reference comparison: Workload::verify
-            // checks the output buffers against the CPU reference,
-            // which the fault-free golden run was itself validated
-            // against (runVerified below). A detected run's output
-            // only matters when rollback-replay claims a clean
-            // repair, so verify() is also called for those.
-            bool outputOk = true;
-            if (rec.activated && !r.hung &&
-                (!detected || recoveredClean))
-                outputOk = w->verify(g);
-            rec.cls = classifyOutcome(rec.activated, detected,
-                                      r.hung, outputOk,
-                                      recoveredClean);
-            if ((rec.cls == OutcomeClass::Detected ||
-                 rec.cls == OutcomeClass::Recovered) &&
-                !r.dmr.errorLog.empty()) {
-                const Cycle det = r.dmr.errorLog.front().cycle;
-                const Cycle act = injector.firstActivationCycle();
-                rec.latency = det >= act ? det - act : 0;
-                rec.hasLatency = true;
-            }
-            rec.rollbacks = r.recovery.rollbacks;
-            rec.giveUps = r.recovery.giveUps;
-            if (rec.cls == OutcomeClass::Recovered) {
-                rec.recoveryCycles = r.recovery.recoveryCycles;
-                rec.hasRecovery = true;
-            }
-            return rec;
-        } catch (const std::exception &e) {
-            if (attempt == 0)
-                continue;
-            warped_warn("campaign: run ", run_index, " (site ",
-                        siteIdx, ", seed ", cfg.seed,
-                        ") aborted twice: ", e.what(),
-                        "; classifying as hang-DUE");
-            rec.activated = true;
-            rec.cls = OutcomeClass::Due;
-            rec.hasLatency = false;
-            rec.aborted = true;
+        rec.activated = injector.activations() > 0;
+        const bool detected = r.dmr.errorsDetected > 0;
+        const bool recoveredClean = cfg.recovery.enabled && detected &&
+                                    r.recovery.giveUps == 0;
+        // The golden-reference comparison: Workload::verify checks
+        // the output buffers against the CPU reference, which the
+        // fault-free golden run was itself validated against (in
+        // prepare). A detected run's output only
+        // matters when rollback-replay claims a clean repair, so
+        // verify() is also called for those.
+        bool outputOk = true;
+        if (rec.activated && !r.hung && (!detected || recoveredClean))
+            outputOk = w->verify(g);
+        rec.cls = classifyOutcome(rec.activated, detected, r.hung,
+                                  outputOk, recoveredClean);
+        if ((rec.cls == OutcomeClass::Detected ||
+             rec.cls == OutcomeClass::Recovered) &&
+            !r.dmr.errorLog.empty()) {
+            const Cycle det = r.dmr.errorLog.front().cycle;
+            const Cycle act = injector.firstActivationCycle();
+            rec.latency = det >= act ? det - act : 0;
+            rec.hasLatency = true;
         }
+        rec.rollbacks = r.recovery.rollbacks;
+        rec.giveUps = r.recovery.giveUps;
+        if (rec.cls == OutcomeClass::Recovered) {
+            rec.recoveryCycles = r.recovery.recoveryCycles;
+            rec.hasRecovery = true;
+        }
+        return rec;
+    } catch (const std::exception &e) {
+        return aborted(e);
     }
-    return rec;
 }
 
 void
@@ -936,18 +925,45 @@ CampaignEngine::prepare()
     //    space is derived from this span, so recovery-on and
     //    recovery-off campaigns sample the *same* sites and their
     //    Detected/Recovered splits are directly comparable.
-    Cycle span;
-    std::uint64_t footprint_words = 0;
+    //    The ladder of snapshot rungs every injected run resumes from
+    //    is captured during the same pass, under the horizon hook (a
+    //    fault-free hook, so the pass is unchanged).
+    auto ladder = std::make_shared<gpu::Ladder>();
+    struct Pass
     {
+        Cycle cycles;
+        std::uint64_t footprintWords;
+    };
+    const auto fault_free_pass = [&](const recovery::RecoveryConfig &rcfg,
+                                     gpu::SnapshotSink *sink) {
         auto w = factory_();
-        gpu::Gpu g(cfg_.gpu, cfg_.dmr, /*seed=*/1, nullptr, {},
-                   cfg_.scheme);
-        span = workloads::runVerified(*w, g).cycles;
+        gpu::Gpu g(cfg_.gpu, cfg_.dmr, /*seed=*/1,
+                   sink ? &ladder->hook() : nullptr, rcfg, cfg_.scheme);
+        w->setup(g);
+        const auto r = g.launch(w->program(), w->gridBlocks(),
+                                w->blockThreads(), 0, {}, nullptr, sink);
+        if (!w->verify(g))
+            warped_fatal("workload '", w->name(),
+                         "' failed output verification on a fault-free "
+                         "GPU");
         // Device footprint the memory-cell axes cover: every word
         // the workload's allocator handed out (inputs, outputs and
         // scratch — dead words are legitimate Masked sites).
-        footprint_words = g.allocator().used() / 4;
-    }
+        return Pass{r.cycles, g.allocator().used() / 4};
+    };
+    const Pass golden = fault_free_pass(
+        {}, cfg_.recovery.enabled ? nullptr : ladder.get());
+    const Cycle span = golden.cycles;
+    const std::uint64_t footprint_words = golden.footprintWords;
+    //    Injected runs carry the campaign's recovery engine, a
+    //    different machine state from cycle 0 on, so their ladder
+    //    comes from one more fault-free pass under that
+    //    configuration. It ends a few cycles after the golden span
+    //    (the retire gate holds BAR/EXIT for unverified work); the
+    //    span stays the golden one — the pass only supplies rungs.
+    if (cfg_.recovery.enabled)
+        fault_free_pass(cfg_.recovery, ladder.get());
+    ladder_ = std::move(ladder);
 
     // 2. Resolve the site space and the sample size.
     SiteSpaceConfig sc = cfg_.space;
@@ -1009,7 +1025,7 @@ CampaignEngine::runRange(std::uint64_t base, std::uint64_t count)
                          records[i] = runOne(
                              base + i, *space_,
                              strat_ ? &*strat_ : nullptr, span_,
-                             factory_, cfg_);
+                             factory_, cfg_, *ladder_);
                      });
     for (const auto &rec : records)
         fold(rep, rec);
@@ -1060,7 +1076,7 @@ CampaignEngine::run()
                              records[i] = runOne(
                                  base + i, *space_,
                                  strat_ ? &*strat_ : nullptr, span_,
-                                 factory_, cfg_);
+                                 factory_, cfg_, *ladder_);
                          });
         for (const auto &rec : records)
             fold(rep, rec);

@@ -29,14 +29,19 @@
  *  - **SDC**:      silent data corruption — wrong output, no alarm;
  *  - **DUE**:      detectable uncorrectable event — the fault broke
  *                  control flow and the watchdog ended the run, or
- *                  the run tripped a simulator sanity panic twice
- *                  (see the hang-DUE retry in the engine).
+ *                  the run tripped a simulator sanity panic (an
+ *                  aborted run, counted in abortedRuns).
  *
  * The resulting CampaignReport carries per-kind and per-unit outcome
  * breakdowns, Wilson-score confidence intervals, detection-latency
  * histograms, and a flat JSON rendering through trace::MetricsRegistry
  * (sorted keys, fixed precision — byte-identical across `--jobs`
  * values and safe to diff).
+ *
+ * Each injected run resumes from the golden run's snapshot ladder
+ * (gpu::Ladder, captured by prepare()) at the latest rung its fault
+ * cannot have touched, instead of replaying the fault-free prefix
+ * from cycle 0 (docs/FAULT_MODEL.md, "Snapshot fork").
  *
  * Long campaigns checkpoint periodically to a JSON state file and
  * resume from it: runs are folded in submission-index order in
@@ -69,6 +74,9 @@
 #include "workloads/workload.hh"
 
 namespace warped {
+namespace gpu {
+class Ladder;
+}
 namespace fault {
 
 /**
@@ -268,8 +276,9 @@ struct CampaignReport
     std::uint64_t rollbacks = 0;
     std::uint64_t giveUps = 0;
 
-    /** Runs that tripped a simulator sanity panic twice and were
-     *  force-classified as hang-DUE (see the engine's retry). */
+    /** Runs that tripped a simulator sanity panic and were
+     *  force-classified as hang-DUE (a run is a pure function of its
+     *  index, so it is never retried). */
     std::uint64_t abortedRuns = 0;
     /** First few aborted sites, for post-mortem reproduction (not
      *  checkpointed — diagnostics only). */
@@ -398,9 +407,11 @@ class CampaignEngine
 
     /**
      * Resolve the campaign plan without running any injections: the
-     * golden reference run, the site space, the planned sample size,
-     * the stratified sampler (when cfg.strataWindows > 0) and the
-     * configuration signature. Idempotent; run() and runRange() call
+     * golden reference run (capturing the snapshot ladder; with
+     * recovery on, one more fault-free pass under the recovery
+     * config captures it instead), the site space, the planned
+     * sample size, the stratified sampler (when cfg.strataWindows >
+     * 0) and the configuration signature. Idempotent; run() and runRange() call
      * it implicitly. Workers and the shard orchestrator call it
      * directly — each process derives the identical plan from the
      * identical configuration, and the signature proves it.
@@ -436,6 +447,10 @@ class CampaignEngine
     /** The resolved site space; valid after prepare(). */
     const FaultSiteSpace &space() const { return *space_; }
 
+    /** The golden pass's snapshot ladder every injected run resumes
+     *  from; valid (and immutable) after prepare(). */
+    const gpu::Ladder &ladder() const { return *ladder_; }
+
   private:
     WorkloadFactory factory_;
     EngineConfig cfg_;
@@ -444,6 +459,7 @@ class CampaignEngine
     std::uint64_t span_ = 0;
     std::optional<FaultSiteSpace> space_;
     std::optional<StratifiedSpace> strat_;
+    std::shared_ptr<const gpu::Ladder> ladder_;
     bool prepared_ = false;
 };
 

@@ -337,8 +337,9 @@ Executor::stepInto(arch::WarpContext &warp, const isa::Program &prog,
     // slots alike. The extra lanes are never observable — every
     // consumer masks by rec.active — and the plane copy vectorizes
     // where the old per-lane strided gather could not.
+    const arch::WarpContext &regs = warp; // reads must not mark writes
     for (unsigned s = 0; s < n_srcs; ++s)
-        std::copy_n(warp.regPlane(in.src[s].idx), ws,
+        std::copy_n(regs.regPlane(in.src[s].idx), ws,
                     rec.operands[s].data());
     if (isa::opcodeIsShuffle(in.op)) [[unlikely]] {
         // Cross-lane gather: resolve each active slot's source slot
@@ -347,7 +348,7 @@ Executor::stepInto(arch::WarpContext &warp, const isa::Program &prog,
         // for missing lanes). Reads come from the register plane, not
         // the record, so the in-place permutation never observes its
         // own writes.
-        const RegValue *plane = warp.regPlane(in.src[0].idx);
+        const RegValue *plane = regs.regPlane(in.src[0].idx);
         for (unsigned slot = 0; slot < ws; ++slot) {
             if (!active.test(slot))
                 continue;

@@ -117,6 +117,105 @@ struct ExecRecord
 };
 
 /**
+ * ExecRecords stored at the machine's warp width: each record's header
+ * plus exactly the planes ExecRecord::copyFrom would copy, packed into
+ * shared arrays — about a fifth of a kMaxWarp-wide record per entry at
+ * warp size 32, and three allocations for any number of records.
+ * Snapshot rungs keep queued and pending records in this form.
+ */
+class PackedRecords
+{
+  public:
+    explicit PackedRecords(unsigned ws = 0) : ws_(ws) {}
+
+    std::size_t size() const { return heads_.size(); }
+    bool empty() const { return heads_.empty(); }
+
+    /** Room for @p n records without reallocating. */
+    void
+    reserve(std::size_t n)
+    {
+        heads_.reserve(n);
+        planes_.reserve(n * 4 * ws_);
+    }
+
+    /** Append the first ws thread slots of @p r. */
+    void
+    append(const ExecRecord &r)
+    {
+        Head h{r.instr,    r.pc,        r.warpId,
+               r.traceId,  r.active,    r.wasBranch,
+               r.wasBarrier, r.wasExit, planes_.size(), laneInfo_.size()};
+        heads_.push_back(h);
+        for (unsigned s = 0; s < r.instr.numSrcs(); ++s)
+            planes_.insert(planes_.end(), r.operands[s].begin(),
+                           r.operands[s].begin() + ws_);
+        planes_.insert(planes_.end(), r.results.begin(),
+                       r.results.begin() + ws_);
+        if (r.instr.op == isa::Opcode::S2R)
+            laneInfo_.insert(laneInfo_.end(), r.laneInfo.begin(),
+                             r.laneInfo.begin() + ws_);
+    }
+
+    /** Write record @p i into @p r as ExecRecord::copyFrom of the
+     *  original record at warp width ws would. */
+    void
+    unpack(std::size_t i, ExecRecord &r) const
+    {
+        const Head &h = heads_[i];
+        r.instr = h.instr;
+        r.pc = h.pc;
+        r.warpId = h.warpId;
+        r.traceId = h.traceId;
+        r.active = h.active;
+        r.wasBranch = h.wasBranch;
+        r.wasBarrier = h.wasBarrier;
+        r.wasExit = h.wasExit;
+        const RegValue *p = planes_.data() + h.planeAt;
+        for (unsigned s = 0; s < h.instr.numSrcs(); ++s, p += ws_)
+            std::copy_n(p, ws_, r.operands[s].data());
+        std::copy_n(p, ws_, r.results.data());
+        if (h.instr.op == isa::Opcode::S2R)
+            std::copy_n(laneInfo_.data() + h.laneAt, ws_,
+                        r.laneInfo.data());
+    }
+
+    /** The header of record @p i, without unpacking it. */
+    const isa::Instruction &instr(std::size_t i) const
+    {
+        return heads_[i].instr;
+    }
+
+    std::size_t
+    bytes() const
+    {
+        return sizeof(*this) + heads_.size() * sizeof(Head) +
+               planes_.size() * sizeof(RegValue) +
+               laneInfo_.size() * sizeof(LaneInfo);
+    }
+
+  private:
+    struct Head
+    {
+        isa::Instruction instr;
+        Pc pc;
+        unsigned warpId;
+        std::uint64_t traceId;
+        LaneMask active;
+        bool wasBranch;
+        bool wasBarrier;
+        bool wasExit;
+        std::size_t planeAt; ///< read operand planes, then results
+        std::size_t laneAt;  ///< S2R only
+    };
+
+    unsigned ws_;
+    std::vector<Head> heads_;
+    std::vector<RegValue> planes_;
+    std::vector<LaneInfo> laneInfo_;
+};
+
+/**
  * Executes instructions for the warps of one SM.
  */
 class Executor

@@ -38,7 +38,8 @@ Gpu::Gpu(arch::GpuConfig cfg, dmr::DmrConfig dcfg, std::uint64_t seed,
 LaunchResult
 Gpu::launch(const isa::Program &prog, unsigned grid_blocks,
             unsigned block_threads, Cycle cycle_cap,
-            const StopPredicate &stop)
+            const StopPredicate &stop, const Snapshot *resume,
+            SnapshotSink *sink)
 {
     if (grid_blocks == 0 || block_threads == 0)
         warped_fatal("launch of '", prog.name(), "' with empty grid");
@@ -72,14 +73,60 @@ Gpu::launch(const isa::Program &prog, unsigned grid_blocks,
     sms[0]->stats().trackedWarpSlot =
         cfg_.warpsPerBlock(block_threads) > 1 ? 1 : 0;
 
+    LaunchLoop loop(sms, prog.name(), grid_blocks, block_threads,
+                    cycle_cap);
+    if (resume) {
+        if (resume->sms.size() != sms.size() ||
+            resume->gridBlocks != grid_blocks ||
+            resume->blockThreads != block_threads ||
+            resume->memSys.has_value() != (mem_sys_ptr != nullptr))
+            warped_panic("launch of '", prog.name(), "' resumed from a "
+                         "snapshot of a different launch");
+        mem_.restoreSpan(*resume->dram);
+        if (mem_sys_ptr)
+            mem_sys.restoreState(*resume->memSys);
+        for (std::size_t s = 0; s < sms.size(); ++s)
+            sms[s]->restoreState(*resume->sms[s], *resume->planes);
+        loop.resumeAt(resume->loop);
+    }
+    LaunchLoop::CycleTap tap;
+    std::shared_ptr<sm::PlaneStore> planes;
+    std::shared_ptr<const mem::Memory::Span> dram;
+    std::uint64_t dram_epoch = 0;
+    if (sink) {
+        planes = std::make_shared<sm::PlaneStore>(cfg_.warpSize);
+        tap = [&](const LaunchLoop::Counters &c) {
+            Snapshot snap;
+            snap.loop = c;
+            snap.gridBlocks = grid_blocks;
+            snap.blockThreads = block_threads;
+            snap.planes = planes;
+            snap.sms.reserve(sms.size());
+            for (const auto &sp : sms)
+                snap.sms.push_back(sp->saveState(*planes, c.cycle));
+            if (mem_sys_ptr)
+                snap.memSys = mem_sys.state();
+            // Global memory mostly changes at a kernel's edges: share
+            // the previous snapshot's image while nothing wrote it.
+            if (!dram || mem_.writeEpoch() != dram_epoch) {
+                dram = std::make_shared<const mem::Memory::Span>(
+                    mem_.saveSpan());
+                dram_epoch = mem_.writeEpoch();
+            }
+            snap.dram = dram;
+            sink->take(std::move(snap));
+            return sink->nextWanted(c.cycle + 1);
+        };
+        loop.setCycleTap(&tap, sink->nextWanted(resume ? resume->loop.cycle
+                                                       : 0));
+    }
+
     // The launch's private event recorder: per-SM ring buffers, so
     // recording never crosses SM (or RunPool worker) boundaries.
     std::optional<trace::Recorder> recorder;
     if (cfg_.traceEvents)
         recorder.emplace(cfg_.numSms, cfg_.traceRingCapacity);
 
-    LaunchLoop loop(sms, prog.name(), grid_blocks, block_threads,
-                    cycle_cap);
     if (recorder)
         loop.attachRecorder(&*recorder);
     if (mem_.faultPlane()) [[unlikely]]

@@ -17,6 +17,7 @@
 #include "dmr/dmr_config.hh"
 #include "func/fault_hook.hh"
 #include "gpu/launch_loop.hh"
+#include "gpu/snapshot.hh"
 #include "isa/program.hh"
 #include "mem/memory.hh"
 #include "protection/protection_scheme.hh"
@@ -83,10 +84,20 @@ class Gpu
      *        StopPredicate); empty = run to completion. A stopped
      *        launch reports the cycles it simulated and the statistics
      *        gathered so far.
+     * @param resume start from this snapshot of the same launch
+     *        (same program, geometry, configuration and, after
+     *        setup, the same memory image) instead of cycle 0;
+     *        nullptr = from the start. The result is the one the
+     *        uninterrupted launch would report.
+     * @param sink  given a snapshot at the top of each cycle its
+     *        nextWanted() names; nullptr = none (one compare per
+     *        cycle).
      */
     LaunchResult launch(const isa::Program &prog, unsigned grid_blocks,
                         unsigned block_threads, Cycle cycle_cap = 0,
-                        const StopPredicate &stop = {});
+                        const StopPredicate &stop = {},
+                        const Snapshot *resume = nullptr,
+                        SnapshotSink *sink = nullptr);
 
   private:
     arch::GpuConfig cfg_;

@@ -26,13 +26,17 @@ LaunchLoop::attachRecorder(trace::Recorder *rec)
 LaunchLoop::Outcome
 LaunchLoop::run()
 {
-    unsigned next_block = 0;
-    Cycle cycle = 0;
+    unsigned next_block = start_.nextBlock;
+    Cycle cycle = start_.cycle;
     constexpr Cycle kHardCap = 500'000'000;
     bool hung = false;
-    std::uint64_t ticks = 0;
+    std::uint64_t ticks = start_.ticks;
 
     for (;;) {
+        if (cycle == tapAt_) [[unlikely]]
+            tapAt_ = (*tap_)(Counters{cycle, next_block, ticks});
+
+
         // Keep the fault plane's clock in step so a memory upset
         // strikes mid-run at its scheduled cycle (the final value
         // also covers verify-time host readback).

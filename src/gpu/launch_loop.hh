@@ -41,6 +41,20 @@ using StopPredicate =
 class LaunchLoop
 {
   public:
+    /** The loop's own state at the top of a cycle: everything a
+     *  resumed launch needs besides the SMs and memory. */
+    struct Counters
+    {
+        Cycle cycle = 0;
+        unsigned nextBlock = 0;  ///< next block id to dispatch
+        std::uint64_t ticks = 0; ///< SM ticks so far
+    };
+
+    /** Observer called at the top of chosen cycles, before that
+     *  cycle's dispatch — where a snapshot is taken. Returns the next
+     *  cycle it wants to be called at. */
+    using CycleTap = std::function<Cycle(const Counters &)>;
+
     /** Outcome of driving the SMs to completion (or the watchdog). */
     struct Outcome
     {
@@ -88,6 +102,22 @@ class LaunchLoop
      *  default) runs every launch to completion. Non-owning. */
     void setStopPredicate(const StopPredicate *stop) { stop_ = stop; }
 
+    /** Start at @p at (a snapshot rung's counters, with the SMs
+     *  already restored to it) instead of cycle 0. Cycles stay
+     *  absolute, so the watchdog and every recorded cycle match an
+     *  uninterrupted launch. Call before run(). */
+    void resumeAt(const Counters &at) { start_ = at; }
+
+    /** Call @p tap at the top of cycle @p first and then of each
+     *  cycle it names. Call before run(); without a tap (the
+     *  default) the loop pays one compare per cycle. Non-owning. */
+    void
+    setCycleTap(const CycleTap *tap, Cycle first)
+    {
+        tap_ = tap;
+        tapAt_ = first;
+    }
+
     /** Comparator mismatches so far, summed over the SMs' live
      *  protection statistics. */
     std::uint64_t detections() const;
@@ -96,6 +126,9 @@ class LaunchLoop
     trace::Recorder *recorder_ = nullptr;
     mem::MemFaultPlane *plane_ = nullptr;
     const StopPredicate *stop_ = nullptr;
+    const CycleTap *tap_ = nullptr;
+    Cycle tapAt_ = ~Cycle{0}; ///< next cycle to call tap_ at
+    Counters start_;
     std::vector<std::unique_ptr<sm::Sm>> &sms_;
     const std::string &kernelName_;
     unsigned gridBlocks_;

@@ -1,0 +1,113 @@
+#include "gpu/snapshot.hh"
+
+#include <algorithm>
+
+#include "common/logging.hh"
+
+namespace warped {
+namespace gpu {
+
+std::size_t
+Snapshot::bytes() const
+{
+    std::size_t n = sizeof(Snapshot);
+    for (const auto &s : sms)
+        n += s->bytes();
+    if (memSys)
+        n += (memSys->partitionFreeAt.size() + memSys->bankFreeAt.size()) *
+                 sizeof(Cycle) +
+             memSys->openRow.size() * sizeof(Addr);
+    return n;
+}
+
+std::size_t
+Ladder::rungBytes() const
+{
+    std::size_t n = 0;
+    for (const auto &r : rungs_)
+        n += r.bytes;
+    return n;
+}
+
+std::size_t
+Ladder::bytes() const
+{
+    return rungBytes() +
+           (rungs_.empty() ? 0 : rungs_.front().snap.planes->bytes());
+}
+
+void
+Ladder::thin(Rung *pending)
+{
+    spacing_ *= 2;
+    std::vector<Rung> kept;
+    for (auto &old : rungs_)
+        if (old.snap.loop.cycle % spacing_ == 0)
+            kept.push_back(std::move(old));
+    rungs_ = std::move(kept);
+
+    // Re-charge each memory image to the first surviving rung holding
+    // it, and drop the register planes only dropped rungs used.
+    std::vector<std::vector<std::uint32_t> *> lists;
+    const mem::Memory::Span *prev = nullptr;
+    const auto recount = [&](Rung &r) {
+        r.bytes = r.snap.bytes();
+        if (r.snap.dram.get() != prev)
+            r.bytes += r.snap.dram->bytes.size();
+        prev = r.snap.dram.get();
+        for (auto &s : r.snap.sms)
+            lists.push_back(&s->planes);
+    };
+    for (auto &r : rungs_)
+        recount(r);
+    if (pending && pending->snap.loop.cycle % spacing_ == 0)
+        recount(*pending);
+    // Shared SM states appear once per rung holding them; renumber
+    // each list once.
+    std::sort(lists.begin(), lists.end());
+    lists.erase(std::unique(lists.begin(), lists.end()), lists.end());
+    rungs_.front().snap.planes->compact(lists);
+}
+
+void
+Ladder::take(Snapshot &&s)
+{
+    Rung r{std::move(s), hook_.bound(), 0};
+    r.bytes = r.snap.bytes();
+    if (rungs_.empty() || r.snap.dram != rungs_.back().snap.dram)
+        r.bytes += r.snap.dram->bytes.size();
+    for (;;) {
+        if (rungs_.empty() ||
+            (rungs_.size() < kMaxRungs &&
+             rungBytes() + r.bytes + r.snap.planes->bytes() <= kMaxBytes)) {
+            rungs_.push_back(std::move(r));
+            return;
+        }
+        // Over a cap: keep every other rung (those on the doubled
+        // spacing, rung 0 among them) and retry at the new spacing.
+        thin(&r);
+        if (r.snap.loop.cycle % spacing_ != 0)
+            return;
+    }
+}
+
+const Snapshot &
+Ladder::forExecFault(Cycle begin) const
+{
+    for (auto it = rungs_.rbegin(); it != rungs_.rend(); ++it)
+        if (it->snap.loop.cycle <= begin && it->horizon <= begin)
+            return it->snap;
+    warped_panic("ladder has no rung 0");
+}
+
+const Snapshot &
+Ladder::forMemFault(Cycle strike) const
+{
+    for (auto it = rungs_.rbegin(); it != rungs_.rend(); ++it)
+        if (it->snap.loop.cycle <= strike)
+            return it->snap;
+    warped_panic("ladder has no rung 0");
+}
+
+} // namespace gpu
+} // namespace warped

@@ -1,0 +1,182 @@
+/**
+ * @file
+ * Value-semantic machine state for resuming a launch mid-flight.
+ *
+ * A gpu::Snapshot is the live state of one launch at the top of one
+ * cycle: every SM's sm::Sm::State (warps, SIMT stacks, planes, active
+ * blocks and their shared memory, scoreboard, statistics, protection
+ * scheme and recovery state), the launch loop's counters, the memory
+ * system's bank/partition timing and the written span of global
+ * memory. Gpu::launch captures snapshots into a SnapshotSink while it
+ * runs and resumes from one instead of cycle 0; cycles stay absolute,
+ * so a resumed launch reports exactly what the uninterrupted one did.
+ * The trace recorder is not part of a snapshot (campaign machines run
+ * with GpuConfig::traceEvents off): a resumed, traced launch records
+ * from its resume cycle on.
+ *
+ * A gpu::Ladder is the sink fault campaigns use: the golden pass
+ * keeps one snapshot (a *rung*) every K cycles, and each injected run
+ * resumes from the latest rung its fault cannot have touched (see
+ * docs/FAULT_MODEL.md, "Snapshot fork").
+ */
+
+#ifndef WARPED_GPU_SNAPSHOT_HH
+#define WARPED_GPU_SNAPSHOT_HH
+
+#include <memory>
+#include <optional>
+#include <vector>
+
+#include "func/fault_hook.hh"
+#include "gpu/launch_loop.hh"
+#include "mem/memory.hh"
+#include "mem/memory_system.hh"
+#include "sm/plane_store.hh"
+#include "sm/sm.hh"
+
+namespace warped {
+namespace gpu {
+
+/** One launch's live state at the top of a cycle (see file comment).
+ *  Move-only; resuming copies out of it, so one snapshot serves any
+ *  number of resumed launches, concurrently. Snapshots of one launch
+ *  share what did not change between them: the register planes and
+ *  an unchanged global-memory image. */
+struct Snapshot
+{
+    LaunchLoop::Counters loop;
+    /** The launch's geometry, checked on resume. */
+    unsigned gridBlocks = 0;
+    unsigned blockThreads = 0;
+    /** Per SM; an SM untouched between two snapshots shares one. */
+    std::vector<std::shared_ptr<sm::Sm::State>> sms;
+    /** Register planes the SM states index (shared). */
+    std::shared_ptr<sm::PlaneStore> planes;
+    /** Memory-system timing, when the machine models one. */
+    std::optional<mem::MemorySystem::State> memSys;
+    /** Global memory's written span (shared while unchanged). */
+    std::shared_ptr<const mem::Memory::Span> dram;
+
+    /** Heap and inline bytes held, shared parts aside. */
+    std::size_t bytes() const;
+};
+
+/** Receives the snapshots a launch captures. */
+class SnapshotSink
+{
+  public:
+    virtual ~SnapshotSink() = default;
+    /** The first cycle at or after @p cycle to snapshot at. */
+    virtual Cycle nextWanted(Cycle cycle) const = 0;
+    /** A snapshot taken at a cycle nextWanted() named. */
+    virtual void take(Snapshot &&s) = 0;
+};
+
+/**
+ * The fault-free hook of a golden pass that captures a ladder: never
+ * live and the identity, so the pass runs exactly like the fault-free
+ * machine, but it remembers the furthest cycle any liveAt query or
+ * apply call has named. Those can look ahead of the cycle being
+ * simulated (an eager re-execution verifies at now + 1; the software
+ * schemes apply at a modelled second-run cycle), which is why a rung
+ * is only sound for faults beyond this horizon.
+ */
+class HorizonHook final : public func::FaultHook
+{
+  public:
+    RegValue
+    apply(RegValue pure, const func::FaultCtx &ctx) override
+    {
+        note(ctx.cycle);
+        return pure;
+    }
+    bool
+    liveAt(unsigned, Cycle cycle) const override
+    {
+        note(cycle);
+        return false;
+    }
+    /** Every call so far named a cycle below this (0: no call yet). */
+    Cycle bound() const { return bound_; }
+
+  private:
+    void
+    note(Cycle c) const
+    {
+        if (c >= bound_)
+            bound_ = c + 1;
+    }
+    mutable Cycle bound_ = 0;
+};
+
+/**
+ * Snapshots of one golden pass, one rung every spacing() cycles from
+ * cycle 0, each stamped with its hook horizon. Fixed caps bound its
+ * size: at most kMaxRungs rungs and kMaxBytes bytes, shared register
+ * planes and memory images counted once. A rung that would exceed
+ * either cap first drops every other rung and doubles the spacing
+ * (rung 0, the launch's starting state, always stays).
+ * Immutable once the capturing launch returns; resumed launches on
+ * any number of threads may share it.
+ */
+class Ladder final : public SnapshotSink
+{
+  public:
+    static constexpr Cycle kInitialSpacing = 512;
+    static constexpr std::size_t kMaxRungs = 32;
+    static constexpr std::size_t kMaxBytes = std::size_t{2} << 20;
+
+    struct Rung
+    {
+        Snapshot snap;
+        /** Every hook call made before the rung's cycle named a cycle
+         *  below this (HorizonHook::bound at capture). */
+        Cycle horizon = 0;
+        /** Snapshot::bytes, plus the memory image when it is the
+         *  first rung holding it. */
+        std::size_t bytes = 0;
+    };
+
+    /** The hook the capturing launch must run under. */
+    func::FaultHook &hook() { return hook_; }
+
+    Cycle
+    nextWanted(Cycle cycle) const override
+    {
+        return (cycle + spacing_ - 1) / spacing_ * spacing_;
+    }
+    void take(Snapshot &&s) override;
+
+    /**
+     * The rung to resume a run whose execution-unit fault can first
+     * act at cycle @p begin: the latest rung at or before @p begin
+     * whose horizon is at most @p begin, so no hook call the skipped
+     * prefix made could have met the fault. Rung 0 always qualifies.
+     */
+    const Snapshot &forExecFault(Cycle begin) const;
+    /** The rung to resume a run whose memory upset strikes at cycle
+     *  @p strike: the latest rung at or before it (the fault plane
+     *  is inert before its strike cycle). */
+    const Snapshot &forMemFault(Cycle strike) const;
+
+    const std::vector<Rung> &rungs() const { return rungs_; }
+    Cycle spacing() const { return spacing_; }
+    /** Rung bytes plus the shared register planes. */
+    std::size_t bytes() const;
+
+  private:
+    /** Sum of rungs_[i].bytes. */
+    std::size_t rungBytes() const;
+    /** Drop every other rung, double the spacing, and compact the
+     *  plane store over the survivors and @p pending (when kept). */
+    void thin(Rung *pending);
+
+    HorizonHook hook_;
+    std::vector<Rung> rungs_;
+    Cycle spacing_ = kInitialSpacing;
+};
+
+} // namespace gpu
+} // namespace warped
+
+#endif // WARPED_GPU_SNAPSHOT_HH

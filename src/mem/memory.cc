@@ -92,6 +92,40 @@ Memory::clear()
         std::memset(bytes_.data() + dirtyLo_, 0, dirtyHi_ - dirtyLo_);
     dirtyLo_ = bytes_.size();
     dirtyHi_ = 0;
+    ++writeEpoch_;
+}
+
+Memory::Span
+Memory::saveSpan() const
+{
+    Span s;
+    if (dirtyLo_ < dirtyHi_) {
+        s.lo = dirtyLo_;
+        s.bytes.assign(bytes_.begin() + dirtyLo_,
+                       bytes_.begin() + dirtyHi_);
+    }
+    return s;
+}
+
+void
+Memory::restoreSpan(const Span &s)
+{
+    const std::size_t hi = s.lo + s.bytes.size();
+    if (hi > bytes_.size() || hi < s.lo)
+        outOfBounds(s.lo, s.bytes.size());
+    // Only the current written span can be non-zero; skip zeroing it
+    // when the incoming span covers it anyway.
+    if (dirtyLo_ < dirtyHi_ && (dirtyLo_ < s.lo || dirtyHi_ > hi))
+        std::memset(bytes_.data() + dirtyLo_, 0, dirtyHi_ - dirtyLo_);
+    if (!s.bytes.empty()) {
+        std::memcpy(bytes_.data() + s.lo, s.bytes.data(), s.bytes.size());
+        dirtyLo_ = s.lo;
+        dirtyHi_ = hi;
+    } else {
+        dirtyLo_ = bytes_.size();
+        dirtyHi_ = 0;
+    }
+    ++writeEpoch_;
 }
 
 LinearAllocator::LinearAllocator(std::size_t capacity, Addr base)

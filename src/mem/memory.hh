@@ -18,6 +18,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/buffer_pool.hh"
 #include "common/types.hh"
 
 namespace warped {
@@ -94,6 +95,27 @@ class Memory
     /** Zero the whole memory (only the written span needs it). */
     void clear();
 
+    /** A copy of the written span: every byte outside
+     *  [lo, lo + bytes.size()) is zero. */
+    struct Span
+    {
+        std::size_t lo = 0;
+        std::vector<std::uint8_t> bytes;
+    };
+
+    /** Snapshot support: copy out the written span. */
+    Span saveSpan() const;
+    /** Changes whenever the contents may have: a snapshot taken at an
+     *  unchanged epoch still holds them. */
+    std::uint64_t writeEpoch() const { return writeEpoch_; }
+
+    /**
+     * Snapshot support: make the contents equal to @p s — its bytes
+     * in place, zero everywhere else — as raw storage, with no
+     * access simulated (an attached fault plane sees nothing).
+     */
+    void restoreSpan(const Span &s);
+
   private:
     /** Widen the written span to cover [addr, addr + n). */
     void
@@ -101,6 +123,7 @@ class Memory
     {
         dirtyLo_ = std::min<std::size_t>(dirtyLo_, addr);
         dirtyHi_ = std::max<std::size_t>(dirtyHi_, addr + n);
+        ++writeEpoch_;
     }
 
     void check(Addr addr, std::size_t n) const;
@@ -109,13 +132,14 @@ class Memory
     RegValue filterWordSlow(Addr addr, RegValue v) const;
     void onWriteSlow(Addr addr, std::size_t n);
 
-    std::vector<std::uint8_t> bytes_;
+    common::ZeroedBuffer bytes_;
     MemFaultPlane *plane_ = nullptr; ///< non-owning; campaign-run scoped
     /** Every byte outside [dirtyLo_, dirtyHi_) is still zero (empty
      *  when dirtyLo_ >= dirtyHi_). Covers every store, including
      *  wrapped stores to fault-corrupted addresses. */
     std::size_t dirtyLo_;
     std::size_t dirtyHi_ = 0;
+    std::uint64_t writeEpoch_ = 0; ///< see writeEpoch
 };
 
 /**

@@ -8,17 +8,18 @@ namespace mem {
 
 namespace {
 
-/// openRow_ sentinel: bank has no row open yet (first touch misses).
+/// s_.openRow sentinel: bank has no row open yet (first touch misses).
 constexpr Addr kNoRow = std::numeric_limits<Addr>::max();
 
 } // namespace
 
 MemorySystem::MemorySystem(const arch::GpuConfig &cfg)
-    : cfg_(cfg), partitionFreeAt_(std::max(1u, cfg.memoryPartitions), 0)
+    : cfg_(cfg)
 {
+    s_.partitionFreeAt.assign(std::max(1u, cfg.memoryPartitions), 0);
     if (cfg.memModel == arch::MemModel::Banked) {
-        bankFreeAt_.assign(std::max(1u, cfg.memBanks), 0);
-        openRow_.assign(bankFreeAt_.size(), kNoRow);
+        s_.bankFreeAt.assign(std::max(1u, cfg.memBanks), 0);
+        s_.openRow.assign(s_.bankFreeAt.size(), kNoRow);
     }
 }
 
@@ -29,12 +30,12 @@ MemorySystem::access(Cycle now, const std::vector<Addr> &segments)
         return accessBanked(now, segments);
     Cycle done = now + cfg_.globalMemLatency;
     for (const Addr seg : segments) {
-        const std::size_t p = seg % partitionFreeAt_.size();
-        const Cycle start = std::max(now, partitionFreeAt_[p]);
-        partitionFreeAt_[p] = start + cfg_.memoryServicePeriod;
+        const std::size_t p = seg % s_.partitionFreeAt.size();
+        const Cycle start = std::max(now, s_.partitionFreeAt[p]);
+        s_.partitionFreeAt[p] = start + cfg_.memoryServicePeriod;
         const Cycle resp = start + cfg_.globalMemLatency;
-        queueing_ += start - now;
-        ++transactions_;
+        s_.queueing += start - now;
+        ++s_.transactions;
         done = std::max(done, resp);
     }
     return done;
@@ -47,25 +48,25 @@ MemorySystem::accessBanked(Cycle now, const std::vector<Addr> &segments)
     // segments hit adjacent banks — the usual DRAM interleave), and
     // a bank's row index advances once per full sweep of all banks
     // times the segments-per-row ratio.
-    const Addr banks = bankFreeAt_.size();
+    const Addr banks = s_.bankFreeAt.size();
     const Addr segs_per_row =
         std::max<Addr>(1, cfg_.memRowBytes / cfg_.coalesceSegmentBytes);
     Cycle done = now + cfg_.globalMemLatency;
     for (const Addr seg : segments) {
         const std::size_t b = static_cast<std::size_t>(seg % banks);
         const Addr row = seg / banks / segs_per_row;
-        const Cycle start = std::max(now, bankFreeAt_[b]);
+        const Cycle start = std::max(now, s_.bankFreeAt[b]);
         Cycle latency = cfg_.globalMemLatency;
-        if (openRow_[b] == row) {
-            ++rowHits_;
+        if (s_.openRow[b] == row) {
+            ++s_.rowHits;
         } else {
-            ++rowMisses_;
+            ++s_.rowMisses;
             latency += cfg_.memRowMissPenalty;
-            openRow_[b] = row;
+            s_.openRow[b] = row;
         }
-        bankFreeAt_[b] = start + cfg_.memoryServicePeriod;
-        queueing_ += start - now;
-        ++transactions_;
+        s_.bankFreeAt[b] = start + cfg_.memoryServicePeriod;
+        s_.queueing += start - now;
+        ++s_.transactions;
         done = std::max(done, start + latency);
     }
     return done;

@@ -47,27 +47,35 @@ class MemorySystem
      */
     Cycle access(Cycle now, const std::vector<Addr> &segments);
 
-    std::uint64_t transactions() const { return transactions_; }
-
+    std::uint64_t transactions() const { return s_.transactions; }
     /** Total queueing delay accumulated beyond the raw latency. */
-    std::uint64_t queueingCycles() const { return queueing_; }
-
+    std::uint64_t queueingCycles() const { return s_.queueing; }
     /** Banked model only: transactions hitting the bank's open row. */
-    std::uint64_t rowHits() const { return rowHits_; }
+    std::uint64_t rowHits() const { return s_.rowHits; }
     /** Banked model only: transactions that switched the open row. */
-    std::uint64_t rowMisses() const { return rowMisses_; }
+    std::uint64_t rowMisses() const { return s_.rowMisses; }
+
+    /** Everything access() reads or writes: the partition and bank
+     *  timing plus the counters (snapshot support). */
+    struct State
+    {
+        std::vector<Cycle> partitionFreeAt;
+        std::vector<Cycle> bankFreeAt; ///< Banked model
+        std::vector<Addr> openRow;     ///< Banked: row open per bank
+        std::uint64_t transactions = 0;
+        std::uint64_t queueing = 0;
+        std::uint64_t rowHits = 0;
+        std::uint64_t rowMisses = 0;
+    };
+    const State &state() const { return s_; }
+    /** Resume from @p s, saved by a system on the same config. */
+    void restoreState(const State &s) { s_ = s; }
 
   private:
     Cycle accessBanked(Cycle now, const std::vector<Addr> &segments);
 
     const arch::GpuConfig &cfg_;
-    std::vector<Cycle> partitionFreeAt_;
-    std::vector<Cycle> bankFreeAt_;  ///< Banked model
-    std::vector<Addr> openRow_;      ///< Banked: row open per bank
-    std::uint64_t transactions_ = 0;
-    std::uint64_t queueing_ = 0;
-    std::uint64_t rowHits_ = 0;
-    std::uint64_t rowMisses_ = 0;
+    State s_;
 };
 
 } // namespace mem

@@ -85,6 +85,21 @@ PartialThreadScheme::onIssue(const func::ExecRecord &rec, Cycle now)
     return stall;
 }
 
+void
+PartialThreadScheme::restoreState(const State &s)
+{
+    engine_.restoreState(s.engine);
+    stallAcc_ = s.stallAcc;
+    partial_ = s.partial;
+}
+
+std::unique_ptr<SchemeState>
+PartialThreadScheme::saveState() const
+{
+    return std::make_unique<SchemeStateOf<PartialThreadScheme, State>>(
+        State{engine_.saveStateValue(), stallAcc_, partial_});
+}
+
 const dmr::DmrStats &
 PartialThreadScheme::stats() const
 {

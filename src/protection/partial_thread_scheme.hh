@@ -87,6 +87,22 @@ class PartialThreadScheme final : public ProtectionScheme
 
     unsigned protectedSlots() const { return protectedSlots_; }
 
+    /** The wrapped engine's state plus the partial path's own. */
+    struct State
+    {
+        dmr::DmrEngine::State engine;
+        std::uint64_t stallAcc = 0;
+        dmr::DmrStats partial;
+        std::size_t
+        bytes() const
+        {
+            return engine.bytes() + sizeof(*this) +
+                   partial.errorLog.size() * sizeof(dmr::ErrorEvent);
+        }
+    };
+    void restoreState(const State &s);
+    std::unique_ptr<SchemeState> saveState() const override;
+
   private:
     const arch::GpuConfig &gpu_;
     func::Executor &exec_;

@@ -26,7 +26,9 @@
 #define WARPED_PROTECTION_PROTECTION_SCHEME_HH
 
 #include <cstdint>
+#include <memory>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "dmr/dmr_stats.hh"
 #include "dmr/thread_mapping.hh"
@@ -73,6 +75,50 @@ struct SchemeConfig
      *  (rounded up) that get duplicated; 1.0 = protect everything
      *  (== Warped-DMR), 0.0 = protect nothing (== Original). */
     double protectFraction = 1.0;
+};
+
+class ProtectionScheme;
+
+/**
+ * A copy of one scheme's mutable state, taken for a gpu::Snapshot
+ * rung. Holds only what the next cycle can read: occupied queue
+ * slots, pending records, RNG position and counters — never the
+ * scheme's references or attached observers.
+ */
+class SchemeState
+{
+  public:
+    virtual ~SchemeState() = default;
+    /** Overwrite @p scheme's mutable state with this copy. @p scheme
+     *  must be of the saving scheme's type and configuration. */
+    virtual void restoreInto(ProtectionScheme &scheme) const = 0;
+    /** Heap and inline bytes the copy holds (rung budgeting). */
+    virtual std::size_t bytes() const = 0;
+};
+
+/**
+ * SchemeState for scheme type @p S whose state is the value type
+ * @p StateT: restoreInto hands it to `S::restoreState`, bytes() asks
+ * `StateT::bytes`.
+ */
+template <class S, class StateT>
+class SchemeStateOf final : public SchemeState
+{
+  public:
+    explicit SchemeStateOf(StateT s) : state(std::move(s)) {}
+
+    void
+    restoreInto(ProtectionScheme &scheme) const override
+    {
+        auto *target = dynamic_cast<S *>(&scheme);
+        if (!target)
+            warped_panic("snapshot restore into a different scheme");
+        target->restoreState(state);
+    }
+
+    std::size_t bytes() const override { return state.bytes(); }
+
+    StateT state;
 };
 
 /**
@@ -154,6 +200,10 @@ class ProtectionScheme
     /** Thread-slot -> physical-lane mapping this scheme executes
      *  under (§4.2); Linear for everything but Warped-DMR. */
     virtual const dmr::ThreadCoreMapping &mapping() const = 0;
+
+    /** Copy the mutable state at a cycle boundary (snapshot
+     *  support); SchemeState::restoreInto puts it back. */
+    virtual std::unique_ptr<SchemeState> saveState() const = 0;
 };
 
 } // namespace protection

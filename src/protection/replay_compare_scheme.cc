@@ -5,6 +5,35 @@
 namespace warped {
 namespace protection {
 
+std::size_t
+ReplayCompareScheme::State::bytes() const
+{
+    return base.bytes() + sizeof(*this) +
+           candidates.size() * sizeof(Candidate);
+}
+
+void
+ReplayCompareScheme::restoreState(const State &s)
+{
+    SoftwareSchemeBase::restoreState(s.base);
+    candidates_ = s.candidates;
+    droppedCandidates_ = s.droppedCandidates;
+    replayExecs_ = s.replayExecs;
+    firstIssue_ = s.firstIssue;
+    lastIssue_ = s.lastIssue;
+    any_ = s.any;
+    phase_ = s.phase;
+    replayLeft_ = s.replayLeft;
+}
+
+std::unique_ptr<SchemeState>
+ReplayCompareScheme::saveState() const
+{
+    return std::make_unique<SchemeStateOf<ReplayCompareScheme, State>>(
+        State{{stats_}, candidates_, droppedCandidates_, replayExecs_,
+              firstIssue_, lastIssue_, any_, phase_, replayLeft_});
+}
+
 unsigned
 ReplayCompareScheme::onIssue(const func::ExecRecord &rec, Cycle now)
 {

@@ -64,6 +64,32 @@ class ReplayCompareScheme final : public SoftwareSchemeBase
         Pc pc = 0;
     };
 
+    enum class Phase
+    {
+        Recording,
+        Replaying,
+        Done
+    };
+
+  public:
+    /** Counters plus the recording/replay progress. */
+    struct State
+    {
+        SoftwareSchemeBase::State base;
+        std::vector<Candidate> candidates;
+        std::uint64_t droppedCandidates = 0;
+        std::array<std::uint64_t, isa::kNumUnitTypes> replayExecs{};
+        Cycle firstIssue = 0;
+        Cycle lastIssue = 0;
+        bool any = false;
+        Phase phase = Phase::Recording;
+        Cycle replayLeft = 0;
+        std::size_t bytes() const;
+    };
+    void restoreState(const State &s);
+    std::unique_ptr<SchemeState> saveState() const override;
+
+  private:
     void finishReplay(Cycle end);
 
     /** Bound on remembered corrupted slots; overflow is counted and
@@ -76,12 +102,7 @@ class ReplayCompareScheme final : public SoftwareSchemeBase
     Cycle firstIssue_ = 0;
     Cycle lastIssue_ = 0;
     bool any_ = false;
-    enum class Phase
-    {
-        Recording,
-        Replaying,
-        Done
-    } phase_ = Phase::Recording;
+    Phase phase_ = Phase::Recording;
     Cycle replayLeft_ = 0;
 };
 

@@ -14,6 +14,20 @@ SoftwareSchemeBase::SoftwareSchemeBase(const arch::GpuConfig &gpu,
 {
 }
 
+std::unique_ptr<SchemeState>
+SoftwareSchemeBase::saveState() const
+{
+    return std::make_unique<SchemeStateOf<SoftwareSchemeBase, State>>(
+        State{stats_});
+}
+
+std::unique_ptr<SchemeState>
+RThreadScheme::saveState() const
+{
+    return std::make_unique<SchemeStateOf<RThreadScheme, State>>(
+        State{{stats_}, stallAcc_});
+}
+
 bool
 verifySlotThroughHook(func::Executor &exec,
                       const dmr::ThreadCoreMapping &mapping,

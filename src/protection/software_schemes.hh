@@ -82,6 +82,20 @@ class SoftwareSchemeBase : public ProtectionScheme
         return mapping_;
     }
 
+    /** The counters: all the state a stateless backend has. */
+    struct State
+    {
+        dmr::DmrStats stats;
+        std::size_t
+        bytes() const
+        {
+            return sizeof(*this) +
+                   stats.errorLog.size() * sizeof(dmr::ErrorEvent);
+        }
+    };
+    void restoreState(const State &s) { stats_ = s.stats; }
+    std::unique_ptr<SchemeState> saveState() const override;
+
   protected:
     /**
      * Recompute thread @p slot of @p rec through the fault hook as
@@ -143,6 +157,20 @@ class RThreadScheme final : public SoftwareSchemeBase
     SchemeId id() const override { return SchemeId::RThread; }
     bool supportsRecovery() const override { return true; }
     unsigned onIssue(const func::ExecRecord &rec, Cycle now) override;
+
+    struct State
+    {
+        SoftwareSchemeBase::State base;
+        std::uint64_t stallAcc = 0;
+        std::size_t bytes() const { return base.bytes() + sizeof(stallAcc); }
+    };
+    void
+    restoreState(const State &s)
+    {
+        SoftwareSchemeBase::restoreState(s.base);
+        stallAcc_ = s.stallAcc;
+    }
+    std::unique_ptr<SchemeState> saveState() const override;
 
   private:
     /** Duplicated threads that found no spare lane, pending

@@ -136,6 +136,40 @@ class CheckpointRing
 
     std::size_t totalSize() const { return total_; }
 
+    /** Visit every memory-undo entry, chains in warp order and each
+     *  chain oldest first — a fixed order, so a copied ring can
+     *  re-point its entries at its own memories (snapshot restore). */
+    template <class F>
+    void
+    forEachUndo(F &&f)
+    {
+        for (auto &c : chains_)
+            for (Delta &d : c)
+                for (func::MemUndo &u : d.memUndo)
+                    f(u);
+    }
+    template <class F>
+    void
+    forEachUndo(F &&f) const
+    {
+        for (const auto &c : chains_)
+            for (const Delta &d : c)
+                for (const func::MemUndo &u : d.memUndo)
+                    f(u);
+    }
+
+    /** Heap and inline bytes held (snapshot budgeting). */
+    std::size_t
+    bytes() const
+    {
+        std::size_t n = sizeof(*this) + chains_.size() * sizeof(chains_[0]);
+        for (const auto &c : chains_)
+            for (const Delta &d : c)
+                n += sizeof(Delta) +
+                     d.memUndo.size() * sizeof(func::MemUndo);
+        return n;
+    }
+
   private:
     void
     evictOldest()

@@ -129,6 +129,10 @@ class RecoveryManager : public dmr::RecoveryListener
     const RecoveryStats &stats() const { return stats_; }
     const RecoveryConfig &config() const { return cfg_; }
     const CheckpointRing &ring() const { return ring_; }
+    /** Snapshot restore: a copied manager's undo entries still point
+     *  at the saving machine's memories; re-point them in
+     *  CheckpointRing::forEachUndo order. */
+    CheckpointRing &ring() { return ring_; }
 
   private:
     /** Mark the delta with @p trace_id cleared and pop the chain's

@@ -43,6 +43,18 @@ class Scoreboard
     /** Clear one warp slot (block retirement / reassignment). */
     void resetWarp(unsigned warp);
 
+    /** Warp @p warp's row: readyAt for each of the numRegs()
+     *  registers (snapshot support — a free slot's row is all 0). */
+    const Cycle *row(unsigned warp) const
+    {
+        return readyAt_.data() + std::size_t{warp} * numRegs_;
+    }
+    Cycle *row(unsigned warp)
+    {
+        return readyAt_.data() + std::size_t{warp} * numRegs_;
+    }
+    unsigned numRegs() const { return numRegs_; }
+
   private:
     unsigned numRegs_;
     std::vector<Cycle> readyAt_; ///< [warp * numRegs + r]

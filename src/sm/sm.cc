@@ -1,6 +1,7 @@
 #include "sm/sm.hh"
 
 #include <set>
+#include <utility>
 
 #include "common/logging.hh"
 #include "protection/scheme_registry.hh"
@@ -69,6 +70,7 @@ Sm::assignBlock(unsigned block_id, unsigned block_threads,
 {
     if (!canAcceptBlock(block_threads))
         warped_panic("assignBlock on a full SM");
+    ++mutations_;
 
     unsigned slot = 0;
     while (blocks_[slot].active)
@@ -415,6 +417,7 @@ Sm::tryIssue(unsigned warp_slot, Cycle now, isa::UnitType &unit_out)
 void
 Sm::tick(Cycle now)
 {
+    ++mutations_;
     ++stats_.cycles;
 
     if (stallCycles_ > 0) {
@@ -520,6 +523,179 @@ Sm::tick(Cycle now)
         warped_panic("SM ", smId_, " made no progress for 1M cycles: "
                      "barrier deadlock or scoreboard bug (pc ",
                      "unknown)");
+}
+
+std::size_t
+Sm::State::bytes() const
+{
+    std::size_t n = sizeof(State) + warps.size() * sizeof(Warp) +
+                    stacks.size() * sizeof(arch::SimtStack::Entry) +
+                    stats.trace.size() * sizeof(TraceEvent) +
+                    undoTargets.size() * sizeof(unsigned);
+    n += planes.size() * sizeof(std::uint32_t) +
+         pending.size() * sizeof(Pending);
+    for (const Block &b : blocks)
+        n += sizeof(Block) + b.warpSlots.size() * sizeof(unsigned) +
+             b.shared->bytes.size();
+    if (scheme)
+        n += scheme->bytes();
+    if (recovery)
+        n += recovery->ring().bytes();
+    return n;
+}
+
+std::shared_ptr<Sm::State>
+Sm::saveState(PlaneStore &planes, Cycle now)
+{
+    // Planes cached from the previous capture are reusable only in
+    // the same store, uncompacted since.
+    const bool cached =
+        capturedInto_ == &planes && capturedGen_ == planes.generation();
+    if (cached && captured_ && capturedAt_ == mutations_)
+        return captured_;
+    auto sp = std::make_shared<State>(stats_);
+    State &s = *sp;
+    const unsigned regs = scoreboard_.numRegs();
+    capturedPlanes_.resize(std::size_t{maxWarps_} * regs);
+    capturedShared_.resize(blocks_.size());
+    capturedInto_ = &planes;
+    capturedGen_ = planes.generation();
+    s.warps.reserve(residentWarps_);
+    s.stacks.reserve(std::size_t{residentWarps_} * 4);
+    s.planes.reserve(std::size_t{residentWarps_} * regs);
+    for (unsigned w = 0; w < scanLimit_; ++w) {
+        if (warpState_[w] == kWarpEmpty)
+            continue;
+        arch::WarpContext &ctx = *warps_[w];
+        const auto &stack = ctx.stack().entries();
+        s.warps.push_back({w, warpState_[w], warpPc_[w], warpBlockSlot_[w],
+                           static_cast<unsigned>(stack.size()),
+                           ctx.header()});
+        s.stacks.insert(s.stacks.end(), stack.begin(), stack.end());
+        std::uint64_t written = ctx.takeWritten();
+        if (!cached)
+            written = ~std::uint64_t{0};
+        std::uint32_t *idx = capturedPlanes_.data() + std::size_t{w} * regs;
+        for (unsigned r = 0; r < regs; ++r) {
+            const auto reg = static_cast<RegIndex>(r);
+            if (written & arch::WarpContext::regBit(reg))
+                idx[r] = planes.add(std::as_const(ctx).regPlane(reg));
+        }
+        const auto at = static_cast<std::uint32_t>(s.planes.size());
+        s.planes.insert(s.planes.end(), idx, idx + regs);
+        const Cycle *row = scoreboard_.row(w);
+        for (unsigned r = 0; r < regs; ++r)
+            if (row[r] > now)
+                s.pending.push_back({at + r, row[r]});
+    }
+    for (unsigned k = 0; k < blocks_.size(); ++k) {
+        const BlockSlot &b = blocks_[k];
+        if (!b.active)
+            continue;
+        // A block's shared memory often outlives several captures
+        // unchanged (tiles are rewritten once per phase): share it.
+        CapturedShared &c = capturedShared_[k];
+        if (!c.span || c.of != b.shared.get() ||
+            c.epoch != b.shared->writeEpoch()) {
+            c.span = std::make_shared<const mem::Memory::Span>(
+                b.shared->saveSpan());
+            c.of = b.shared.get();
+            c.epoch = b.shared->writeEpoch();
+        }
+        s.blocks.push_back({k, b.blockId, b.liveWarps, b.barrierWaiters,
+                            b.warpSlots, b.shared->size(), c.span});
+    }
+    s.scheme = scheme_->saveState();
+    if (recovery_) {
+        s.recovery.emplace(*recovery_);
+        s.recovery->ring().forEachUndo([&](func::MemUndo &u) {
+            unsigned target = 0;
+            if (u.mem != &global_) {
+                while (target < blocks_.size() &&
+                       blocks_[target].shared.get() != u.mem)
+                    ++target;
+                if (target == blocks_.size())
+                    warped_panic("SM ", smId_, ": recovery undo entry "
+                                 "names an unknown memory");
+                ++target;
+            }
+            s.undoTargets.push_back(target);
+            u.mem = nullptr;
+        });
+    }
+    s.issueSeq = issueSeq_;
+    s.residentWarps = residentWarps_;
+    s.residentThreads = residentThreads_;
+    s.scanLimit = scanLimit_;
+    s.barrierBlocks = barrierBlocks_;
+    s.lastScheduled = lastScheduled_;
+    s.stallCycles = stallCycles_;
+    s.lastProgress = lastProgress_;
+    s.ldstPortFreeAt = ldstPortFreeAt_;
+    captured_ = sp;
+    capturedAt_ = mutations_;
+    return sp;
+}
+
+void
+Sm::restoreState(const State &s, const PlaneStore &planes)
+{
+    if (!s.recovery != !recovery_)
+        warped_panic("SM ", smId_, ": snapshot of a different machine");
+    const unsigned regs = scoreboard_.numRegs();
+    const unsigned ws = cfg_.warpSize;
+    const arch::SimtStack::Entry *stack = s.stacks.data();
+    for (std::size_t i = 0; i < s.warps.size(); ++i) {
+        const State::Warp &sw = s.warps[i];
+        auto &ctx = warps_[sw.slot];
+        ctx.emplace(ws, prog_.numRegs(), 0, 0, ws, ws, 1);
+        ctx->restoreHeader(sw.header);
+        ctx->stack().assign(stack, stack + sw.stackDepth);
+        stack += sw.stackDepth;
+        warpState_[sw.slot] = sw.state;
+        warpPc_[sw.slot] = sw.pc;
+        warpBlockSlot_[sw.slot] = sw.blockSlot;
+        for (unsigned r = 0; r < regs; ++r)
+            std::copy_n(planes.plane(s.planes[i * regs + r]), ws,
+                        ctx->regPlane(static_cast<RegIndex>(r)));
+    }
+    for (const State::Pending &p : s.pending)
+        scoreboard_.row(s.warps[p.at / regs].slot)[p.at % regs] =
+            p.readyAt;
+    for (const State::Block &sb : s.blocks) {
+        BlockSlot &b = blocks_[sb.slot];
+        b.active = true;
+        b.blockId = sb.blockId;
+        b.liveWarps = sb.liveWarps;
+        b.barrierWaiters = sb.barrierWaiters;
+        b.warpSlots = sb.warpSlots;
+        if (!b.shared || b.shared->size() != sb.sharedBytes)
+            b.shared = std::make_unique<mem::Memory>(sb.sharedBytes);
+        b.shared->restoreSpan(*sb.shared);
+    }
+    stats_ = s.stats;
+    s.scheme->restoreInto(*scheme_);
+    if (recovery_) {
+        *recovery_ = *s.recovery;
+        recovery_->attachRecorder(recorder_);
+        std::size_t i = 0;
+        recovery_->ring().forEachUndo([&](func::MemUndo &u) {
+            const unsigned t = s.undoTargets[i++];
+            u.mem = t == 0 ? &global_ : blocks_[t - 1].shared.get();
+            if (!u.mem)
+                warped_panic("SM ", smId_, ": recovery undo entry "
+                             "names a retired block's shared memory");
+        });
+    }
+    issueSeq_ = s.issueSeq;
+    residentWarps_ = s.residentWarps;
+    residentThreads_ = s.residentThreads;
+    scanLimit_ = s.scanLimit;
+    barrierBlocks_ = s.barrierBlocks;
+    lastScheduled_ = s.lastScheduled;
+    stallCycles_ = s.stallCycles;
+    lastProgress_ = s.lastProgress;
+    ldstPortFreeAt_ = s.ldstPortFreeAt;
 }
 
 } // namespace sm

@@ -29,6 +29,7 @@
 #include "protection/protection_scheme.hh"
 #include "recovery/recovery_config.hh"
 #include "recovery/recovery_manager.hh"
+#include "sm/plane_store.hh"
 #include "sm/scoreboard.hh"
 #include "sm/sm_stats.hh"
 #include "trace/recorder.hh"
@@ -112,6 +113,96 @@ class Sm
         return *scheme_;
     }
     unsigned id() const { return smId_; }
+
+    /**
+     * The SM's live state at a cycle boundary (snapshot support):
+     * resident warps — context, schedulability, PC, block and
+     * scoreboard row — active block slots with their shared memory,
+     * statistics, the protection scheme's and the recovery engine's
+     * state, and the scheduler's counters. Pooled contexts of empty
+     * warp slots and retired blocks' shared segments are not live —
+     * assignBlock reinitialises both — and are left out.
+     */
+    struct State
+    {
+        explicit State(const SmStats &st) : stats(st) {}
+
+        /** A resident (non-empty) warp slot. */
+        struct Warp
+        {
+            unsigned slot = 0;
+            std::uint8_t state = 0; ///< kWarp* schedulability
+            Pc pc = 0;
+            int blockSlot = -1;
+            unsigned stackDepth = 0;
+            arch::WarpContext::Header header;
+        };
+
+        struct Block
+        {
+            unsigned slot = 0;
+            unsigned blockId = 0;
+            unsigned liveWarps = 0;
+            unsigned barrierWaiters = 0;
+            std::vector<unsigned> warpSlots;
+            std::size_t sharedBytes = 0;
+            /** Shared with the previous capture while unchanged. */
+            std::shared_ptr<const mem::Memory::Span> shared;
+        };
+
+        /** A scoreboard entry still in flight at the capture cycle:
+         *  register r of the i-th resident warp, at i * numRegs + r. */
+        struct Pending
+        {
+            std::uint32_t at = 0;
+            Cycle readyAt = 0;
+        };
+
+        /** Resident warps (empty slots are all alike: no state, no
+         *  block, zero scoreboard row); then, back to back in the same
+         *  order, their SIMT stack entries and their registers as
+         *  PlaneStore indices (numRegs each). */
+        std::vector<Warp> warps;
+        std::vector<arch::SimtStack::Entry> stacks;
+        std::vector<std::uint32_t> planes;
+        /** The scoreboard's live part. An entry at or before the
+         *  capture cycle is dead: readiness is only asked about later
+         *  cycles, and an issue only raises an entry past them. */
+        std::vector<Pending> pending;
+        std::vector<Block> blocks;
+        SmStats stats;
+        std::unique_ptr<protection::SchemeState> scheme;
+        /** Recovery engine copy (recovery on), its memory-undo
+         *  pointers cleared; undoTargets names each entry's memory
+         *  in CheckpointRing::forEachUndo order: 0 = global,
+         *  1 + k = block slot k's shared segment. */
+        std::optional<recovery::RecoveryManager> recovery;
+        std::vector<unsigned> undoTargets;
+        std::uint64_t issueSeq = 0;
+        unsigned residentWarps = 0;
+        unsigned residentThreads = 0;
+        unsigned scanLimit = 0;
+        unsigned barrierBlocks = 0;
+        unsigned lastScheduled = 0;
+        unsigned stallCycles = 0;
+        Cycle lastProgress = 0;
+        Cycle ldstPortFreeAt = 0;
+
+        /** Heap and inline bytes held, register planes aside (rung
+         *  budgeting). */
+        std::size_t bytes() const;
+    };
+
+    /** Capture the state at the top of cycle @p now; register planes
+     *  written since this SM's previous capture into @p planes go
+     *  there, unchanged ones are referenced again. An SM untouched
+     *  since its previous capture (idle: not ticked, no block
+     *  assigned) returns that capture. */
+    std::shared_ptr<State> saveState(PlaneStore &planes, Cycle now);
+    /** Resume from @p s, whose registers live in @p planes. Call on a
+     *  freshly constructed SM, built for the same program and
+     *  configuration as the saving one. */
+    void restoreState(const State &s, const PlaneStore &planes);
 
   private:
     struct BlockSlot
@@ -207,6 +298,26 @@ class Sm
     unsigned barrierBlocks_ = 0;
     unsigned lastScheduled_ = 0;
     unsigned stallCycles_ = 0;
+    /** Plane indices of each warp slot's registers at the previous
+     *  saveState ([slot * numRegs + r]), valid for capturedInto_ at
+     *  capturedGen_. */
+    std::vector<std::uint32_t> capturedPlanes_;
+    const PlaneStore *capturedInto_ = nullptr;
+    std::uint64_t capturedGen_ = 0;
+    /** Per block slot: the shared-memory image last captured, of
+     *  which segment, at which write epoch. */
+    struct CapturedShared
+    {
+        std::shared_ptr<const mem::Memory::Span> span;
+        const mem::Memory *of = nullptr;
+        std::uint64_t epoch = 0;
+    };
+    std::vector<CapturedShared> capturedShared_;
+    /** The previous capture, and mutations_ when it was taken. */
+    std::shared_ptr<State> captured_;
+    std::uint64_t capturedAt_ = 0;
+    /** Ticks plus block assignments: unchanged means untouched. */
+    std::uint64_t mutations_ = 0;
     Cycle lastProgress_ = 0;
     Cycle ldstPortFreeAt_ = 0; ///< coalescing: port busy horizon
 };

@@ -1,18 +1,22 @@
 /**
  * @file
- * Soundness of the campaign engine's shortcuts: the dormant-hook fast
- * path and the window-closed / first-detection early exits.
+ * Soundness of the campaign engine's shortcuts: the snapshot fork
+ * (each run resumes from a golden-run ladder rung), the dormant-hook
+ * fast path and the window-closed / first-detection early exits.
  *
  * For sampled sites, the engine's per-site verdict (read off a
  * one-run CampaignEngine::runRange delta) is compared with a
- * test-side reference that fully simulates the same site — a
- * Gpu::launch with no stop predicate, through an always-live hook,
- * output verified whenever the fault activated — and classifies it
- * with classifyOutcome. Class,
- * activation and detection latency must all match. The one allowed
- * difference is the documented first-detection exception: a site
- * that detects and *then* trips a simulator panic is DUE under full
- * simulation and Detected under the exit; such sites are counted.
+ * test-side reference that fully simulates the same site from cycle
+ * 0 — a Gpu::launch with no snapshot and no stop predicate, through
+ * an always-live hook, output verified whenever the fault activated —
+ * and classifies it with classifyOutcome (classifyMemOutcome for
+ * memory-cell sites). Class, activation and detection latency must
+ * all match. The one allowed difference is the documented
+ * first-detection exception: a site that detects and *then* trips a
+ * simulator panic is DUE under full simulation and Detected under the
+ * exit; such sites are counted. A targeted case pins the rung
+ * horizon: faults that open exactly on a rung whose prefix already
+ * looked at that cycle must not resume from it.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +28,8 @@
 #include "fault/campaign_engine.hh"
 #include "fault/fault_injector.hh"
 #include "gpu/gpu.hh"
+#include "gpu/snapshot.hh"
+#include "mem/mem_fault.hh"
 #include "protection/scheme_registry.hh"
 
 using namespace warped;
@@ -59,53 +65,97 @@ class AlwaysLive final : public func::FaultHook
     FaultInjector &inj_;
 };
 
+/** Classify a finished exec-site run like the engine does. */
+Verdict
+classifyExec(const gpu::LaunchResult &r, const FaultInjector &inj,
+             workloads::Workload &w, const gpu::Gpu &g,
+             const EngineConfig &cfg)
+{
+    Verdict v;
+    v.activated = inj.activations() > 0;
+    const bool detected = r.dmr.errorsDetected > 0;
+    const bool recoveredClean =
+        cfg.recovery.enabled && detected && r.recovery.giveUps == 0;
+    const bool outputOk =
+        v.activated && !r.hung && (!detected || recoveredClean)
+            ? w.verify(g)
+            : true;
+    v.cls = classifyOutcome(v.activated, detected, r.hung, outputOk,
+                            recoveredClean);
+    if ((v.cls == OutcomeClass::Detected ||
+         v.cls == OutcomeClass::Recovered) &&
+        !r.dmr.errorLog.empty()) {
+        const Cycle det = r.dmr.errorLog.front().cycle;
+        const Cycle act = inj.firstActivationCycle();
+        v.latency = det >= act ? det - act : 0;
+        v.hasLatency = true;
+    }
+    return v;
+}
+
+/** An aborted run (simulator panic): hang-DUE. */
+Verdict
+abortedVerdict()
+{
+    Verdict v;
+    v.activated = true;
+    v.cls = OutcomeClass::Due;
+    v.aborted = true;
+    return v;
+}
+
 /** Full simulation of @p spec, classified like the engine does but
- *  with no shortcut of any kind: no stop predicate, no dormant-hook
- *  fast path. */
+ *  with no shortcut of any kind: from cycle 0, no stop predicate, no
+ *  dormant-hook fast path. The simulator is deterministic, so a panic
+ *  classifies the site on the first attempt. */
 Verdict
 reference(const FaultSpec &spec, Cycle span,
           const WorkloadFactory &factory, const EngineConfig &cfg)
 {
-    Verdict v;
-    for (unsigned attempt = 0; attempt < 2; ++attempt) {
-        FaultInjector inj;
-        inj.add(spec);
-        AlwaysLive hook(inj);
-        auto w = factory();
-        try {
-            gpu::Gpu g(cfg.gpu, cfg.dmr, /*seed=*/1, &hook, cfg.recovery,
-                       cfg.scheme);
-            w->setup(g);
-            const auto r = g.launch(w->program(), w->gridBlocks(),
-                                    w->blockThreads(), span * 20 + 100000);
-            v.activated = inj.activations() > 0;
-            const bool detected = r.dmr.errorsDetected > 0;
-            const bool recoveredClean = cfg.recovery.enabled &&
-                                        detected &&
-                                        r.recovery.giveUps == 0;
-            const bool outputOk =
-                v.activated && !r.hung ? w->verify(g) : true;
-            v.cls = classifyOutcome(v.activated, detected, r.hung,
-                                    outputOk, recoveredClean);
-            if ((v.cls == OutcomeClass::Detected ||
-                 v.cls == OutcomeClass::Recovered) &&
-                !r.dmr.errorLog.empty()) {
-                const Cycle det = r.dmr.errorLog.front().cycle;
-                const Cycle act = inj.firstActivationCycle();
-                v.latency = det >= act ? det - act : 0;
-                v.hasLatency = true;
-            }
-            return v;
-        } catch (const std::exception &) {
-            if (attempt == 1) {
-                v = Verdict{};
-                v.activated = true;
-                v.cls = OutcomeClass::Due;
-                v.aborted = true;
-            }
-        }
+    FaultInjector inj;
+    inj.add(spec);
+    AlwaysLive hook(inj);
+    auto w = factory();
+    try {
+        gpu::Gpu g(cfg.gpu, cfg.dmr, /*seed=*/1, &hook, cfg.recovery,
+                   cfg.scheme);
+        w->setup(g);
+        const auto r = g.launch(w->program(), w->gridBlocks(),
+                                w->blockThreads(), span * 20 + 100000);
+        return classifyExec(r, inj, *w, g, cfg);
+    } catch (const std::exception &) {
+        return abortedVerdict();
     }
-    return v;
+}
+
+/** Full simulation of memory site @p spec from cycle 0. */
+Verdict
+memReference(const FaultSpec &spec, Cycle span,
+             const WorkloadFactory &factory, const EngineConfig &cfg)
+{
+    auto w = factory();
+    try {
+        gpu::Gpu g(cfg.gpu, cfg.dmr, /*seed=*/1, nullptr, cfg.recovery,
+                   cfg.scheme);
+        w->setup(g);
+        mem::MemFaultPlane plane(cfg.gpu.eccKind);
+        plane.inject(spec.memAddr, spec.memKind, spec.bit,
+                     spec.cycleBegin);
+        g.mem().attachFaultPlane(&plane);
+        const auto r = g.launch(w->program(), w->gridBlocks(),
+                                w->blockThreads(), span * 20 + 100000);
+        const bool outputOk = r.hung ? true : w->verify(g);
+        g.mem().attachFaultPlane(nullptr);
+        Verdict v;
+        v.activated = plane.consumedReads() > 0;
+        v.cls = classifyMemOutcome(v.activated, plane.uncorrectable() > 0,
+                                   plane.corrected() > 0,
+                                   r.dmr.errorsDetected > 0, r.hung,
+                                   outputOk);
+        return v;
+    } catch (const std::exception &) {
+        return abortedVerdict();
+    }
 }
 
 /** The engine's verdict for run @p i, read off its one-run delta. */
@@ -120,6 +170,8 @@ engineVerdict(CampaignEngine &engine, std::uint64_t i)
         v.cls = OutcomeClass::Detected;
     else if (o.recovered)
         v.cls = OutcomeClass::Recovered;
+    else if (o.eccCorrected)
+        v.cls = OutcomeClass::EccCorrected;
     else if (o.sdc)
         v.cls = OutcomeClass::Sdc;
     else if (o.due)
@@ -169,10 +221,12 @@ TEST_P(ExitSoundness, EngineMatchesFullSimulation)
     engine.prepare();
 
     std::uint64_t transient = 0, stuck = 0, notActivated = 0,
-                  detected = 0, reclassified = 0;
+                  detected = 0, reclassified = 0, forked = 0;
     for (std::uint64_t i = 0; i < engine.plannedSites(); ++i) {
         const auto spec =
             engine.space().site(engine.space().sampleIndex(cfg.seed, i));
+        forked += engine.ladder().forExecFault(spec.cycleBegin).loop.cycle >
+                  0;
         const Verdict got = engineVerdict(engine, i);
         const Verdict want =
             reference(spec, engine.span(), tc.factory, cfg);
@@ -198,18 +252,142 @@ TEST_P(ExitSoundness, EngineMatchesFullSimulation)
         EXPECT_EQ(got.latency, want.latency);
         EXPECT_EQ(got.aborted, want.aborted);
     }
-    std::printf("%s: %llu transient + %llu stuck-at sites, %llu not "
-                "activated, %llu detected, %llu detected-then-panic "
-                "reclassified\n",
+    std::printf("%s: %llu transient + %llu stuck-at sites (%llu forked "
+                "past cycle 0), %llu not activated, %llu detected, %llu "
+                "detected-then-panic reclassified\n",
                 tc.name, static_cast<unsigned long long>(transient),
                 static_cast<unsigned long long>(stuck),
+                static_cast<unsigned long long>(forked),
                 static_cast<unsigned long long>(notActivated),
                 static_cast<unsigned long long>(detected),
                 static_cast<unsigned long long>(reclassified));
-    // The sample must exercise both fault kinds and both exits.
+    // The sample must exercise both fault kinds, both exits and the
+    // fork — except under R-Naive, whose modelled second run applies
+    // the hook at now + 2^40: every rung's horizon lies past every
+    // pulse, so its sites resume from rung 0.
     EXPECT_GT(transient, 0u);
     EXPECT_GT(stuck, 0u);
     EXPECT_GT(notActivated, 0u);
+    EXPECT_GT(detected, 0u);
+    if (tc.scheme == protection::SchemeId::RNaive) {
+        EXPECT_EQ(forked, 0u);
+    } else {
+        EXPECT_GT(forked, 0u);
+    }
+}
+
+TEST(ForkSoundness, MemorySitesOnBankedSecdedMatchFullSimulation)
+{
+    setVerbose(false);
+    const WorkloadFactory factory = [] {
+        return workloads::makeMatrixMul(32);
+    };
+    EngineConfig cfg;
+    cfg.workload = "matrixmul_mem";
+    cfg.gpu.numSms = 4;
+    cfg.gpu.memModel = arch::MemModel::Banked;
+    cfg.gpu.eccKind = arch::EccKind::Secded;
+    cfg.space.memEnabled = true;
+    cfg.space.execEnabled = false;
+    cfg.seed = 1009;
+    cfg.sites = 60;
+    cfg.jobs = 1;
+    CampaignEngine engine(factory, cfg);
+    engine.prepare();
+
+    std::uint64_t forked = 0, read = 0, corrected = 0;
+    for (std::uint64_t i = 0; i < engine.plannedSites(); ++i) {
+        const auto spec =
+            engine.space().site(engine.space().sampleIndex(cfg.seed, i));
+        ASSERT_TRUE(spec.isMemory);
+        forked += engine.ladder().forMemFault(spec.cycleBegin).loop.cycle >
+                  0;
+        const Verdict got = engineVerdict(engine, i);
+        const Verdict want =
+            memReference(spec, engine.span(), factory, cfg);
+        read += want.activated;
+        corrected += want.cls == OutcomeClass::EccCorrected;
+        SCOPED_TRACE("memory run " + std::to_string(i) + " (addr " +
+                     std::to_string(spec.memAddr) + ", strike cycle " +
+                     std::to_string(spec.cycleBegin) + ")");
+        EXPECT_EQ(outcomeClassName(got.cls), outcomeClassName(want.cls));
+        EXPECT_EQ(got.activated, want.activated);
+        EXPECT_EQ(got.aborted, want.aborted);
+    }
+    EXPECT_GT(forked, 0u);
+    EXPECT_GT(read, 0u);
+    EXPECT_GT(corrected, 0u);
+}
+
+/**
+ * The rung horizon. With a one-entry ReplayQ, eager re-executions
+ * verify at now + 1, so the prefix before some rungs already called
+ * the hook at the rung's own cycle. A pulse opening exactly there
+ * must resume from an earlier rung: full simulation sees the eager
+ * verification corrupted and detects it. Every such rung is probed on
+ * every SM, through a test-side fork (Ladder::forExecFault plus the
+ * engine's stop predicate) against full simulation.
+ */
+TEST(ForkSoundness, PulsesOnALookedAheadRungResumeBelowIt)
+{
+    setVerbose(false);
+    const WorkloadFactory factory = [] {
+        return workloads::makeMatrixMul(32);
+    };
+    EngineConfig cfg;
+    cfg.workload = "matrixmul_q1";
+    cfg.gpu.numSms = 2;
+    cfg.dmr.replayQSize = 1;
+    cfg.sites = 1;
+    CampaignEngine engine(factory, cfg);
+    engine.prepare();
+
+    const auto forkedVerdict = [&](const FaultSpec &spec) {
+        FaultInjector inj;
+        inj.add(spec);
+        const gpu::StopPredicate stop =
+            [&inj](Cycle cycle, const gpu::LaunchLoop &loop) {
+                if (inj.activations() == 0)
+                    return inj.windowsClosedBy(cycle);
+                return loop.detections() > 0;
+            };
+        auto w = factory();
+        gpu::Gpu g(cfg.gpu, cfg.dmr, /*seed=*/1, &inj, cfg.recovery,
+                   cfg.scheme);
+        w->setup(g);
+        const auto r = g.launch(
+            w->program(), w->gridBlocks(), w->blockThreads(),
+            engine.span() * 20 + 100000, stop,
+            &engine.ladder().forExecFault(spec.cycleBegin));
+        return classifyExec(r, inj, *w, g, cfg);
+    };
+
+    unsigned probed = 0, detected = 0;
+    for (const auto &rung : engine.ladder().rungs()) {
+        const Cycle c = rung.snap.loop.cycle;
+        if (c == 0 || rung.horizon <= c)
+            continue;
+        for (unsigned sm = 0; sm < cfg.gpu.numSms; ++sm) {
+            FaultSpec spec;
+            spec.sm = sm;
+            spec.lane = 0;
+            spec.bit = 0;
+            spec.cycleBegin = c;
+            spec.cycleEnd = c;
+            const Verdict want =
+                reference(spec, engine.span(), factory, cfg);
+            const Verdict got = forkedVerdict(spec);
+            SCOPED_TRACE("pulse at rung cycle " + std::to_string(c) +
+                         " on sm " + std::to_string(sm));
+            EXPECT_EQ(outcomeClassName(got.cls),
+                      outcomeClassName(want.cls));
+            EXPECT_EQ(got.activated, want.activated);
+            EXPECT_EQ(got.latency, want.latency);
+            ++probed;
+            detected += want.cls == OutcomeClass::Detected;
+        }
+    }
+    EXPECT_GT(probed, 0u) << "no rung's prefix looked ahead";
     EXPECT_GT(detected, 0u);
 }
 

@@ -1,0 +1,298 @@
+/**
+ * @file
+ * Launch-level snapshot/resume: a launch resumed from any snapshot
+ * it captured must end exactly like the uninterrupted launch — final
+ * global memory, cycles, hang flag and every LaunchResult counter
+ * (sm.*, dmr.*, recovery.*) — under every protection scheme, with
+ * recovery on, on banked DRAM with SECDED, and from snapshots taken
+ * while a block waits at a barrier or the ReplayQ is full. Also pins
+ * the gpu::Ladder's caps and rung-choice rules.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/logging.hh"
+#include "dmr/dmr_engine.hh"
+#include "gpu/gpu.hh"
+#include "gpu/snapshot.hh"
+#include "protection/scheme_registry.hh"
+#include "workloads/workload.hh"
+
+using namespace warped;
+
+namespace {
+
+using Factory = std::function<std::unique_ptr<workloads::Workload>()>;
+
+/** A sink that keeps every snapshot at a fixed spacing, uncapped. */
+class EveryK final : public gpu::SnapshotSink
+{
+  public:
+    explicit EveryK(Cycle k) : k_(k) {}
+    Cycle
+    nextWanted(Cycle cycle) const override
+    {
+        return (cycle + k_ - 1) / k_ * k_;
+    }
+    void take(gpu::Snapshot &&s) override { snaps.push_back(std::move(s)); }
+    std::vector<gpu::Snapshot> snaps;
+
+  private:
+    Cycle k_;
+};
+
+struct Machine
+{
+    arch::GpuConfig gpu = arch::GpuConfig::testDefault();
+    dmr::DmrConfig dmr = dmr::DmrConfig::paperDefault();
+    recovery::RecoveryConfig recovery;
+    protection::SchemeConfig scheme;
+};
+
+/** What a launch leaves behind: its result and the device image. */
+struct Outcome
+{
+    gpu::LaunchResult result{32};
+    std::vector<std::uint8_t> dram;
+};
+
+Outcome
+runLaunch(const Factory &factory, const Machine &m,
+          const gpu::Snapshot *resume, gpu::SnapshotSink *sink,
+          func::FaultHook *hook = nullptr)
+{
+    auto w = factory();
+    gpu::Gpu g(m.gpu, m.dmr, /*seed=*/1, hook, m.recovery, m.scheme);
+    w->setup(g);
+    Outcome o;
+    o.result = g.launch(w->program(), w->gridBlocks(), w->blockThreads(),
+                        0, {}, resume, sink);
+    o.dram.resize(g.allocator().used());
+    g.mem().copyOut(0, o.dram.data(), o.dram.size());
+    return o;
+}
+
+void
+expectSame(const Outcome &want, const Outcome &got)
+{
+    EXPECT_EQ(got.result.cycles, want.result.cycles);
+    EXPECT_EQ(got.result.hung, want.result.hung);
+    EXPECT_EQ(got.result.metrics.toJson(), want.result.metrics.toJson());
+    EXPECT_EQ(got.result.rawDistances, want.result.rawDistances);
+    ASSERT_EQ(got.result.dmr.errorLog.size(),
+              want.result.dmr.errorLog.size());
+    EXPECT_TRUE(got.dram == want.dram) << "final global memory differs";
+}
+
+/** Capture every @p k cycles, then resume from each snapshot. */
+std::vector<gpu::Snapshot>
+checkEverySnapshot(const Factory &factory, const Machine &m, Cycle k)
+{
+    EveryK sink(k);
+    const Outcome full = runLaunch(factory, m, nullptr, &sink);
+    EXPECT_FALSE(full.result.hung);
+    EXPECT_GT(sink.snaps.size(), 3u);
+    // Capturing does not perturb the launch.
+    expectSame(runLaunch(factory, m, nullptr, nullptr), full);
+    for (const auto &snap : sink.snaps) {
+        SCOPED_TRACE("resumed at cycle " +
+                     std::to_string(snap.loop.cycle));
+        expectSame(full, runLaunch(factory, m, &snap, nullptr));
+    }
+    return std::move(sink.snaps);
+}
+
+const Factory kMatrixMul = [] { return workloads::makeMatrixMul(32); };
+const Factory kSha = [] { return workloads::makeSha(2); };
+const Factory kScan = [] { return workloads::makeScan(2); };
+
+struct SchemeCase
+{
+    const char *name;
+    protection::SchemeId id;
+    Factory factory;
+};
+
+void
+PrintTo(const SchemeCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class ResumeEveryScheme : public ::testing::TestWithParam<SchemeCase>
+{
+};
+
+TEST_P(ResumeEveryScheme, MatchesUninterruptedLaunch)
+{
+    setVerbose(false);
+    Machine m;
+    m.gpu.numSms = 4;
+    m.scheme.id = GetParam().id;
+    if (m.scheme.id == protection::SchemeId::PartialThread)
+        m.scheme.protectFraction = 0.5;
+    checkEverySnapshot(GetParam().factory, m, 211);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, ResumeEveryScheme,
+    ::testing::Values(
+        SchemeCase{"warped_dmr", protection::SchemeId::WarpedDmr,
+                   kMatrixMul},
+        SchemeCase{"partial_thread", protection::SchemeId::PartialThread,
+                   kSha},
+        SchemeCase{"replay_compare", protection::SchemeId::ReplayCompare,
+                   kScan},
+        SchemeCase{"original", protection::SchemeId::Original, kSha},
+        SchemeCase{"rnaive", protection::SchemeId::RNaive, kMatrixMul},
+        SchemeCase{"rthread", protection::SchemeId::RThread, kScan}),
+    [](const ::testing::TestParamInfo<SchemeCase> &info) {
+        return std::string(info.param.name);
+    });
+
+TEST(Snapshot, ResumeWithRecoveryOn)
+{
+    setVerbose(false);
+    Machine m;
+    m.gpu.numSms = 4;
+    m.recovery = recovery::RecoveryConfig::paperDefault();
+    for (const Factory &f : {kSha, kMatrixMul}) {
+        const auto snaps = checkEverySnapshot(f, m, 173);
+        // Recovery state is live in the snapshots (deltas in flight).
+        bool any_delta = false;
+        for (const auto &s : snaps)
+            for (const auto &sm : s.sms)
+                any_delta |= sm->recovery && sm->recovery->ring().totalSize();
+        EXPECT_TRUE(any_delta);
+    }
+}
+
+TEST(Snapshot, ResumeOnBankedDramWithSecded)
+{
+    setVerbose(false);
+    Machine m;
+    m.gpu.numSms = 4;
+    m.gpu.memModel = arch::MemModel::Banked;
+    m.gpu.eccKind = arch::EccKind::Secded;
+    const auto snaps = checkEverySnapshot(kMatrixMul, m, 199);
+    ASSERT_TRUE(snaps.back().memSys.has_value());
+    EXPECT_GT(snaps.back().memSys->transactions, 0u);
+}
+
+TEST(Snapshot, ResumeWhileABlockWaitsAtABarrier)
+{
+    setVerbose(false);
+    Machine m;
+    m.gpu.numSms = 2;
+    // A dense capture so some snapshot lands mid-barrier.
+    const auto snaps = checkEverySnapshot(kScan, m, 7);
+    unsigned at_barrier = 0;
+    for (const auto &s : snaps)
+        for (const auto &sm : s.sms)
+            for (const auto &b : sm->blocks)
+                at_barrier += b.barrierWaiters > 0;
+    EXPECT_GT(at_barrier, 0u);
+}
+
+TEST(Snapshot, ResumeWithAFullReplayQueue)
+{
+    setVerbose(false);
+    Machine m;
+    m.gpu.numSms = 2;
+    m.dmr.replayQSize = 2;
+    const auto snaps = checkEverySnapshot(kMatrixMul, m, 5);
+    using DmrState =
+        protection::SchemeStateOf<dmr::DmrEngine, dmr::DmrEngine::State>;
+    unsigned full = 0;
+    for (const auto &s : snaps)
+        for (const auto &sm : s.sms) {
+            const auto *st = dynamic_cast<const DmrState *>(sm->scheme.get());
+            ASSERT_NE(st, nullptr);
+            full += st->state.queue.records.size() == m.dmr.replayQSize;
+        }
+    EXPECT_GT(full, 0u);
+}
+
+TEST(Ladder, CapsRungsAndBytesByDoublingTheSpacing)
+{
+    setVerbose(false);
+    Machine m;
+    m.gpu.numSms = 4;
+    gpu::Ladder ladder;
+    const Outcome full = runLaunch([] { return workloads::makeSha(16); }, m,
+                                   nullptr, &ladder, &ladder.hook());
+    const auto &rungs = ladder.rungs();
+    ASSERT_FALSE(rungs.empty());
+    EXPECT_LE(rungs.size(), gpu::Ladder::kMaxRungs);
+    EXPECT_LE(ladder.bytes(), gpu::Ladder::kMaxBytes);
+    // Long enough that the initial spacing overflows the rung cap.
+    EXPECT_GT(ladder.spacing(), gpu::Ladder::kInitialSpacing);
+    std::size_t bytes = 0;
+    for (std::size_t i = 0; i < rungs.size(); ++i) {
+        EXPECT_EQ(rungs[i].snap.loop.cycle, i * ladder.spacing());
+        EXPECT_LE(rungs[i].horizon, rungs[i].snap.loop.cycle + 2);
+        if (i > 0) {
+            EXPECT_GE(rungs[i].horizon, rungs[i - 1].horizon);
+        }
+        bytes += rungs[i].bytes;
+    }
+    EXPECT_EQ(bytes + rungs.front().snap.planes->bytes(), ladder.bytes());
+    EXPECT_EQ(rungs.front().horizon, 0u);
+    // The horizon hook is a fault-free hook: the capture ran the
+    // golden launch unchanged.
+    expectSame(runLaunch([] { return workloads::makeSha(16); }, m,
+                         nullptr, nullptr),
+               full);
+}
+
+TEST(Ladder, ExecFaultsResumeBelowTheHorizonMemoryFaultsAtTheStrike)
+{
+    setVerbose(false);
+    Machine m;
+    m.gpu.numSms = 2;
+    m.dmr.replayQSize = 1; // eager re-executions verify at now + 1
+    gpu::Ladder ladder;
+    runLaunch(kMatrixMul, m, nullptr, &ladder, &ladder.hook());
+    const auto &rungs = ladder.rungs();
+    ASSERT_GT(rungs.size(), 2u);
+    EXPECT_EQ(&ladder.forExecFault(0), &rungs[0].snap);
+    EXPECT_EQ(&ladder.forMemFault(0), &rungs[0].snap);
+    bool lookahead = false;
+    for (std::size_t i = 1; i < rungs.size(); ++i) {
+        const Cycle c = rungs[i].snap.loop.cycle;
+        EXPECT_EQ(ladder.forMemFault(c).loop.cycle, c);
+        EXPECT_EQ(ladder.forMemFault(c - 1).loop.cycle,
+                  rungs[i - 1].snap.loop.cycle);
+        // A fault opening at the rung's own cycle may only resume
+        // there when no earlier hook call named that cycle.
+        const Cycle got = ladder.forExecFault(c).loop.cycle;
+        if (rungs[i].horizon > c) {
+            lookahead = true;
+            EXPECT_LT(got, c);
+        } else {
+            EXPECT_EQ(got, c);
+        }
+        const Cycle later = std::max(c, rungs[i].horizon);
+        EXPECT_GE(ladder.forExecFault(later).loop.cycle, c);
+    }
+    EXPECT_TRUE(lookahead) << "no rung saw an eager look-ahead";
+}
+
+TEST(Snapshot, ResumingADifferentLaunchPanics)
+{
+    setVerbose(false);
+    Machine m;
+    EveryK sink(1000);
+    runLaunch(kScan, m, nullptr, &sink);
+    ASSERT_FALSE(sink.snaps.empty());
+    EXPECT_THROW(runLaunch(kMatrixMul, m, &sink.snaps.back(), nullptr),
+                 std::exception);
+}
+
+} // namespace
