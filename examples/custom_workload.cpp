@@ -14,7 +14,7 @@
 #include <cstdio>
 
 #include "common/logging.hh"
-#include "fault/campaign.hh"
+#include "fault/campaign_engine.hh"
 #include "isa/kernel_builder.hh"
 #include "workloads/workload_base.hh"
 
@@ -182,15 +182,21 @@ main()
                 static_cast<unsigned long long>(r.cycles));
 
     // 3. And the whole fault-campaign machinery works unchanged.
-    fault::CampaignConfig cc;
-    cc.runs = 10;
-    cc.kind = fault::FaultKind::StuckAtOne;
-    const auto camp = fault::runCampaign(
-        [] { return std::make_unique<Histogram>(4); }, cfg,
-        dmr::DmrConfig::paperDefault(), cc);
-    std::printf("fault campaign: %u detected, %u SDC, %u benign, "
-                "%u not activated\n",
-                camp.detected, camp.sdc, camp.benign,
-                camp.notActivated);
+    fault::EngineConfig ec;
+    ec.workload = "Histogram";
+    ec.gpu = cfg;
+    ec.space.kinds = {fault::FaultKind::StuckAtOne};
+    ec.sites = 10;
+    const auto camp =
+        fault::CampaignEngine(
+            [] { return std::make_unique<Histogram>(4); }, ec)
+            .run();
+    const auto &c = camp.overall;
+    std::printf("fault campaign: %llu masked, %llu detected, %llu SDC, "
+                "%llu DUE\n",
+                static_cast<unsigned long long>(c.masked),
+                static_cast<unsigned long long>(c.detected),
+                static_cast<unsigned long long>(c.sdc),
+                static_cast<unsigned long long>(c.due));
     return 0;
 }

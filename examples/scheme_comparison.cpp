@@ -32,22 +32,22 @@ main(int argc, char **argv)
                 "kernel(us)", "xfer(us)", "total(us)", "coverage",
                 "energy(mJ)");
 
-    using redundancy::Scheme;
+    using protection::SchemeId;
     for (auto s : protection::allSchemes()) {
         const auto r = redundancy::runScheme(s, name, cfg);
         // R-Naive / R-Thread take the analytic Fig-10 path (their
         // launch is the unprotected kernel), so the instruction-level
         // coverage counter is only meaningful for the schemes whose
         // backend actually executed.
-        const bool hw = s == Scheme::Dmtr || s == Scheme::WarpedDmr ||
-                        s == Scheme::PartialThread ||
-                        s == Scheme::ReplayCompare;
+        const bool hw = s == SchemeId::Dmtr || s == SchemeId::WarpedDmr ||
+                        s == SchemeId::PartialThread ||
+                        s == SchemeId::ReplayCompare;
         std::printf("%-14s %12.1f %12.1f %12.1f",
-                    redundancy::schemeName(s), r.kernelNs / 1e3,
+                    protection::schemeDisplayName(s), r.kernelNs / 1e3,
                     r.transferNs / 1e3, r.totalNs() / 1e3);
         if (hw)
             std::printf(" %9.1f%%", 100.0 * r.launch.coverage());
-        else if (s == Scheme::Original)
+        else if (s == SchemeId::Original)
             std::printf(" %10s", "none");
         else
             std::printf(" %10s", "100%*");

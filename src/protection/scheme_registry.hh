@@ -2,9 +2,8 @@
  * @file
  * The one table of protection schemes: names (CLI slug and Fig-10
  * display form), capabilities, and the factory that builds a backend
- * for an SM. `redundancy::schemeName` and the `--scheme` CLI flag
- * both resolve through here, so a scheme cannot exist under two
- * spellings.
+ * for an SM. Fig 10's column names and the `--scheme` CLI flag both
+ * resolve through here, so a scheme cannot exist under two spellings.
  */
 
 #ifndef WARPED_PROTECTION_SCHEME_REGISTRY_HH

@@ -1,18 +1,16 @@
 #include "redundancy/scheme.hh"
 
+#include <utility>
+
 #include "common/logging.hh"
 #include "dmr/dmr_config.hh"
 
 namespace warped {
 namespace redundancy {
 
-const char *
-schemeName(Scheme s)
-{
-    return protection::schemeDisplayName(s);
-}
-
 namespace {
+
+using protection::SchemeId;
 
 gpu::LaunchResult
 launchOnce(const std::string &name, const arch::GpuConfig &cfg,
@@ -26,10 +24,32 @@ launchOnce(const std::string &name, const arch::GpuConfig &cfg,
     return workloads::runVerified(*w, g);
 }
 
+/** The machine a one-launch scheme is measured on. */
+std::pair<dmr::DmrConfig, protection::SchemeConfig>
+launchConfig(SchemeId scheme)
+{
+    switch (scheme) {
+      case SchemeId::Dmtr:
+        return {dmr::DmrConfig::dmtr(), {}};
+      case SchemeId::WarpedDmr:
+        return {dmr::DmrConfig::paperDefault(), {}};
+      case SchemeId::PartialThread:
+        // Half the warp slots protected.
+        return {dmr::DmrConfig::paperDefault(),
+                {SchemeId::PartialThread, 0.5}};
+      case SchemeId::ReplayCompare:
+        // The launch time already contains the replay run; the
+        // end-of-kernel compare happens on-GPU during replay.
+        return {dmr::DmrConfig::off(), {SchemeId::ReplayCompare}};
+      default: // Original
+        return {dmr::DmrConfig::off(), {}};
+    }
+}
+
 } // namespace
 
 SchemeResult
-runScheme(Scheme scheme, const std::string &name,
+runScheme(SchemeId scheme, const std::string &name,
           const arch::GpuConfig &cfg, const TransferModel &tm)
 {
     // Transfer sizes come from the workload definition.
@@ -41,24 +61,19 @@ runScheme(Scheme scheme, const std::string &name,
 
     SchemeResult res;
     res.scheme = scheme;
+    // One transfer set, as the unprotected program makes.
+    res.transferNs = tm.timeNs(in_b) + tm.timeNs(out_b);
 
     switch (scheme) {
-      case Scheme::Original: {
-        res.launch = launchOnce(name, cfg, dmr::DmrConfig::off());
-        res.kernelNs = res.launch.timeNs;
-        res.transferNs = tm.timeNs(in_b) + tm.timeNs(out_b);
-        break;
-      }
-      case Scheme::RNaive: {
+      case SchemeId::RNaive: {
         // Two full kernel invocations, each with its own transfers
         // (the duplicated cudaMemcpy calls of [6]).
         res.launch = launchOnce(name, cfg, dmr::DmrConfig::off());
         res.kernelNs = 2.0 * res.launch.timeNs;
-        res.transferNs =
-            2.0 * (tm.timeNs(in_b) + tm.timeNs(out_b));
+        res.transferNs = 2.0 * res.transferNs;
         break;
       }
-      case Scheme::RThread: {
+      case SchemeId::RThread: {
         // Redundant thread blocks co-scheduled with the original
         // grid. When the workload geometry can express it, simulate
         // the doubled grid directly (idle-SM hiding falls out of the
@@ -79,38 +94,12 @@ runScheme(Scheme scheme, const std::string &name,
         res.transferNs = tm.timeNs(in_b) + 2.0 * tm.timeNs(out_b);
         break;
       }
-      case Scheme::Dmtr: {
-        res.launch = launchOnce(name, cfg, dmr::DmrConfig::dmtr());
+      default: {
+        // Original, DMTR, Warped-DMR, Partial-Thread, Replay-Compare:
+        // one measured launch of the backend, no analytic shortcut.
+        const auto [dcfg, scfg] = launchConfig(scheme);
+        res.launch = launchOnce(name, cfg, dcfg, 1, scfg);
         res.kernelNs = res.launch.timeNs;
-        res.transferNs = tm.timeNs(in_b) + tm.timeNs(out_b);
-        break;
-      }
-      case Scheme::WarpedDmr: {
-        res.launch =
-            launchOnce(name, cfg, dmr::DmrConfig::paperDefault());
-        res.kernelNs = res.launch.timeNs;
-        res.transferNs = tm.timeNs(in_b) + tm.timeNs(out_b);
-        break;
-      }
-      case Scheme::PartialThread: {
-        // No analytic shortcut: execute the backend (half the warp
-        // slots protected) behind the seam.
-        res.launch = launchOnce(
-            name, cfg, dmr::DmrConfig::paperDefault(), 1,
-            {protection::SchemeId::PartialThread, 0.5});
-        res.kernelNs = res.launch.timeNs;
-        res.transferNs = tm.timeNs(in_b) + tm.timeNs(out_b);
-        break;
-      }
-      case Scheme::ReplayCompare: {
-        // Measured: the launch time already contains the replay run;
-        // the end-of-kernel compare happens on-GPU during replay, so
-        // transfers match the original's.
-        res.launch =
-            launchOnce(name, cfg, dmr::DmrConfig::off(), 1,
-                       {protection::SchemeId::ReplayCompare});
-        res.kernelNs = res.launch.timeNs;
-        res.transferNs = tm.timeNs(in_b) + tm.timeNs(out_b);
         break;
       }
     }

@@ -2,9 +2,7 @@
  * @file
  * Error-detection scheme comparison (paper §5.3, Fig 10).
  *
- * Analytic cost model over the scheme lineup (the names and ids come
- * from the protection registry — redundancy::Scheme IS
- * protection::SchemeId):
+ * Cost model over the protection registry's scheme lineup:
  *  - Original:   no protection.
  *  - R-Naive:    the kernel (and its host<->device transfers) run
  *                twice; outputs are compared on the CPU.
@@ -14,9 +12,14 @@
  *  - DMTR:       per-instruction temporal DMR with one cycle of
  *                slack (simplified SRT), on-GPU comparison.
  *  - Warped-DMR: the paper's mechanism, on-GPU comparison.
- *  - Partial-Thread / Replay-Compare: the post-paper backends,
- *                measured by executing them behind the
- *                ProtectionScheme seam (no analytic shortcut).
+ *  - Partial-Thread / Replay-Compare: the post-paper backends.
+ *
+ * R-Naive and R-Thread are priced from unprotected launches (a whole
+ * second kernel; a doubled grid). Every other scheme is one measured
+ * launch of its backend behind the ProtectionScheme seam. R-Naive
+ * stays analytic on purpose: the executing RNaiveScheme charges one
+ * cycle per issue instead of re-running the kernel, so it would price
+ * R-Naive below the 2x it costs (EXPERIMENTS.md, Fig 10).
  */
 
 #ifndef WARPED_REDUNDANCY_SCHEME_HH
@@ -49,15 +52,9 @@ struct TransferModel
     }
 };
 
-/** One id space for the whole tree: the protection registry's. */
-using Scheme = protection::SchemeId;
-
-/** Fig-10 display name; delegates to the protection registry. */
-const char *schemeName(Scheme s);
-
 struct SchemeResult
 {
-    Scheme scheme = Scheme::Original;
+    protection::SchemeId scheme = protection::SchemeId::Original;
     double kernelNs = 0.0;
     double transferNs = 0.0;
     gpu::LaunchResult launch{32};
@@ -69,14 +66,13 @@ struct SchemeResult
  * Run @p scheme for the named Table-4 workload and report kernel and
  * transfer components.
  *
- * @param redundant_factory for R-Thread: a factory creating the
- *        workload with doubled thread blocks; pass nullptr for
- *        workloads whose geometry cannot double (falls back to 2x
- *        serial kernel time, the no-idle-resources worst case the
- *        paper describes).
+ * @param scheme        protection scheme to price
+ * @param workload_name Table-4 workload (workloads::makeByName)
+ * @param cfg           machine description
+ * @param tm            host<->device transfer timing
  */
 SchemeResult
-runScheme(Scheme scheme, const std::string &workload_name,
+runScheme(protection::SchemeId scheme, const std::string &workload_name,
           const arch::GpuConfig &cfg,
           const TransferModel &tm = TransferModel{});
 

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <iterator>
 #include <set>
+#include <utility>
 
 #include "common/logging.hh"
 #include "fault/campaign_engine.hh"
@@ -467,22 +468,33 @@ TEST(CampaignEngine, DerivesSampleSizeFromMargin)
 
 TEST(CampaignEngine, ProtectionTurnsSdcIntoDetection)
 {
-    auto ec = scanEngineCfg();
-    ec.space.kinds = {FaultKind::StuckAtOne};
-    ec.sites = 12;
+    const std::pair<const char *, WorkloadFactory> inputs[] = {
+        {"SCAN", scanFactory()},
+        {"SHA", [] { return workloads::makeSha(1); }},
+    };
+    for (const auto &[name, factory] : inputs) {
+        SCOPED_TRACE(name);
+        auto ec = scanEngineCfg();
+        ec.workload = name;
+        ec.space.kinds = {FaultKind::StuckAtOne};
+        ec.sites = 12;
 
-    const auto prot = CampaignEngine(scanFactory(), ec).run();
-    EXPECT_EQ(prot.overall.sdc, 0u);
-    EXPECT_GT(prot.overall.detected, 0u);
-    EXPECT_GT(prot.latencyCount, 0u);
-    // Comparator latency is far below kernel-end detection.
-    EXPECT_LT(prot.meanDetectionLatency(),
-              double(prot.kernelLengthSum) / prot.latencyCount);
+        const auto prot = CampaignEngine(factory, ec).run();
+        EXPECT_EQ(prot.overall.sdc, 0u);
+        EXPECT_GT(prot.overall.detected, 0u);
+        ASSERT_GT(prot.latencyCount, 0u);
+        // Warped-DMR raises the alarm within a few pipeline lengths
+        // of the first corrupted value; kernel-end detection waits
+        // for the whole kernel.
+        EXPECT_LT(prot.meanDetectionLatency(), 100.0);
+        EXPECT_GT(double(prot.kernelLengthSum) / prot.latencyCount,
+                  10.0 * prot.meanDetectionLatency());
 
-    ec.dmr = dmr::DmrConfig::off();
-    const auto unprot = CampaignEngine(scanFactory(), ec).run();
-    EXPECT_EQ(unprot.overall.detected, 0u);
-    EXPECT_GT(unprot.overall.sdc + unprot.overall.due, 0u);
+        ec.dmr = dmr::DmrConfig::off();
+        const auto unprot = CampaignEngine(factory, ec).run();
+        EXPECT_EQ(unprot.overall.detected, 0u);
+        EXPECT_GT(unprot.overall.sdc + unprot.overall.due, 0u);
+    }
 }
 
 TEST(CampaignEngine, JsonCarriesTheHeadlineMetrics)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests: fault models, the injector's matching rules and
- * liveness, and campaign outcome classification.
+ * liveness, and small stuck-at and transient campaigns on the
+ * campaign engine (activation, detection, latency, determinism).
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +11,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "fault/campaign.hh"
+#include "fault/campaign_engine.hh"
 #include "fault/fault_injector.hh"
 #include "gpu/gpu.hh"
 #include "workloads/workload.hh"
@@ -123,74 +124,95 @@ TEST(FaultInjector, MultipleFaultsCompose)
     EXPECT_EQ(inj.apply(0, ctx(0, 0)), 3u);
 }
 
-TEST(Campaign, FaultFreeBaselineIsAllBenign)
+namespace
+{
+
+/** A small stuck-at-one campaign on SCAN over a two-SM machine. */
+EngineConfig
+scanStuckAt(std::uint64_t sites)
 {
     setVerbose(false);
-    // Campaign with stuck-at faults restricted to the SFU on a
-    // workload with no SFU instructions: never activated.
-    auto cfg = arch::GpuConfig::testDefault();
-    cfg.numSms = 2;
-    CampaignConfig cc;
-    cc.runs = 5;
-    cc.kind = FaultKind::StuckAtOne;
-    cc.unit = isa::UnitType::SFU;
-    const auto res = runCampaign([] { return workloads::makeScan(1); },
-                                 cfg, dmr::DmrConfig::paperDefault(),
-                                 cc);
-    EXPECT_EQ(res.runs, 5u);
-    EXPECT_EQ(res.notActivated, 5u);
-    EXPECT_DOUBLE_EQ(res.detectionRate(), 1.0);
+    EngineConfig ec;
+    ec.workload = "SCAN";
+    ec.gpu.numSms = 2;
+    ec.space.kinds = {FaultKind::StuckAtOne};
+    ec.sites = sites;
+    return ec;
+}
+
+WorkloadFactory
+scan()
+{
+    return [] { return workloads::makeScan(1); };
+}
+
+} // namespace
+
+TEST(Campaign, FaultFreeBaselineIsAllBenign)
+{
+    // Stuck-at faults restricted to the SFU on a workload with no SFU
+    // instructions: every site is masked because none ever activates.
+    auto ec = scanStuckAt(5);
+    ec.space.units = {isa::UnitType::SFU};
+    const auto rep = CampaignEngine(scan(), ec).run();
+    EXPECT_EQ(rep.sampled, 5u);
+    EXPECT_EQ(rep.overall.masked, 5u);
+    EXPECT_EQ(rep.overall.notActivated, 5u);
+    EXPECT_DOUBLE_EQ(rep.overall.detectionRate(), 1.0);
 }
 
 TEST(Campaign, DetectsStuckAtFaultsWithProtection)
 {
-    setVerbose(false);
-    auto cfg = arch::GpuConfig::testDefault();
-    cfg.numSms = 2;
-    CampaignConfig cc;
-    cc.runs = 8;
-    cc.kind = FaultKind::StuckAtOne;
-    const auto res = runCampaign([] { return workloads::makeScan(1); },
-                                 cfg, dmr::DmrConfig::paperDefault(),
-                                 cc);
-    const unsigned activated =
-        res.detected + res.sdc + res.benign + res.hangs;
-    EXPECT_GT(activated, 0u);
-    EXPECT_EQ(res.sdc, 0u) << "silent corruption under full protection";
+    const auto rep = CampaignEngine(scan(), scanStuckAt(8)).run();
+    const auto &o = rep.overall;
+    EXPECT_GT(o.total() - o.notActivated, 0u);
+    EXPECT_EQ(o.sdc, 0u) << "silent corruption under full protection";
 }
 
 TEST(Campaign, UnprotectedMachineProducesSdc)
 {
-    setVerbose(false);
-    auto cfg = arch::GpuConfig::testDefault();
-    cfg.numSms = 2;
-    CampaignConfig cc;
-    cc.runs = 8;
-    cc.kind = FaultKind::StuckAtOne;
-    const auto res = runCampaign([] { return workloads::makeScan(1); },
-                                 cfg, dmr::DmrConfig::off(), cc);
-    EXPECT_EQ(res.detected, 0u);
-    EXPECT_GT(res.sdc + res.hangs, 0u);
+    auto ec = scanStuckAt(8);
+    ec.dmr = dmr::DmrConfig::off();
+    const auto rep = CampaignEngine(scan(), ec).run();
+    EXPECT_EQ(rep.overall.detected, 0u);
+    EXPECT_GT(rep.overall.sdc + rep.overall.due, 0u);
 }
 
 TEST(Campaign, DetectionLatencyIsTinyVsKernelLength)
 {
-    setVerbose(false);
-    auto cfg = arch::GpuConfig::testDefault();
-    cfg.numSms = 2;
-    CampaignConfig cc;
-    cc.runs = 6;
-    cc.kind = FaultKind::StuckAtOne;
-    const auto res = runCampaign([] { return workloads::makeSha(1); },
-                                 cfg, dmr::DmrConfig::paperDefault(),
-                                 cc);
-    ASSERT_GT(res.detected, 0u);
+    auto ec = scanStuckAt(6);
+    ec.workload = "SHA";
+    const auto rep =
+        CampaignEngine([] { return workloads::makeSha(1); }, ec).run();
+    ASSERT_GT(rep.overall.detected, 0u);
+    ASSERT_GT(rep.latencyCount, 0u);
     // Warped-DMR raises the alarm within a few pipeline lengths of
     // the first corrupted value; software schemes wait for the
     // kernel to finish.
-    EXPECT_LT(res.meanDetectionLatency(), 100.0);
-    EXPECT_GT(double(res.kernelLengthSum) / res.detected,
-              10.0 * res.meanDetectionLatency());
+    EXPECT_LT(rep.meanDetectionLatency(), 100.0);
+    EXPECT_GT(double(rep.kernelLengthSum) / rep.latencyCount,
+              10.0 * rep.meanDetectionLatency());
+}
+
+TEST(Campaign, ParallelCampaignIsBitIdenticalToSequential)
+{
+    auto ec = scanStuckAt(6);
+    ec.seed = 1234;
+    ec.jobs = 1;
+    const auto seq = CampaignEngine(scan(), ec).run().toJson();
+    ec.jobs = 8;
+    EXPECT_EQ(seq, CampaignEngine(scan(), ec).run().toJson());
+}
+
+TEST(Campaign, MasterSeedSelectsTheFaultSet)
+{
+    auto ec = scanStuckAt(4);
+    ec.space.kinds = {FaultKind::TransientBitFlip};
+    ec.jobs = 2;
+    ec.seed = 1;
+    const auto a = CampaignEngine(scan(), ec).run().toJson();
+    // Same master seed -> identical campaign, even across pools.
+    EXPECT_EQ(a, CampaignEngine(scan(), ec).run().toJson());
 }
 
 TEST(FaultInjector, FirstActivationCycleIsRecorded)

@@ -3,12 +3,15 @@
  * Cross-module integration and property tests: the DMR engine's
  * coverage accounting cross-checked against the RFU's analytic
  * prediction, 8-lane-cluster end-to-end runs, tail-warp handling,
- * whole-workload determinism, and alternate workload sizes.
+ * whole-workload determinism (four representatives and every pinned
+ * reference configuration), and alternate workload sizes.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <functional>
+#include <ostream>
 
 #include "common/logging.hh"
 #include "dmr/rfu.hh"
@@ -16,6 +19,7 @@
 #include "gpu/gpu.hh"
 #include "isa/kernel_builder.hh"
 #include "workloads/workload.hh"
+#include "pinned_configs.hh"
 
 using namespace warped;
 
@@ -141,36 +145,75 @@ TEST(TailWarps, PartialFinalWarpIsHandled)
     EXPECT_GT(r.dmr.interVerifiedThreads, 0u);
 }
 
+namespace {
+
+/** One determinism input: a name and a run returning its launches'
+ *  metrics JSON. */
+struct DeterminismCase
+{
+    std::string name;
+    std::function<std::vector<std::string>()> run;
+};
+
+void
+PrintTo(const DeterminismCase &c, std::ostream *os)
+{
+    *os << ::testing::PrintToString(c.name);
+}
+
+/** A full-size workload truncated to its first four blocks. */
+DeterminismCase
+representative(const char *name)
+{
+    return {name, [name] {
+                auto w = workloads::makeByNameScaled(name, 1);
+                gpu::Gpu g(arch::GpuConfig::testDefault(),
+                           dmr::DmrConfig::paperDefault(), /*seed*/ 3);
+                w->setup(g);
+                const auto r =
+                    g.launch(w->program(), std::min(4u, w->gridBlocks()),
+                             w->blockThreads());
+                return std::vector<std::string>{r.metrics.toJson()};
+            }};
+}
+
+std::vector<DeterminismCase>
+pinnedCases()
+{
+    std::vector<DeterminismCase> cases;
+    for (auto &cfg : test::pinnedConfigs()) {
+        const auto name = cfg.name;
+        cases.push_back({name, [cfg = std::move(cfg)] {
+                             return test::runPinned(cfg, cfg.recovery);
+                         }});
+    }
+    return cases;
+}
+
+const auto caseName = [](const auto &info) { return info.param.name; };
+
 class WorkloadDeterminism
-    : public ::testing::TestWithParam<std::string>
+    : public ::testing::TestWithParam<DeterminismCase>
 {
 };
+
+} // namespace
 
 TEST_P(WorkloadDeterminism, IdenticalAcrossRuns)
 {
     setVerbose(false);
-    auto run = [&] {
-        auto cfg = arch::GpuConfig::testDefault();
-        auto w = workloads::makeByNameScaled(GetParam(), 1);
-        // Shrink: scaled names produce the full default; rebuild with
-        // test-sized factories where needed via small grids.
-        gpu::Gpu g(cfg, dmr::DmrConfig::paperDefault(), /*seed*/ 3);
-        w->setup(g);
-        return g.launch(w->program(), std::min(4u, w->gridBlocks()),
-                        w->blockThreads());
-    };
-    const auto a = run();
-    const auto b = run();
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.issuedWarpInstrs, b.issuedWarpInstrs);
-    EXPECT_EQ(a.dmr.verifiedThreadInstrs, b.dmr.verifiedThreadInstrs);
-    EXPECT_EQ(a.dmr.enqueues, b.dmr.enqueues);
+    EXPECT_EQ(GetParam().run(), GetParam().run());
 }
 
 INSTANTIATE_TEST_SUITE_P(FourRepresentatives, WorkloadDeterminism,
-                         ::testing::Values("BFS", "MatrixMul",
-                                           "BitonicSort", "Libor"),
-                         [](const auto &info) { return info.param; });
+                         ::testing::Values(representative("BFS"),
+                                           representative("MatrixMul"),
+                                           representative("BitonicSort"),
+                                           representative("Libor")),
+                         caseName);
+
+INSTANTIATE_TEST_SUITE_P(PinnedConfigs, WorkloadDeterminism,
+                         ::testing::ValuesIn(pinnedCases()), caseName);
 
 class AlternateSizes : public ::testing::TestWithParam<unsigned>
 {

@@ -102,16 +102,16 @@ TEST(PaperClaims, Fig9b_UnderutilizedWorkloadsAreFree)
 TEST(PaperClaims, Fig10_SchemeOrdering)
 {
     setVerbose(false);
-    using redundancy::Scheme;
+    using protection::SchemeId;
     const auto cfg = claimCfg();
     const auto orig =
-        redundancy::runScheme(Scheme::Original, "SCAN", cfg);
+        redundancy::runScheme(SchemeId::Original, "SCAN", cfg);
     const auto naive =
-        redundancy::runScheme(Scheme::RNaive, "SCAN", cfg);
+        redundancy::runScheme(SchemeId::RNaive, "SCAN", cfg);
     const auto rthr =
-        redundancy::runScheme(Scheme::RThread, "SCAN", cfg);
+        redundancy::runScheme(SchemeId::RThread, "SCAN", cfg);
     const auto warped =
-        redundancy::runScheme(Scheme::WarpedDmr, "SCAN", cfg);
+        redundancy::runScheme(SchemeId::WarpedDmr, "SCAN", cfg);
     EXPECT_GT(naive.totalNs(), rthr.totalNs());
     EXPECT_GT(rthr.totalNs(), warped.totalNs());
     EXPECT_GE(warped.totalNs(), orig.totalNs() * 0.999);

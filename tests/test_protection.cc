@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "common/logging.hh"
 #include "dmr/recovery_listener.hh"
 #include "fault/campaign_engine.hh"
@@ -120,6 +123,20 @@ TEST(SchemeRegistry, RejectsNonCanonicalNames)
     EXPECT_FALSE(schemeFromName("dmr"));
 }
 
+TEST(SchemeNames, AllDistinct)
+{
+    using protection::schemeDisplayName;
+    EXPECT_STREQ(schemeDisplayName(SchemeId::Original), "Original");
+    EXPECT_STREQ(schemeDisplayName(SchemeId::RNaive), "R-Naive");
+    EXPECT_STREQ(schemeDisplayName(SchemeId::RThread), "R-Thread");
+    EXPECT_STREQ(schemeDisplayName(SchemeId::Dmtr), "DMTR");
+    EXPECT_STREQ(schemeDisplayName(SchemeId::WarpedDmr), "Warped-DMR");
+    std::set<std::string> names;
+    for (const auto id : protection::allSchemes())
+        names.insert(schemeDisplayName(id));
+    EXPECT_EQ(names.size(), protection::kNumSchemes);
+}
+
 TEST_F(SchemeFixture, FactoryAgreesWithRecoveryTable)
 {
     for (const auto id : protection::allSchemes()) {
@@ -168,7 +185,7 @@ TEST(PartialThread, FullFractionMatchesWarpedDmrCampaign)
     // DmrEngine and produce the SAME seeded campaign — same detection
     // set, same latencies, same outcome split — as plain Warped-DMR.
     setVerbose(false);
-    const auto runCampaign = [](SchemeId id) {
+    const auto campaign = [](SchemeId id) {
         fault::EngineConfig ec;
         ec.workload = "SCAN";
         ec.gpu = arch::GpuConfig::testDefault();
@@ -181,8 +198,8 @@ TEST(PartialThread, FullFractionMatchesWarpedDmrCampaign)
             [] { return workloads::makeByNameSized("SCAN", 2); }, ec);
         return engine.run();
     };
-    const auto a = runCampaign(SchemeId::WarpedDmr);
-    const auto b = runCampaign(SchemeId::PartialThread);
+    const auto a = campaign(SchemeId::WarpedDmr);
+    const auto b = campaign(SchemeId::PartialThread);
 
     // Whole-report comparison via the counter map (it covers the
     // outcome split, per-kind/per-unit splits and latency histogram);

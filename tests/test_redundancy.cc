@@ -11,6 +11,7 @@
 
 using namespace warped;
 using namespace warped::redundancy;
+using protection::SchemeId;
 
 TEST(TransferModel, LinearInBytesPlusSetup)
 {
@@ -21,15 +22,6 @@ TEST(TransferModel, LinearInBytesPlusSetup)
     EXPECT_DOUBLE_EQ(tm.timeNs(4000), 1000.0 + 10000.0);
     EXPECT_DOUBLE_EQ(tm.timeNs(0), 10000.0);
     EXPECT_DOUBLE_EQ(tm.timeNs(4000, 2), 1000.0 + 20000.0);
-}
-
-TEST(SchemeNames, AllDistinct)
-{
-    EXPECT_STREQ(schemeName(Scheme::Original), "Original");
-    EXPECT_STREQ(schemeName(Scheme::RNaive), "R-Naive");
-    EXPECT_STREQ(schemeName(Scheme::RThread), "R-Thread");
-    EXPECT_STREQ(schemeName(Scheme::Dmtr), "DMTR");
-    EXPECT_STREQ(schemeName(Scheme::WarpedDmr), "Warped-DMR");
 }
 
 namespace {
@@ -48,16 +40,16 @@ struct SchemeFixture : ::testing::Test
 
 TEST_F(SchemeFixture, RNaiveDoublesKernelAndTransfers)
 {
-    const auto orig = runScheme(Scheme::Original, "SHA", cfg);
-    const auto naive = runScheme(Scheme::RNaive, "SHA", cfg);
+    const auto orig = runScheme(SchemeId::Original, "SHA", cfg);
+    const auto naive = runScheme(SchemeId::RNaive, "SHA", cfg);
     EXPECT_DOUBLE_EQ(naive.kernelNs, 2.0 * orig.kernelNs);
     EXPECT_DOUBLE_EQ(naive.transferNs, 2.0 * orig.transferNs);
 }
 
 TEST_F(SchemeFixture, RThreadBetween1xAnd2x)
 {
-    const auto orig = runScheme(Scheme::Original, "SHA", cfg);
-    const auto rthr = runScheme(Scheme::RThread, "SHA", cfg);
+    const auto orig = runScheme(SchemeId::Original, "SHA", cfg);
+    const auto rthr = runScheme(SchemeId::RThread, "SHA", cfg);
     EXPECT_GE(rthr.kernelNs, 0.9 * orig.kernelNs);
     EXPECT_LE(rthr.kernelNs, 2.2 * orig.kernelNs);
     // Output transfer duplicated, input not.
@@ -67,19 +59,19 @@ TEST_F(SchemeFixture, RThreadBetween1xAnd2x)
 
 TEST_F(SchemeFixture, HardwareSchemesKeepTransfersUnchanged)
 {
-    const auto orig = runScheme(Scheme::Original, "SHA", cfg);
-    const auto dmtr = runScheme(Scheme::Dmtr, "SHA", cfg);
-    const auto warped = runScheme(Scheme::WarpedDmr, "SHA", cfg);
+    const auto orig = runScheme(SchemeId::Original, "SHA", cfg);
+    const auto dmtr = runScheme(SchemeId::Dmtr, "SHA", cfg);
+    const auto warped = runScheme(SchemeId::WarpedDmr, "SHA", cfg);
     EXPECT_DOUBLE_EQ(dmtr.transferNs, orig.transferNs);
     EXPECT_DOUBLE_EQ(warped.transferNs, orig.transferNs);
 }
 
 TEST_F(SchemeFixture, WarpedDmrIsCheapestProtection)
 {
-    const auto naive = runScheme(Scheme::RNaive, "SCAN", cfg);
-    const auto rthr = runScheme(Scheme::RThread, "SCAN", cfg);
-    const auto dmtr = runScheme(Scheme::Dmtr, "SCAN", cfg);
-    const auto warped = runScheme(Scheme::WarpedDmr, "SCAN", cfg);
+    const auto naive = runScheme(SchemeId::RNaive, "SCAN", cfg);
+    const auto rthr = runScheme(SchemeId::RThread, "SCAN", cfg);
+    const auto dmtr = runScheme(SchemeId::Dmtr, "SCAN", cfg);
+    const auto warped = runScheme(SchemeId::WarpedDmr, "SCAN", cfg);
     EXPECT_LE(warped.totalNs(), naive.totalNs());
     EXPECT_LE(warped.totalNs(), rthr.totalNs());
     EXPECT_LE(warped.totalNs(), dmtr.totalNs() * 1.02);
@@ -87,7 +79,7 @@ TEST_F(SchemeFixture, WarpedDmrIsCheapestProtection)
 
 TEST_F(SchemeFixture, DmtrCoversEverything)
 {
-    const auto dmtr = runScheme(Scheme::Dmtr, "BitonicSort", cfg);
+    const auto dmtr = runScheme(SchemeId::Dmtr, "BitonicSort", cfg);
     // DMTR temporally verifies every instruction, partial warps too.
     EXPECT_DOUBLE_EQ(dmtr.launch.coverage(), 1.0);
     EXPECT_EQ(dmtr.launch.dmr.intraVerifiedThreads, 0u);

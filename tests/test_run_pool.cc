@@ -3,8 +3,7 @@
  * Unit tests for the experiment plane introduced with the
  * launch/aggregation refactor: sim::RunPool (determinism, exception
  * propagation), stats::LaunchAggregator (folding hand-built SmStats
- * without any Sm), seed derivation, and the flagship property — a
- * parallel fault campaign is bit-identical to a sequential one.
+ * without any Sm), and seed derivation.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +15,6 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "fault/campaign.hh"
 #include "sim/run_pool.hh"
 #include "stats/launch_aggregator.hh"
 #include "workloads/workload.hh"
@@ -295,58 +293,4 @@ TEST(LaunchAggregator, SecondRawDistanceTrackerPanics)
     stats::LaunchAggregator agg(kWarp);
     agg.addSm(st1, d);
     EXPECT_THROW(agg.addSm(st2, d), std::logic_error);
-}
-
-TEST(Campaign, ParallelCampaignIsBitIdenticalToSequential)
-{
-    setVerbose(false);
-    auto cfg = arch::GpuConfig::testDefault();
-    cfg.numSms = 2;
-
-    fault::CampaignConfig cc;
-    cc.runs = 6;
-    cc.kind = fault::FaultKind::StuckAtOne;
-    cc.seed = 1234;
-
-    const auto factory = [] { return workloads::makeScan(1); };
-
-    cc.jobs = 1;
-    const auto seq = fault::runCampaign(
-        factory, cfg, dmr::DmrConfig::paperDefault(), cc);
-    cc.jobs = 8;
-    const auto par = fault::runCampaign(
-        factory, cfg, dmr::DmrConfig::paperDefault(), cc);
-
-    EXPECT_EQ(seq.runs, par.runs);
-    EXPECT_EQ(seq.detected, par.detected);
-    EXPECT_EQ(seq.hangs, par.hangs);
-    EXPECT_EQ(seq.sdc, par.sdc);
-    EXPECT_EQ(seq.benign, par.benign);
-    EXPECT_EQ(seq.notActivated, par.notActivated);
-    EXPECT_EQ(seq.detectionLatencySum, par.detectionLatencySum);
-    EXPECT_EQ(seq.kernelLengthSum, par.kernelLengthSum);
-}
-
-TEST(Campaign, MasterSeedSelectsTheFaultSet)
-{
-    setVerbose(false);
-    auto cfg = arch::GpuConfig::testDefault();
-    cfg.numSms = 2;
-
-    fault::CampaignConfig cc;
-    cc.runs = 4;
-    cc.kind = fault::FaultKind::TransientBitFlip;
-    cc.jobs = 2;
-
-    const auto factory = [] { return workloads::makeScan(1); };
-    cc.seed = 1;
-    const auto a = fault::runCampaign(
-        factory, cfg, dmr::DmrConfig::paperDefault(), cc);
-    const auto b = fault::runCampaign(
-        factory, cfg, dmr::DmrConfig::paperDefault(), cc);
-
-    // Same master seed -> identical campaign, even across pools.
-    EXPECT_EQ(a.detected, b.detected);
-    EXPECT_EQ(a.notActivated, b.notActivated);
-    EXPECT_EQ(a.detectionLatencySum, b.detectionLatencySum);
 }

@@ -9,12 +9,17 @@ cmake -B build -G Ninja
 cmake --build build
 ctest --test-dir build --output-on-failure
 
+# The figure, table and campaign binaries; each runs with its defaults
+# and writes nothing but its own results/<name>.txt.
 mkdir -p results
-for b in build/bench/*; do
-    [ -f "$b" ] && [ -x "$b" ] || continue
-    name=$(basename "$b")
+for name in fig01_active_threads fig03_utilization_example \
+            fig05_inst_mix fig08a_switch_distance fig08b_raw_distance \
+            fig09a_coverage fig09b_replayq_overhead \
+            fig10_scheme_comparison fig11_power table1_rfu_priority \
+            fault_campaign fault_rate_sweep fault_localization \
+            ablation_dmr_modes shard_scaling; do
     echo "== $name =="
-    "$b" | tee "results/$name.txt"
+    "build/bench/$name" | tee "results/$name.txt"
 done
 
 # The coverage-table campaign (EXPERIMENTS.md "Reproducing the
