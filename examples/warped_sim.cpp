@@ -1273,7 +1273,12 @@ main(int argc, char **argv)
         }
         std::string text((std::istreambuf_iterator<char>(f)),
                          std::istreambuf_iterator<char>());
-        const auto prog = isa::parseProgram(text);
+        isa::Program prog;
+        try {
+            prog = isa::parseProgram(text);
+        } catch (const std::runtime_error &) {
+            return 1; // the assembler has printed the complaint
+        }
         if (o.disasm)
             std::printf("%s\n", prog.disassemble().c_str());
         gpu::Gpu g(cfg, o.dmr, /*seed=*/1, nullptr, {}, o.scheme);

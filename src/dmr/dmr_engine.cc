@@ -1,5 +1,8 @@
 #include "dmr/dmr_engine.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/logging.hh"
 #include "dmr/recovery_listener.hh"
 #include "dmr/rfu.hh"
@@ -13,6 +16,23 @@ DmrEngine::DmrEngine(const arch::GpuConfig &gpu, const DmrConfig &cfg,
       mapping_(cfg.mapping, gpu.warpSize, gpu.lanesPerCluster),
       queue_(cfg.replayQSize, gpu.warpSize), rng_(seed)
 {
+    // Counted intra-warp verification reads the RFU pairing of each
+    // cluster occupancy from a table instead of resolving the MUX
+    // network per record. Widths the RFU rejects get no table: their
+    // records take the per-slot path, which panics as before.
+    const unsigned w = gpu.lanesPerCluster;
+    if (w <= Rfu::kMaxWidth && std::has_single_bit(w)) {
+        clusterCounts_.resize(std::size_t{1} << w);
+        std::array<unsigned, Rfu::kMaxWidth> verifies;
+        for (std::uint64_t bits = 0; bits < clusterCounts_.size(); ++bits) {
+            const std::uint64_t covered = Rfu::pair(bits, w, verifies);
+            ClusterCounts &n = clusterCounts_[bits];
+            n.covered = static_cast<std::uint8_t>(std::popcount(covered));
+            n.checkers = static_cast<std::uint8_t>(
+                std::count_if(verifies.begin(), verifies.end(),
+                              [](unsigned v) { return v != Rfu::kNone; }));
+        }
+    }
 }
 
 std::size_t
@@ -58,11 +78,9 @@ DmrEngine::attachRecorder(trace::Recorder *rec)
 }
 
 void
-DmrEngine::emit(trace::EventKind kind, const func::ExecRecord &rec,
-                Cycle now, std::uint64_t a1)
+DmrEngine::recordEvent(trace::EventKind kind, const func::ExecRecord &rec,
+                       Cycle now, std::uint64_t a1)
 {
-    if (!recorder_)
-        return;
     trace::Event ev;
     ev.cycle = now;
     ev.kind = kind;
@@ -296,48 +314,65 @@ DmrEngine::intraWarpVerify(const func::ExecRecord &rec, Cycle now)
 {
     const unsigned w = gpu_.lanesPerCluster;
     const unsigned n_clusters = gpu_.clustersPerWarp();
+    const auto unit = static_cast<unsigned>(rec.instr.unit());
     const LaneMask lane_active = mapping_.toLaneSpace(rec.active);
-
-    // Dormant-hook fast path: re-execute every slot at once with the
-    // vectorized plane compute; the RFU pairing below then compares
-    // plane entries instead of re-running computeLane + the virtual
-    // hook per monitored lane. Identical statistics; a mismatch (a
-    // result corrupted while the hook was live) falls back to the
-    // full per-slot comparator, whose hook call is the identity.
     const bool dormant = !exec_.hookLiveAt(now);
-    if (dormant) {
-        func::Executor::computePlane(rec.instr, rec.operands,
-                                     rec.laneInfo, gpu_.warpSize,
-                                     verifyPlane_.data());
-    }
 
-    LaneMask covered_slots;
+    unsigned covered = 0;
     bool mismatch = false;
-    for (unsigned c = 0; c < n_clusters; ++c) {
-        const std::uint64_t bits = lane_active.clusterBits(c, w);
-        if (bits == 0)
-            continue;
-        std::array<unsigned, Rfu::kMaxWidth> verifies;
-        Rfu::pair(bits, w, verifies);
-        for (unsigned m = 0; m < w; ++m) {
-            if (verifies[m] == Rfu::kNone)
-                continue;
-            const unsigned monitored_lane = c * w + verifies[m];
-            const unsigned checker_lane = c * w + m;
-            const unsigned slot = mapping_.slotOf(monitored_lane);
-            if (dormant &&
-                verifyPlane_[slot] == rec.results[slot]) [[likely]] {
-                ++stats_.comparisons;
-            } else {
-                mismatch |=
-                    verifySlot(rec, slot, checker_lane, true, now);
-            }
-            covered_slots.set(slot);
-            ++stats_.redundantThreadExecs[
-                static_cast<unsigned>(rec.instr.unit())];
+    if (dormant && rec.clean && !clusterCounts_.empty()) {
+        // Counted verification: no live hook produced the results or
+        // re-executes them now, so every checker agrees. Only the
+        // pairing's counts matter, and they depend on the cluster
+        // occupancy alone.
+        unsigned checkers = 0;
+        for (unsigned c = 0; c < n_clusters; ++c) {
+            const ClusterCounts &n =
+                clusterCounts_[lane_active.clusterBits(c, w)];
+            checkers += n.checkers;
+            covered += n.covered;
         }
+        stats_.comparisons += checkers;
+        stats_.redundantThreadExecs[unit] += checkers;
+    } else {
+        // Dormant-hook fast path: re-execute every slot at once with
+        // the vectorized plane compute; the RFU pairing below then
+        // compares plane entries instead of re-running computeLane +
+        // the virtual hook per monitored lane. Identical statistics;
+        // a mismatch (a result corrupted while the hook was live)
+        // falls back to the full per-slot comparator, whose hook call
+        // is the identity.
+        if (dormant) {
+            func::Executor::computePlane(rec.instr, rec.operands,
+                                         rec.laneInfo, gpu_.warpSize,
+                                         verifyPlane_.data());
+        }
+        LaneMask covered_slots;
+        for (unsigned c = 0; c < n_clusters; ++c) {
+            const std::uint64_t bits = lane_active.clusterBits(c, w);
+            if (bits == 0)
+                continue;
+            std::array<unsigned, Rfu::kMaxWidth> verifies;
+            Rfu::pair(bits, w, verifies);
+            for (unsigned m = 0; m < w; ++m) {
+                if (verifies[m] == Rfu::kNone)
+                    continue;
+                const unsigned monitored_lane = c * w + verifies[m];
+                const unsigned checker_lane = c * w + m;
+                const unsigned slot = mapping_.slotOf(monitored_lane);
+                if (dormant &&
+                    verifyPlane_[slot] == rec.results[slot]) [[likely]] {
+                    ++stats_.comparisons;
+                } else {
+                    mismatch |=
+                        verifySlot(rec, slot, checker_lane, true, now);
+                }
+                covered_slots.set(slot);
+                ++stats_.redundantThreadExecs[unit];
+            }
+        }
+        covered = covered_slots.count();
     }
-    const unsigned covered = covered_slots.count();
     if (covered > 0)
         emit(trace::EventKind::RfuForward, rec, now, covered);
     emit(trace::EventKind::IntraVerify, rec, now, covered);
@@ -356,13 +391,18 @@ DmrEngine::interWarpVerify(const func::ExecRecord &rec, Cycle now)
     unsigned verified = 0;
     bool mismatch = false;
 
-    // Dormant-hook fast path: re-execute all slots with the
-    // vectorized plane compute and run the comparator as one masked
-    // bulk compare. Semantically identical to the per-slot loop below
-    // — same comparison/redundant-exec counts, same events — it only
-    // skips the virtual hook dispatch that is known to be identity.
-    bool fast_clean = false;
-    if (!exec_.hookLiveAt(now)) {
+    // A clean record verified while the hook is not live is counted:
+    // its results are the pure recompute, so the comparator agrees on
+    // every slot. The query stays even for clean records — the ladder
+    // capture's HorizonHook takes its horizons from the cycles it
+    // names. Otherwise, the dormant-hook fast path re-executes all
+    // slots with the vectorized plane compute and runs the comparator
+    // as one masked bulk compare. Both are semantically identical to
+    // the per-slot loop below — same comparison/redundant-exec
+    // counts, same events — they only skip work known to agree.
+    const bool dormant = !exec_.hookLiveAt(now);
+    bool fast_clean = dormant && rec.clean;
+    if (dormant && !fast_clean) {
         func::Executor::computePlane(rec.instr, rec.operands,
                                      rec.laneInfo, ws,
                                      verifyPlane_.data());

@@ -180,12 +180,22 @@ class DmrEngine final : public protection::ProtectionScheme
 
     static std::uint64_t readMaskOf(const isa::Instruction &in);
 
-    /** Emit one engine-level event (no-op when detached). Out of
-     *  line so the event construction never bloats the hot verify /
-     *  issue paths of a recorder-less run. */
+    /** Emit one engine-level event (no-op when detached): one
+     *  inline pointer test on the hot verify / issue paths of a
+     *  recorder-less run. */
+    void
+    emit(trace::EventKind kind, const func::ExecRecord &rec, Cycle now,
+         std::uint64_t a1)
+    {
+        if (recorder_) [[unlikely]]
+            recordEvent(kind, rec, now, a1);
+    }
+
+    /** Cold path of emit(): build and record the event. Out of line
+     *  so the event construction never bloats its callers. */
     [[gnu::noinline]]
-    void emit(trace::EventKind kind, const func::ExecRecord &rec,
-              Cycle now, std::uint64_t a1);
+    void recordEvent(trace::EventKind kind, const func::ExecRecord &rec,
+                     Cycle now, std::uint64_t a1);
 
     const arch::GpuConfig &gpu_;
     DmrConfig cfg_;
@@ -193,6 +203,16 @@ class DmrEngine final : public protection::ProtectionScheme
     /** Scratch plane for the dormant-hook re-execute-and-compare
      *  path (Executor::hookLiveAt is false at the verify cycle). */
     std::array<RegValue, func::kMaxWarp> verifyPlane_{};
+    /** What the RFU pairing of one cluster occupancy adds to a
+     *  counted intra-warp verification. */
+    struct ClusterCounts
+    {
+        std::uint8_t checkers = 0; ///< idle lanes re-executing a lane
+        std::uint8_t covered = 0;  ///< active lanes with a checker
+    };
+    /** Indexed by the cluster's active-lane bits; empty when the
+     *  cluster width is one the RFU rejects. */
+    std::vector<ClusterCounts> clusterCounts_;
     ThreadCoreMapping mapping_;
     ReplayQueue queue_;
     Rng rng_;

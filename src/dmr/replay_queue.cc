@@ -43,6 +43,7 @@ ReplayQueue::restoreState(const State &s)
     for (unsigned i = capacity_; i-- > 0;)
         free_.push_back(i);
     writeRegMask_ = 0;
+    typeCount_.fill(0);
     for (std::size_t i = 0; i < s.records.size(); ++i) {
         const std::uint32_t slot = free_.back();
         free_.pop_back();
@@ -51,6 +52,7 @@ ReplayQueue::restoreState(const State &s)
         const isa::Instruction &in = s.records.instr(i);
         writeBit_[slot] = in.hasDst() ? 1ULL << in.dst.idx : 0;
         writeRegMask_ |= writeBit_[slot];
+        ++typeCount_[static_cast<unsigned>(in.unit())];
         order_.push_back(slot);
     }
     peakDepth_ = s.peakDepth;
@@ -68,6 +70,7 @@ ReplayQueue::push(const func::ExecRecord &rec, Cycle now)
     writeBit_[slot] =
         rec.instr.hasDst() ? 1ULL << rec.instr.dst.idx : 0;
     writeRegMask_ |= writeBit_[slot];
+    ++typeCount_[static_cast<unsigned>(rec.instr.unit())];
     order_.push_back(slot);
     if (recorder_) [[unlikely]]
         recordEvent(trace::EventKind::ReplayPush, rec, order_.size(),
@@ -87,6 +90,7 @@ ReplayQueue::take(std::size_t pos, Cycle now)
     for (const std::uint32_t s : order_)
         writeRegMask_ |= writeBit_[s];
     const Entry &e = slots_[slot];
+    --typeCount_[static_cast<unsigned>(e.rec.instr.unit())];
     if (recorder_) [[unlikely]]
         recordEvent(trace::EventKind::ReplayPop, e.rec, order_.size(),
                     now);
@@ -113,24 +117,17 @@ const ReplayQueue::Entry *
 ReplayQueue::popDifferentType(isa::UnitType busy, Rng &rng,
                               DequeuePolicy policy, Cycle now)
 {
-    // First pass: count qualifying entries, remembering the oldest.
-    std::size_t count = 0;
-    std::size_t first = 0;
-    for (std::size_t i = 0; i < order_.size(); ++i) {
-        if (slots_[order_[i]].rec.instr.unit() != busy) {
-            if (count == 0)
-                first = i;
-            ++count;
-        }
-    }
+    // The per-type count says how many entries qualify without a walk.
+    const std::size_t count =
+        order_.size() - typeCount_[static_cast<unsigned>(busy)];
     if (count == 0)
         return nullptr;
-    if (policy == DequeuePolicy::OldestFirst || count == 1)
-        return take(first, now);
-    // Random pick: find the k-th qualifying entry (oldest-first
-    // enumeration, matching the candidate order the RNG indexes).
-    std::size_t k = rng.nextBelow(count);
-    for (std::size_t i = first; i < order_.size(); ++i) {
+    // Oldest-first, or at random: the k-th qualifying entry in
+    // oldest-first order (the candidate order the RNG indexes).
+    std::size_t k = policy == DequeuePolicy::OldestFirst || count == 1
+                        ? 0
+                        : rng.nextBelow(count);
+    for (std::size_t i = 0; i < order_.size(); ++i) {
         if (slots_[order_[i]].rec.instr.unit() != busy && k-- == 0)
             return take(i, now);
     }
@@ -148,6 +145,8 @@ ReplayQueue::popOldest(Cycle now)
 const ReplayQueue::Entry *
 ReplayQueue::popOldestOfType(isa::UnitType t, Cycle now)
 {
+    if (typeCount_[static_cast<unsigned>(t)] == 0)
+        return nullptr;
     for (std::size_t i = 0; i < order_.size(); ++i) {
         if (slots_[order_[i]].rec.instr.unit() == t)
             return take(i, now);

@@ -19,6 +19,7 @@
 #ifndef WARPED_DMR_REPLAY_QUEUE_HH
 #define WARPED_DMR_REPLAY_QUEUE_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -183,6 +184,10 @@ class ReplayQueue
     /** Union of destination-register bits over every queued entry:
      *  a one-AND fast reject for the per-issue RAW hazard probe. */
     std::uint64_t writeRegMask_ = 0;
+    /** Queued entries per unit type: the per-issue unit drain and
+     *  the Algorithm-1 partner search reject in O(1) when no entry
+     *  can qualify. */
+    std::array<unsigned, isa::kNumUnitTypes> typeCount_{};
     trace::Recorder *recorder_ = nullptr;
     unsigned smId_ = 0;
 };

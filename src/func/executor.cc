@@ -325,6 +325,8 @@ Executor::stepInto(arch::WarpContext &warp, const isa::Program &prog,
     rec.wasExit = false;
     rec.warpId = 0;
     rec.traceId = 0;
+    // Cleared below when the results pass through a live hook.
+    rec.clean = true;
 
     if (active.none())
         warped_panic("executing with empty active mask at pc ", pc);
@@ -392,6 +394,7 @@ Executor::stepInto(arch::WarpContext &warp, const isa::Program &prog,
             // before the plane split — fault campaigns stay
             // byte-identical. A dormant hook is the identity here, so
             // skipping it cannot be observed.
+            rec.clean = false;
             FaultCtx ctx;
             ctx.sm = smId_;
             ctx.unit = in.unit();

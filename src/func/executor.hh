@@ -69,6 +69,14 @@ struct ExecRecord
     bool wasBranch = false;
     bool wasBarrier = false;
     bool wasExit = false;
+    /** The results are the pure function of the operands: no live
+     *  fault hook touched them (Executor::stepInto stamps this from
+     *  its hookLiveAt query). A verification of a clean record at a
+     *  cycle the hook is not live either cannot disagree, so the DMR
+     *  engine counts it instead of re-executing it. Every other
+     *  record (hand-built fixtures included) stays false and takes
+     *  the full recompute-and-compare path. */
+    bool clean = false;
 
     /** Per-thread-slot source operand values (index [src][slot]). */
     std::array<std::array<RegValue, kMaxWarp>, 3> operands{};
@@ -107,6 +115,7 @@ struct ExecRecord
         wasBranch = o.wasBranch;
         wasBarrier = o.wasBarrier;
         wasExit = o.wasExit;
+        clean = o.clean;
         for (unsigned s = 0; s < o.instr.numSrcs(); ++s)
             std::copy_n(o.operands[s].data(), ws, operands[s].data());
         std::copy_n(o.results.data(), ws, results.data());
@@ -143,9 +152,10 @@ class PackedRecords
     void
     append(const ExecRecord &r)
     {
-        Head h{r.instr,    r.pc,        r.warpId,
-               r.traceId,  r.active,    r.wasBranch,
-               r.wasBarrier, r.wasExit, planes_.size(), laneInfo_.size()};
+        Head h{r.instr,      r.pc,      r.warpId,
+               r.traceId,    r.active,  r.wasBranch,
+               r.wasBarrier, r.wasExit, r.clean,
+               planes_.size(), laneInfo_.size()};
         heads_.push_back(h);
         for (unsigned s = 0; s < r.instr.numSrcs(); ++s)
             planes_.insert(planes_.end(), r.operands[s].begin(),
@@ -171,6 +181,7 @@ class PackedRecords
         r.wasBranch = h.wasBranch;
         r.wasBarrier = h.wasBarrier;
         r.wasExit = h.wasExit;
+        r.clean = h.clean;
         const RegValue *p = planes_.data() + h.planeAt;
         for (unsigned s = 0; s < h.instr.numSrcs(); ++s, p += ws_)
             std::copy_n(p, ws_, r.operands[s].data());
@@ -205,6 +216,7 @@ class PackedRecords
         bool wasBranch;
         bool wasBarrier;
         bool wasExit;
+        bool clean;
         std::size_t planeAt; ///< read operand planes, then results
         std::size_t laneAt;  ///< S2R only
     };

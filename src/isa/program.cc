@@ -19,6 +19,9 @@ Program::validate() const
 {
     if (instrs_.empty())
         warped_fatal("program '", name_, "' is empty");
+    if (numRegs_ > kMaxRegs)
+        warped_fatal("program '", name_, "' declares ", numRegs_,
+                     " registers; at most ", kMaxRegs, " are supported");
 
     bool has_exit = false;
     for (Pc pc = 0; pc < size(); ++pc) {

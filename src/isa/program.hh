@@ -16,6 +16,12 @@ namespace warped {
 namespace isa {
 
 /**
+ * Most registers a kernel may declare. The DMR engine and the ReplayQ
+ * track register reads and writes as bits of one 64-bit mask.
+ */
+constexpr unsigned kMaxRegs = 64;
+
+/**
  * An immutable kernel image produced by the KernelBuilder.
  */
 class Program
@@ -38,9 +44,9 @@ class Program
     unsigned sharedBytes() const { return sharedBytes_; }
 
     /**
-     * Structural validation: branch targets in range, register indices
-     * within numRegs, a reachable EXIT present. Calls warped_fatal on
-     * violation.
+     * Structural validation: at most kMaxRegs registers, branch
+     * targets in range, register indices within numRegs, a reachable
+     * EXIT present. Calls warped_fatal on violation.
      */
     void validate() const;
 

@@ -51,6 +51,10 @@ ReplayCompareScheme::onIssue(const func::ExecRecord &rec, Cycle now)
     const unsigned active = rec.active.count();
     stats_.verifiableThreadInstrs += active;
     replayExecs_[static_cast<unsigned>(rec.instr.unit())] += active;
+    // A clean record's results are the hook-free recompute itself:
+    // no slot can become a candidate.
+    if (rec.clean)
+        return 0;
     // The eager hook-free recompute is one vectorized plane pass; the
     // per-slot loop below only filters it against the committed
     // results (bit-identical to per-slot computeLane).

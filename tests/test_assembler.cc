@@ -128,3 +128,47 @@ TEST(Assembler, ParsedProgramExecutes)
     for (unsigned t = 0; t < 64; ++t)
         EXPECT_EQ(g.mem().readWord(out + 4 * t), 3 * t);
 }
+
+TEST(Assembler, RejectsMoreRegistersThanTheMasksHold)
+{
+    setVerbose(false);
+    // Register reads and writes are tracked as bits of a 64-bit mask.
+    EXPECT_THROW(parseProgram(".kernel wide (regs 65, shared 0B)\n"
+                              "  0:\tMOVI r64, #1\n"
+                              "  1:\tEXIT\n"),
+                 std::runtime_error);
+    EXPECT_THROW(parseProgram(".kernel wide (regs 72, shared 0B)\n"
+                              "  0:\tEXIT\n"),
+                 std::runtime_error);
+    // KernelBuilder-built programs go through the same validation.
+    KernelBuilder kb("wide", 65);
+    for (unsigned i = 0; i < 65; ++i)
+        kb.movi(kb.reg(), 1);
+    EXPECT_THROW(kb.build(), std::runtime_error);
+}
+
+TEST(Assembler, SixtyFourRegistersRunUnderDmr)
+{
+    setVerbose(false);
+    // out[gtid] = gtid + 7, carried through the top register r63.
+    const std::string text = R"(.kernel wide  (regs 64, shared 0B)
+  0:	S2R r0, #6
+  1:	MOVI r63, #7
+  2:	IADD r63, r63, r0
+  3:	SHLI r1, r0, #2
+  4:	IADDI r1, r1, #256
+  5:	STG r1, r63, [r1+0]
+  6:	EXIT
+)";
+    const auto p = parseProgram(text);
+    EXPECT_EQ(p.numRegs(), kMaxRegs);
+    gpu::Gpu g(arch::GpuConfig::testDefault(),
+               dmr::DmrConfig::paperDefault());
+    const Addr out = g.allocator().alloc(64 * 4);
+    ASSERT_EQ(out, 256u);
+    const auto r = g.launch(p, 2, 32);
+    EXPECT_FALSE(r.hung);
+    EXPECT_GT(r.dmr.verifiedThreadInstrs, 0u);
+    for (unsigned t = 0; t < 64; ++t)
+        EXPECT_EQ(g.mem().readWord(out + 4 * t), t + 7);
+}

@@ -329,6 +329,50 @@ TEST_F(StepFixture, FaultHookSeesMappedLane)
     EXPECT_EQ(warp.reg(1, 0), 10u);
 }
 
+namespace {
+
+/** Flips bit 0 of every result, live only on cycles [10, 20). */
+class WindowHook final : public func::FaultHook
+{
+  public:
+    RegValue apply(RegValue pure, const func::FaultCtx &) override
+    {
+        return pure ^ 1u;
+    }
+    bool
+    liveAt(unsigned, Cycle cycle) const override
+    {
+        return cycle >= 10 && cycle < 20;
+    }
+};
+
+} // namespace
+
+TEST_F(StepFixture, StampsCleanOnlyWhenNoLiveHookTouchedTheResults)
+{
+    WindowHook hook;
+    func::Executor fexec(cfg, 0, global, hook);
+    KernelBuilder kb("t", 16);
+    auto a = kb.reg();
+    kb.movi(a, 10);
+    kb.movi(a, 10);
+    kb.movi(a, 10);
+    const auto prog = kb.build();
+
+    auto warp = makeWarp();
+    func::ExecRecord rec;
+    fexec.stepInto(warp, prog, shared, nullptr, 9, rec);
+    EXPECT_TRUE(rec.clean);
+    EXPECT_EQ(rec.results[0], 10u);
+    fexec.stepInto(warp, prog, shared, nullptr, 10, rec);
+    EXPECT_FALSE(rec.clean); // the result went through the live hook
+    EXPECT_EQ(rec.results[0], 11u);
+    fexec.stepInto(warp, prog, shared, nullptr, 20, rec);
+    EXPECT_TRUE(rec.clean); // the stamp is reset on every step
+    // A default-constructed (hand-built) record is never clean.
+    EXPECT_FALSE(func::ExecRecord{}.clean);
+}
+
 // ---------------------------------------------------------------
 // computePlane vs computeLane equivalence.
 //

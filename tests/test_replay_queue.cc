@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/logging.hh"
 #include "dmr/replay_queue.hh"
 
@@ -220,4 +224,137 @@ TEST(ReplayQueue, EntryBytesMatchesPaperArithmetic)
     // §4.3.1: 32 lanes x 3 operands x 4B + 32 x 4B + 2B opcode.
     EXPECT_EQ(ReplayQueue::entryBytes(32), 514u);
     EXPECT_GE(ReplayQueue::entryBytes(32) * 10, 5140u);
+}
+
+namespace {
+
+/** What a never-saved queue must answer: a plain list scan. */
+struct ModelEntry
+{
+    isa::UnitType unit;
+    unsigned warp;
+    std::uint64_t traceId;
+    bool clean;
+};
+
+} // namespace
+
+TEST(ReplayQueue, TypeQueriesSurviveRestoreAndInterleavedTraffic)
+{
+    // Random push / per-type pop / partner pop / squash traffic. One
+    // queue is never saved; the other is saved and restored into a
+    // queue holding stale entries before every operation. Both must
+    // give the answers of a plain scan over a model list, so the
+    // per-type counts behind the O(1) rejects are rebuilt on restore
+    // and kept exact by take(). Restored entries keep their clean bit.
+    const isa::Opcode ops[] = {isa::Opcode::IADD, isa::Opcode::SIN,
+                               isa::Opcode::LDG};
+    const isa::UnitType units[] = {isa::UnitType::SP, isa::UnitType::SFU,
+                                   isa::UnitType::LDST};
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        Rng rng(seed);
+        Rng plain_pick(seed), cycled_pick(seed), model_pick(seed);
+        ReplayQueue plain(5), cycled(5);
+        std::vector<ModelEntry> model;
+        std::uint64_t next_id = 1;
+
+        const auto expect_entry = [&](const ReplayQueue::Entry *e,
+                                      const ModelEntry *m) {
+            ASSERT_EQ(e != nullptr, m != nullptr);
+            if (m) {
+                EXPECT_EQ(e->rec.traceId, m->traceId);
+                EXPECT_EQ(e->rec.instr.unit(), m->unit);
+                EXPECT_EQ(e->rec.clean, m->clean);
+            }
+        };
+
+        for (unsigned step = 0; step < 300; ++step) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                         std::to_string(step));
+            ReplayQueue stale(5);
+            stale.push(rec(isa::Opcode::SIN, 9), 0);
+            stale.push(rec(isa::Opcode::SIN, 9), 0);
+            stale.restoreState(cycled.saveState());
+            cycled = stale;
+
+            const unsigned t = static_cast<unsigned>(rng.nextBelow(3));
+            switch (rng.nextBelow(5)) {
+              case 0:
+              case 1: {
+                if (plain.full())
+                    break;
+                auto r = rec(ops[t], static_cast<unsigned>(rng.nextBelow(3)));
+                r.traceId = next_id++;
+                r.clean = rng.nextBool();
+                plain.push(r, step);
+                cycled.push(r, step);
+                model.push_back({units[t], r.warpId, r.traceId, r.clean});
+                break;
+              }
+              case 2: {
+                const ModelEntry *m = nullptr;
+                ModelEntry hit{};
+                for (std::size_t i = 0; i < model.size(); ++i) {
+                    if (model[i].unit == units[t]) {
+                        hit = model[i];
+                        model.erase(model.begin() + i);
+                        m = &hit;
+                        break;
+                    }
+                }
+                expect_entry(plain.popOldestOfType(units[t]), m);
+                expect_entry(cycled.popOldestOfType(units[t]), m);
+                break;
+              }
+              case 3: {
+                const auto policy = rng.nextBool()
+                                        ? dmr::DequeuePolicy::Random
+                                        : dmr::DequeuePolicy::OldestFirst;
+                std::vector<std::size_t> cands;
+                for (std::size_t i = 0; i < model.size(); ++i)
+                    if (model[i].unit != units[t])
+                        cands.push_back(i);
+                const ModelEntry *m = nullptr;
+                ModelEntry hit{};
+                if (!cands.empty()) {
+                    const std::size_t k =
+                        policy == dmr::DequeuePolicy::OldestFirst ||
+                                cands.size() == 1
+                            ? 0
+                            : model_pick.nextBelow(cands.size());
+                    hit = model[cands[k]];
+                    model.erase(model.begin() + cands[k]);
+                    m = &hit;
+                }
+                expect_entry(plain.popDifferentType(units[t], plain_pick,
+                                                    policy),
+                             m);
+                expect_entry(cycled.popDifferentType(units[t],
+                                                     cycled_pick, policy),
+                             m);
+                break;
+              }
+              default: {
+                const auto warp = static_cast<unsigned>(rng.nextBelow(3));
+                const std::uint64_t min_id =
+                    next_id - std::min<std::uint64_t>(next_id,
+                                                      rng.nextBelow(4));
+                unsigned dropped = 0;
+                for (std::size_t i = 0; i < model.size();) {
+                    if (model[i].warp == warp && model[i].traceId >= min_id) {
+                        model.erase(model.begin() + i);
+                        ++dropped;
+                    } else {
+                        ++i;
+                    }
+                }
+                EXPECT_EQ(plain.squashWarp(warp, min_id), dropped);
+                EXPECT_EQ(cycled.squashWarp(warp, min_id), dropped);
+                break;
+              }
+            }
+            ASSERT_EQ(plain.size(), model.size());
+            ASSERT_EQ(cycled.size(), model.size());
+        }
+    }
 }

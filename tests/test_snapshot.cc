@@ -5,8 +5,9 @@
  * global memory, cycles, hang flag and every LaunchResult counter
  * (sm.*, dmr.*, recovery.*) — under every protection scheme, with
  * recovery on, on banked DRAM with SECDED, and from snapshots taken
- * while a block waits at a barrier or the ReplayQ is full. Also pins
- * the gpu::Ladder's caps and rung-choice rules.
+ * while a block waits at a barrier or the ReplayQ is full. Restored
+ * records keep their clean stamp. Also pins the gpu::Ladder's caps,
+ * rung-choice rules and rung horizons.
  */
 
 #include <gtest/gtest.h>
@@ -15,12 +16,14 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
 #include "dmr/dmr_engine.hh"
 #include "gpu/gpu.hh"
 #include "gpu/snapshot.hh"
+#include "mem/memory.hh"
 #include "protection/scheme_registry.hh"
 #include "workloads/workload.hh"
 
@@ -282,6 +285,120 @@ TEST(Ladder, ExecFaultsResumeBelowTheHorizonMemoryFaultsAtTheStrike)
         EXPECT_GE(ladder.forExecFault(later).loop.cycle, c);
     }
     EXPECT_TRUE(lookahead) << "no rung saw an eager look-ahead";
+}
+
+TEST(Ladder, HorizonsMatchTheRecomputingEngine)
+{
+    // The (cycle, horizon) of every rung, as captured by an engine
+    // that re-executed every verification. Counted verification keeps
+    // the verify-time hook query, so the horizons — eager look-aheads
+    // at now + 1 included — must not move.
+    setVerbose(false);
+    struct Case
+    {
+        const char *name;
+        Factory factory;
+        unsigned sms;
+        unsigned qsize;
+        std::vector<std::pair<Cycle, Cycle>> rungs;
+    };
+    const Case cases[] = {
+        {"matrixmul_q1", kMatrixMul, 2, 1,
+         {{0, 0}, {512, 512}, {1024, 1022}, {1536, 1537}, {2048, 2049},
+          {2560, 2561}, {3072, 3073}, {3584, 3585}, {4096, 4097},
+          {4608, 4609}, {5120, 5121}}},
+        {"sha", kSha, 4, 10,
+         {{0, 0}, {512, 510}, {1024, 1024}, {1536, 1536}, {2048, 2048},
+          {2560, 2560}, {3072, 3069}, {3584, 3582}, {4096, 4096},
+          {4608, 4608}, {5120, 5120}}},
+        {"bfs_q1", [] { return workloads::makeBfs(2); }, 4, 1,
+         {{0, 0},       {512, 510},     {1024, 1011},   {1536, 1528},
+          {2048, 2048}, {2560, 2561},   {3072, 3059},   {3584, 3584},
+          {4096, 4096}, {4608, 4608},   {5120, 5120},   {5632, 5627},
+          {6144, 6145}, {6656, 6656},   {7168, 7168},   {7680, 7677},
+          {8192, 8190}, {8704, 8700},   {9216, 9214},   {9728, 9728},
+          {10240, 10231}, {10752, 10748}, {11264, 11264},
+          {11776, 11776}}},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        Machine m;
+        m.gpu.numSms = c.sms;
+        m.dmr.replayQSize = c.qsize;
+        gpu::Ladder ladder;
+        runLaunch(c.factory, m, nullptr, &ladder, &ladder.hook());
+        std::vector<std::pair<Cycle, Cycle>> got;
+        for (const auto &r : ladder.rungs())
+            got.emplace_back(r.snap.loop.cycle, r.horizon);
+        EXPECT_EQ(got, c.rungs);
+    }
+}
+
+TEST(Snapshot, RestoredRecordsKeepTheirCleanBit)
+{
+    // A ReplayQ entry and the pending RF-stage record, clean and not,
+    // through DmrEngine::saveStateValue / restoreState and back.
+    setVerbose(false);
+    const auto cfg = arch::GpuConfig::testDefault();
+    mem::Memory global(4096);
+    func::Executor exec(cfg, 0, global, func::NullFaultHook::instance());
+    const auto record = [](bool clean) {
+        func::ExecRecord r;
+        r.instr.op = isa::Opcode::IADD;
+        r.instr.dst = isa::Reg{1};
+        r.active = LaneMask::full(32);
+        r.clean = clean;
+        return r;
+    };
+    const auto clean_of = [](const func::PackedRecords &p) {
+        func::ExecRecord r;
+        r.clean = !r.clean;
+        p.unpack(0, r);
+        return r.clean;
+    };
+    for (const bool first : {true, false}) {
+        dmr::DmrEngine e(cfg, dmr::DmrConfig::paperDefault(), exec, 1);
+        // Same unit, empty queue: the first record is enqueued and the
+        // second becomes the pending one.
+        e.onIssue(record(first), 0);
+        e.onIssue(record(!first), 1);
+        ASSERT_EQ(e.replayQueueSize(), 1u);
+        ASSERT_TRUE(e.hasPending());
+
+        dmr::DmrEngine restored(cfg, dmr::DmrConfig::paperDefault(), exec,
+                                7);
+        restored.restoreState(e.saveStateValue());
+        const auto s = restored.saveStateValue();
+        ASSERT_EQ(s.queue.records.size(), 1u);
+        ASSERT_EQ(s.pending.size(), 1u);
+        EXPECT_EQ(clean_of(s.queue.records), first);
+        EXPECT_EQ(clean_of(s.pending), !first);
+    }
+    // A fault-free launch stamps every record clean, so every record
+    // a rung holds is clean.
+    Machine m;
+    m.gpu.numSms = 2;
+    m.dmr.replayQSize = 2;
+    EveryK sink(5);
+    runLaunch(kMatrixMul, m, nullptr, &sink);
+    using DmrState =
+        protection::SchemeStateOf<dmr::DmrEngine, dmr::DmrEngine::State>;
+    unsigned held = 0;
+    for (const auto &snap : sink.snaps)
+        for (const auto &sm : snap.sms) {
+            const auto *st =
+                dynamic_cast<const DmrState *>(sm->scheme.get());
+            ASSERT_NE(st, nullptr);
+            for (const auto *p : {&st->state.queue.records,
+                                  &st->state.pending})
+                for (std::size_t i = 0; i < p->size(); ++i) {
+                    func::ExecRecord r;
+                    p->unpack(i, r);
+                    EXPECT_TRUE(r.clean);
+                    ++held;
+                }
+        }
+    EXPECT_GT(held, 0u);
 }
 
 TEST(Snapshot, ResumingADifferentLaunchPanics)
