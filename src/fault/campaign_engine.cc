@@ -457,6 +457,13 @@ CampaignReport::toJson() const
     return toMetrics().toJson();
 }
 
+bool
+settledByOracle(const gpu::Ladder &ladder, const FaultSpec &spec)
+{
+    return !spec.isMemory &&
+           ladder.quiet(spec.sm, spec.cycleBegin, spec.cycleEnd);
+}
+
 CampaignEngine::CampaignEngine(WorkloadFactory factory,
                                EngineConfig cfg)
     : factory_(std::move(factory)), cfg_(std::move(cfg))
@@ -470,7 +477,9 @@ namespace {
  *  drawn within the run's stratum; either way the draw is a pure
  *  function of (seed, run_index). The run resumes from the ladder
  *  rung its fault cannot have touched (docs/FAULT_MODEL.md, "Snapshot
- *  fork") — a faulty run is the golden run until then. */
+ *  fork") — a faulty run is the golden run until then — or, when the
+ *  golden pass never asked the hook about its window, is not run at
+ *  all (settledByOracle). */
 RunRecord
 runOne(std::uint64_t run_index, const FaultSiteSpace &space,
        const StratifiedSpace *strat, Cycle span,
@@ -547,6 +556,12 @@ runOne(std::uint64_t run_index, const FaultSiteSpace &space,
             return aborted(e);
         }
     }
+
+    // Golden activity oracle: no hook call of the golden pass named
+    // this SM inside the window, so the fault cannot activate and the
+    // run is the golden run — Masked, not activated.
+    if (settledByOracle(ladder, spec))
+        return rec;
 
     // Early exits (docs/FAULT_MODEL.md): stop simulating once the
     // run's class can no longer change. Window-closed: nothing has

@@ -41,7 +41,9 @@
  * Each injected run resumes from the golden run's snapshot ladder
  * (gpu::Ladder, captured by prepare()) at the latest rung its fault
  * cannot have touched, instead of replaying the fault-free prefix
- * from cycle 0 (docs/FAULT_MODEL.md, "Snapshot fork").
+ * from cycle 0 (docs/FAULT_MODEL.md, "Snapshot fork"). A run whose
+ * fault window the golden pass never asked the hook about is settled
+ * with no simulation at all (settledByOracle).
  *
  * Long campaigns checkpoint periodically to a JSON state file and
  * resume from it: runs are folded in submission-index order in
@@ -329,6 +331,15 @@ struct CampaignReport
 void
 restoreReportCounters(const std::map<std::string, std::uint64_t> &kv,
                       CampaignReport &rep);
+
+/**
+ * The golden activity oracle (docs/FAULT_MODEL.md, "Golden activity
+ * oracle"): an execution-unit site whose SM no hook call of the
+ * ladder's capturing pass named inside the site's cycle window can
+ * never activate, so it is Masked and not activated without any
+ * simulation. Memory sites are never settled.
+ */
+bool settledByOracle(const gpu::Ladder &ladder, const FaultSpec &spec);
 
 /** Workload factory: a fresh instance per run (runs execute
  *  concurrently). */

@@ -20,6 +20,48 @@ Snapshot::bytes() const
     return n;
 }
 
+void
+ActivityLog::note(unsigned sm, Cycle cycle)
+{
+    if (sm >= sms_.size())
+        sms_.resize(sm + 1);
+    PerSm &s = sms_[sm];
+    if (cycle >= kMaxCycles) {
+        s.beyondLo = std::min(s.beyondLo, cycle);
+        s.beyondHi = std::max(s.beyondHi, cycle);
+        return;
+    }
+    const std::size_t word = cycle / 64;
+    if (word >= s.bits.size())
+        s.bits.resize(std::min<std::size_t>(
+            std::max(word + 1, 2 * s.bits.size()), kMaxCycles / 64));
+    s.bits[word] |= std::uint64_t{1} << (cycle % 64);
+}
+
+bool
+ActivityLog::quiet(unsigned sm, Cycle lo, Cycle hi) const
+{
+    if (sm >= sms_.size() || lo > hi)
+        return true;
+    const PerSm &s = sms_[sm];
+    if (s.beyondLo <= s.beyondHi && lo <= s.beyondHi && s.beyondLo <= hi)
+        return false;
+    const Cycle top = Cycle{s.bits.size()} * 64;
+    if (lo >= top)
+        return true;
+    hi = std::min(hi, top - 1);
+    for (std::size_t w = lo / 64; w <= hi / 64; ++w) {
+        std::uint64_t m = s.bits[w];
+        if (w == lo / 64)
+            m &= ~std::uint64_t{0} << (lo % 64);
+        if (w == hi / 64)
+            m &= ~std::uint64_t{0} >> (63 - hi % 64);
+        if (m)
+            return false;
+    }
+    return true;
+}
+
 std::size_t
 Ladder::rungBytes() const
 {

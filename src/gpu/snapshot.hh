@@ -17,12 +17,16 @@
  * A gpu::Ladder is the sink fault campaigns use: the golden pass
  * keeps one snapshot (a *rung*) every K cycles, and each injected run
  * resumes from the latest rung its fault cannot have touched (see
- * docs/FAULT_MODEL.md, "Snapshot fork").
+ * docs/FAULT_MODEL.md, "Snapshot fork"). Its capture also logs which
+ * SM and cycle every hook call named, so a campaign can settle a
+ * fault whose window no call touched without simulating it ("Golden
+ * activity oracle").
  */
 
 #ifndef WARPED_GPU_SNAPSHOT_HH
 #define WARPED_GPU_SNAPSHOT_HH
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -73,13 +77,44 @@ class SnapshotSink
 };
 
 /**
+ * Which (SM, cycle) pairs a golden pass's hook calls named: one bit
+ * per cycle below kMaxCycles for each SM, and for the cycles at or
+ * beyond it (R-Naive's modelled second run applies at now + 2^40)
+ * only their lowest and highest, a conservative range. The bitmap
+ * grows by doubling with the highest cycle named below the cap, so it
+ * costs at most a quarter of a byte per SM and golden cycle.
+ */
+class ActivityLog
+{
+  public:
+    static constexpr Cycle kMaxCycles = Cycle{1} << 20;
+
+    void note(unsigned sm, Cycle cycle);
+    /** No noted call named SM @p sm at a cycle in [lo, hi]. */
+    bool quiet(unsigned sm, Cycle lo, Cycle hi) const;
+
+  private:
+    struct PerSm
+    {
+        std::vector<std::uint64_t> bits;
+        /** Range of the cycles at or beyond kMaxCycles noted
+         *  (empty while beyondLo > beyondHi). */
+        Cycle beyondLo = ~Cycle{0};
+        Cycle beyondHi = 0;
+    };
+    std::vector<PerSm> sms_;
+};
+
+/**
  * The fault-free hook of a golden pass that captures a ladder: never
  * live and the identity, so the pass runs exactly like the fault-free
  * machine, but it remembers the furthest cycle any liveAt query or
  * apply call has named. Those can look ahead of the cycle being
  * simulated (an eager re-execution verifies at now + 1; the software
  * schemes apply at a modelled second-run cycle), which is why a rung
- * is only sound for faults beyond this horizon.
+ * is only sound for faults beyond this horizon. It also logs the
+ * (SM, cycle) every call named: a fault window on an SM no call named
+ * cannot activate (docs/FAULT_MODEL.md, "Golden activity oracle").
  */
 class HorizonHook final : public func::FaultHook
 {
@@ -87,26 +122,30 @@ class HorizonHook final : public func::FaultHook
     RegValue
     apply(RegValue pure, const func::FaultCtx &ctx) override
     {
-        note(ctx.cycle);
+        note(ctx.sm, ctx.cycle);
         return pure;
     }
     bool
-    liveAt(unsigned, Cycle cycle) const override
+    liveAt(unsigned sm, Cycle cycle) const override
     {
-        note(cycle);
+        note(sm, cycle);
         return false;
     }
     /** Every call so far named a cycle below this (0: no call yet). */
     Cycle bound() const { return bound_; }
+    /** The (SM, cycle) pairs every call so far named. */
+    const ActivityLog &log() const { return log_; }
 
   private:
     void
-    note(Cycle c) const
+    note(unsigned sm, Cycle c) const
     {
         if (c >= bound_)
             bound_ = c + 1;
+        log_.note(sm, c);
     }
     mutable Cycle bound_ = 0;
+    mutable ActivityLog log_;
 };
 
 /**
@@ -158,6 +197,18 @@ class Ladder final : public SnapshotSink
      *  @p strike: the latest rung at or before it (the fault plane
      *  is inert before its strike cycle). */
     const Snapshot &forMemFault(Cycle strike) const;
+
+    /**
+     * No hook call of the capturing launch named SM @p sm at a cycle
+     * in [lo, hi]. An execution-unit fault on that SM whose window is
+     * [lo, hi] then never activates (docs/FAULT_MODEL.md, "Golden
+     * activity oracle").
+     */
+    bool
+    quiet(unsigned sm, Cycle lo, Cycle hi) const
+    {
+        return hook_.log().quiet(sm, lo, hi);
+    }
 
     const std::vector<Rung> &rungs() const { return rungs_; }
     Cycle spacing() const { return spacing_; }

@@ -7,7 +7,8 @@
  * recovery on, on banked DRAM with SECDED, and from snapshots taken
  * while a block waits at a barrier or the ReplayQ is full. Restored
  * records keep their clean stamp. Also pins the gpu::Ladder's caps,
- * rung-choice rules and rung horizons.
+ * rung-choice rules and rung horizons, and checks that its activity
+ * log names every (SM, cycle) where a live fault hook is applied.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +24,9 @@
 #include "dmr/dmr_engine.hh"
 #include "gpu/gpu.hh"
 #include "gpu/snapshot.hh"
+#include "kernel_fuzzer.hh"
 #include "mem/memory.hh"
+#include "pinned_configs.hh"
 #include "protection/scheme_registry.hh"
 #include "workloads/workload.hh"
 
@@ -332,6 +335,159 @@ TEST(Ladder, HorizonsMatchTheRecomputingEngine)
             got.emplace_back(r.snap.loop.cycle, r.horizon);
         EXPECT_EQ(got, c.rungs);
     }
+}
+
+TEST(ActivityLog, QuietIsExactBelowTheCapAndARangeBeyondIt)
+{
+    gpu::ActivityLog log;
+    EXPECT_TRUE(log.quiet(0, 0, ~Cycle{0}));
+    log.note(1, 63);
+    log.note(1, 64);
+    log.note(1, 200);
+    EXPECT_TRUE(log.quiet(0, 0, ~Cycle{0}));
+    EXPECT_TRUE(log.quiet(2, 0, ~Cycle{0}));
+    EXPECT_TRUE(log.quiet(1, 0, 62));
+    EXPECT_FALSE(log.quiet(1, 0, 63));
+    EXPECT_FALSE(log.quiet(1, 64, 64));
+    EXPECT_TRUE(log.quiet(1, 65, 199));
+    EXPECT_FALSE(log.quiet(1, 199, 201));
+    EXPECT_TRUE(log.quiet(1, 201, ~Cycle{0}));
+    EXPECT_TRUE(log.quiet(1, 64, 63)); // empty window
+
+    // At and beyond the cap only the range of named cycles is kept.
+    const Cycle far = Cycle{1} << 40;
+    log.note(1, far + 5);
+    log.note(1, far + 9);
+    EXPECT_FALSE(log.quiet(1, 201, ~Cycle{0}));
+    EXPECT_FALSE(log.quiet(1, far + 7, far + 7));
+    EXPECT_TRUE(log.quiet(1, 201, far + 4));
+    EXPECT_TRUE(log.quiet(1, far + 10, ~Cycle{0}));
+    log.note(3, gpu::ActivityLog::kMaxCycles);
+    EXPECT_FALSE(log.quiet(3, 0, gpu::ActivityLog::kMaxCycles));
+    EXPECT_TRUE(log.quiet(3, 0, gpu::ActivityLog::kMaxCycles - 1));
+}
+
+/** The identity, live everywhere (FaultHook's default liveAt), so
+ *  every produced value passes through apply(); it records the
+ *  (SM, cycle) of each call. */
+class RecordingLiveHook final : public func::FaultHook
+{
+  public:
+    RegValue
+    apply(RegValue pure, const func::FaultCtx &ctx) override
+    {
+        const std::pair<unsigned, Cycle> at{ctx.sm, ctx.cycle};
+        if (seen.empty() || seen.back() != at)
+            seen.push_back(at);
+        return pure;
+    }
+    std::vector<std::pair<unsigned, Cycle>> seen;
+};
+
+/** One launch on a fresh machine, run under @p hook while capturing
+ *  into @p sink (may be null). */
+using HookedLaunch =
+    std::function<void(func::FaultHook &hook, gpu::SnapshotSink *sink)>;
+
+/**
+ * Log completeness: run @p launch as a pass capturing @p ladder and
+ * again under RecordingLiveHook. Every (SM, cycle) an apply() call of
+ * the live run named must be non-quiet in the ladder's log — the live
+ * run applies the hook wherever a fault could act, so a quiet pair
+ * there would let the oracle settle a site that activates. Returns
+ * the pairs the live run named.
+ */
+std::vector<std::pair<unsigned, Cycle>>
+expectLogComplete(const HookedLaunch &launch, gpu::Ladder &ladder)
+{
+    launch(ladder.hook(), &ladder);
+    RecordingLiveHook live;
+    launch(live, nullptr);
+    std::size_t missing = 0;
+    for (const auto &[sm, c] : live.seen) {
+        if (ladder.quiet(sm, c, c) && missing++ == 0)
+            ADD_FAILURE() << "apply on sm " << sm << " at cycle " << c
+                          << " is quiet in the ladder's log";
+    }
+    EXPECT_EQ(missing, 0u);
+    EXPECT_FALSE(live.seen.empty());
+    return live.seen;
+}
+
+TEST(ActivityLog, LadderLogCoversEveryLiveApplyOfThePinnedConfigs)
+{
+    setVerbose(false);
+    for (const auto &cfg : test::pinnedConfigs()) {
+        SCOPED_TRACE(cfg.name);
+        auto gcfg = arch::GpuConfig::testDefault();
+        gcfg.numSms = 4;
+        gcfg.memModel = cfg.memModel;
+        gcfg.eccKind = cfg.ecc;
+        for (const auto &factory : cfg.factories) {
+            gpu::Ladder ladder;
+            expectLogComplete([&](func::FaultHook &hook,
+                                  gpu::SnapshotSink *sink) {
+                auto w = factory();
+                gpu::Gpu g(gcfg, cfg.dmr, /*seed=*/1, &hook, cfg.recovery,
+                           cfg.scheme);
+                w->setup(g);
+                g.launch(w->program(), w->gridBlocks(), w->blockThreads(),
+                         0, {}, nullptr, sink);
+                EXPECT_TRUE(w->verify(g));
+            }, ladder);
+        }
+    }
+}
+
+TEST(ActivityLog, LadderLogCoversEveryLiveApplyOfFuzzedKernels)
+{
+    setVerbose(false);
+    auto gcfg = arch::GpuConfig::testDefault();
+    gcfg.numSms = 2;
+    for (const std::uint64_t seed : {3u, 17u, 29u, 41u}) {
+        for (const bool eager : {false, true}) {
+            SCOPED_TRACE("fuzz seed " + std::to_string(seed) +
+                         (eager ? ", one-entry ReplayQ" : ""));
+            auto d = dmr::DmrConfig::paperDefault();
+            if (eager)
+                d.replayQSize = 1; // eager verifies look ahead to now + 1
+            gpu::Ladder ladder;
+            expectLogComplete([&](func::FaultHook &hook,
+                                  gpu::SnapshotSink *sink) {
+                gpu::Gpu g(gcfg, d, /*seed=*/1, &hook);
+                const Addr out = g.allocator().alloc(64 * 4);
+                const isa::Program prog =
+                    testutil::KernelFuzzer(seed).generate(out);
+                g.launch(prog, 2, 64, 0, {}, nullptr, sink);
+            }, ladder);
+        }
+    }
+}
+
+TEST(ActivityLog, RNaiveSecondRunCallsLandBeyondTheBitmap)
+{
+    // R-Naive applies its modelled second run at now + 2^40, past the
+    // bitmap: only the beyond-the-cap range can vouch for those.
+    setVerbose(false);
+    Machine m;
+    m.gpu.numSms = 2;
+    m.dmr = dmr::DmrConfig::off();
+    m.scheme.id = protection::SchemeId::RNaive;
+    gpu::Ladder ladder;
+    const auto seen = expectLogComplete(
+        [&](func::FaultHook &hook, gpu::SnapshotSink *sink) {
+            runLaunch(kMatrixMul, m, nullptr, sink, &hook);
+        },
+        ladder);
+    std::size_t beyond = 0;
+    for (const auto &[sm, c] : seen)
+        beyond += c >= gpu::ActivityLog::kMaxCycles;
+    EXPECT_GT(beyond, 0u);
+    // The range is tight: nothing between the bitmap and the second
+    // run's first cycle counts as named.
+    for (unsigned sm = 0; sm < m.gpu.numSms; ++sm)
+        EXPECT_TRUE(ladder.quiet(sm, gpu::ActivityLog::kMaxCycles,
+                                 (Cycle{1} << 40) - 1));
 }
 
 TEST(Snapshot, RestoredRecordsKeepTheirCleanBit)
