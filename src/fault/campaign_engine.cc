@@ -10,6 +10,7 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "gpu/gpu.hh"
+#include "mem/mem_fault.hh"
 #include "sim/run_pool.hh"
 #include "stats/accumulator.hh"
 
@@ -464,6 +465,24 @@ settledByOracle(const gpu::Ladder &ladder, const FaultSpec &spec)
            ladder.quiet(spec.sm, spec.cycleBegin, spec.cycleEnd);
 }
 
+MemSettlement
+settledByAccessLog(const mem::MemAccessLog &log, const FaultSpec &spec,
+                   arch::EccKind ecc)
+{
+    if (!spec.isMemory || !log.covers(spec.memAddr))
+        return MemSettlement::Simulate;
+    switch (log.firstAt(spec.memAddr, spec.cycleBegin)) {
+      case mem::MemAccess::None:
+      case mem::MemAccess::Write:
+        return MemSettlement::NotRead;
+      case mem::MemAccess::Read:
+        break;
+    }
+    return mem::MemFaultPlane::correctsRead(ecc, spec.memKind, spec.bit)
+               ? MemSettlement::Corrected
+               : MemSettlement::Simulate;
+}
+
 CampaignEngine::CampaignEngine(WorkloadFactory factory,
                                EngineConfig cfg)
     : factory_(std::move(factory)), cfg_(std::move(cfg))
@@ -479,12 +498,13 @@ namespace {
  *  rung its fault cannot have touched (docs/FAULT_MODEL.md, "Snapshot
  *  fork") — a faulty run is the golden run until then — or, when the
  *  golden pass never asked the hook about its window, is not run at
- *  all (settledByOracle). */
+ *  all (settledByOracle); nor is a memory run @p access_log settles
+ *  (settledByAccessLog). */
 RunRecord
 runOne(std::uint64_t run_index, const FaultSiteSpace &space,
        const StratifiedSpace *strat, Cycle span,
        const WorkloadFactory &factory, const EngineConfig &cfg,
-       const gpu::Ladder &ladder)
+       const gpu::Ladder &ladder, const mem::MemAccessLog *access_log)
 {
     const auto siteIdx =
         strat ? strat->siteForRun(cfg.seed, run_index)
@@ -527,6 +547,20 @@ runOne(std::uint64_t run_index, const FaultSiteSpace &space,
         // upset word is filtered through the configured ECC codec.
         rec.isMemory = true;
         rec.memKind = spec.memKind;
+        // Golden access log: an upset the run never reads, or whose
+        // first read the codec corrects (and scrubs), leaves the run
+        // the golden run.
+        const auto settled =
+            access_log
+                ? settledByAccessLog(*access_log, spec, cfg.gpu.eccKind)
+                : MemSettlement::Simulate;
+        if (settled == MemSettlement::NotRead)
+            return rec;
+        if (settled == MemSettlement::Corrected) {
+            rec.activated = true;
+            rec.cls = OutcomeClass::EccCorrected;
+            return rec;
+        }
         auto w = factory();
         try {
             gpu::Gpu g(cfg.gpu, cfg.dmr, /*seed=*/1, nullptr,
@@ -943,7 +977,12 @@ CampaignEngine::prepare()
     //    The ladder of snapshot rungs every injected run resumes from
     //    is captured during the same pass, under the horizon hook (a
     //    fault-free hook, so the pass is unchanged).
+    //    With memory sites in the space, the same pass records the
+    //    golden access log through a recording fault plane, from
+    //    after setup through verify's host readback — the window an
+    //    injected memory run's plane is attached for.
     auto ladder = std::make_shared<gpu::Ladder>();
+    std::shared_ptr<mem::MemAccessLog> access_log;
     struct Pass
     {
         Cycle cycles;
@@ -955,16 +994,28 @@ CampaignEngine::prepare()
         gpu::Gpu g(cfg_.gpu, cfg_.dmr, /*seed=*/1,
                    sink ? &ladder->hook() : nullptr, rcfg, cfg_.scheme);
         w->setup(g);
+        // Device footprint the memory-cell axes cover: every word
+        // the workload's allocator handed out (inputs, outputs and
+        // scratch — dead words are legitimate Masked sites).
+        const std::uint64_t footprint = g.allocator().used() / 4;
+        mem::MemFaultPlane recorder(cfg_.gpu.eccKind);
+        if (sink && cfg_.space.memEnabled) {
+            access_log = std::make_shared<mem::MemAccessLog>(footprint);
+            recorder.recordInto(access_log.get());
+            g.mem().attachFaultPlane(&recorder);
+        }
         const auto r = g.launch(w->program(), w->gridBlocks(),
                                 w->blockThreads(), 0, {}, nullptr, sink);
         if (!w->verify(g))
             warped_fatal("workload '", w->name(),
                          "' failed output verification on a fault-free "
                          "GPU");
-        // Device footprint the memory-cell axes cover: every word
-        // the workload's allocator handed out (inputs, outputs and
-        // scratch — dead words are legitimate Masked sites).
-        return Pass{r.cycles, g.allocator().used() / 4};
+        g.mem().attachFaultPlane(nullptr);
+        // The log shows the golden run only if that is what this
+        // pass was; a comparator alarm here would make it otherwise.
+        if (r.dmr.errorsDetected > 0)
+            access_log.reset();
+        return Pass{r.cycles, footprint};
     };
     const Pass golden = fault_free_pass(
         {}, cfg_.recovery.enabled ? nullptr : ladder.get());
@@ -979,6 +1030,7 @@ CampaignEngine::prepare()
     if (cfg_.recovery.enabled)
         fault_free_pass(cfg_.recovery, ladder.get());
     ladder_ = std::move(ladder);
+    accessLog_ = std::move(access_log);
 
     // 2. Resolve the site space and the sample size.
     SiteSpaceConfig sc = cfg_.space;
@@ -1040,7 +1092,8 @@ CampaignEngine::runRange(std::uint64_t base, std::uint64_t count)
                          records[i] = runOne(
                              base + i, *space_,
                              strat_ ? &*strat_ : nullptr, span_,
-                             factory_, cfg_, *ladder_);
+                             factory_, cfg_, *ladder_,
+                             accessLog_.get());
                      });
     for (const auto &rec : records)
         fold(rep, rec);
@@ -1091,7 +1144,8 @@ CampaignEngine::run()
                              records[i] = runOne(
                                  base + i, *space_,
                                  strat_ ? &*strat_ : nullptr, span_,
-                                 factory_, cfg_, *ladder_);
+                                 factory_, cfg_, *ladder_,
+                                 accessLog_.get());
                          });
         for (const auto &rec : records)
             fold(rep, rec);

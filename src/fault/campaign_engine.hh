@@ -43,7 +43,9 @@
  * cannot have touched, instead of replaying the fault-free prefix
  * from cycle 0 (docs/FAULT_MODEL.md, "Snapshot fork"). A run whose
  * fault window the golden pass never asked the hook about is settled
- * with no simulation at all (settledByOracle).
+ * with no simulation at all (settledByOracle), and so is a memory
+ * run whose upset the golden pass never read, or read through a
+ * codec that corrects it (settledByAccessLog).
  *
  * Long campaigns checkpoint periodically to a JSON state file and
  * resume from it: runs are folded in submission-index order in
@@ -78,6 +80,9 @@
 namespace warped {
 namespace gpu {
 class Ladder;
+}
+namespace mem {
+class MemAccessLog;
 }
 namespace fault {
 
@@ -337,9 +342,31 @@ restoreReportCounters(const std::map<std::string, std::uint64_t> &kv,
  * oracle"): an execution-unit site whose SM no hook call of the
  * ladder's capturing pass named inside the site's cycle window can
  * never activate, so it is Masked and not activated without any
- * simulation. Memory sites are never settled.
+ * simulation. Memory sites are settled by settledByAccessLog.
  */
 bool settledByOracle(const gpu::Ladder &ladder, const FaultSpec &spec);
+
+/** What the golden access log decides about a memory site. */
+enum class MemSettlement
+{
+    Simulate,  ///< the log cannot tell: run the site
+    NotRead,   ///< Masked, not activated
+    Corrected, ///< EccCorrected, activated
+};
+
+/**
+ * The golden access log (docs/FAULT_MODEL.md, "Golden access log"):
+ * a memory upset whose word the ladder's capturing pass (kernel and
+ * verify readback) never touched from the strike on, or wrote first,
+ * is never read, so the run is the golden run (NotRead). One that is
+ * read first, through a codec that corrects a read of it under
+ * @p ecc, is scrubbed by that read and the run is again the golden
+ * run, with one corrected read (Corrected). Every other memory site,
+ * and every execution site, is Simulate.
+ */
+MemSettlement settledByAccessLog(const mem::MemAccessLog &log,
+                                 const FaultSpec &spec,
+                                 arch::EccKind ecc);
 
 /** Workload factory: a fresh instance per run (runs execute
  *  concurrently). */
@@ -418,9 +445,10 @@ class CampaignEngine
 
     /**
      * Resolve the campaign plan without running any injections: the
-     * golden reference run (capturing the snapshot ladder; with
+     * golden reference run (capturing the snapshot ladder, and the
+     * golden access log when the space has memory sites; with
      * recovery on, one more fault-free pass under the recovery
-     * config captures it instead), the site space, the planned
+     * config captures both instead), the site space, the planned
      * sample size, the stratified sampler (when cfg.strataWindows >
      * 0) and the configuration signature. Idempotent; run() and runRange() call
      * it implicitly. Workers and the shard orchestrator call it
@@ -462,6 +490,11 @@ class CampaignEngine
      *  from; valid (and immutable) after prepare(). */
     const gpu::Ladder &ladder() const { return *ladder_; }
 
+    /** The golden access log memory sites are settled from; null
+     *  when the space has no memory sites or the capturing pass saw
+     *  a comparator alarm. Valid (and immutable) after prepare(). */
+    const mem::MemAccessLog *accessLog() const { return accessLog_.get(); }
+
   private:
     WorkloadFactory factory_;
     EngineConfig cfg_;
@@ -471,6 +504,7 @@ class CampaignEngine
     std::optional<FaultSiteSpace> space_;
     std::optional<StratifiedSpace> strat_;
     std::shared_ptr<const gpu::Ladder> ladder_;
+    std::shared_ptr<const mem::MemAccessLog> accessLog_;
     bool prepared_ = false;
 };
 

@@ -43,6 +43,55 @@ upsetMask(MemFaultKind kind, unsigned bit)
 } // namespace
 
 void
+MemAccessLog::note(Addr addr, Cycle now, MemAccess type)
+{
+    const Addr word = addr / 4;
+    if (word >= head_.size())
+        return;
+    std::uint32_t &tail = tail_[word];
+    if (tail != kEnd && segs_[tail].type == type) {
+        segs_[tail].last = now;
+        return;
+    }
+    const auto idx = static_cast<std::uint32_t>(segs_.size());
+    segs_.push_back({now, kEnd, type});
+    if (tail == kEnd)
+        head_[word] = idx;
+    else
+        segs_[tail].next = idx;
+    tail = idx;
+}
+
+MemAccess
+MemAccessLog::firstAt(Addr addr, Cycle t) const
+{
+    const Addr word = addr / 4;
+    if (word >= head_.size())
+        return MemAccess::None;
+    for (auto i = head_[word]; i != kEnd; i = segs_[i].next)
+        if (segs_[i].last >= t)
+            return segs_[i].type;
+    return MemAccess::None;
+}
+
+std::size_t
+MemAccessLog::bytes() const
+{
+    return (head_.capacity() + tail_.capacity()) * sizeof(std::uint32_t) +
+           segs_.capacity() * sizeof(Segment);
+}
+
+bool
+MemFaultPlane::correctsRead(arch::EccKind ecc, MemFaultKind kind,
+                            unsigned bit)
+{
+    MemFaultPlane probe(ecc);
+    probe.inject(0, kind, bit, 0);
+    probe.filterWord(0, 0);
+    return probe.corrected() > 0;
+}
+
+void
 MemFaultPlane::inject(Addr word_addr, MemFaultKind kind, unsigned bit,
                       Cycle at)
 {
@@ -105,9 +154,20 @@ MemFaultPlane::applyRead(RegValue raw)
     return raw;
 }
 
+void
+MemFaultPlane::noteSpan(Addr addr, std::size_t n, MemAccess type)
+{
+    // Every word w with addr < w + 4 && addr + n > w: onWrite's test.
+    for (Addr w = addr & ~Addr{3}; w < addr + n; w += 4)
+        log_->note(w, now_, type);
+}
+
 RegValue
 MemFaultPlane::filterWord(Addr addr, RegValue raw)
 {
+    // The upset word is only ever matched by an aligned load.
+    if (log_ && addr % 4 == 0) [[unlikely]]
+        log_->note(addr, now_, MemAccess::Read);
     if (!live_ || addr != addr_ || now_ < at_)
         return raw;
     return applyRead(raw);
@@ -125,6 +185,8 @@ std::uint8_t
 MemFaultPlane::filterByte(Addr addr, std::uint8_t raw,
                           const std::uint8_t *mem_base)
 {
+    if (log_) [[unlikely]]
+        log_->note(addr, now_, MemAccess::Read);
     if (!live_ || addr < addr_ || addr >= addr_ + 4 || now_ < at_)
         return raw;
     const RegValue seen = applyRead(goldenWord(mem_base));
@@ -135,6 +197,11 @@ void
 MemFaultPlane::patchCopyOut(Addr addr, void *dst, std::size_t n,
                             const std::uint8_t *mem_base)
 {
+    // An empty readback reads nothing (an empty write still clears:
+    // onWrite's overlap test holds for a zero-length store inside
+    // the word).
+    if (log_ && n > 0) [[unlikely]]
+        noteSpan(addr, n, MemAccess::Read);
     if (!live_ || now_ < at_)
         return;
     const Addr lo = addr > addr_ ? addr : addr_;
@@ -153,6 +220,8 @@ MemFaultPlane::patchCopyOut(Addr addr, void *dst, std::size_t n,
 void
 MemFaultPlane::onWrite(Addr addr, std::size_t n)
 {
+    if (log_) [[unlikely]]
+        noteSpan(addr, n, MemAccess::Write);
     if (!live_ || now_ < at_)
         return;
     if (addr < addr_ + 4 && addr + n > addr_)

@@ -26,6 +26,11 @@
  * The plane hangs off the global mem::Memory behind one
  * [[unlikely]] null-pointer test, so fault-free launches never pay
  * for it.
+ *
+ * A plane with no upset armed can also *record*: every access it is
+ * shown lands in a MemAccessLog, which is how a campaign learns from
+ * its fault-free pass which upsets can ever be read (docs/
+ * FAULT_MODEL.md §6, "Golden access log").
  */
 
 #ifndef WARPED_MEM_MEM_FAULT_HH
@@ -33,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "arch/gpu_config.hh"
 #include "common/types.hh"
@@ -53,6 +59,64 @@ inline constexpr unsigned kNumMemFaultKinds = 3;
 /** Campaign/metrics slug ("membit", "memdouble", "memchip"). */
 const char *memFaultKindSlug(MemFaultKind k);
 
+/** What a run did to a word. */
+enum class MemAccess : std::uint8_t
+{
+    None,  ///< nothing
+    Read,  ///< a device load, byte load or host readback
+    Write, ///< a store or host copy-in
+};
+
+/**
+ * Golden access log: for every global-memory word, the reads and
+ * writes one run made through a recording MemFaultPlane, in call
+ * order, compressed to segments of consecutive same-type accesses
+ * that keep only their last cycle. Calls arrive in non-decreasing
+ * cycle order (the plane's clock only moves forward), so the first
+ * access at or after cycle t lies in the first segment whose last
+ * cycle is at least t. Covers the words it was built for, from
+ * address 0; accesses outside are dropped. Immutable once recorded;
+ * any number of threads may query it.
+ */
+class MemAccessLog
+{
+  public:
+    explicit MemAccessLog(std::size_t words)
+        : head_(words, kEnd), tail_(words, kEnd)
+    {
+    }
+
+    /** Note an access to the word holding byte @p addr at @p now. */
+    void note(Addr addr, Cycle now, MemAccess type);
+
+    /** The type of the first access to the word holding byte @p addr
+     *  at a cycle >= @p t (the plane's strike rule): None if there is
+     *  none, or if the word lies outside the log. */
+    MemAccess firstAt(Addr addr, Cycle t) const;
+
+    /** Whether the word holding byte @p addr is in the log. */
+    bool covers(Addr addr) const { return addr / 4 < head_.size(); }
+
+    /** Heap bytes held. */
+    std::size_t bytes() const;
+
+  private:
+    static constexpr std::uint32_t kEnd = ~std::uint32_t{0};
+
+    struct Segment
+    {
+        Cycle last;
+        std::uint32_t next;
+        MemAccess type;
+    };
+
+    /** Per word: first and last segment index (kEnd: none). */
+    std::vector<std::uint32_t> head_;
+    std::vector<std::uint32_t> tail_;
+    /** One arena for every word's list. */
+    std::vector<Segment> segs_;
+};
+
 /**
  * Holds one armed upset against a global-memory word and filters
  * reads of that word through the configured ECC codec.
@@ -61,6 +125,19 @@ class MemFaultPlane
 {
   public:
     explicit MemFaultPlane(arch::EccKind ecc) : ecc_(ecc) {}
+
+    /**
+     * Whether a read of a word struck by an upset of @p kind at
+     * @p bit is corrected under @p ecc. The codes are linear, so the
+     * answer does not depend on the stored word; this runs the
+     * plane's own read path on one.
+     */
+    static bool correctsRead(arch::EccKind ecc, MemFaultKind kind,
+                             unsigned bit);
+
+    /** Record mode (with no upset armed): note every access the
+     *  plane is shown into @p log, or stop with nullptr. */
+    void recordInto(MemAccessLog *log) { log_ = log; }
 
     /** Arm an upset of @p kind at word-aligned byte address
      *  @p word_addr, striking at cycle @p at; @p bit picks the
@@ -108,6 +185,8 @@ class MemFaultPlane
 
   private:
     RegValue applyRead(RegValue raw);
+    /** Record mode: note every word [addr, addr+n) overlaps. */
+    void noteSpan(Addr addr, std::size_t n, MemAccess type);
     RegValue goldenWord(const std::uint8_t *mem_base) const;
 
     arch::EccKind ecc_;
@@ -122,6 +201,8 @@ class MemFaultPlane
     std::uint64_t consumedReads_ = 0;
     std::uint64_t corrected_ = 0;
     std::uint64_t uncorrectable_ = 0;
+
+    MemAccessLog *log_ = nullptr; ///< non-owning; record mode only
 };
 
 } // namespace mem

@@ -16,7 +16,9 @@
  * simulator panic is DUE under full simulation and Detected under the
  * exit; such sites are counted. The golden activity oracle, which
  * settles a site without simulating it, must only settle sites that
- * never activate. A targeted case pins the rung
+ * never activate; the golden access log, which settles memory sites
+ * the same way, must only settle sites full simulation classifies
+ * alike. A targeted case pins the rung
  * horizon: faults that open exactly on a rung whose prefix already
  * looked at that cycle must not resume from it.
  */
@@ -24,7 +26,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/logging.hh"
 #include "fault/campaign_engine.hh"
@@ -461,6 +465,185 @@ TEST_P(OracleSoundness, SettledSitesNeverActivate)
     // Precision floor: settled / not activated, in percent.
     EXPECT_GE(settled * 100, notActivated * tc.oracleFloorPct);
 }
+
+/**
+ * The golden access log. Every sampled memory site is classified by
+ * the engine (settled from the log where it can be, else simulated
+ * from a rung) and by full simulation from cycle 0 with no log
+ * (memReference); class, activation and abort must match. The log
+ * must settle every not-read and every corrected site, and the share
+ * of memory sites it settles must reach a measured floor, so a log
+ * that quietly settles nothing fails.
+ */
+struct MemOracleCase
+{
+    const char *name;
+    WorkloadFactory factory;
+    arch::MemModel memModel;
+    arch::EccKind ecc;
+    bool recovery;
+    /** Execution sites in the space too (--fault-domain both). */
+    bool both;
+    /** Floor on settled / memory sites, in percent (a few points
+     *  under the share measured at seed 1009). */
+    unsigned floorPct;
+    /** Upset shapes sampled (empty: the default three). */
+    std::vector<mem::MemFaultKind> memKinds = {};
+    /** Full simulation aborts some sampled sites (checked). */
+    bool aborts = false;
+};
+
+/** A workload whose host check panics on a wrong output instead of
+ *  failing, the way a simulator sanity check tripped by a corrupt
+ *  value does: such a run aborts. */
+class PanicsOnWrongOutput final : public workloads::Workload
+{
+  public:
+    explicit PanicsOnWrongOutput(std::unique_ptr<workloads::Workload> w)
+        : w_(std::move(w))
+    {
+    }
+    const std::string &name() const override { return w_->name(); }
+    const std::string &category() const override { return w_->category(); }
+    void setup(gpu::Gpu &g) override { w_->setup(g); }
+    const isa::Program &program() const override { return w_->program(); }
+    unsigned gridBlocks() const override { return w_->gridBlocks(); }
+    unsigned blockThreads() const override { return w_->blockThreads(); }
+    std::size_t bytesIn() const override { return w_->bytesIn(); }
+    std::size_t bytesOut() const override { return w_->bytesOut(); }
+    bool
+    verify(const gpu::Gpu &g) const override
+    {
+        if (!w_->verify(g))
+            warped_panic(name(), ": output corrupt");
+        return true;
+    }
+
+  private:
+    std::unique_ptr<workloads::Workload> w_;
+};
+
+void
+PrintTo(const MemOracleCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class MemOracleSoundness : public ::testing::TestWithParam<MemOracleCase>
+{
+};
+
+TEST_P(MemOracleSoundness, SettledSitesMatchFullSimulation)
+{
+    setVerbose(false);
+    const auto &tc = GetParam();
+    EngineConfig cfg;
+    cfg.workload = tc.name;
+    cfg.gpu.numSms = 4;
+    cfg.gpu.memModel = tc.memModel;
+    cfg.gpu.eccKind = tc.ecc;
+    cfg.space.memEnabled = true;
+    cfg.space.execEnabled = tc.both;
+    if (!tc.memKinds.empty())
+        cfg.space.memKinds = tc.memKinds;
+    if (tc.recovery)
+        cfg.recovery = recovery::RecoveryConfig::paperDefault();
+    cfg.seed = 1009;
+    cfg.sites = 120;
+    cfg.jobs = 1;
+    CampaignEngine engine(tc.factory, cfg);
+    engine.prepare();
+    ASSERT_NE(engine.accessLog(), nullptr);
+
+    std::uint64_t memSites = 0, notRead = 0, corrected = 0, aborted = 0,
+                  wantNotRead = 0, wantCorrected = 0;
+    for (std::uint64_t i = 0; i < engine.plannedSites(); ++i) {
+        const auto spec =
+            engine.space().site(engine.space().sampleIndex(cfg.seed, i));
+        if (!spec.isMemory)
+            continue;
+        ++memSites;
+        const auto settled =
+            settledByAccessLog(*engine.accessLog(), spec, tc.ecc);
+        notRead += settled == MemSettlement::NotRead;
+        corrected += settled == MemSettlement::Corrected;
+        const Verdict got = engineVerdict(engine, i);
+        const Verdict want =
+            memReference(spec, engine.span(), tc.factory, cfg);
+        aborted += want.aborted;
+        wantNotRead += !want.activated;
+        wantCorrected += want.cls == OutcomeClass::EccCorrected;
+        SCOPED_TRACE("memory run " + std::to_string(i) + " (" +
+                     mem::memFaultKindSlug(spec.memKind) + ", addr " +
+                     std::to_string(spec.memAddr) + ", bit " +
+                     std::to_string(spec.bit) + ", strike cycle " +
+                     std::to_string(spec.cycleBegin) + ")");
+        EXPECT_EQ(outcomeClassName(got.cls), outcomeClassName(want.cls));
+        EXPECT_EQ(got.activated, want.activated);
+        EXPECT_EQ(got.aborted, want.aborted);
+    }
+    std::printf("%s: %llu memory sites, settled %llu not read + %llu "
+                "corrected, %llu aborted under full simulation; log "
+                "%zu bytes\n",
+                tc.name, static_cast<unsigned long long>(memSites),
+                static_cast<unsigned long long>(notRead),
+                static_cast<unsigned long long>(corrected),
+                static_cast<unsigned long long>(aborted),
+                engine.accessLog()->bytes());
+    EXPECT_GT(memSites, 0u);
+    EXPECT_EQ(aborted > 0, tc.aborts);
+    // The log is exact for the classes it settles.
+    EXPECT_EQ(notRead, wantNotRead);
+    EXPECT_EQ(corrected, wantCorrected);
+    EXPECT_GE((notRead + corrected) * 100, memSites * tc.floorPct);
+}
+
+const WorkloadFactory kMatrixMul32 = [] {
+    return workloads::makeMatrixMul(32);
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Sites, MemOracleSoundness,
+    ::testing::Values(
+        MemOracleCase{"matrixmul_secded", kMatrixMul32,
+                      arch::MemModel::Banked, arch::EccKind::Secded, false,
+                      false, 90},
+        MemOracleCase{"matrixmul_flat_none", kMatrixMul32,
+                      arch::MemModel::Flat, arch::EccKind::None, false,
+                      false, 85},
+        MemOracleCase{"matrixmul_chipkill", kMatrixMul32,
+                      arch::MemModel::Banked, arch::EccKind::Chipkill,
+                      false, false, 95},
+        MemOracleCase{"sha_secded", [] { return workloads::makeSha(4); },
+                      arch::MemModel::Banked, arch::EccKind::Secded, false,
+                      false, 95},
+        MemOracleCase{"scan_secded", [] { return workloads::makeScan(4); },
+                      arch::MemModel::Banked, arch::EccKind::Secded, false,
+                      false, 90},
+        MemOracleCase{"bfs_chipkill", [] { return workloads::makeBfs(4); },
+                      arch::MemModel::Banked, arch::EccKind::Chipkill,
+                      false, false, 95},
+        MemOracleCase{"sha_secded_recovery",
+                      [] { return workloads::makeSha(4); },
+                      arch::MemModel::Banked, arch::EccKind::Secded, true,
+                      false, 90},
+        MemOracleCase{"matrixmul_both", kMatrixMul32,
+                      arch::MemModel::Banked, arch::EccKind::Secded, false,
+                      true, 90},
+        // Every read of a double-bit upset is detected-uncorrectable
+        // under SECDED, and a corrupt output makes this workload's
+        // host check panic: those runs abort, which no settled
+        // verdict may hide.
+        MemOracleCase{"matrixmul_secded_double_aborting",
+                      [] {
+                          return std::make_unique<PanicsOnWrongOutput>(
+                              workloads::makeMatrixMul(32));
+                      },
+                      arch::MemModel::Banked, arch::EccKind::Secded, false,
+                      false, 85, {mem::MemFaultKind::DoubleBit}, true}),
+    [](const ::testing::TestParamInfo<MemOracleCase> &info) {
+        return std::string(info.param.name);
+    });
 
 using protection::SchemeId;
 
