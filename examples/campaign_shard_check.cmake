@@ -1,11 +1,12 @@
 # campaign_shard_smoke driver: the sharded campaign service must be
 # invisible in the report. A `warped_sim serve` run — at any shard
-# count, with a worker SIGKILLed mid-campaign and its shard re-issued,
-# with or without stratified sampling — must write a report JSON
-# byte-identical to the sequential `warped_sim campaign` run with the
-# same site axes. Also exercises the crash-safety CLI edges this PR
-# hardens: a torn checkpoint must be a loud error (exit 1), and
-# `--checkpoint-every 0` must be rejected at parse time (exit 2).
+# count, with a worker SIGKILLed or hung past its --shard-deadline and
+# its shard re-issued, with or without stratified sampling — must
+# write a report JSON byte-identical to the sequential
+# `warped_sim campaign` run with the same site axes. Also exercises
+# the crash-safety CLI edges: a torn checkpoint must be a loud error
+# (exit 1), and `--checkpoint-every 0` must be rejected at parse time
+# (exit 2).
 
 set(axes SCAN --size 2 --sites 60 --seed 11 --jobs 1)
 
@@ -52,6 +53,37 @@ execute_process(
 if(NOT diff EQUAL 0)
     message(FATAL_ERROR
             "report after worker kill + re-issue differs from the "
+            "sequential run")
+endif()
+
+# Shard 1's first worker hangs for 30 s; the 2 s shard deadline must
+# SIGKILL it and re-issue the shard, reproducing the same bytes well
+# inside the hang.
+string(TIMESTAMP hang_t0 "%s" UTC)
+execute_process(
+    COMMAND ${SIM} serve ${axes} --shards 3 --workers 2
+            --hang-worker-for-shard 1 --hang-ms 30000
+            --shard-deadline 2000
+            --state ${OUTDIR}/shard_hang.state
+            --out ${OUTDIR}/shard_hang.json
+    RESULT_VARIABLE rh OUTPUT_QUIET ERROR_QUIET)
+string(TIMESTAMP hang_t1 "%s" UTC)
+math(EXPR hang_s "${hang_t1} - ${hang_t0}")
+if(NOT rh EQUAL 0)
+    message(FATAL_ERROR "serve with a hung worker failed (exit ${rh})")
+endif()
+if(hang_s GREATER_EQUAL 20)
+    message(FATAL_ERROR
+            "serve with a hung worker took ${hang_s} s: the shard "
+            "deadline did not cut the 30 s hang short")
+endif()
+execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+            ${OUTDIR}/shard_seq.json ${OUTDIR}/shard_hang.json
+    RESULT_VARIABLE diff)
+if(NOT diff EQUAL 0)
+    message(FATAL_ERROR
+            "report after a deadline re-issue differs from the "
             "sequential run")
 endif()
 

@@ -12,6 +12,7 @@
  *   $ ./warped_sim campaign SCAN --sites 500 --out report.json
  */
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -29,10 +30,7 @@
 #include "fault/campaign_engine.hh"
 #include "fault/shard.hh"
 #include "stats/accumulator.hh"
-#include "sim/chaos.hh"
 #include "sim/shard_queue.hh"
-#include "sim/stream.hh"
-#include "sim/subprocess.hh"
 #include "sim/transport.hh"
 #include "gpu/report.hh"
 #include "protection/scheme_registry.hh"
@@ -272,28 +270,6 @@ parseCampaign(cli::FlagTable &t, CampaignCli &c, int argc, char **argv)
     if (const auto err = machineError(c.ec.gpu, c.ec.dmr); !err.empty())
         return t.fail(err);
     return std::nullopt;
-}
-
-/** Reader for a HOST:PORT flag. An empty host is allowed only in
- *  --listen position, where it binds every interface. */
-cli::FlagTable::Reader
-hostPortReader(std::string &host, std::uint16_t &port, bool allowEmptyHost)
-{
-    return [&host, &port, allowEmptyHost](const std::string &v)
-               -> std::string {
-        const auto colon = v.rfind(':');
-        const auto p = colon == std::string::npos
-                           ? std::nullopt
-                           : cli::parseUint(v.substr(colon + 1), 65535);
-        if (!p)
-            return "expects HOST:PORT with PORT in [0, 65535]";
-        host = v.substr(0, colon);
-        if (host.empty() && !allowEmptyHost)
-            return "needs a host before the colon";
-        host = host.empty() ? "0.0.0.0" : host;
-        port = static_cast<std::uint16_t>(*p);
-        return {};
-    };
 }
 
 /** Crash-atomic text file write: tmp + rename, the same discipline
@@ -619,16 +595,11 @@ shardMain(int argc, char **argv)
     CampaignCli c;
     std::uint64_t shardIndex = 0, shardCount = 0, expectSig = 0;
     std::uint64_t hangShard = sim::kNoShard, hangMs = 10000;
-    std::string deltaOut, connectHost;
-    std::uint16_t connectPort = 0;
-    unsigned connectAttempts = 8;
-    sim::ChaosConfig chaos;
+    std::string deltaOut;
 
     cli::FlagTable t("warped_sim",
                      "shard <workload> [campaign options] --shard-index I "
-                     "--shard-count N --delta-out F\n"
-                     "shard <workload> [campaign options] --connect "
-                     "HOST:PORT",
+                     "--shard-count N --delta-out F",
                      "A campaign-service worker, normally spawned by "
                      "`warped_sim serve` (docs/CAMPAIGN_SERVICE.md).\n");
     addCampaignFlags(t, c);
@@ -640,39 +611,15 @@ shardMain(int argc, char **argv)
     t.integer("--expect-signature", expectSig,
               "exit 3 unless this worker derives configuration signature N")
         .withDefault("");
-    t.custom("--connect", "HOST:PORT",
-             hostPortReader(connectHost, connectPort, false),
-             "serve shards over a socket; a signature mismatch at the "
-             "handshake exits 3");
-    t.integer("--connect-attempts", connectAttempts,
-              "failed connects before giving up (backoff 50ms to 2s)", 1);
-    t.custom("--chaos", "SPEC",
-             [&chaos](const std::string &v) -> std::string {
-                 try {
-                     chaos = sim::ChaosConfig::parse(v);
-                 } catch (const std::invalid_argument &e) {
-                     return e.what();
-                 }
-                 return {};
-             },
-             "seeded fault injector on the connection, e.g. seed=7,"
-             "drop=0.1,dup=0.1,corrupt=0.05,trunc=0.05,disc=0.02,delay=5,"
-             "delayp=0.2");
     t.integer("--hang-for-shard", hangShard,
-              "drill: stall shard N once (socket: silence, file: sleep)")
+              "drill: sleep --hang-ms before computing shard N")
         .withDefault("none");
     t.integer("--hang-ms", hangMs, "how long the drill hangs");
     if (const auto rc = parseCampaign(t, c, argc, argv))
         return *rc;
-    const bool socket = t.seen("--connect");
-    if (socket && (t.seen("--shard-index") || t.seen("--shard-count") ||
-                   t.seen("--delta-out")))
-        // The assignment arrives over the wire.
-        return t.fail("--connect excludes --shard-index/--shard-count/"
-                      "--delta-out");
-    if (!socket && (!t.seen("--shard-index") || !t.seen("--shard-count") ||
-                    shardIndex >= shardCount || deltaOut.empty()))
-        return t.fail("a file-mode shard needs --shard-index I < "
+    if (!t.seen("--shard-index") || !t.seen("--shard-count") ||
+        shardIndex >= shardCount || deltaOut.empty())
+        return t.fail("a shard needs --shard-index I < "
                       "--shard-count N and --delta-out F");
     // Workers never checkpoint: resumability is the orchestrator's
     // job, and per-worker checkpoint files would collide.
@@ -692,53 +639,14 @@ shardMain(int argc, char **argv)
         return 3;
     }
 
-    if (socket) {
-        // One engine serves every assignment: runRange builds a
-        // fresh skeleton per call, so the golden run is paid once
-        // per worker process, not once per shard.
-        sim::SocketWorkerConfig wc;
-        wc.host = connectHost;
-        wc.port = connectPort;
-        wc.signature = engine.signature();
-        wc.connectAttempts = connectAttempts;
-        wc.chaos = chaos;
-        wc.hangShard = hangShard;
-        wc.hangMs = hangMs;
-        wc.seed = engine.signature() ^ chaos.seed;
-        const auto total = engine.plannedSites();
-        return sim::runSocketWorker(
-            wc,
-            [&](std::uint64_t shard,
-                std::uint64_t count) -> std::string {
-                const auto plans = fault::planShards(total, count);
-                if (shard >= plans.size())
-                    throw std::runtime_error(
-                        "assigned shard " + std::to_string(shard) +
-                        " of a " + std::to_string(plans.size()) +
-                        "-shard plan");
-                const auto &plan =
-                    plans[static_cast<std::size_t>(shard)];
-                const auto d = fault::runShard(engine, plan);
-                std::fprintf(
-                    stderr,
-                    "shard %llu/%llu: runs [%llu, %llu) -> socket\n",
-                    static_cast<unsigned long long>(shard),
-                    static_cast<unsigned long long>(count),
-                    static_cast<unsigned long long>(plan.base),
-                    static_cast<unsigned long long>(plan.base +
-                                                    plan.count));
-                return d.toJson();
-            });
-    }
-
     if (hangShard == shardIndex) {
-        // File-mode wedge drill: the orchestrator's --shard-deadline
-        // is supposed to SIGKILL us mid-sleep and re-issue.
+        // Wedge drill: the orchestrator's --shard-deadline is
+        // supposed to SIGKILL us mid-sleep and re-issue.
         std::fprintf(stderr,
                      "shard %llu: hang drill — sleeping %llums\n",
                      static_cast<unsigned long long>(shardIndex),
                      static_cast<unsigned long long>(hangMs));
-        sim::sleepMs(hangMs);
+        std::this_thread::sleep_for(std::chrono::milliseconds(hangMs));
     }
 
     const auto plan = fault::planShards(engine.plannedSites(),
@@ -761,6 +669,9 @@ shardMain(int argc, char **argv)
     return 0;
 }
 
+/** Consecutive failures of one shard before serve gives up. */
+constexpr unsigned kStrikes = 3;
+
 /**
  * `warped_sim serve`: the campaign orchestrator. Splits the plan into
  * shards, dispatches worker processes over a work queue, folds each
@@ -773,19 +684,17 @@ serveMain(int argc, char **argv)
     CampaignCli c;
     std::uint64_t shards = 0, killShard = sim::kNoShard;
     std::uint64_t hangShard = sim::kNoShard, hangMs = 30000;
-    std::uint64_t heartbeatMs = 250, deadlineMs = 0, graceMs = 1500;
-    unsigned workers = 1, strikes = 3;
-    std::string statePath, listenHost, portFile;
-    std::uint16_t listenPort = 0;
-    bool noLocalFallback = false;
+    std::uint64_t deadlineMs = 0;
+    unsigned workers = 1;
+    std::string statePath;
 
     cli::FlagTable t(
         "warped_sim",
         "serve <workload> [campaign options] --shards N [serve options]",
         "Split the campaign into N deterministic shards, run them on\n"
-        "worker processes (`warped_sim shard`: local subprocesses, or\n"
-        "socket workers with --listen), fold their deltas, and re-issue\n"
-        "any shard whose worker dies, hangs or delivers a corrupt delta.\n"
+        "worker processes (`warped_sim shard` subprocesses), fold their\n"
+        "deltas, and re-issue any shard whose worker dies, hangs or\n"
+        "delivers a corrupt delta.\n"
         "The report is byte-identical to `warped_sim campaign` with the\n"
         "same options (docs/CAMPAIGN_SERVICE.md). --checkpoint does not\n"
         "apply; --state does.\n");
@@ -796,23 +705,11 @@ serveMain(int argc, char **argv)
     t.integer("--workers", workers, "concurrent dispatcher slots", 1);
     t.text("--state", statePath, "F",
            "crash-safe aggregator state; a matching file resumes");
-    t.custom("--listen", "HOST:PORT",
-             hostPortReader(listenHost, listenPort, true),
-             "also accept socket workers (port 0 = ephemeral)");
-    t.text("--port-file", portFile, "F", "write the bound listen port to F");
-    t.integer("--heartbeat", heartbeatMs, "heartbeat ms advertised to "
-              "socket workers (8x silence = hung)", 1);
     t.integer("--shard-deadline", deadlineMs, "hard per-shard deadline in "
-              "ms on any transport (hung subprocesses need it)", 1)
+              "ms (hung workers need it)", 1)
         .withDefault("none");
-    t.integer("--grace", graceMs, "ms to wait for an idle socket worker "
-              "before running a shard as a local subprocess", 1);
-    t.flag("--no-local-fallback", noLocalFallback,
-           "never degrade to local subprocesses");
-    t.integer("--strikes", strikes,
-              "consecutive failures of one shard before aborting", 1);
     t.integer("--kill-worker-for-shard", killShard,
-              "drill: SIGKILL shard N's first local worker")
+              "drill: SIGKILL shard N's first worker")
         .withDefault("none");
     t.integer("--hang-worker-for-shard", hangShard,
               "drill: shard N's first worker hangs for --hang-ms")
@@ -820,13 +717,8 @@ serveMain(int argc, char **argv)
     t.integer("--hang-ms", hangMs, "hang-drill duration in ms");
     if (const auto rc = parseCampaign(t, c, argc, argv))
         return *rc;
-    const bool haveListen = t.seen("--listen");
     if (shards == 0)
         return t.fail("--shards is required");
-    if (!haveListen && (noLocalFallback || !portFile.empty()))
-        return t.fail(std::string(noLocalFallback ? "--no-local-fallback"
-                                                  : "--port-file") +
-                      " only makes sense with --listen");
     // The aggregator state file is the orchestrator's resume surface;
     // engine checkpoints belong to single-process campaigns.
     c.ec.checkpointPath.clear();
@@ -874,8 +766,6 @@ serveMain(int argc, char **argv)
         statePath.empty() ? std::string("warped_serve") : statePath;
     const std::string exe = argv[0];
 
-    // The local transport exists even under --listen (it is the
-    // grace-window fallback) unless --no-local-fallback severs it.
     sim::SubprocessTransportConfig scfg;
     scfg.workerArgv = {exe, "shard", c.workload};
     scfg.workerArgv.insert(scfg.workerArgv.end(),
@@ -888,36 +778,7 @@ serveMain(int argc, char **argv)
     scfg.killShard = killShard;
     scfg.hangShard = hangShard;
     scfg.hangMs = hangMs;
-    sim::SubprocessTransport localTransport(scfg);
-
-    std::unique_ptr<sim::SocketTransport> socketTransport;
-    sim::Transport *transport = &localTransport;
-    if (haveListen) {
-        sim::SocketTransportConfig ncfg;
-        ncfg.host = listenHost;
-        ncfg.port = listenPort;
-        ncfg.signature = engine.signature();
-        ncfg.shardCount = shards;
-        ncfg.heartbeatMs = heartbeatMs;
-        ncfg.deadlineMs = deadlineMs;
-        ncfg.graceMs = graceMs;
-        ncfg.fallback = noLocalFallback ? nullptr : &localTransport;
-        socketTransport =
-            std::make_unique<sim::SocketTransport>(ncfg);
-        transport = socketTransport.get();
-        std::printf("serve: listening on %s:%u%s\n",
-                    ncfg.host.c_str(),
-                    unsigned(socketTransport->port()),
-                    noLocalFallback ? " (no local fallback)" : "");
-        if (!portFile.empty() &&
-            !writeTextAtomic(
-                portFile,
-                std::to_string(socketTransport->port()) + "\n")) {
-            std::fprintf(stderr, "serve: cannot write %s\n",
-                         portFile.c_str());
-            return 1;
-        }
-    }
+    sim::SubprocessTransport transport(scfg);
 
     // Shards past the end of the run range (more shards than runs)
     // produce an empty delta; fold them here rather than paying a
@@ -945,7 +806,7 @@ serveMain(int argc, char **argv)
                     continue;
                 }
             }
-            const auto res = transport->runShard(shard, attempt);
+            const auto res = transport.runShard(shard, attempt);
 
             bool folded = false;
             if (res.status ==
@@ -979,7 +840,7 @@ serveMain(int argc, char **argv)
             // configuration signature; retrying cannot help.
             const bool reject =
                 res.status == sim::TransportResult::Status::Reject;
-            if (reject || attempt >= strikes) {
+            if (reject || attempt >= kStrikes) {
                 if (reject)
                     std::fprintf(stderr, "serve: shard %llu: %s\n",
                                  static_cast<unsigned long long>(shard),
@@ -1010,21 +871,6 @@ serveMain(int argc, char **argv)
         pool.emplace_back(workerLoop);
     for (auto &t : pool)
         t.join();
-
-    if (socketTransport) {
-        socketTransport->stop();
-        std::printf("serve: socket transport: %llu worker(s) "
-                    "joined, %llu rejected, %llu shard(s) delivered "
-                    "remotely, %llu via local fallback\n",
-                    static_cast<unsigned long long>(
-                        socketTransport->workersJoined()),
-                    static_cast<unsigned long long>(
-                        socketTransport->workersRejected()),
-                    static_cast<unsigned long long>(
-                        socketTransport->remoteDeliveries()),
-                    static_cast<unsigned long long>(
-                        socketTransport->fallbackRuns()));
-    }
 
     if (fatal || !agg.complete()) {
         std::fprintf(stderr,

@@ -28,11 +28,11 @@ require(const std::map<std::string, std::uint64_t> &kv,
     return it->second;
 }
 
-/** Upper bound on a delta/state document. Matches the wire layer's
- *  frame bound (sim/wire.hh): a real delta is KiB-to-MiB of flat
- *  counters; anything bigger is a corrupt length or a runaway file,
- *  and parsing it would just burn memory before failing the
- *  fingerprint anyway. */
+/** Upper bound on a delta/state document, which arrives from outside
+ *  the process (a worker's file, a resumed state file). A real delta
+ *  is KiB-to-MiB of flat counters, so 64 MiB leaves a wide margin;
+ *  anything bigger is a runaway or corrupt file, and parsing it would
+ *  just burn memory before failing the fingerprint anyway. */
 constexpr std::size_t kMaxDocumentBytes = 64u * 1024 * 1024;
 
 /** Upper bound on a single counter key. The longest legitimate keys
@@ -145,8 +145,8 @@ ShardDelta::fromJson(const std::string &text)
     d.base = require(kv, "shard.base", "shard delta");
     d.count = require(kv, "shard.count", "shard delta");
     d.signature = require(kv, "shard.signature", "shard delta");
-    // The header fields are untrusted input (they arrived over a
-    // file or socket): a run range that wraps 64 bits can only be a
+    // The header fields are untrusted input (they arrived in a
+    // worker's file): a run range that wraps 64 bits can only be a
     // damaged document, and must not reach range arithmetic.
     if (d.base + d.count < d.base)
         throw ShardError("shard delta run range [" +

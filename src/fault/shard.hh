@@ -94,7 +94,7 @@ struct ShardDelta
 };
 
 /** Run @p plan's range on @p engine and package the result as that
- *  shard's delta. Every worker path (file mode, socket mode, the
+ *  shard's delta. Every worker path (the `shard` subcommand, the
  *  orchestrator's zero-run fold) builds its delta here. */
 ShardDelta runShard(CampaignEngine &engine, const ShardPlan &plan);
 

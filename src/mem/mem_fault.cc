@@ -157,7 +157,8 @@ MemFaultPlane::applyRead(RegValue raw)
 void
 MemFaultPlane::noteSpan(Addr addr, std::size_t n, MemAccess type)
 {
-    // Every word w with addr < w + 4 && addr + n > w: onWrite's test.
+    // Every word w with addr < w + 4 && addr + n > w (n > 0):
+    // onWrite's test.
     for (Addr w = addr & ~Addr{3}; w < addr + n; w += 4)
         log_->note(w, now_, type);
 }
@@ -197,10 +198,9 @@ void
 MemFaultPlane::patchCopyOut(Addr addr, void *dst, std::size_t n,
                             const std::uint8_t *mem_base)
 {
-    // An empty readback reads nothing (an empty write still clears:
-    // onWrite's overlap test holds for a zero-length store inside
-    // the word).
-    if (log_ && n > 0) [[unlikely]]
+    if (n == 0)
+        return; // an empty readback reads nothing
+    if (log_) [[unlikely]]
         noteSpan(addr, n, MemAccess::Read);
     if (!live_ || now_ < at_)
         return;
@@ -220,6 +220,11 @@ MemFaultPlane::patchCopyOut(Addr addr, void *dst, std::size_t n,
 void
 MemFaultPlane::onWrite(Addr addr, std::size_t n)
 {
+    // An empty store touches no word. Without this return the overlap
+    // test below would hold for one that starts inside the upset word,
+    // and noteSpan would log a write to it.
+    if (n == 0)
+        return;
     if (log_) [[unlikely]]
         noteSpan(addr, n, MemAccess::Write);
     if (!live_ || now_ < at_)

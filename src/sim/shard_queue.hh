@@ -3,14 +3,13 @@
  * sim::ShardQueue — a thread-safe work queue with failure re-issue.
  *
  * The campaign orchestrator's dispatch core: worker threads acquire()
- * shard indices, hand them to a transport (a subprocess today, a
- * socket peer behind the same seam tomorrow), then either ack() the
- * shard — done forever — or fail() it, which puts it back on the
- * queue for any worker to pick up again. acquire() blocks while the
- * queue is empty but work is still outstanding (a failed shard may
- * be about to come back), and returns nullopt only when every shard
- * has been acknowledged — the natural shutdown signal for a worker
- * loop.
+ * shard indices, hand them to the subprocess transport, then either
+ * ack() the shard — done forever — or fail() it, which puts it back
+ * on the queue for any worker to pick up again. acquire() blocks
+ * while the queue is empty but work is still outstanding (a failed
+ * shard may be about to come back), and returns nullopt only when
+ * every shard has been acknowledged — the natural shutdown signal
+ * for a worker loop.
  *
  * The queue carries indices, not results, so "a worker died" costs
  * exactly one fail()/re-acquire() round trip and nothing else: shard

@@ -2,7 +2,7 @@
  * @file
  * sim::Subprocess — spawn a worker process and reap it.
  *
- * The local transport of the sharded campaign service: the
+ * How the sharded campaign service runs a shard: the
  * orchestrator fork/execs `warped_sim shard ...` per shard, the
  * worker writes its delta to a file (crash-atomically), and the
  * orchestrator reaps the exit status. Death by signal and nonzero

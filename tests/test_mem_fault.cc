@@ -359,6 +359,25 @@ TEST(MemAccessLog, PartialCopyOutReadsEveryOverlappedWord)
     EXPECT_EQ(r.log.firstAt(kAddr + 24, 0), MemAccess::None);
 }
 
+TEST(MemFaultPlane, EmptyStoreInsideTheUpsetWordLeavesItArmed)
+{
+    // A zero-length copy-in that starts strictly inside the upset word
+    // writes none of its bytes: the upset stays armed, and a recording
+    // plane logs no access, so the two stay mirrors.
+    const std::uint8_t src[1] = {0};
+    PlaneRig r(arch::EccKind::None);
+    r.plane.inject(kAddr, MemFaultKind::Bit, 5, 10);
+    r.plane.setNow(12);
+    r.m.copyIn(kAddr + 2, src, 0);
+    EXPECT_EQ(r.m.readWord(kAddr), kGolden ^ (1u << 5));
+    EXPECT_EQ(r.plane.consumedReads(), 1u);
+
+    RecordRig rec;
+    rec.plane.setNow(12);
+    rec.m.copyIn(kAddr + 2, src, 0);
+    EXPECT_EQ(rec.log.firstAt(kAddr, 0), MemAccess::None);
+}
+
 TEST(MemAccessLog, WordsOutsideTheFootprintAreNotCovered)
 {
     RecordRig r;

@@ -45,26 +45,6 @@ if [ "${1:-}" = "--cli-smoke" ]; then
     expect_exit 2 "$sim" shard SCAN --sites 5
     expect_exit 2 "$sim" shard SCAN --sites 5 --shard-index 3 \
         --shard-count 2 --delta-out /dev/null
-    # Socket-transport edges: malformed endpoints, socket-only flags
-    # without --listen, file-mode flags mixed into --connect mode,
-    # and out-of-range transport knobs all refuse up front.
-    expect_exit 2 "$sim" shard SCAN --sites 5 --connect 127.0.0.1
-    expect_exit 2 "$sim" shard SCAN --sites 5 \
-        --connect 127.0.0.1:7 --shard-index 0
-    expect_exit 2 "$sim" shard SCAN --sites 5 \
-        --connect 127.0.0.1:7 --chaos bogus
-    expect_exit 2 "$sim" shard SCAN --sites 5 \
-        --connect 127.0.0.1:7 --connect-attempts 0
-    expect_exit 2 "$sim" serve SCAN --sites 5 --shards 2 \
-        --port-file /tmp/port.txt
-    expect_exit 2 "$sim" serve SCAN --sites 5 --shards 2 \
-        --no-local-fallback
-    expect_exit 2 "$sim" serve SCAN --sites 5 --shards 2 \
-        --listen 127.0.0.1:99999
-    expect_exit 2 "$sim" serve SCAN --sites 5 --shards 2 \
-        --heartbeat 0
-    expect_exit 2 "$sim" serve SCAN --sites 5 --shards 2 \
-        --strikes 0
     # Values are never guessed: an unknown or missing choice, a second
     # positional workload and an unknown workload all refuse, in run
     # mode and campaign mode alike.
