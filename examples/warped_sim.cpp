@@ -580,6 +580,20 @@ campaignMain(int argc, char **argv)
         return 1;
     }
     printCampaignReport(rep);
+    // Fork telemetry depends on --jobs, so it stays out of the report.
+    const auto &ft = engine.forkTelemetry();
+    std::fprintf(stderr,
+                 "fork: %llu sites simulated (%llu forked from the sweep, "
+                 "%llu from a rung), %llu golden cycles advanced, %llu "
+                 "site cycles simulated (%.1f per site)\n",
+                 static_cast<unsigned long long>(ft.sitesSimulated),
+                 static_cast<unsigned long long>(ft.sweepForks),
+                 static_cast<unsigned long long>(ft.rungForks),
+                 static_cast<unsigned long long>(ft.goldenCycles),
+                 static_cast<unsigned long long>(ft.siteCycles),
+                 ft.sitesSimulated
+                     ? double(ft.siteCycles) / double(ft.sitesSimulated)
+                     : 0.0);
     return writeReportJson(rep, c.outPath);
 }
 

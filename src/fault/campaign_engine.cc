@@ -1,9 +1,11 @@
 #include "fault/campaign_engine.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "gpu/gpu.hh"
 #include "mem/mem_fault.hh"
 #include "sim/run_pool.hh"
+#include "sm/plane_store.hh"
 #include "stats/accumulator.hh"
 
 namespace warped {
@@ -491,27 +494,25 @@ CampaignEngine::CampaignEngine(WorkloadFactory factory,
 
 namespace {
 
-/** One injected experiment (thread-safe: everything is run-local;
- *  the ladder is shared read-only). With @p strat set the site is
- *  drawn within the run's stratum; either way the draw is a pure
- *  function of (seed, run_index). The run resumes from the ladder
- *  rung its fault cannot have touched (docs/FAULT_MODEL.md, "Snapshot
- *  fork") — a faulty run is the golden run until then — or, when the
- *  golden pass never asked the hook about its window, is not run at
- *  all (settledByOracle); nor is a memory run @p access_log settles
- *  (settledByAccessLog). */
-RunRecord
-runOne(std::uint64_t run_index, const FaultSiteSpace &space,
-       const StratifiedSpace *strat, Cycle span,
-       const WorkloadFactory &factory, const EngineConfig &cfg,
-       const gpu::Ladder &ladder, const mem::MemAccessLog *access_log)
+/**
+ * Draw run @p run_index's site into @p spec and fill in @p rec. With
+ * @p strat set the site is drawn within the run's stratum; either way
+ * the draw is a pure function of (seed, run_index). Returns true when
+ * the run still needs simulating, false when a golden log settled it:
+ * an execution site whose window the golden pass never asked the
+ * hook about (settledByOracle), or a memory site @p access_log
+ * settles (settledByAccessLog).
+ */
+bool
+drawRun(std::uint64_t run_index, const FaultSiteSpace &space,
+        const StratifiedSpace *strat, const EngineConfig &cfg,
+        const gpu::Ladder &ladder, const mem::MemAccessLog *access_log,
+        RunRecord &rec, FaultSpec &spec)
 {
     const auto siteIdx =
         strat ? strat->siteForRun(cfg.seed, run_index)
               : space.sampleIndex(cfg.seed, run_index);
-    const FaultSpec spec = space.site(siteIdx);
-
-    RunRecord rec;
+    spec = space.site(siteIdx);
     rec.kind = spec.kind;
     rec.unit = spec.unit;
     rec.runIndex = run_index;
@@ -519,126 +520,192 @@ runOne(std::uint64_t run_index, const FaultSiteSpace &space,
     if (strat)
         rec.stratumLabel =
             strat->stratum(strat->stratumOfRun(run_index)).label;
+    if (!spec.isMemory)
+        // Golden activity oracle: no hook call of the golden pass
+        // named this SM inside the window, so the fault cannot
+        // activate and the run is the golden run — Masked, not
+        // activated.
+        return !settledByOracle(ladder, spec);
 
-    // Watchdog: a fault can corrupt a loop counter and hang the
-    // kernel; give it a generous multiple of the fault-free span.
-    const Cycle watchdog = span * 20 + 100000;
-
-    // An injected fault (or, with recovery on, a rollback livelock)
-    // can drive the simulator into one of its own sanity panics —
-    // warped_panic throws. That must cost the campaign one run, not
-    // the whole campaign: the site is classified as an aborted
-    // hang-DUE. (Retrying is pointless: the run is a pure function of
-    // run_index, so a rerun panics again.)
-    const auto aborted = [&](const std::exception &e) {
-        warped_warn("campaign: ", spec.isMemory ? "memory run " : "run ",
-                    run_index, " (site ", siteIdx, ", seed ", cfg.seed,
-                    ") aborted: ", e.what(), "; classifying as hang-DUE");
+    rec.isMemory = true;
+    rec.memKind = spec.memKind;
+    // Golden access log: an upset the run never reads, or whose first
+    // read the codec corrects (and scrubs), leaves the run the golden
+    // run.
+    const auto settled =
+        access_log ? settledByAccessLog(*access_log, spec, cfg.gpu.eccKind)
+                   : MemSettlement::Simulate;
+    if (settled == MemSettlement::Corrected) {
         rec.activated = true;
-        rec.cls = OutcomeClass::Due;
-        rec.hasLatency = false;
-        rec.aborted = true;
-        return rec;
-    };
+        rec.cls = OutcomeClass::EccCorrected;
+    }
+    return settled == MemSettlement::Simulate;
+}
 
-    if (spec.isMemory) {
-        // Memory-cell upset: no execution-side hook; the fault lives
-        // in the global memory's fault plane and every read of the
-        // upset word is filtered through the configured ECC codec.
-        rec.isMemory = true;
-        rec.memKind = spec.memKind;
-        // Golden access log: an upset the run never reads, or whose
-        // first read the codec corrects (and scrubs), leaves the run
-        // the golden run.
-        const auto settled =
-            access_log
-                ? settledByAccessLog(*access_log, spec, cfg.gpu.eccKind)
-                : MemSettlement::Simulate;
-        if (settled == MemSettlement::NotRead)
-            return rec;
-        if (settled == MemSettlement::Corrected) {
-            rec.activated = true;
-            rec.cls = OutcomeClass::EccCorrected;
-            return rec;
-        }
-        auto w = factory();
+/** Clears a resident machine's per-site attachments however the site
+ *  ends (aborted runs throw). */
+struct SiteScope
+{
+    gpu::Gpu &g;
+    ~SiteScope()
+    {
+        g.setHook(nullptr);
+        g.mem().attachFaultPlane(nullptr);
+    }
+};
+
+/**
+ * One worker's resident machine pair (docs/ARCHITECTURE.md, "Resident
+ * machines and the sweep"): a golden machine that sweeps forward
+ * through the golden run under the fault-free hook, and a site
+ * machine that each simulated site is forked into. Both are built
+ * once and kept for the engine's lifetime; the workload is made
+ * and set up once, on the site machine (the golden machine's first
+ * rung restore writes its global memory).
+ *
+ * A site forked at cycle c (Ladder::execFork, or a memory upset's
+ * strike) is the golden run until c (docs/FAULT_MODEL.md, "Snapshot
+ * fork"): the golden machine advances to c — restarting from the
+ * ladder rung at or before c when that rung is ahead of it — and a
+ * snapshot taken there is restored in place into the site machine,
+ * which then runs under the site's fault to its usual exit.
+ */
+class Resident
+{
+  public:
+    Resident(const WorkloadFactory &factory, const EngineConfig &cfg,
+             const gpu::Ladder &ladder, Cycle span)
+        : cfg_(cfg), ladder_(ladder),
+          // A fault can corrupt a loop counter and hang the kernel:
+          // give it a generous multiple of the fault-free span.
+          watchdog_(span * 20 + 100000),
+          w_(factory()),
+          golden_(cfg.gpu, cfg.dmr, /*seed=*/1, nullptr, cfg.recovery,
+                  cfg.scheme),
+          site_(cfg.gpu, cfg.dmr, /*seed=*/1, nullptr, cfg.recovery,
+                cfg.scheme),
+          planes_(std::make_shared<sm::PlaneStore>(cfg.gpu.warpSize))
+    {
+        w_->setup(site_);
+    }
+
+    /** Classify the drawn, unsettled site @p spec of @p rec, forked
+     *  from the golden run at cycle @p fork. */
+    void
+    simulate(RunRecord &rec, const FaultSpec &spec, Cycle fork)
+    {
+        ++tel_.sitesSimulated;
+        // An injected fault (or, with recovery on, a rollback
+        // livelock) can drive the simulator into one of its own
+        // sanity panics — warped_panic throws. That must cost the
+        // campaign one run, not the whole campaign: the site is
+        // classified as an aborted hang-DUE. (Retrying is pointless:
+        // the run is a pure function of its index, so a rerun panics
+        // again.) The next site restores both machines, whatever
+        // state the panic left them in.
         try {
-            gpu::Gpu g(cfg.gpu, cfg.dmr, /*seed=*/1, nullptr,
-                       cfg.recovery, cfg.scheme);
-            w->setup(g);
-            mem::MemFaultPlane plane(cfg.gpu.eccKind);
-            plane.inject(spec.memAddr, spec.memKind, spec.bit,
-                         spec.cycleBegin);
-            g.mem().attachFaultPlane(&plane);
-            const auto r = g.launch(w->program(), w->gridBlocks(),
-                                    w->blockThreads(), watchdog, {},
-                                    &ladder.forMemFault(spec.cycleBegin));
-            // Host readback goes through the plane too, so an upset
-            // that survives in an output word is caught by verify()
-            // whether or not the kernel ever loaded it.
-            bool outputOk = true;
-            if (!r.hung)
-                outputOk = w->verify(g);
-            g.mem().attachFaultPlane(nullptr);
-            rec.activated = plane.consumedReads() > 0;
-            rec.cls = classifyMemOutcome(
-                rec.activated, plane.uncorrectable() > 0,
-                plane.corrected() > 0, r.dmr.errorsDetected > 0, r.hung,
-                outputOk);
-            return rec;
+            if (spec.isMemory)
+                simulateMemory(rec, spec, fork);
+            else
+                simulateExec(rec, spec, fork);
         } catch (const std::exception &e) {
-            return aborted(e);
+            warped_warn("campaign: ", spec.isMemory ? "memory run " : "run ",
+                        rec.runIndex, " (site ", rec.siteIndex, ", seed ",
+                        cfg_.seed, ") aborted: ", e.what(),
+                        "; classifying as hang-DUE");
+            goldenValid_ = false;
+            rec.activated = true;
+            rec.cls = OutcomeClass::Due;
+            rec.hasLatency = false;
+            rec.aborted = true;
         }
     }
 
-    // Golden activity oracle: no hook call of the golden pass named
-    // this SM inside the window, so the fault cannot activate and the
-    // run is the golden run — Masked, not activated.
-    if (settledByOracle(ladder, spec))
-        return rec;
+    const ForkTelemetry &telemetry() const { return tel_; }
+    void resetTelemetry() { tel_ = {}; }
 
-    // Early exits (docs/FAULT_MODEL.md): stop simulating once the
-    // run's class can no longer change. Window-closed: nothing has
-    // activated and no window is open any more, so the run is the
-    // golden run from here on — Masked, not activated, for every
-    // scheme. First-detection: with recovery off a comparator alarm
-    // already makes the run Detected, and the latency inputs
-    // (errorLog.front(), firstActivationCycle()) are final.
-    const bool firstDetectionExit =
-        !cfg.recovery.enabled &&
-        cfg.scheme.id == protection::SchemeId::WarpedDmr;
+    /** The cycle its golden machine stands at; nothing when the next
+     *  fork must restart it from a rung. */
+    std::optional<Cycle>
+    goldenCycle() const
+    {
+        if (!goldenValid_)
+            return std::nullopt;
+        return golden_.cycle();
+    }
 
-    FaultInjector injector;
-    injector.add(spec);
-    const gpu::StopPredicate stop =
-        [&injector, firstDetectionExit](Cycle cycle,
-                                        const gpu::LaunchLoop &loop) {
-            if (injector.activations() == 0)
-                return injector.windowsClosedBy(cycle);
-            return firstDetectionExit && loop.detections() > 0;
-        };
-    auto w = factory();
-    try {
-        gpu::Gpu g(cfg.gpu, cfg.dmr, /*seed=*/1, &injector,
-                   cfg.recovery, cfg.scheme);
-        w->setup(g);
-        const auto r = g.launch(w->program(), w->gridBlocks(),
-                                w->blockThreads(), watchdog, stop,
-                                &ladder.forExecFault(spec.cycleBegin));
+  private:
+    /** Put the site machine at the golden run's state at @p fork (or
+     *  at its end, when that comes first); returns the cycle. */
+    Cycle
+    forkAt(Cycle fork)
+    {
+        const auto &prog = w_->program();
+        const unsigned grid = w_->gridBlocks();
+        const unsigned block = w_->blockThreads();
+        const gpu::Snapshot &rung = ladder_.rungAt(fork);
+        if (!goldenValid_ || golden_.cycle() > fork ||
+            rung.loop.cycle > golden_.cycle()) {
+            golden_.restore(prog, grid, block, rung);
+            goldenValid_ = true;
+            ++tel_.rungForks;
+        } else {
+            ++tel_.sweepForks;
+        }
+        const Cycle from = golden_.cycle();
+        golden_.advanceTo(fork);
+        tel_.goldenCycles += golden_.cycle() - from;
+        site_.restore(prog, grid, block, golden_.capture(planes_));
+        // The fork's snapshot is dead once restored: keep the plane
+        // store it appended to bounded (the next capture after a
+        // clear copies every live plane again).
+        if (planes_->bytes() > kForkPlaneBytes)
+            planes_->clear();
+        return site_.cycle();
+    }
+
+    void
+    simulateExec(RunRecord &rec, const FaultSpec &spec, Cycle fork)
+    {
+        // Early exits (docs/FAULT_MODEL.md): stop simulating once the
+        // run's class can no longer change. Window-closed: nothing
+        // has activated and no window is open any more, so the run is
+        // the golden run from here on — Masked, not activated, for
+        // every scheme. First-detection: with recovery off a
+        // comparator alarm already makes the run Detected, and the
+        // latency inputs (errorLog.front(), firstActivationCycle())
+        // are final.
+        const bool firstDetectionExit =
+            !cfg_.recovery.enabled &&
+            cfg_.scheme.id == protection::SchemeId::WarpedDmr;
+        FaultInjector injector;
+        injector.add(spec);
+        const gpu::StopPredicate stop =
+            [&injector, firstDetectionExit](Cycle cycle,
+                                            const gpu::LaunchLoop &loop) {
+                if (injector.activations() == 0)
+                    return injector.windowsClosedBy(cycle);
+                return firstDetectionExit && loop.detections() > 0;
+            };
+        const Cycle start = forkAt(fork);
+        SiteScope scope{site_};
+        site_.setHook(&injector);
+        const auto r = site_.finish(watchdog_, stop);
+        tel_.siteCycles += r.cycles - start;
 
         rec.activated = injector.activations() > 0;
         const bool detected = r.dmr.errorsDetected > 0;
-        const bool recoveredClean = cfg.recovery.enabled && detected &&
+        const bool recoveredClean = cfg_.recovery.enabled && detected &&
                                     r.recovery.giveUps == 0;
         // The golden-reference comparison: Workload::verify checks
         // the output buffers against the CPU reference, which the
         // fault-free golden run was itself validated against (in
-        // prepare). A detected run's output only
-        // matters when rollback-replay claims a clean repair, so
-        // verify() is also called for those.
+        // prepare). A detected run's output only matters when
+        // rollback-replay claims a clean repair, so verify() is also
+        // called for those.
         bool outputOk = true;
         if (rec.activated && !r.hung && (!detected || recoveredClean))
-            outputOk = w->verify(g);
+            outputOk = w_->verify(site_);
         rec.cls = classifyOutcome(rec.activated, detected, r.hung,
                                   outputOk, recoveredClean);
         if ((rec.cls == OutcomeClass::Detected ||
@@ -655,11 +722,187 @@ runOne(std::uint64_t run_index, const FaultSiteSpace &space,
             rec.recoveryCycles = r.recovery.recoveryCycles;
             rec.hasRecovery = true;
         }
-        return rec;
-    } catch (const std::exception &e) {
-        return aborted(e);
     }
+
+    void
+    simulateMemory(RunRecord &rec, const FaultSpec &spec, Cycle fork)
+    {
+        // Memory-cell upset: no execution-side hook; the fault lives
+        // in the global memory's fault plane and every read of the
+        // upset word is filtered through the configured ECC codec.
+        const Cycle start = forkAt(fork);
+        mem::MemFaultPlane plane(cfg_.gpu.eccKind);
+        plane.inject(spec.memAddr, spec.memKind, spec.bit, spec.cycleBegin);
+        SiteScope scope{site_};
+        site_.mem().attachFaultPlane(&plane);
+        const auto r = site_.finish(watchdog_);
+        tel_.siteCycles += r.cycles - start;
+        // Host readback goes through the plane too, so an upset that
+        // survives in an output word is caught by verify() whether or
+        // not the kernel ever loaded it.
+        bool outputOk = true;
+        if (!r.hung)
+            outputOk = w_->verify(site_);
+        rec.activated = plane.consumedReads() > 0;
+        rec.cls = classifyMemOutcome(
+            rec.activated, plane.uncorrectable() > 0, plane.corrected() > 0,
+            r.dmr.errorsDetected > 0, r.hung, outputOk);
+    }
+
+    /** Fork plane-store cap (see forkAt). */
+    static constexpr std::size_t kForkPlaneBytes = std::size_t{1} << 20;
+
+    const EngineConfig &cfg_;
+    const gpu::Ladder &ladder_;
+    Cycle watchdog_;
+    std::unique_ptr<workloads::Workload> w_;
+    gpu::Gpu golden_;
+    gpu::Gpu site_;
+    std::shared_ptr<sm::PlaneStore> planes_;
+    /** The golden machine stands somewhere on the golden run. */
+    bool goldenValid_ = false;
+    ForkTelemetry tel_;
+};
+
+/** A drawn run: its record slot, its site and, when no golden log
+ *  settled it, the cycle it forks from the golden run at. */
+struct Draw
+{
+    std::size_t slot = 0;
+    bool simulate = false;
+    Cycle fork = 0;
+    FaultSpec spec;
+};
+
+} // namespace
+
+/** The engine's resident machine pairs (see Resident), built on
+ *  first use and kept for the engine's lifetime. */
+class CampaignEngine::Sweep
+{
+  public:
+    explicit Sweep(const CampaignEngine &e) : e_(e) {}
+
+    /**
+     * Classify runs [base, base + records.size()) into @p records.
+     * Sites the golden logs settle are decided in place; the rest are
+     * sorted by fork cycle and forked in that order on the resident
+     * machine pairs, one per worker of @p pool. Each record depends
+     * only on its run index, so the records fold identically for
+     * every worker count.
+     */
+    void
+    classify(std::uint64_t base, std::vector<RunRecord> &records,
+             sim::RunPool &pool)
+    {
+        // Draws take about a microsecond each: one pool task per
+        // worker, not per run.
+        const std::size_t n = records.size();
+        std::vector<Draw> order(n);
+        const std::size_t blocks = std::min<std::size_t>(pool.jobs(), n);
+        pool.parallelFor(blocks, [&](std::size_t b) {
+            for (std::size_t i = n * b / blocks; i < n * (b + 1) / blocks;
+                 ++i) {
+                Draw &d = order[i];
+                d.slot = i;
+                d.simulate = drawRun(base + i, *e_.space_,
+                                     e_.strat_ ? &*e_.strat_ : nullptr,
+                                     e_.cfg_, *e_.ladder_,
+                                     e_.accessLog_.get(), records[i],
+                                     d.spec);
+                if (d.simulate)
+                    d.fork = d.spec.isMemory
+                                 ? d.spec.cycleBegin
+                                 : e_.ladder_->execFork(d.spec.cycleBegin);
+            }
+        });
+        std::erase_if(order, [](const Draw &d) { return !d.simulate; });
+        std::stable_sort(order.begin(), order.end(),
+                         [](const Draw &a, const Draw &b) {
+                             return a.fork < b.fork;
+                         });
+        // One resident pair per worker that can be busy. They are
+        // built here, on the calling thread, so their global-memory
+        // buffers come from and go back to this thread's buffer pool
+        // (common/buffer_pool.hh) instead of being mapped and unmapped
+        // by short-lived pool threads on every run().
+        const std::size_t pairs = std::min<std::size_t>(pool.jobs(),
+                                                        order.size());
+        while (free_.size() < pairs)
+            free_.push_back(std::make_unique<Resident>(
+                e_.factory_, e_.cfg_, *e_.ladder_, e_.span_));
+        // One pool task per simulated site, in fork order, on a free
+        // resident pair: the pool balances sites of unequal cost (a
+        // memory site runs to the kernel's end), and since the tasks
+        // start in fork order each pair's golden machine still only
+        // moves forward through the chunk.
+        pool.parallelFor(order.size(), [&](std::size_t k) {
+            const Draw &d = order[k];
+            std::unique_ptr<Resident> r = acquire(d.fork);
+            r->simulate(records[d.slot], d.spec, d.fork);
+            std::lock_guard lock(mu_);
+            free_.push_back(std::move(r));
+        });
+    }
+
+    ForkTelemetry
+    telemetry() const
+    {
+        ForkTelemetry t;
+        for (const auto &r : free_)
+            t += r->telemetry();
+        return t;
+    }
+
+    void
+    resetTelemetry()
+    {
+        for (const auto &r : free_)
+            r->resetTelemetry();
+    }
+
+  private:
+    /** The free pair whose golden machine stands latest at or before
+     *  @p fork, else any free pair. A worker runs one site at a time,
+     *  so one pair per worker is always enough. */
+    std::unique_ptr<Resident>
+    acquire(Cycle fork)
+    {
+        std::lock_guard lock(mu_);
+        if (free_.empty())
+            warped_panic("campaign: no free resident machine pair");
+        auto best = free_.begin();
+        std::optional<Cycle> at;
+        for (auto it = free_.begin(); it != free_.end(); ++it) {
+            const auto c = (*it)->goldenCycle();
+            if (c && *c <= fork && (!at || *c > *at)) {
+                best = it;
+                at = c;
+            }
+        }
+        auto r = std::move(*best);
+        free_.erase(best);
+        return r;
+    }
+
+    const CampaignEngine &e_;
+    /** Guards free_; a pair in use belongs to the task running it. */
+    std::mutex mu_;
+    std::vector<std::unique_ptr<Resident>> free_;
+};
+
+CampaignEngine::~CampaignEngine() = default;
+
+CampaignEngine::Sweep &
+CampaignEngine::resetSweep()
+{
+    if (!sweep_)
+        sweep_ = std::make_unique<Sweep>(*this);
+    sweep_->resetTelemetry();
+    return *sweep_;
 }
+
+namespace {
 
 void
 fold(CampaignReport &rep, const RunRecord &rec)
@@ -974,9 +1217,10 @@ CampaignEngine::prepare()
     //    space is derived from this span, so recovery-on and
     //    recovery-off campaigns sample the *same* sites and their
     //    Detected/Recovered splits are directly comparable.
-    //    The ladder of snapshot rungs every injected run resumes from
-    //    is captured during the same pass, under the horizon hook (a
-    //    fault-free hook, so the pass is unchanged).
+    //    The ladder every injected run forks by (snapshot rungs and
+    //    the per-cycle horizon table) is captured during the same
+    //    pass, under the horizon hook (a fault-free hook, so the pass
+    //    is unchanged).
     //    With memory sites in the space, the same pass records the
     //    golden access log through a recording fault plane, from
     //    after setup through verify's host readback — the window an
@@ -1086,17 +1330,12 @@ CampaignEngine::runRange(std::uint64_t base, std::uint64_t count)
                      base + count, ") exceeds the ", planned_,
                      " planned runs");
     sim::RunPool pool(cfg_.jobs);
+    Sweep &sweep = resetSweep();
     std::vector<RunRecord> records(static_cast<std::size_t>(count));
-    pool.parallelFor(static_cast<std::size_t>(count),
-                     [&](std::size_t i) {
-                         records[i] = runOne(
-                             base + i, *space_,
-                             strat_ ? &*strat_ : nullptr, span_,
-                             factory_, cfg_, *ladder_,
-                             accessLog_.get());
-                     });
+    sweep.classify(base, records, pool);
     for (const auto &rec : records)
         fold(rep, rec);
+    telemetry_ = sweep.telemetry();
     return rep;
 }
 
@@ -1133,20 +1372,14 @@ CampaignEngine::run()
                     " planned runs; clamping");
         chunkSize = planned_;
     }
+    Sweep &sweep = resetSweep();
     std::vector<RunRecord> records;
     std::uint64_t chunks = 0;
     while (rep.sampled < planned_) {
         const auto base = rep.sampled;
         const auto n = std::min(chunkSize, planned_ - base);
         records.assign(static_cast<std::size_t>(n), RunRecord{});
-        pool.parallelFor(static_cast<std::size_t>(n),
-                         [&](std::size_t i) {
-                             records[i] = runOne(
-                                 base + i, *space_,
-                                 strat_ ? &*strat_ : nullptr, span_,
-                                 factory_, cfg_, *ladder_,
-                                 accessLog_.get());
-                         });
+        sweep.classify(base, records, pool);
         for (const auto &rec : records)
             fold(rep, rec);
         if (!cfg_.checkpointPath.empty())
@@ -1154,6 +1387,7 @@ CampaignEngine::run()
         if (cfg_.stopAfterChunks && ++chunks >= cfg_.stopAfterChunks)
             break;
     }
+    telemetry_ = sweep.telemetry();
     return rep;
 }
 

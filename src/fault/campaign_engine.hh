@@ -38,14 +38,16 @@
  * (sorted keys, fixed precision — byte-identical across `--jobs`
  * values and safe to diff).
  *
- * Each injected run resumes from the golden run's snapshot ladder
- * (gpu::Ladder, captured by prepare()) at the latest rung its fault
- * cannot have touched, instead of replaying the fault-free prefix
- * from cycle 0 (docs/FAULT_MODEL.md, "Snapshot fork"). A run whose
- * fault window the golden pass never asked the hook about is settled
- * with no simulation at all (settledByOracle), and so is a memory
- * run whose upset the golden pass never read, or read through a
- * codec that corrects it (settledByAccessLog).
+ * Each injected run forks from the golden run at the latest cycle its
+ * fault cannot have touched (docs/FAULT_MODEL.md, "Snapshot fork"),
+ * instead of replaying the fault-free prefix: the runs of a chunk are
+ * sorted by fork cycle, and each worker sweeps one resident golden
+ * machine forward through the sites it takes, restoring the golden
+ * state at each fork cycle in place into one resident site machine. A run whose fault window the golden
+ * pass never asked the hook about is settled with no simulation at
+ * all (settledByOracle), and so is a memory run whose upset the
+ * golden pass never read, or read through a codec that corrects it
+ * (settledByAccessLog).
  *
  * Long campaigns checkpoint periodically to a JSON state file and
  * resume from it: runs are folded in submission-index order in
@@ -368,10 +370,44 @@ MemSettlement settledByAccessLog(const mem::MemAccessLog &log,
                                  const FaultSpec &spec,
                                  arch::EccKind ecc);
 
-/** Workload factory: a fresh instance per run (runs execute
- *  concurrently). */
+/** Workload factory: a fresh instance for the golden pass and one per
+ *  resident machine pair (at most one pair per worker; pairs run
+ *  concurrently), set up once and then used for every site the pair
+ *  simulates. */
 using WorkloadFactory =
     std::function<std::unique_ptr<workloads::Workload>()>;
+
+/**
+ * What the sweep of the last run()/runRange() simulated. The sites
+ * simulated and their cycles are deterministic; with more than one
+ * worker, which pair forks which site (and so the fork split and the
+ * golden cycles) depends on scheduling. The report never depends on
+ * any of it, so it is kept out of the report.
+ */
+struct ForkTelemetry
+{
+    /** Sites neither golden log settled. */
+    std::uint64_t sitesSimulated = 0;
+    /** Forks the golden machine reached by sweeping on from the
+     *  previous fork, and by restarting from a ladder rung. */
+    std::uint64_t sweepForks = 0;
+    std::uint64_t rungForks = 0;
+    /** Cycles the golden machines advanced. */
+    std::uint64_t goldenCycles = 0;
+    /** Cycles the site machines simulated, fork to exit. */
+    std::uint64_t siteCycles = 0;
+
+    ForkTelemetry &
+    operator+=(const ForkTelemetry &o)
+    {
+        sitesSimulated += o.sitesSimulated;
+        sweepForks += o.sweepForks;
+        rungForks += o.rungForks;
+        goldenCycles += o.goldenCycles;
+        siteCycles += o.siteCycles;
+        return *this;
+    }
+};
 
 /** Campaign parameters. */
 struct EngineConfig
@@ -426,10 +462,14 @@ class CampaignEngine
 {
   public:
     /**
-     * @param factory builds a fresh workload instance per run
+     * @param factory builds a fresh workload instance for the golden
+     *        pass and for each resident machine pair
      * @param cfg     campaign parameters
      */
     CampaignEngine(WorkloadFactory factory, EngineConfig cfg);
+    /** The resident machines hold references into the engine, so it
+     *  is neither copied nor moved. */
+    ~CampaignEngine();
 
     /**
      * Run the campaign (resuming from cfg.checkpointPath if the file
@@ -486,8 +526,8 @@ class CampaignEngine
     /** The resolved site space; valid after prepare(). */
     const FaultSiteSpace &space() const { return *space_; }
 
-    /** The golden pass's snapshot ladder every injected run resumes
-     *  from; valid (and immutable) after prepare(). */
+    /** The golden pass's snapshot ladder and horizon table every
+     *  injected run forks by; valid (and immutable) after prepare(). */
     const gpu::Ladder &ladder() const { return *ladder_; }
 
     /** The golden access log memory sites are settled from; null
@@ -495,7 +535,14 @@ class CampaignEngine
      *  a comparator alarm. Valid (and immutable) after prepare(). */
     const mem::MemAccessLog *accessLog() const { return accessLog_.get(); }
 
+    /** What the last run() or runRange() simulated (zero before). */
+    const ForkTelemetry &forkTelemetry() const { return telemetry_; }
+
   private:
+    class Sweep;
+    /** The resident machine pairs, zero telemetry. */
+    Sweep &resetSweep();
+
     WorkloadFactory factory_;
     EngineConfig cfg_;
     std::uint64_t planned_ = 0;
@@ -506,6 +553,8 @@ class CampaignEngine
     std::shared_ptr<const gpu::Ladder> ladder_;
     std::shared_ptr<const mem::MemAccessLog> accessLog_;
     bool prepared_ = false;
+    ForkTelemetry telemetry_;
+    std::unique_ptr<Sweep> sweep_;
 };
 
 } // namespace fault

@@ -305,6 +305,9 @@ class Executor
 
     unsigned smId() const { return smId_; }
     FaultHook &hook() { return *hook_; }
+    /** Route every later value through @p hook instead (a resident
+     *  machine runs each fault site under its own hook). */
+    void setHook(FaultHook &hook) { hook_ = &hook; }
 
     /** May the fault boundary change a value this SM produces at
      *  @p now? When not, execution and DMR re-execution take the

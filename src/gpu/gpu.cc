@@ -35,11 +35,48 @@ Gpu::Gpu(arch::GpuConfig cfg, dmr::DmrConfig dcfg, std::uint64_t seed,
                      "the DMR engine produces");
 }
 
-LaunchResult
-Gpu::launch(const isa::Program &prog, unsigned grid_blocks,
-            unsigned block_threads, Cycle cycle_cap,
-            const StopPredicate &stop, const Snapshot *resume,
-            SnapshotSink *sink)
+/** The bound launch's machine (see the file comment of gpu.hh). */
+struct Gpu::Machine
+{
+    Machine(Gpu &g, const isa::Program &p, unsigned grid, unsigned block)
+        : prog(p), gridBlocks(grid), blockThreads(block), memSys(g.cfg_)
+    {
+        mem::MemorySystem *ms =
+            g.cfg_.usesMemorySystem() ? &memSys : nullptr;
+        // Sm holds references (config, program, memory) and is
+        // therefore immovable; heap-allocate the array.
+        sms.reserve(g.cfg_.numSms);
+        for (unsigned s = 0; s < g.cfg_.numSms; ++s)
+            sms.push_back(std::make_unique<sm::Sm>(
+                g.cfg_, g.dcfg_, s, prog, g.mem_, *g.hook_, g.seed_, ms,
+                g.rcfg_, g.scfg_));
+        // Fig 8b tracks one thread on one SM ("warp 1 thread ...").
+        sms[0]->stats().trackRawDistance = true;
+        sms[0]->stats().trackedWarpSlot =
+            g.cfg_.warpsPerBlock(block) > 1 ? 1 : 0;
+    }
+
+    const isa::Program &prog;
+    unsigned gridBlocks;
+    unsigned blockThreads;
+    /** One chip-level memory system when contention or banked DRAM
+     *  timing is modeled (unused otherwise). */
+    mem::MemorySystem memSys;
+    std::vector<std::unique_ptr<sm::Sm>> sms;
+    /** The machine stands at the top of at.cycle. */
+    LaunchLoop::Counters at;
+    /** The global-memory image last captured, at dramEpoch: global
+     *  memory mostly changes at a kernel's edges, so successive
+     *  captures share it while nothing wrote it. */
+    std::shared_ptr<const mem::Memory::Span> dram;
+    std::uint64_t dramEpoch = 0;
+};
+
+Gpu::~Gpu() = default;
+
+void
+Gpu::bind(const isa::Program &prog, unsigned grid_blocks,
+          unsigned block_threads)
 {
     if (grid_blocks == 0 || block_threads == 0)
         warped_fatal("launch of '", prog.name(), "' with empty grid");
@@ -50,93 +87,140 @@ Gpu::launch(const isa::Program &prog, unsigned grid_blocks,
         warped_fatal("kernel '", prog.name(), "' wants ",
                      prog.sharedBytes(), "B shared memory, SM has ",
                      cfg_.sharedMemBytes);
+    machine_.reset();
+    machine_ = std::make_unique<Machine>(*this, prog, grid_blocks,
+                                         block_threads);
+}
 
-    // One chip-level memory system when contention or banked DRAM
-    // timing is modeled.
-    mem::MemorySystem mem_sys(cfg_);
-    mem::MemorySystem *mem_sys_ptr =
-        cfg_.usesMemorySystem() ? &mem_sys : nullptr;
+void
+Gpu::restoreMachine(const Snapshot &at)
+{
+    Machine &m = *machine_;
+    if (at.sms.size() != m.sms.size() || at.gridBlocks != m.gridBlocks ||
+        at.blockThreads != m.blockThreads ||
+        at.memSys.has_value() != cfg_.usesMemorySystem())
+        warped_panic("launch of '", m.prog.name(), "' resumed from a "
+                     "snapshot of a different launch");
+    mem_.restoreSpan(*at.dram);
+    // Global memory now holds exactly this image: the next capture
+    // shares it until something writes.
+    m.dram = at.dram;
+    m.dramEpoch = mem_.writeEpoch();
+    if (at.memSys)
+        m.memSys.restoreState(*at.memSys);
+    for (std::size_t s = 0; s < m.sms.size(); ++s)
+        m.sms[s]->restoreState(*at.sms[s], *at.planes);
+    m.at = at.loop;
+}
 
-    // Sm holds references (config, program, memory) and is therefore
-    // immovable; heap-allocate the array.
-    std::vector<std::unique_ptr<sm::Sm>> sms;
-    sms.reserve(cfg_.numSms);
-    for (unsigned s = 0; s < cfg_.numSms; ++s) {
-        sms.push_back(std::make_unique<sm::Sm>(cfg_, dcfg_, s, prog,
-                                               mem_, *hook_, seed_,
-                                               mem_sys_ptr, rcfg_,
-                                               scfg_));
+void
+Gpu::setHook(func::FaultHook *hook)
+{
+    hook_ = hook ? hook : &func::NullFaultHook::instance();
+    if (machine_)
+        for (auto &sp : machine_->sms)
+            sp->setHook(*hook_);
+}
+
+void
+Gpu::restore(const isa::Program &prog, unsigned grid_blocks,
+             unsigned block_threads, const Snapshot &at)
+{
+    if (!machine_ || &machine_->prog != &prog ||
+        machine_->gridBlocks != grid_blocks ||
+        machine_->blockThreads != block_threads)
+        bind(prog, grid_blocks, block_threads);
+    restoreMachine(at);
+}
+
+Cycle
+Gpu::cycle() const
+{
+    if (!machine_)
+        warped_panic("Gpu::cycle with no launch bound");
+    return machine_->at.cycle;
+}
+
+Snapshot
+Gpu::capture(const std::shared_ptr<sm::PlaneStore> &planes)
+{
+    if (!machine_)
+        warped_panic("Gpu::capture with no launch bound");
+    Machine &m = *machine_;
+    Snapshot snap;
+    snap.loop = m.at;
+    snap.gridBlocks = m.gridBlocks;
+    snap.blockThreads = m.blockThreads;
+    snap.planes = planes;
+    snap.sms.reserve(m.sms.size());
+    for (const auto &sp : m.sms)
+        snap.sms.push_back(sp->saveState(*planes, m.at.cycle));
+    if (cfg_.usesMemorySystem())
+        snap.memSys = m.memSys.state();
+    if (!m.dram || mem_.writeEpoch() != m.dramEpoch) {
+        m.dram = std::make_shared<const mem::Memory::Span>(mem_.saveSpan());
+        m.dramEpoch = mem_.writeEpoch();
     }
+    snap.dram = m.dram;
+    return snap;
+}
 
-    // Fig 8b tracks one thread on one SM ("warp 1 thread ...").
-    sms[0]->stats().trackRawDistance = true;
-    sms[0]->stats().trackedWarpSlot =
-        cfg_.warpsPerBlock(block_threads) > 1 ? 1 : 0;
-
-    LaunchLoop loop(sms, prog.name(), grid_blocks, block_threads,
+LaunchLoop::Outcome
+Gpu::drive(Cycle cycle_cap, const StopPredicate *stop, SnapshotSink *sink,
+           trace::Recorder *recorder)
+{
+    Machine &m = *machine_;
+    LaunchLoop loop(m.sms, m.prog.name(), m.gridBlocks, m.blockThreads,
                     cycle_cap);
-    if (resume) {
-        if (resume->sms.size() != sms.size() ||
-            resume->gridBlocks != grid_blocks ||
-            resume->blockThreads != block_threads ||
-            resume->memSys.has_value() != (mem_sys_ptr != nullptr))
-            warped_panic("launch of '", prog.name(), "' resumed from a "
-                         "snapshot of a different launch");
-        mem_.restoreSpan(*resume->dram);
-        if (mem_sys_ptr)
-            mem_sys.restoreState(*resume->memSys);
-        for (std::size_t s = 0; s < sms.size(); ++s)
-            sms[s]->restoreState(*resume->sms[s], *resume->planes);
-        loop.resumeAt(resume->loop);
-    }
+    loop.resumeAt(m.at);
     LaunchLoop::CycleTap tap;
     std::shared_ptr<sm::PlaneStore> planes;
-    std::shared_ptr<const mem::Memory::Span> dram;
-    std::uint64_t dram_epoch = 0;
     if (sink) {
         planes = std::make_shared<sm::PlaneStore>(cfg_.warpSize);
         tap = [&](const LaunchLoop::Counters &c) {
-            Snapshot snap;
-            snap.loop = c;
-            snap.gridBlocks = grid_blocks;
-            snap.blockThreads = block_threads;
-            snap.planes = planes;
-            snap.sms.reserve(sms.size());
-            for (const auto &sp : sms)
-                snap.sms.push_back(sp->saveState(*planes, c.cycle));
-            if (mem_sys_ptr)
-                snap.memSys = mem_sys.state();
-            // Global memory mostly changes at a kernel's edges: share
-            // the previous snapshot's image while nothing wrote it.
-            if (!dram || mem_.writeEpoch() != dram_epoch) {
-                dram = std::make_shared<const mem::Memory::Span>(
-                    mem_.saveSpan());
-                dram_epoch = mem_.writeEpoch();
-            }
-            snap.dram = dram;
-            sink->take(std::move(snap));
+            m.at = c;
+            sink->take(capture(planes));
             return sink->nextWanted(c.cycle + 1);
         };
-        loop.setCycleTap(&tap, sink->nextWanted(resume ? resume->loop.cycle
-                                                       : 0));
+        loop.setCycleTap(&tap, sink->nextWanted(m.at.cycle));
+        loop.setCycleClock(sink->cycleClock());
     }
+    // The SMs outlive the recorder: detach it however the run ends.
+    struct Detach
+    {
+        LaunchLoop &loop;
+        bool attached;
+        ~Detach()
+        {
+            if (attached)
+                loop.attachRecorder(nullptr);
+        }
+    } detach{loop, recorder != nullptr};
+    if (recorder)
+        loop.attachRecorder(recorder);
+    if (mem_.faultPlane()) [[unlikely]]
+        loop.attachFaultPlane(mem_.faultPlane());
+    if (stop && *stop)
+        loop.setStopPredicate(stop);
+    const auto outcome = loop.run();
+    m.at = {outcome.cycles, static_cast<unsigned>(outcome.dispatchedBlocks),
+            outcome.smTicks};
+    return outcome;
+}
 
-    // The launch's private event recorder: per-SM ring buffers, so
+LaunchResult
+Gpu::run(Cycle cycle_cap, const StopPredicate &stop, SnapshotSink *sink)
+{
+    // The run's private event recorder: per-SM ring buffers, so
     // recording never crosses SM (or RunPool worker) boundaries.
     std::optional<trace::Recorder> recorder;
     if (cfg_.traceEvents)
         recorder.emplace(cfg_.numSms, cfg_.traceRingCapacity);
-
-    if (recorder)
-        loop.attachRecorder(&*recorder);
-    if (mem_.faultPlane()) [[unlikely]]
-        loop.attachFaultPlane(mem_.faultPlane());
-    if (stop)
-        loop.setStopPredicate(&stop);
-    const auto outcome = loop.run();
+    const auto outcome =
+        drive(cycle_cap, &stop, sink, recorder ? &*recorder : nullptr);
 
     stats::LaunchAggregator agg(cfg_.warpSize);
-    for (auto &sp : sms) {
+    for (auto &sp : machine_->sms) {
         sp->scheme().finalizeStats();
         agg.addSm(sp->stats(), sp->scheme().stats(),
                   sp->recovery() ? &sp->recovery()->stats() : nullptr);
@@ -146,6 +230,42 @@ Gpu::launch(const isa::Program &prog, unsigned grid_blocks,
     return agg.finish(outcome.cycles,
                       double(outcome.cycles) * cfg_.cyclePeriodNs(),
                       outcome.hung);
+}
+
+LaunchResult
+Gpu::launch(const isa::Program &prog, unsigned grid_blocks,
+            unsigned block_threads, Cycle cycle_cap,
+            const StopPredicate &stop, const Snapshot *resume,
+            SnapshotSink *sink)
+{
+    bind(prog, grid_blocks, block_threads);
+    if (resume)
+        restoreMachine(*resume);
+    auto result = run(cycle_cap, stop, sink);
+    // A fresh machine's program need not outlive the launch.
+    machine_.reset();
+    return result;
+}
+
+void
+Gpu::advanceTo(Cycle until)
+{
+    if (!machine_)
+        warped_panic("Gpu::advanceTo with no launch bound");
+    if (machine_->at.cycle >= until)
+        return;
+    const StopPredicate stop = [until](Cycle c, const LaunchLoop &) {
+        return c + 1 >= until;
+    };
+    drive(0, &stop, nullptr, nullptr);
+}
+
+LaunchResult
+Gpu::finish(Cycle cycle_cap, const StopPredicate &stop)
+{
+    if (!machine_)
+        warped_panic("Gpu::finish with no launch bound");
+    return run(cycle_cap, stop, nullptr);
 }
 
 } // namespace gpu

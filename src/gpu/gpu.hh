@@ -3,15 +3,26 @@
  * The GPGPU chip: global memory, the block dispatcher, and the
  * kernel-launch entry point over all SMs.
  *
- * Gpu::launch composes two extracted pieces: gpu::LaunchLoop (block
- * dispatch + tick + watchdog) and stats::LaunchAggregator (folding
- * per-SM statistics into a LaunchResult). A Gpu instance is fully
- * self-contained — independent instances may run concurrently on
- * different threads (sim::RunPool relies on this).
+ * A Gpu owns global memory and, once a launch is bound, a *machine*:
+ * the launch's SMs, the chip's memory system and the launch loop's
+ * position. Every simulation drives that machine through one path,
+ * gpu::LaunchLoop (block dispatch + tick + watchdog), and
+ * stats::LaunchAggregator folds the per-SM statistics into a
+ * LaunchResult. Gpu::launch is the fresh-machine case: it builds the
+ * machine at cycle 0 (or at a snapshot), runs it to the end and
+ * discards it. Fault
+ * campaigns keep the machine resident instead: restore() puts it at
+ * a snapshot in place, advanceTo() and finish() run it on, and
+ * capture() snapshots it where it stands (docs/FAULT_MODEL.md,
+ * "Snapshot fork"). A Gpu instance is fully self-contained —
+ * independent instances may run concurrently on different threads
+ * (sim::RunPool relies on this).
  */
 
 #ifndef WARPED_GPU_GPU_HH
 #define WARPED_GPU_GPU_HH
+
+#include <memory>
 
 #include "arch/gpu_config.hh"
 #include "dmr/dmr_config.hh"
@@ -55,6 +66,7 @@ class Gpu
         std::uint64_t seed = 1, func::FaultHook *hook = nullptr,
         recovery::RecoveryConfig rcfg = {},
         protection::SchemeConfig scfg = {});
+    ~Gpu();
 
     mem::Memory &mem() { return mem_; }
     const mem::Memory &mem() const { return mem_; }
@@ -99,7 +111,58 @@ class Gpu
                         const Snapshot *resume = nullptr,
                         SnapshotSink *sink = nullptr);
 
+    /** Route the values of every later cycle through @p hook
+     *  (nullptr = fault-free), on the bound machine too. */
+    void setHook(func::FaultHook *hook);
+
+    /**
+     * Put the machine at @p at, a snapshot of the launch of @p prog
+     * over @p grid_blocks x @p block_threads: global memory, the
+     * memory system, every SM and the loop position. The first call
+     * for a launch builds its machine; later ones restore it in
+     * place, whatever it ran since (an aborted run included). The
+     * program must outlive the machine.
+     */
+    void restore(const isa::Program &prog, unsigned grid_blocks,
+                 unsigned block_threads, const Snapshot &at);
+
+    /** The cycle at whose top the bound machine stands. */
+    Cycle cycle() const;
+
+    /** Simulate the bound machine on to the top of cycle @p until, or
+     *  to the launch's end if that comes first. */
+    void advanceTo(Cycle until);
+
+    /** A snapshot of the bound machine where it stands. Register
+     *  planes written since the previous capture into @p planes go
+     *  there (see sm::Sm::saveState); unchanged ones, and an
+     *  unchanged global-memory image, are shared. */
+    Snapshot capture(const std::shared_ptr<sm::PlaneStore> &planes);
+
+    /** Run the bound machine on from where it stands to the launch's
+     *  end (see launch() for @p cycle_cap and @p stop) and aggregate
+     *  the statistics of the whole launch. */
+    LaunchResult finish(Cycle cycle_cap = 0,
+                        const StopPredicate &stop = {});
+
   private:
+    struct Machine;
+
+    /** Build a fresh machine for the launch at cycle 0. */
+    void bind(const isa::Program &prog, unsigned grid_blocks,
+              unsigned block_threads);
+    /** Overwrite the bound machine with @p at. */
+    void restoreMachine(const Snapshot &at);
+    /** Drive the bound machine from where it stands until it ends,
+     *  @p stop fires or the watchdog trips: the one simulation path.
+     *  Snapshots go to @p sink and events to @p recorder when set. */
+    LaunchLoop::Outcome drive(Cycle cycle_cap, const StopPredicate *stop,
+                              SnapshotSink *sink,
+                              trace::Recorder *recorder);
+    /** drive() to the end, then aggregate the launch's statistics. */
+    LaunchResult run(Cycle cycle_cap, const StopPredicate &stop,
+                     SnapshotSink *sink);
+
     arch::GpuConfig cfg_;
     dmr::DmrConfig dcfg_;
     recovery::RecoveryConfig rcfg_;
@@ -108,6 +171,7 @@ class Gpu
     func::FaultHook *hook_;
     mem::Memory mem_;
     mem::LinearAllocator alloc_;
+    std::unique_ptr<Machine> machine_;
 };
 
 } // namespace gpu

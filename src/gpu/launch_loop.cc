@@ -35,7 +35,8 @@ LaunchLoop::run()
     for (;;) {
         if (cycle == tapAt_) [[unlikely]]
             tapAt_ = (*tap_)(Counters{cycle, next_block, ticks});
-
+        if (clock_) [[unlikely]]
+            *clock_ = cycle;
 
         // Keep the fault plane's clock in step so a memory upset
         // strikes mid-run at its scheduled cycle (the final value

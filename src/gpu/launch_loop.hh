@@ -118,6 +118,12 @@ class LaunchLoop
         tapAt_ = first;
     }
 
+    /** Keep @p clock equal to the cycle being simulated: it is set
+     *  at the top of every cycle, before that cycle's dispatch. Call
+     *  before run(); nullptr (the default) costs one pointer test per
+     *  cycle. Non-owning. */
+    void setCycleClock(Cycle *clock) { clock_ = clock; }
+
     /** Comparator mismatches so far, summed over the SMs' live
      *  protection statistics. */
     std::uint64_t detections() const;
@@ -128,6 +134,7 @@ class LaunchLoop
     const StopPredicate *stop_ = nullptr;
     const CycleTap *tap_ = nullptr;
     Cycle tapAt_ = ~Cycle{0}; ///< next cycle to call tap_ at
+    Cycle *clock_ = nullptr;
     Counters start_;
     std::vector<std::unique_ptr<sm::Sm>> &sms_;
     const std::string &kernelName_;

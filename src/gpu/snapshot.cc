@@ -1,6 +1,7 @@
 #include "gpu/snapshot.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/logging.hh"
 
@@ -114,7 +115,7 @@ Ladder::thin(Rung *pending)
 void
 Ladder::take(Snapshot &&s)
 {
-    Rung r{std::move(s), hook_.bound(), 0};
+    Rung r{std::move(s), 0};
     r.bytes = r.snap.bytes();
     if (rungs_.empty() || r.snap.dram != rungs_.back().snap.dram)
         r.bytes += r.snap.dram->bytes.size();
@@ -133,20 +134,35 @@ Ladder::take(Snapshot &&s)
     }
 }
 
-const Snapshot &
-Ladder::forExecFault(Cycle begin) const
+Cycle
+Ladder::horizon(Cycle cycle) const
 {
-    for (auto it = rungs_.rbegin(); it != rungs_.rend(); ++it)
-        if (it->snap.loop.cycle <= begin && it->horizon <= begin)
-            return it->snap;
-    warped_panic("ladder has no rung 0");
+    // The bound after the last rise made before this cycle.
+    const auto &steps = hook_.steps();
+    const auto it = std::partition_point(
+        steps.begin(), steps.end(),
+        [cycle](const HorizonHook::Step &s) { return s.at < cycle; });
+    return it == steps.begin() ? 0 : std::prev(it)->bound;
+}
+
+Cycle
+Ladder::execFork(Cycle begin) const
+{
+    // The first rise past begin happened during cycle `at`: every
+    // cycle up to `at` still has a horizon of at most begin, and every
+    // later one does not.
+    const auto &steps = hook_.steps();
+    const auto it = std::partition_point(
+        steps.begin(), steps.end(),
+        [begin](const HorizonHook::Step &s) { return s.bound <= begin; });
+    return it == steps.end() ? begin : std::min(begin, it->at);
 }
 
 const Snapshot &
-Ladder::forMemFault(Cycle strike) const
+Ladder::rungAt(Cycle cycle) const
 {
     for (auto it = rungs_.rbegin(); it != rungs_.rend(); ++it)
-        if (it->snap.loop.cycle <= strike)
+        if (it->snap.loop.cycle <= cycle)
             return it->snap;
     warped_panic("ladder has no rung 0");
 }

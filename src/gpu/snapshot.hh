@@ -8,19 +8,24 @@
  * scheme and recovery state), the launch loop's counters, the memory
  * system's bank/partition timing and the written span of global
  * memory. Gpu::launch captures snapshots into a SnapshotSink while it
- * runs and resumes from one instead of cycle 0; cycles stay absolute,
- * so a resumed launch reports exactly what the uninterrupted one did.
+ * runs and resumes from one instead of cycle 0, and a resident
+ * machine is restored to one in place (Gpu::restore) or captured
+ * where it stands (Gpu::capture); cycles stay absolute, so a resumed
+ * launch reports exactly what the uninterrupted one did.
  * The trace recorder is not part of a snapshot (campaign machines run
  * with GpuConfig::traceEvents off): a resumed, traced launch records
  * from its resume cycle on.
  *
  * A gpu::Ladder is the sink fault campaigns use: the golden pass
- * keeps one snapshot (a *rung*) every K cycles, and each injected run
- * resumes from the latest rung its fault cannot have touched (see
- * docs/FAULT_MODEL.md, "Snapshot fork"). Its capture also logs which
- * SM and cycle every hook call named, so a campaign can settle a
- * fault whose window no call touched without simulating it ("Golden
- * activity oracle").
+ * keeps one snapshot (a *rung*) every K cycles and records, for every
+ * cycle, how far ahead the hook calls made so far looked (the horizon
+ * table). Each injected run forks from the golden run at the latest
+ * cycle its fault cannot have touched, which the horizon table names;
+ * the rungs are where a campaign's resident golden machine restarts
+ * to reach that cycle (see docs/FAULT_MODEL.md, "Snapshot fork"). The
+ * capture also logs which SM and cycle every hook call named, so a
+ * campaign can settle a fault whose window no call touched without
+ * simulating it ("Golden activity oracle").
  */
 
 #ifndef WARPED_GPU_SNAPSHOT_HH
@@ -74,6 +79,9 @@ class SnapshotSink
     virtual Cycle nextWanted(Cycle cycle) const = 0;
     /** A snapshot taken at a cycle nextWanted() named. */
     virtual void take(Snapshot &&s) = 0;
+    /** A variable the launch keeps equal to the cycle being
+     *  simulated (LaunchLoop::setCycleClock); nullptr = none. */
+    virtual Cycle *cycleClock() { return nullptr; }
 };
 
 /**
@@ -109,16 +117,24 @@ class ActivityLog
  * The fault-free hook of a golden pass that captures a ladder: never
  * live and the identity, so the pass runs exactly like the fault-free
  * machine, but it remembers the furthest cycle any liveAt query or
- * apply call has named. Those can look ahead of the cycle being
+ * apply call has named, and during which simulated cycle (clock())
+ * that horizon rose. Calls can look ahead of the cycle being
  * simulated (an eager re-execution verifies at now + 1; the software
- * schemes apply at a modelled second-run cycle), which is why a rung
- * is only sound for faults beyond this horizon. It also logs the
+ * schemes apply at a modelled second-run cycle), which is why a fork
+ * is only sound for faults beyond the horizon. It also logs the
  * (SM, cycle) every call named: a fault window on an SM no call named
  * cannot activate (docs/FAULT_MODEL.md, "Golden activity oracle").
  */
 class HorizonHook final : public func::FaultHook
 {
   public:
+    /** The horizon after the calls made during cycle `at`. */
+    struct Step
+    {
+        Cycle at = 0;
+        Cycle bound = 0;
+    };
+
     RegValue
     apply(RegValue pure, const func::FaultCtx &ctx) override
     {
@@ -133,28 +149,43 @@ class HorizonHook final : public func::FaultHook
     }
     /** Every call so far named a cycle below this (0: no call yet). */
     Cycle bound() const { return bound_; }
+    /** Each rise of bound(), tagged with the cycle being simulated
+     *  when it happened: `at` strictly increasing, `bound` too. */
+    const std::vector<Step> &steps() const { return steps_; }
     /** The (SM, cycle) pairs every call so far named. */
     const ActivityLog &log() const { return log_; }
+    /** The cycle being simulated; the capturing launch keeps it
+     *  current. */
+    Cycle *clock() { return &now_; }
 
   private:
     void
     note(unsigned sm, Cycle c) const
     {
-        if (c >= bound_)
+        if (c >= bound_) {
             bound_ = c + 1;
+            if (!steps_.empty() && steps_.back().at == now_)
+                steps_.back().bound = bound_;
+            else
+                steps_.push_back({now_, bound_});
+        }
         log_.note(sm, c);
     }
+    Cycle now_ = 0;
     mutable Cycle bound_ = 0;
+    mutable std::vector<Step> steps_;
     mutable ActivityLog log_;
 };
 
 /**
- * Snapshots of one golden pass, one rung every spacing() cycles from
- * cycle 0, each stamped with its hook horizon. Fixed caps bound its
- * size: at most kMaxRungs rungs and kMaxBytes bytes, shared register
- * planes and memory images counted once. A rung that would exceed
- * either cap first drops every other rung and doubles the spacing
- * (rung 0, the launch's starting state, always stays).
+ * Snapshots of one golden pass from cycle 0, one rung every spacing()
+ * cycles, plus the pass's per-cycle horizon table. Fixed caps bound
+ * the rungs: at most kMaxRungs rungs and kMaxBytes bytes, shared
+ * register planes and memory images counted once. A rung that would
+ * exceed either cap first drops every other rung and doubles the
+ * spacing (rung 0, the launch's starting state, always stays). The
+ * table holds one step per cycle in which the horizon rose
+ * (HorizonHook::steps), 16 bytes each.
  * Immutable once the capturing launch returns; resumed launches on
  * any number of threads may share it.
  */
@@ -168,9 +199,6 @@ class Ladder final : public SnapshotSink
     struct Rung
     {
         Snapshot snap;
-        /** Every hook call made before the rung's cycle named a cycle
-         *  below this (HorizonHook::bound at capture). */
-        Cycle horizon = 0;
         /** Snapshot::bytes, plus the memory image when it is the
          *  first rung holding it. */
         std::size_t bytes = 0;
@@ -185,18 +213,29 @@ class Ladder final : public SnapshotSink
         return (cycle + spacing_ - 1) / spacing_ * spacing_;
     }
     void take(Snapshot &&s) override;
+    Cycle *cycleClock() override { return hook_.clock(); }
 
     /**
-     * The rung to resume a run whose execution-unit fault can first
-     * act at cycle @p begin: the latest rung at or before @p begin
-     * whose horizon is at most @p begin, so no hook call the skipped
-     * prefix made could have met the fault. Rung 0 always qualifies.
+     * The hook horizon at the top of cycle @p cycle: every hook call
+     * the capturing launch made before that cycle named a cycle below
+     * it (HorizonHook::bound then). Nondecreasing; 0 at cycle 0. A
+     * cycle past the launch's end has the horizon of its end.
      */
-    const Snapshot &forExecFault(Cycle begin) const;
-    /** The rung to resume a run whose memory upset strikes at cycle
-     *  @p strike: the latest rung at or before it (the fault plane
-     *  is inert before its strike cycle). */
-    const Snapshot &forMemFault(Cycle strike) const;
+    Cycle horizon(Cycle cycle) const;
+
+    /**
+     * The cycle a run whose execution-unit fault can first act at
+     * cycle @p begin forks from the golden run at: the latest
+     * c <= @p begin with horizon(c) <= @p begin, so no hook call the
+     * golden prefix made before c could have met the fault (cycle 0
+     * always qualifies). A memory upset forks at its strike cycle
+     * instead: the fault plane is inert before it.
+     */
+    Cycle execFork(Cycle begin) const;
+
+    /** The latest rung at or before cycle @p cycle: where a golden
+     *  machine restarts to reach that cycle. */
+    const Snapshot &rungAt(Cycle cycle) const;
 
     /**
      * No hook call of the capturing launch named SM @p sm at a cycle

@@ -24,7 +24,7 @@ MemorySystem::MemorySystem(const arch::GpuConfig &cfg)
 }
 
 Cycle
-MemorySystem::access(Cycle now, const std::vector<Addr> &segments)
+MemorySystem::access(Cycle now, std::span<const Addr> segments)
 {
     if (cfg_.memModel == arch::MemModel::Banked)
         return accessBanked(now, segments);
@@ -42,7 +42,7 @@ MemorySystem::access(Cycle now, const std::vector<Addr> &segments)
 }
 
 Cycle
-MemorySystem::accessBanked(Cycle now, const std::vector<Addr> &segments)
+MemorySystem::accessBanked(Cycle now, std::span<const Addr> segments)
 {
     // Segments interleave across banks low-order first (adjacent
     // segments hit adjacent banks — the usual DRAM interleave), and

@@ -22,6 +22,7 @@
 #ifndef WARPED_MEM_MEMORY_SYSTEM_HH
 #define WARPED_MEM_MEMORY_SYSTEM_HH
 
+#include <span>
 #include <vector>
 
 #include "arch/gpu_config.hh"
@@ -42,10 +43,11 @@ class MemorySystem
      * Schedule one warp's global transactions.
      *
      * @param now       issue cycle
-     * @param segments  distinct segment addresses the warp touches
+     * @param segments  distinct segment addresses the warp touches,
+     *                  in ascending order
      * @return cycle at which the last transaction's data is back
      */
-    Cycle access(Cycle now, const std::vector<Addr> &segments);
+    Cycle access(Cycle now, std::span<const Addr> segments);
 
     std::uint64_t transactions() const { return s_.transactions; }
     /** Total queueing delay accumulated beyond the raw latency. */
@@ -72,7 +74,7 @@ class MemorySystem
     void restoreState(const State &s) { s_ = s; }
 
   private:
-    Cycle accessBanked(Cycle now, const std::vector<Addr> &segments);
+    Cycle accessBanked(Cycle now, std::span<const Addr> segments);
 
     const arch::GpuConfig &cfg_;
     State s_;

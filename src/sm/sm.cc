@@ -1,6 +1,7 @@
 #include "sm/sm.hh"
 
-#include <set>
+#include <algorithm>
+#include <array>
 #include <utility>
 
 #include "common/logging.hh"
@@ -362,24 +363,30 @@ Sm::tryIssue(unsigned warp_slot, Cycle now, isa::UnitType &unit_out)
     const bool global_mem =
         in.isMem() && !isa::opcodeIsSharedMem(in.op);
     if (global_mem && (cfg_.modelCoalescing || memSys_)) {
-        // One transaction per distinct memory segment the warp hits.
-        std::set<Addr> segments;
+        // One transaction per distinct memory segment the warp hits,
+        // kept sorted and deduplicated on the stack (ascending, the
+        // order the memory system services them in).
+        std::array<Addr, func::kMaxWarp> segs;
+        unsigned n = 0;
         for (unsigned slot = 0; slot < cfg_.warpSize; ++slot) {
-            if (rec.active.test(slot))
-                segments.insert(rec.results[slot] /
-                                cfg_.coalesceSegmentBytes);
+            if (!rec.active.test(slot))
+                continue;
+            const Addr seg = rec.results[slot] / cfg_.coalesceSegmentBytes;
+            Addr *const end = segs.data() + n;
+            Addr *const at = std::lower_bound(segs.data(), end, seg);
+            if (at != end && *at == seg)
+                continue;
+            std::copy_backward(at, end, end + 1);
+            *at = seg;
+            ++n;
         }
         if (cfg_.modelCoalescing) {
-            const auto n = static_cast<unsigned>(segments.size());
             extra_mem_cycles = n > 1 ? n - 1 : 0;
             ldstPortFreeAt_ = now + 1 + extra_mem_cycles;
         }
-        if (memSys_) {
-            const std::vector<Addr> segs(segments.begin(),
-                                         segments.end());
+        if (memSys_)
             contended_ready =
-                memSys_->access(now, segs) + cfg_.rfStages;
-        }
+                memSys_->access(now, {segs.data(), n}) + cfg_.rfStages;
     }
 
     const Cycle ready = std::max(writebackTime(in, now) +
@@ -642,13 +649,33 @@ Sm::restoreState(const State &s, const PlaneStore &planes)
 {
     if (!s.recovery != !recovery_)
         warped_panic("SM ", smId_, ": snapshot of a different machine");
+    // Whatever this SM ran before, its capture cache no longer
+    // describes it.
+    ++mutations_;
+    captured_.reset();
+    capturedInto_ = nullptr;
+    std::fill(capturedShared_.begin(), capturedShared_.end(),
+              CapturedShared{});
+
+    // Empty every warp slot and scoreboard row; the snapshot's
+    // resident warps then refill theirs. An empty slot's row is
+    // already zero (retirement and assignment clear it), so only the
+    // occupied slots' rows need clearing. Pooled contexts stay for
+    // reuse, as after block retirement.
     const unsigned regs = scoreboard_.numRegs();
     const unsigned ws = cfg_.warpSize;
+    for (unsigned w = 0; w < maxWarps_; ++w)
+        if (warpState_[w] != kWarpEmpty)
+            scoreboard_.resetWarp(w);
+    std::fill(warpState_.begin(), warpState_.end(), kWarpEmpty);
+    std::fill(warpPc_.begin(), warpPc_.end(), Pc{0});
+    std::fill(warpBlockSlot_.begin(), warpBlockSlot_.end(), -1);
     const arch::SimtStack::Entry *stack = s.stacks.data();
     for (std::size_t i = 0; i < s.warps.size(); ++i) {
         const State::Warp &sw = s.warps[i];
         auto &ctx = warps_[sw.slot];
-        ctx.emplace(ws, prog_.numRegs(), 0, 0, ws, ws, 1);
+        if (!ctx)
+            ctx.emplace(ws, prog_.numRegs(), 0, 0, ws, ws, 1);
         ctx->restoreHeader(sw.header);
         ctx->stack().assign(stack, stack + sw.stackDepth);
         stack += sw.stackDepth;
@@ -662,6 +689,15 @@ Sm::restoreState(const State &s, const PlaneStore &planes)
     for (const State::Pending &p : s.pending)
         scoreboard_.row(s.warps[p.at / regs].slot)[p.at % regs] =
             p.readyAt;
+    // Likewise every block slot; retired slots keep their shared
+    // segment for assignBlock to recycle.
+    for (BlockSlot &b : blocks_) {
+        b.active = false;
+        b.blockId = 0;
+        b.liveWarps = 0;
+        b.barrierWaiters = 0;
+        b.warpSlots.clear();
+    }
     for (const State::Block &sb : s.blocks) {
         BlockSlot &b = blocks_[sb.slot];
         b.active = true;

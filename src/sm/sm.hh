@@ -199,10 +199,20 @@ class Sm
      *  since its previous capture (idle: not ticked, no block
      *  assigned) returns that capture. */
     std::shared_ptr<State> saveState(PlaneStore &planes, Cycle now);
-    /** Resume from @p s, whose registers live in @p planes. Call on a
-     *  freshly constructed SM, built for the same program and
-     *  configuration as the saving one. */
+    /**
+     * Resume from @p s, whose registers live in @p planes. The SM must
+     * be built for the same program and configuration as the saving
+     * one; it may be fresh or may already have run, to completion or
+     * part way (an aborted fault site included). Everything the next
+     * cycle can read is overwritten: warp slots, scoreboard rows and
+     * block slots the snapshot does not hold are emptied, pooled
+     * contexts and shared segments are reused in place, and the
+     * capture cache is dropped so the next saveState is a full one.
+     */
     void restoreState(const State &s, const PlaneStore &planes);
+
+    /** Run every later value through @p hook (see Executor::setHook). */
+    void setHook(func::FaultHook &hook) { exec_.setHook(hook); }
 
   private:
     struct BlockSlot

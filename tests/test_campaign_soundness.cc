@@ -1,8 +1,9 @@
 /**
  * @file
  * Soundness of the campaign engine's shortcuts: the snapshot fork
- * (each run resumes from a golden-run ladder rung), the dormant-hook
- * fast path and the window-closed / first-detection early exits.
+ * (each run forks from the golden run at the exact cycle the horizon
+ * table allows, on resident machines), the dormant-hook fast path and
+ * the window-closed / first-detection early exits.
  *
  * For sampled sites, the engine's per-site verdict (read off a
  * one-run CampaignEngine::runRange delta) is compared with a
@@ -11,20 +12,24 @@
  * an always-live hook, output verified whenever the fault activated —
  * and classifies it with classifyOutcome (classifyMemOutcome for
  * memory-cell sites). Class, activation and detection latency must
- * all match. The one allowed difference is the documented
+ * all match. Then one sweep over the whole sample, every site forked
+ * in turn on the same resident machines, must fold to exactly what
+ * the per-site verdicts fold to, so no state leaks from one site
+ * into the next. The one allowed difference is the documented
  * first-detection exception: a site that detects and *then* trips a
  * simulator panic is DUE under full simulation and Detected under the
  * exit; such sites are counted. The golden activity oracle, which
  * settles a site without simulating it, must only settle sites that
  * never activate; the golden access log, which settles memory sites
  * the same way, must only settle sites full simulation classifies
- * alike. A targeted case pins the rung
- * horizon: faults that open exactly on a rung whose prefix already
- * looked at that cycle must not resume from it.
+ * alike. A targeted case pins the horizon
+ * table: faults that open exactly on a cycle whose prefix already
+ * looked at that cycle must fork below it.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -37,6 +42,7 @@
 #include "gpu/snapshot.hh"
 #include "mem/mem_fault.hh"
 #include "protection/scheme_registry.hh"
+#include "sm/plane_store.hh"
 
 using namespace warped;
 using namespace warped::fault;
@@ -189,6 +195,43 @@ engineVerdict(CampaignEngine &engine, std::uint64_t i)
     return v;
 }
 
+/**
+ * One sweep over runs [0, verdicts.size()) — jobs 1, so every site is
+ * forked in turn on one resident golden/site machine pair — must fold
+ * to what the per-site @p verdicts fold to, and must simulate exactly
+ * the sites no golden log settles.
+ */
+void
+expectSweepFolds(CampaignEngine &engine, const std::vector<Verdict> &verdicts,
+                 std::uint64_t settled)
+{
+    const auto rep = engine.runRange(0, verdicts.size());
+    OutcomeCounts want;
+    std::uint64_t latencySum = 0, latencyCount = 0, aborted = 0;
+    for (const Verdict &v : verdicts) {
+        want.add(v.cls, v.activated);
+        if (v.hasLatency) {
+            latencySum += v.latency;
+            ++latencyCount;
+        }
+        aborted += v.aborted;
+    }
+    SCOPED_TRACE("one sweep over the whole sample");
+    EXPECT_EQ(rep.overall.masked, want.masked);
+    EXPECT_EQ(rep.overall.notActivated, want.notActivated);
+    EXPECT_EQ(rep.overall.detected, want.detected);
+    EXPECT_EQ(rep.overall.recovered, want.recovered);
+    EXPECT_EQ(rep.overall.eccCorrected, want.eccCorrected);
+    EXPECT_EQ(rep.overall.sdc, want.sdc);
+    EXPECT_EQ(rep.overall.due, want.due);
+    EXPECT_EQ(rep.latencySum, latencySum);
+    EXPECT_EQ(rep.latencyCount, latencyCount);
+    EXPECT_EQ(rep.abortedRuns, aborted);
+    const auto &t = engine.forkTelemetry();
+    EXPECT_EQ(t.sitesSimulated, verdicts.size() - settled);
+    EXPECT_EQ(t.sweepForks + t.rungForks, t.sitesSimulated);
+}
+
 struct SoundnessCase
 {
     const char *name;
@@ -251,13 +294,14 @@ TEST_P(ExitSoundness, EngineMatchesFullSimulation)
 
     std::uint64_t transient = 0, stuck = 0, notActivated = 0,
                   detected = 0, reclassified = 0, forked = 0, settled = 0;
+    std::vector<Verdict> verdicts;
     for (std::uint64_t i = 0; i < engine.plannedSites(); ++i) {
         const auto spec =
             engine.space().site(engine.space().sampleIndex(cfg.seed, i));
-        forked += engine.ladder().forExecFault(spec.cycleBegin).loop.cycle >
-                  0;
+        forked += engine.ladder().execFork(spec.cycleBegin) > 0;
         settled += settledByOracle(engine.ladder(), spec);
         const Verdict got = engineVerdict(engine, i);
+        verdicts.push_back(got);
         const Verdict want =
             reference(spec, engine.span(), tc.factory, cfg);
         (spec.kind == FaultKind::TransientBitFlip ? transient : stuck)++;
@@ -289,10 +333,11 @@ TEST_P(ExitSoundness, EngineMatchesFullSimulation)
                 static_cast<unsigned long long>(settled),
                 static_cast<unsigned long long>(detected),
                 static_cast<unsigned long long>(reclassified));
+    expectSweepFolds(engine, verdicts, settled);
     // The sample must exercise both fault kinds, both exits and the
     // fork — except under R-Naive, whose modelled second run applies
-    // the hook at now + 2^40: every rung's horizon lies past every
-    // pulse, so its sites resume from rung 0.
+    // the hook at now + 2^40: the horizon passes every pulse within
+    // the first cycles, so its sites fork at cycle 0.
     EXPECT_GT(transient, 0u);
     EXPECT_GT(stuck, 0u);
     EXPECT_GT(notActivated, 0u);
@@ -323,14 +368,19 @@ TEST(ForkSoundness, MemorySitesOnBankedSecdedMatchFullSimulation)
     CampaignEngine engine(factory, cfg);
     engine.prepare();
 
-    std::uint64_t forked = 0, read = 0, corrected = 0;
+    std::uint64_t forked = 0, read = 0, corrected = 0, settled = 0;
+    std::vector<Verdict> verdicts;
     for (std::uint64_t i = 0; i < engine.plannedSites(); ++i) {
         const auto spec =
             engine.space().site(engine.space().sampleIndex(cfg.seed, i));
         ASSERT_TRUE(spec.isMemory);
-        forked += engine.ladder().forMemFault(spec.cycleBegin).loop.cycle >
-                  0;
+        // Memory sites fork at their strike, past the first rung.
+        forked += spec.cycleBegin > engine.ladder().spacing();
+        settled += settledByAccessLog(*engine.accessLog(), spec,
+                                      cfg.gpu.eccKind) !=
+                   MemSettlement::Simulate;
         const Verdict got = engineVerdict(engine, i);
+        verdicts.push_back(got);
         const Verdict want =
             memReference(spec, engine.span(), factory, cfg);
         read += want.activated;
@@ -342,21 +392,24 @@ TEST(ForkSoundness, MemorySitesOnBankedSecdedMatchFullSimulation)
         EXPECT_EQ(got.activated, want.activated);
         EXPECT_EQ(got.aborted, want.aborted);
     }
+    expectSweepFolds(engine, verdicts, settled);
     EXPECT_GT(forked, 0u);
     EXPECT_GT(read, 0u);
     EXPECT_GT(corrected, 0u);
 }
 
 /**
- * The rung horizon. With a one-entry ReplayQ, eager re-executions
- * verify at now + 1, so the prefix before some rungs already called
- * the hook at the rung's own cycle. A pulse opening exactly there
- * must resume from an earlier rung: full simulation sees the eager
- * verification corrupted and detects it. Every such rung is probed on
- * every SM, through a test-side fork (Ladder::forExecFault plus the
- * engine's stop predicate) against full simulation.
+ * The horizon table. With a one-entry ReplayQ, eager re-executions
+ * verify at now + 1, so the prefix before some cycles already called
+ * the hook at that very cycle. A pulse opening exactly there must fork
+ * below it: full simulation sees the eager verification corrupted and
+ * detects it. Such cycles are probed on every SM through a test-side
+ * fork built like the engine's (a golden machine restored from the
+ * rung at or before Ladder::execFork, advanced to it, captured and
+ * restored into a site machine that runs under the engine's stop
+ * predicate) against full simulation.
  */
-TEST(ForkSoundness, PulsesOnALookedAheadRungResumeBelowIt)
+TEST(ForkSoundness, PulsesOnALookedAheadCycleForkBelowIt)
 {
     setVerbose(false);
     const WorkloadFactory factory = [] {
@@ -369,8 +422,23 @@ TEST(ForkSoundness, PulsesOnALookedAheadRungResumeBelowIt)
     cfg.sites = 1;
     CampaignEngine engine(factory, cfg);
     engine.prepare();
+    const gpu::Ladder &ladder = engine.ladder();
 
+    auto w = factory();
+    gpu::Gpu golden(cfg.gpu, cfg.dmr, /*seed=*/1, nullptr, cfg.recovery,
+                    cfg.scheme);
+    gpu::Gpu site(cfg.gpu, cfg.dmr, /*seed=*/1, nullptr, cfg.recovery,
+                  cfg.scheme);
+    w->setup(site);
+    const auto planes = std::make_shared<sm::PlaneStore>(cfg.gpu.warpSize);
     const auto forkedVerdict = [&](const FaultSpec &spec) {
+        const Cycle fork = ladder.execFork(spec.cycleBegin);
+        golden.restore(w->program(), w->gridBlocks(), w->blockThreads(),
+                       ladder.rungAt(fork));
+        golden.advanceTo(fork);
+        EXPECT_EQ(golden.cycle(), fork);
+        site.restore(w->program(), w->gridBlocks(), w->blockThreads(),
+                     golden.capture(planes));
         FaultInjector inj;
         inj.add(spec);
         const gpu::StopPredicate stop =
@@ -379,22 +447,24 @@ TEST(ForkSoundness, PulsesOnALookedAheadRungResumeBelowIt)
                     return inj.windowsClosedBy(cycle);
                 return loop.detections() > 0;
             };
-        auto w = factory();
-        gpu::Gpu g(cfg.gpu, cfg.dmr, /*seed=*/1, &inj, cfg.recovery,
-                   cfg.scheme);
-        w->setup(g);
-        const auto r = g.launch(
-            w->program(), w->gridBlocks(), w->blockThreads(),
-            engine.span() * 20 + 100000, stop,
-            &engine.ladder().forExecFault(spec.cycleBegin));
-        return classifyExec(r, inj, *w, g, cfg);
+        site.setHook(&inj);
+        const auto r = site.finish(engine.span() * 20 + 100000, stop);
+        const Verdict v = classifyExec(r, inj, *w, site, cfg);
+        site.setHook(nullptr);
+        return v;
     };
 
+    // Every looked-ahead cycle, thinned to about 16 probes.
+    std::vector<Cycle> lookahead;
+    for (Cycle c = 1; c < engine.span(); ++c)
+        if (ladder.horizon(c) > c)
+            lookahead.push_back(c);
+    ASSERT_FALSE(lookahead.empty()) << "no prefix looked ahead";
     unsigned probed = 0, detected = 0;
-    for (const auto &rung : engine.ladder().rungs()) {
-        const Cycle c = rung.snap.loop.cycle;
-        if (c == 0 || rung.horizon <= c)
-            continue;
+    const std::size_t stride = std::max<std::size_t>(1, lookahead.size() / 16);
+    for (std::size_t k = 0; k < lookahead.size(); k += stride) {
+        const Cycle c = lookahead[k];
+        EXPECT_LT(ladder.execFork(c), c);
         for (unsigned sm = 0; sm < cfg.gpu.numSms; ++sm) {
             FaultSpec spec;
             spec.sm = sm;
@@ -405,7 +475,7 @@ TEST(ForkSoundness, PulsesOnALookedAheadRungResumeBelowIt)
             const Verdict want =
                 reference(spec, engine.span(), factory, cfg);
             const Verdict got = forkedVerdict(spec);
-            SCOPED_TRACE("pulse at rung cycle " + std::to_string(c) +
+            SCOPED_TRACE("pulse at looked-ahead cycle " + std::to_string(c) +
                          " on sm " + std::to_string(sm));
             EXPECT_EQ(outcomeClassName(got.cls),
                       outcomeClassName(want.cls));
@@ -415,7 +485,7 @@ TEST(ForkSoundness, PulsesOnALookedAheadRungResumeBelowIt)
             detected += want.cls == OutcomeClass::Detected;
         }
     }
-    EXPECT_GT(probed, 0u) << "no rung's prefix looked ahead";
+    EXPECT_GT(probed, 0u);
     EXPECT_GT(detected, 0u);
 }
 
@@ -456,6 +526,10 @@ TEST_P(OracleSoundness, SettledSitesNeverActivate)
             EXPECT_STREQ(outcomeClassName(want.cls), "masked");
         }
     }
+    // Settled sites never reach a machine.
+    engine.runRange(0, engine.plannedSites());
+    EXPECT_EQ(engine.forkTelemetry().sitesSimulated,
+              engine.plannedSites() - settled);
     std::printf("%s: oracle settled %llu of %llu not-activated sites "
                 "(%llu sampled)\n",
                 tc.name, static_cast<unsigned long long>(settled),
@@ -556,18 +630,22 @@ TEST_P(MemOracleSoundness, SettledSitesMatchFullSimulation)
     ASSERT_NE(engine.accessLog(), nullptr);
 
     std::uint64_t memSites = 0, notRead = 0, corrected = 0, aborted = 0,
-                  wantNotRead = 0, wantCorrected = 0;
+                  wantNotRead = 0, wantCorrected = 0, oracleSettled = 0;
+    std::vector<Verdict> verdicts;
     for (std::uint64_t i = 0; i < engine.plannedSites(); ++i) {
         const auto spec =
             engine.space().site(engine.space().sampleIndex(cfg.seed, i));
-        if (!spec.isMemory)
+        const Verdict got = engineVerdict(engine, i);
+        verdicts.push_back(got);
+        if (!spec.isMemory) {
+            oracleSettled += settledByOracle(engine.ladder(), spec);
             continue;
+        }
         ++memSites;
         const auto settled =
             settledByAccessLog(*engine.accessLog(), spec, tc.ecc);
         notRead += settled == MemSettlement::NotRead;
         corrected += settled == MemSettlement::Corrected;
-        const Verdict got = engineVerdict(engine, i);
         const Verdict want =
             memReference(spec, engine.span(), tc.factory, cfg);
         aborted += want.aborted;
@@ -590,6 +668,7 @@ TEST_P(MemOracleSoundness, SettledSitesMatchFullSimulation)
                 static_cast<unsigned long long>(corrected),
                 static_cast<unsigned long long>(aborted),
                 engine.accessLog()->bytes());
+    expectSweepFolds(engine, verdicts, notRead + corrected + oracleSettled);
     EXPECT_GT(memSites, 0u);
     EXPECT_EQ(aborted > 0, tc.aborts);
     // The log is exact for the classes it settles.

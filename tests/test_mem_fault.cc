@@ -569,38 +569,44 @@ bankedCfg()
 
 TEST(BankedMemorySystem, RowMissPaysThePenaltyRowHitDoesNot)
 {
-    mem::MemorySystem ms(bankedCfg());
+    // MemorySystem keeps a reference to its config: keep it alive.
+    const auto cfg = bankedCfg();
+    mem::MemorySystem ms(cfg);
     // First touch of bank 0 opens row 0: a compulsory miss.
-    EXPECT_EQ(ms.access(0, {0}), 160u); // 100 + 60
+    EXPECT_EQ(ms.access(0, std::vector<Addr>{0}), 160u); // 100 + 60
     EXPECT_EQ(ms.rowMisses(), 1u);
     EXPECT_EQ(ms.rowHits(), 0u);
     // Same row, later: open-row hit at the raw latency.
-    EXPECT_EQ(ms.access(200, {0}), 300u);
+    EXPECT_EQ(ms.access(200, std::vector<Addr>{0}), 300u);
     EXPECT_EQ(ms.rowHits(), 1u);
     // Segment 4 maps to bank 0 row 1: the open row switches.
-    EXPECT_EQ(ms.access(400, {4}), 560u);
+    EXPECT_EQ(ms.access(400, std::vector<Addr>{4}), 560u);
     EXPECT_EQ(ms.rowMisses(), 2u);
 }
 
 TEST(BankedMemorySystem, AdjacentSegmentsInterleaveAcrossBanks)
 {
-    mem::MemorySystem ms(bankedCfg());
+    // MemorySystem keeps a reference to its config: keep it alive.
+    const auto cfg = bankedCfg();
+    mem::MemorySystem ms(cfg);
     // Segments 0 and 1 land on different banks: both are compulsory
     // misses but they proceed in parallel, so the warp completes at
     // one miss latency, not two service periods apart.
-    EXPECT_EQ(ms.access(0, {0, 1}), 160u);
+    EXPECT_EQ(ms.access(0, std::vector<Addr>{0, 1}), 160u);
     EXPECT_EQ(ms.rowMisses(), 2u);
     EXPECT_EQ(ms.queueingCycles(), 0u);
 }
 
 TEST(BankedMemorySystem, SameBankConflictQueuesOnTheServicePeriod)
 {
-    mem::MemorySystem ms(bankedCfg());
+    // MemorySystem keeps a reference to its config: keep it alive.
+    const auto cfg = bankedCfg();
+    mem::MemorySystem ms(cfg);
     // Segments 0 and 2 both map to bank 0, same row: the second
     // transaction waits one service period behind the first (visible
     // as queueing; the first access's row miss still dominates the
     // warp's completion time).
-    EXPECT_EQ(ms.access(0, {0, 2}), 160u);
+    EXPECT_EQ(ms.access(0, std::vector<Addr>{0, 2}), 160u);
     EXPECT_EQ(ms.queueingCycles(), 2u);
     EXPECT_EQ(ms.rowMisses(), 1u);
     EXPECT_EQ(ms.rowHits(), 1u);
@@ -612,7 +618,7 @@ TEST(BankedMemorySystem, FlatModelKeepsRowCountersAtZero)
     auto cfg = bankedCfg();
     cfg.memModel = arch::MemModel::Flat;
     mem::MemorySystem ms(cfg);
-    (void)ms.access(0, {0, 1, 2, 3});
+    (void)ms.access(0, std::vector<Addr>{0, 1, 2, 3});
     EXPECT_EQ(ms.rowHits(), 0u);
     EXPECT_EQ(ms.rowMisses(), 0u);
     EXPECT_EQ(ms.transactions(), 4u);

@@ -118,15 +118,15 @@ TEST(MemorySystem, QueueingDelaysConcurrentTransactions)
     mem::MemorySystem ms(cfg);
 
     // Four transactions hitting the same partition back to back.
-    const auto done =
-        ms.access(0, {0, 2, 4, 6}); // all even segments -> partition 0
+    // All even segments -> partition 0.
+    const auto done = ms.access(0, std::vector<Addr>{0, 2, 4, 6});
     EXPECT_EQ(done, 0 + 3 * 4 + 100u);
     EXPECT_EQ(ms.transactions(), 4u);
     EXPECT_EQ(ms.queueingCycles(), 4u + 8u + 12u);
 
     // Spread across both partitions: half the queueing.
     mem::MemorySystem ms2(cfg);
-    const auto done2 = ms2.access(0, {0, 1, 2, 3});
+    const auto done2 = ms2.access(0, std::vector<Addr>{0, 1, 2, 3});
     EXPECT_EQ(done2, 0 + 1 * 4 + 100u);
 }
 

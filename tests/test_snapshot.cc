@@ -22,12 +22,14 @@
 
 #include "common/logging.hh"
 #include "dmr/dmr_engine.hh"
+#include "fault/fault_injector.hh"
 #include "gpu/gpu.hh"
 #include "gpu/snapshot.hh"
 #include "kernel_fuzzer.hh"
 #include "mem/memory.hh"
 #include "pinned_configs.hh"
 #include "protection/scheme_registry.hh"
+#include "sm/plane_store.hh"
 #include "workloads/workload.hh"
 
 using namespace warped;
@@ -241,15 +243,13 @@ TEST(Ladder, CapsRungsAndBytesByDoublingTheSpacing)
     EXPECT_GT(ladder.spacing(), gpu::Ladder::kInitialSpacing);
     std::size_t bytes = 0;
     for (std::size_t i = 0; i < rungs.size(); ++i) {
-        EXPECT_EQ(rungs[i].snap.loop.cycle, i * ladder.spacing());
-        EXPECT_LE(rungs[i].horizon, rungs[i].snap.loop.cycle + 2);
-        if (i > 0) {
-            EXPECT_GE(rungs[i].horizon, rungs[i - 1].horizon);
-        }
+        const Cycle c = rungs[i].snap.loop.cycle;
+        EXPECT_EQ(c, i * ladder.spacing());
+        EXPECT_LE(ladder.horizon(c), c + 2);
         bytes += rungs[i].bytes;
     }
     EXPECT_EQ(bytes + rungs.front().snap.planes->bytes(), ladder.bytes());
-    EXPECT_EQ(rungs.front().horizon, 0u);
+    EXPECT_EQ(ladder.horizon(0), 0u);
     // The horizon hook is a fault-free hook: the capture ran the
     // golden launch unchanged.
     expectSame(runLaunch([] { return workloads::makeSha(16); }, m,
@@ -257,37 +257,44 @@ TEST(Ladder, CapsRungsAndBytesByDoublingTheSpacing)
                full);
 }
 
-TEST(Ladder, ExecFaultsResumeBelowTheHorizonMemoryFaultsAtTheStrike)
+TEST(Ladder, ExecFaultsForkAtTheLatestCycleBelowTheirHorizon)
 {
     setVerbose(false);
     Machine m;
     m.gpu.numSms = 2;
     m.dmr.replayQSize = 1; // eager re-executions verify at now + 1
     gpu::Ladder ladder;
-    runLaunch(kMatrixMul, m, nullptr, &ladder, &ladder.hook());
+    const Outcome full =
+        runLaunch(kMatrixMul, m, nullptr, &ladder, &ladder.hook());
     const auto &rungs = ladder.rungs();
     ASSERT_GT(rungs.size(), 2u);
-    EXPECT_EQ(&ladder.forExecFault(0), &rungs[0].snap);
-    EXPECT_EQ(&ladder.forMemFault(0), &rungs[0].snap);
-    bool lookahead = false;
-    for (std::size_t i = 1; i < rungs.size(); ++i) {
-        const Cycle c = rungs[i].snap.loop.cycle;
-        EXPECT_EQ(ladder.forMemFault(c).loop.cycle, c);
-        EXPECT_EQ(ladder.forMemFault(c - 1).loop.cycle,
-                  rungs[i - 1].snap.loop.cycle);
-        // A fault opening at the rung's own cycle may only resume
-        // there when no earlier hook call named that cycle.
-        const Cycle got = ladder.forExecFault(c).loop.cycle;
-        if (rungs[i].horizon > c) {
-            lookahead = true;
-            EXPECT_LT(got, c);
-        } else {
-            EXPECT_EQ(got, c);
+    EXPECT_EQ(&ladder.rungAt(0), &rungs[0].snap);
+    EXPECT_EQ(ladder.execFork(0), 0u);
+    std::size_t lookahead = 0, rung = 0;
+    for (Cycle c = 0; c <= full.result.cycles; ++c) {
+        // The table is nondecreasing.
+        if (c > 0) {
+            EXPECT_GE(ladder.horizon(c), ladder.horizon(c - 1));
         }
-        const Cycle later = std::max(c, rungs[i].horizon);
-        EXPECT_GE(ladder.forExecFault(later).loop.cycle, c);
+        // The fork of a fault opening at c: at or before c, below the
+        // horizon, and the latest such cycle.
+        const Cycle f = ladder.execFork(c);
+        EXPECT_LE(f, c);
+        EXPECT_LE(ladder.horizon(f), c);
+        if (f < c) {
+            EXPECT_GT(ladder.horizon(f + 1), c);
+        }
+        lookahead += ladder.horizon(c) > c;
+        // The rung a golden machine restarts from to reach c.
+        while (rung + 1 < rungs.size() &&
+               rungs[rung + 1].snap.loop.cycle <= c)
+            ++rung;
+        EXPECT_EQ(&ladder.rungAt(c), &rungs[rung].snap);
     }
-    EXPECT_TRUE(lookahead) << "no rung saw an eager look-ahead";
+    EXPECT_GT(lookahead, 0u) << "no prefix saw an eager look-ahead";
+    // Past the launch's end the last cycle's horizon holds.
+    EXPECT_EQ(ladder.horizon(full.result.cycles + 1000),
+              ladder.horizon(full.result.cycles));
 }
 
 TEST(Ladder, HorizonsMatchTheRecomputingEngine)
@@ -332,7 +339,8 @@ TEST(Ladder, HorizonsMatchTheRecomputingEngine)
         runLaunch(c.factory, m, nullptr, &ladder, &ladder.hook());
         std::vector<std::pair<Cycle, Cycle>> got;
         for (const auto &r : ladder.rungs())
-            got.emplace_back(r.snap.loop.cycle, r.horizon);
+            got.emplace_back(r.snap.loop.cycle,
+                             ladder.horizon(r.snap.loop.cycle));
         EXPECT_EQ(got, c.rungs);
     }
 }
@@ -566,6 +574,184 @@ TEST(Snapshot, ResumingADifferentLaunchPanics)
     ASSERT_FALSE(sink.snaps.empty());
     EXPECT_THROW(runLaunch(kMatrixMul, m, &sink.snaps.back(), nullptr),
                  std::exception);
+}
+
+/**
+ * Resident machines. A Gpu restored in place over a machine that has
+ * already run — to the end, part way, under a fault, or into a panic
+ * — must end exactly like a fresh launch resumed from the same
+ * snapshot; a golden machine advanced to a cycle and captured there
+ * must hold what the uninterrupted launch held at that cycle.
+ */
+struct ResidentCase
+{
+    const char *name;
+    Factory factory;
+    Machine machine;
+};
+
+std::vector<ResidentCase>
+residentCases()
+{
+    std::vector<ResidentCase> cases;
+    const auto add = [&](const char *name, Factory f,
+                         const std::function<void(Machine &)> &tweak) {
+        Machine m;
+        m.gpu.numSms = 4;
+        tweak(m);
+        cases.push_back({name, std::move(f), m});
+    };
+    add("matrixmul", kMatrixMul, [](Machine &) {});
+    add("sha_recovery", kSha, [](Machine &m) {
+        m.recovery = recovery::RecoveryConfig::paperDefault();
+    });
+    add("matrixmul_banked_secded", kMatrixMul, [](Machine &m) {
+        m.gpu.memModel = arch::MemModel::Banked;
+        m.gpu.eccKind = arch::EccKind::Secded;
+    });
+    add("scan_gto2", kScan, [](Machine &m) {
+        m.gpu.schedPolicy = arch::SchedPolicy::GreedyThenOldest;
+        m.gpu.numSchedulers = 2;
+    });
+    add("sha_rthread", kSha, [](Machine &m) {
+        m.scheme.id = protection::SchemeId::RThread;
+    });
+    add("scan_partial_thread", kScan, [](Machine &m) {
+        m.scheme.id = protection::SchemeId::PartialThread;
+        m.scheme.protectFraction = 0.5;
+    });
+    return cases;
+}
+
+/** Restore @p g in place at @p snap and run it to the end. */
+Outcome
+finishResident(gpu::Gpu &g, const workloads::Workload &w,
+               const gpu::Snapshot &snap)
+{
+    g.restore(w.program(), w.gridBlocks(), w.blockThreads(), snap);
+    Outcome o;
+    o.result = g.finish();
+    o.dram.resize(g.allocator().used());
+    g.mem().copyOut(0, o.dram.data(), o.dram.size());
+    return o;
+}
+
+/** A hook that panics, mid-tick, on the first value it sees at or
+ *  after cycle @p at: the way an injected fault trips a simulator
+ *  sanity check. */
+class PanicAt final : public func::FaultHook
+{
+  public:
+    explicit PanicAt(Cycle at) : at_(at) {}
+    RegValue
+    apply(RegValue pure, const func::FaultCtx &ctx) override
+    {
+        if (ctx.cycle >= at_)
+            warped_panic("injected panic at cycle ", ctx.cycle);
+        return pure;
+    }
+
+  private:
+    Cycle at_;
+};
+
+TEST(ResidentMachine, RestoresOverAUsedMachineLikeAFreshResume)
+{
+    setVerbose(false);
+    for (const auto &tc : residentCases()) {
+        SCOPED_TRACE(tc.name);
+        EveryK sink(311);
+        const Outcome full =
+            runLaunch(tc.factory, tc.machine, nullptr, &sink);
+        ASSERT_GT(sink.snaps.size(), 3u);
+        const auto &m = tc.machine;
+        auto w = tc.factory();
+        gpu::Gpu g(m.gpu, m.dmr, /*seed=*/1, nullptr, m.recovery,
+                   m.scheme);
+        w->setup(g);
+        // Latest snapshot first, then in order: every restore lands
+        // on a machine that ran past it, or not as far.
+        std::vector<std::size_t> order;
+        for (std::size_t i = sink.snaps.size(); i-- > 0;)
+            order.push_back(i);
+        for (std::size_t i = 0; i < sink.snaps.size(); ++i)
+            order.push_back(i);
+        unsigned k = 0;
+        for (const std::size_t i : order) {
+            const auto &snap = sink.snaps[i];
+            // Every third restore follows a faulty run that a stuck
+            // bit corrupted, and every fifth one a run that panicked
+            // mid-tick, so it lands on state no golden run holds.
+            if (++k % 3 == 0) {
+                fault::FaultSpec spec;
+                spec.kind = fault::FaultKind::StuckAtOne;
+                spec.sm = k % m.gpu.numSms;
+                spec.lane = k % 32;
+                spec.bit = k % 32;
+                fault::FaultInjector inj;
+                inj.add(spec);
+                g.setHook(&inj);
+                g.restore(w->program(), w->gridBlocks(), w->blockThreads(),
+                          sink.snaps[(i + 1) % sink.snaps.size()]);
+                try {
+                    g.finish(full.result.cycles * 4 + 1000);
+                } catch (const std::exception &) {
+                    // A fault may trip a sanity panic: state is torn.
+                }
+                g.setHook(nullptr);
+            }
+            if (k % 5 == 0) {
+                PanicAt panic(snap.loop.cycle / 2 + 1);
+                g.setHook(&panic);
+                g.restore(w->program(), w->gridBlocks(), w->blockThreads(),
+                          sink.snaps.front());
+                EXPECT_THROW(g.finish(), std::exception);
+                g.setHook(nullptr);
+            }
+            SCOPED_TRACE("restored at cycle " +
+                         std::to_string(snap.loop.cycle));
+            expectSame(full, finishResident(g, *w, snap));
+        }
+    }
+}
+
+TEST(ResidentMachine, AdvancedAndCapturedGoldenMatchesTheLaunch)
+{
+    setVerbose(false);
+    for (const auto &tc : residentCases()) {
+        SCOPED_TRACE(tc.name);
+        EveryK sink(257);
+        const Outcome full =
+            runLaunch(tc.factory, tc.machine, nullptr, &sink);
+        const auto &m = tc.machine;
+        auto w = tc.factory();
+        gpu::Gpu golden(m.gpu, m.dmr, /*seed=*/1, nullptr, m.recovery,
+                        m.scheme);
+        gpu::Gpu site(m.gpu, m.dmr, /*seed=*/1, nullptr, m.recovery,
+                      m.scheme);
+        w->setup(site);
+        golden.restore(w->program(), w->gridBlocks(), w->blockThreads(),
+                       sink.snaps.front());
+        const auto planes = std::make_shared<sm::PlaneStore>(m.gpu.warpSize);
+        // Fork at uneven cycles, twice at some, and once with the
+        // plane store cleared (the next capture is then a full one).
+        unsigned forks = 0;
+        for (Cycle c = 3; c < full.result.cycles; c += 97 + c % 89) {
+            golden.advanceTo(c);
+            ASSERT_EQ(golden.cycle(), c);
+            if (++forks % 4 == 0)
+                planes->clear();
+            for (unsigned twice = 0; twice < 1 + forks % 2; ++twice) {
+                SCOPED_TRACE("forked at cycle " + std::to_string(c));
+                expectSame(full,
+                           finishResident(site, *w, golden.capture(planes)));
+            }
+        }
+        EXPECT_GT(forks, 3u);
+        // Past the end, the golden machine stops at the launch's end.
+        golden.advanceTo(full.result.cycles + 100);
+        EXPECT_EQ(golden.cycle(), full.result.cycles);
+    }
 }
 
 } // namespace
