@@ -1,8 +1,9 @@
 /**
  * @file
- * Shard-scaling harness for the campaign service (ROADMAP item 2's
- * "million-site questions served like production traffic"). Two
- * claims get measured:
+ * Shard-scaling harness for the library shard protocol (planShards,
+ * runShardInProcess, ShardAggregator; docs/ARCHITECTURE.md §8). Each
+ * shard runs in this process on a fresh engine. Two claims get
+ * measured:
  *
  *  1. **Invariance** — the same campaign folded from 1, 2, 4, and 8
  *     shards produces byte-identical report JSON (the ShardAggregator

@@ -3,7 +3,7 @@
  * warped_sim: the command-line driver — run any Table-4 workload (or
  * all of them) under a chosen protection configuration and print the
  * full statistics block, or run a fault-injection campaign on one
- * (`campaign`, `serve`, `shard`). The "downstream user" front end.
+ * (`campaign`). The "downstream user" front end.
  *
  *   $ ./warped_sim --help
  *   $ ./warped_sim MatrixMul --qsize 5 --mapping linear
@@ -12,14 +12,11 @@
  *   $ ./warped_sim campaign SCAN --sites 500 --out report.json
  */
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include <fstream>
@@ -28,10 +25,7 @@
 #include "common/flags.hh"
 #include "common/logging.hh"
 #include "fault/campaign_engine.hh"
-#include "fault/shard.hh"
 #include "stats/accumulator.hh"
-#include "sim/shard_queue.hh"
-#include "sim/transport.hh"
 #include "gpu/report.hh"
 #include "protection/scheme_registry.hh"
 #include "trace/binary.hh"
@@ -82,10 +76,10 @@ exportPath(const std::string &base, const std::string &name, bool multi)
 }
 
 /**
- * The machine and protection flags run mode and the campaign family
+ * The machine and protection flags run mode and campaign mode
  * share. Each writes straight into the configuration it names, so the
  * defaults shown are the mode's own (30 SMs for a run, 4 for a
- * campaign); every one is replayed on campaign workers.
+ * campaign).
  */
 void
 addMachineFlags(cli::FlagTable &t, arch::GpuConfig &gpu,
@@ -149,9 +143,9 @@ machineError(const arch::GpuConfig &gpu, const dmr::DmrConfig &dmr)
 }
 
 /**
- * Everything the campaign-family subcommands (campaign / serve /
- * shard) share: the engine configuration the flags write into, plus
- * the knobs that finalize into it.
+ * Everything the `campaign` subcommand parses: the engine
+ * configuration the flags write into, plus the knobs that finalize
+ * into it.
  */
 struct CampaignCli
 {
@@ -176,19 +170,14 @@ struct CampaignCli
     }
 };
 
-/**
- * The campaign-level flags. Forwarded ones are replayed verbatim on
- * `serve`'s worker command lines; the rest (checkpoint, report
- * output, the sweep) belong to the orchestrator alone — a worker
- * writing the orchestrator's files would race it.
- */
+/** The campaign-level flags: site axes, then state and output files. */
 void
 addCampaignFlags(cli::FlagTable &t, CampaignCli &c)
 {
     auto &ec = c.ec;
     t.positional("<workload>", c.workload, "workload to inject into",
                  workloads::allNames());
-    t.section("campaign options:", true);
+    t.section("campaign options:");
     t.integer("--size", c.size, "workload size parameter (factory-specific)")
         .withDefault("paper scale");
     t.integer("--sites", ec.sites, "fault sites to sample")
@@ -243,33 +232,13 @@ addCampaignFlags(cli::FlagTable &t, CampaignCli &c)
               "checkpoint deltas retained per SM (implies --recovery)");
     t.integer("--recovery-penalty", ec.recovery.rollbackPenalty,
               "stall cycles after a rollback (implies --recovery)");
-    t.section("orchestrator options (never forwarded to workers):");
+    t.section("state and output options:");
     t.text("--checkpoint", ec.checkpointPath, "F",
            "periodic JSON state file; a matching one resumes");
     t.integer("--checkpoint-every", ec.checkpointEvery,
               "runs per checkpoint chunk", 1);
     t.text("--out", c.outPath, "F", "write the report JSON to F");
     addMachineFlags(t, ec.gpu, ec.dmr, ec.scheme);
-}
-
-/**
- * Parse a campaign-family command line (argv[2] on) into @p c, resolve
- * it into the engine configuration, and check the machine. Returns the
- * exit code when the caller should stop (help or a usage error).
- */
-std::optional<int>
-parseCampaign(cli::FlagTable &t, CampaignCli &c, int argc, char **argv)
-{
-    if (const auto rc = t.parseOrUsage(argc, argv, 2))
-        return rc;
-    for (const char *f :
-         {"--recovery-budget", "--recovery-ring", "--recovery-penalty"})
-        if (t.seen(f))
-            c.ec.recovery.enabled = true;
-    c.ec.workload = c.workload;
-    if (const auto err = machineError(c.ec.gpu, c.ec.dmr); !err.empty())
-        return t.fail(err);
-    return std::nullopt;
 }
 
 /** Crash-atomic text file write: tmp + rename, the same discipline
@@ -288,9 +257,9 @@ writeTextAtomic(const std::string &path, const std::string &text)
 }
 
 void
-printCampaignHeader(const CampaignCli &c, const char *verb)
+printCampaignHeader(const CampaignCli &c)
 {
-    std::printf("%s: %s (size %s), seed %llu, machine: %s\n", verb,
+    std::printf("campaign: %s (size %s), seed %llu, machine: %s\n",
                 c.workload.c_str(),
                 c.size ? std::to_string(c.size).c_str() : "default",
                 static_cast<unsigned long long>(c.ec.seed),
@@ -398,10 +367,8 @@ schemeSweep(const CampaignCli &c)
     return 0;
 }
 
-/** The human-readable statistics block shared by `campaign` and
- *  `serve` — everything derives from the mergeable counters in the
- *  report, so a folded shard aggregate prints byte-identically to a
- *  single-process run. */
+/** The human-readable statistics block of `campaign`: everything
+ *  derives from the mergeable counters in the report. */
 void
 printCampaignReport(const fault::CampaignReport &rep)
 {
@@ -554,15 +521,22 @@ campaignMain(int argc, char **argv)
         "Sample fault sites (SM x lane x bit x window x kind), classify\n"
         "each injected run as Masked/Detected/SDC/DUE against the golden\n"
         "run, and report coverage with Wilson 95% CIs\n"
-        "(docs/FAULT_MODEL.md). `serve --help` shows the sharded service.\n");
+        "(docs/FAULT_MODEL.md).\n");
     addCampaignFlags(t, c);
     t.section("sweep:");
     t.flag("--scheme-sweep", c.sweep,
            "run once per protection backend over the same sites; emit "
            "merged sweep.<scheme>.* JSON and a coverage/overhead table");
-    if (const auto rc = parseCampaign(t, c, argc, argv))
+    if (const auto rc = t.parseOrUsage(argc, argv, 2))
         return *rc;
-    printCampaignHeader(c, "campaign");
+    for (const char *f :
+         {"--recovery-budget", "--recovery-ring", "--recovery-penalty"})
+        if (t.seen(f))
+            c.ec.recovery.enabled = true;
+    c.ec.workload = c.workload;
+    if (const auto err = machineError(c.ec.gpu, c.ec.dmr); !err.empty())
+        return t.fail(err);
+    printCampaignHeader(c);
 
     if (c.sweep)
         return schemeSweep(c);
@@ -595,321 +569,6 @@ campaignMain(int argc, char **argv)
                      ? double(ft.siteCycles) / double(ft.sitesSimulated)
                      : 0.0);
     return writeReportJson(rep, c.outPath);
-}
-
-/**
- * `warped_sim shard`: run one shard of a campaign plan and write the
- * delta document (crash-atomically). Normally spawned by `serve`, but
- * equally runnable by hand on another machine — the delta file is the
- * whole protocol.
- */
-int
-shardMain(int argc, char **argv)
-{
-    CampaignCli c;
-    std::uint64_t shardIndex = 0, shardCount = 0, expectSig = 0;
-    std::uint64_t hangShard = sim::kNoShard, hangMs = 10000;
-    std::string deltaOut;
-
-    cli::FlagTable t("warped_sim",
-                     "shard <workload> [campaign options] --shard-index I "
-                     "--shard-count N --delta-out F",
-                     "A campaign-service worker, normally spawned by "
-                     "`warped_sim serve` (docs/CAMPAIGN_SERVICE.md).\n");
-    addCampaignFlags(t, c);
-    t.section("shard options:");
-    t.integer("--shard-index", shardIndex, "which shard of the plan to run");
-    t.integer("--shard-count", shardCount, "total shards in the plan", 1)
-        .withDefault("");
-    t.text("--delta-out", deltaOut, "F", "write the delta JSON to F");
-    t.integer("--expect-signature", expectSig,
-              "exit 3 unless this worker derives configuration signature N")
-        .withDefault("");
-    t.integer("--hang-for-shard", hangShard,
-              "drill: sleep --hang-ms before computing shard N")
-        .withDefault("none");
-    t.integer("--hang-ms", hangMs, "how long the drill hangs");
-    if (const auto rc = parseCampaign(t, c, argc, argv))
-        return *rc;
-    if (!t.seen("--shard-index") || !t.seen("--shard-count") ||
-        shardIndex >= shardCount || deltaOut.empty())
-        return t.fail("a shard needs --shard-index I < "
-                      "--shard-count N and --delta-out F");
-    // Workers never checkpoint: resumability is the orchestrator's
-    // job, and per-worker checkpoint files would collide.
-    c.ec.checkpointPath.clear();
-
-    fault::CampaignEngine engine(c.factory(), c.ec);
-    engine.prepare();
-    if (t.seen("--expect-signature") && engine.signature() != expectSig) {
-        std::fprintf(stderr,
-                     "shard %llu: this configuration derives "
-                     "signature %llu, the orchestrator expects %llu "
-                     "— mismatched command lines; refusing to run\n",
-                     static_cast<unsigned long long>(shardIndex),
-                     static_cast<unsigned long long>(
-                         engine.signature()),
-                     static_cast<unsigned long long>(expectSig));
-        return 3;
-    }
-
-    if (hangShard == shardIndex) {
-        // Wedge drill: the orchestrator's --shard-deadline is
-        // supposed to SIGKILL us mid-sleep and re-issue.
-        std::fprintf(stderr,
-                     "shard %llu: hang drill — sleeping %llums\n",
-                     static_cast<unsigned long long>(shardIndex),
-                     static_cast<unsigned long long>(hangMs));
-        std::this_thread::sleep_for(std::chrono::milliseconds(hangMs));
-    }
-
-    const auto plan = fault::planShards(engine.plannedSites(),
-                                        shardCount)[shardIndex];
-    const auto d = fault::runShard(engine, plan);
-    if (!writeTextAtomic(deltaOut, d.toJson())) {
-        std::fprintf(stderr, "shard %llu: cannot write %s\n",
-                     static_cast<unsigned long long>(shardIndex),
-                     deltaOut.c_str());
-        return 1;
-    }
-    std::fprintf(stderr,
-                 "shard %llu/%llu: runs [%llu, %llu) -> %s\n",
-                 static_cast<unsigned long long>(shardIndex),
-                 static_cast<unsigned long long>(shardCount),
-                 static_cast<unsigned long long>(plan.base),
-                 static_cast<unsigned long long>(plan.base +
-                                                 plan.count),
-                 deltaOut.c_str());
-    return 0;
-}
-
-/** Consecutive failures of one shard before serve gives up. */
-constexpr unsigned kStrikes = 3;
-
-/**
- * `warped_sim serve`: the campaign orchestrator. Splits the plan into
- * shards, dispatches worker processes over a work queue, folds each
- * delta into the aggregator (checkpointing the aggregate after every
- * fold when --state is given) and re-issues shards whose worker died.
- */
-int
-serveMain(int argc, char **argv)
-{
-    CampaignCli c;
-    std::uint64_t shards = 0, killShard = sim::kNoShard;
-    std::uint64_t hangShard = sim::kNoShard, hangMs = 30000;
-    std::uint64_t deadlineMs = 0;
-    unsigned workers = 1;
-    std::string statePath;
-
-    cli::FlagTable t(
-        "warped_sim",
-        "serve <workload> [campaign options] --shards N [serve options]",
-        "Split the campaign into N deterministic shards, run them on\n"
-        "worker processes (`warped_sim shard` subprocesses), fold their\n"
-        "deltas, and re-issue any shard whose worker dies, hangs or\n"
-        "delivers a corrupt delta.\n"
-        "The report is byte-identical to `warped_sim campaign` with the\n"
-        "same options (docs/CAMPAIGN_SERVICE.md). --checkpoint does not\n"
-        "apply; --state does.\n");
-    addCampaignFlags(t, c);
-    t.section("serve options:");
-    t.integer("--shards", shards, "shard count (required)", 1)
-        .withDefault("");
-    t.integer("--workers", workers, "concurrent dispatcher slots", 1);
-    t.text("--state", statePath, "F",
-           "crash-safe aggregator state; a matching file resumes");
-    t.integer("--shard-deadline", deadlineMs, "hard per-shard deadline in "
-              "ms (hung workers need it)", 1)
-        .withDefault("none");
-    t.integer("--kill-worker-for-shard", killShard,
-              "drill: SIGKILL shard N's first worker")
-        .withDefault("none");
-    t.integer("--hang-worker-for-shard", hangShard,
-              "drill: shard N's first worker hangs for --hang-ms")
-        .withDefault("none");
-    t.integer("--hang-ms", hangMs, "hang-drill duration in ms");
-    if (const auto rc = parseCampaign(t, c, argc, argv))
-        return *rc;
-    if (shards == 0)
-        return t.fail("--shards is required");
-    // The aggregator state file is the orchestrator's resume surface;
-    // engine checkpoints belong to single-process campaigns.
-    c.ec.checkpointPath.clear();
-    printCampaignHeader(c, "serve");
-
-    fault::CampaignEngine engine(c.factory(), c.ec);
-    engine.prepare();
-    const auto total = engine.plannedSites();
-    const auto plans = fault::planShards(total, shards);
-    fault::ShardAggregator agg(engine.skeleton(), engine.signature(),
-                               total, shards);
-    std::printf("serve: %llu runs in %llu shards, %u worker(s), "
-                "signature %llu\n",
-                static_cast<unsigned long long>(total),
-                static_cast<unsigned long long>(shards), workers,
-                static_cast<unsigned long long>(engine.signature()));
-
-    if (!statePath.empty()) {
-        std::ifstream f(statePath);
-        if (f) {
-            std::stringstream ss;
-            ss << f.rdbuf();
-            try {
-                if (agg.loadState(ss.str()))
-                    std::printf("serve: resumed %s (%llu of %llu "
-                                "shards already folded)\n",
-                                statePath.c_str(),
-                                static_cast<unsigned long long>(
-                                    agg.foldedShards()),
-                                static_cast<unsigned long long>(
-                                    agg.totalShards()));
-            } catch (const fault::ShardError &e) {
-                std::fprintf(stderr,
-                             "serve: state %s is unusable: %s\n",
-                             statePath.c_str(), e.what());
-                return 1;
-            }
-        }
-    }
-
-    std::mutex aggMu; // guards agg, attempts, fatal, state writes
-    std::map<std::uint64_t, unsigned> attempts;
-    bool fatal = false;
-    const std::string deltaPrefix =
-        statePath.empty() ? std::string("warped_serve") : statePath;
-    const std::string exe = argv[0];
-
-    sim::SubprocessTransportConfig scfg;
-    scfg.workerArgv = {exe, "shard", c.workload};
-    scfg.workerArgv.insert(scfg.workerArgv.end(),
-                           t.forwarded().begin(),
-                           t.forwarded().end());
-    scfg.deltaPrefix = deltaPrefix;
-    scfg.shardCount = shards;
-    scfg.signature = engine.signature();
-    scfg.deadlineMs = deadlineMs;
-    scfg.killShard = killShard;
-    scfg.hangShard = hangShard;
-    scfg.hangMs = hangMs;
-    sim::SubprocessTransport transport(scfg);
-
-    // Shards past the end of the run range (more shards than runs)
-    // produce an empty delta; fold them here rather than paying a
-    // worker's golden run for zero injections.
-    for (const auto shard : agg.pendingShards()) {
-        const auto &p = plans[static_cast<std::size_t>(shard)];
-        if (p.count == 0)
-            agg.fold(fault::runShard(engine, p));
-    }
-
-    sim::ShardQueue queue(agg.pendingShards());
-
-    auto workerLoop = [&]() {
-        while (const auto s = queue.acquire()) {
-            const auto shard = *s;
-            unsigned attempt = 0;
-            {
-                std::lock_guard<std::mutex> lk(aggMu);
-                attempt = ++attempts[shard];
-                if (fatal) {
-                    // Drain mode: a permanent failure already doomed
-                    // the campaign; retire the queue without issuing
-                    // more work.
-                    queue.ack(shard);
-                    continue;
-                }
-            }
-            const auto res = transport.runShard(shard, attempt);
-
-            bool folded = false;
-            if (res.status ==
-                sim::TransportResult::Status::Delivered) {
-                try {
-                    const auto d =
-                        fault::ShardDelta::fromJson(res.deltaJson);
-                    std::lock_guard<std::mutex> lk(aggMu);
-                    agg.fold(d);
-                    if (!statePath.empty() &&
-                        !writeTextAtomic(statePath, agg.stateJson()))
-                        warped_warn("serve: cannot write state file ",
-                                    statePath);
-                    folded = true;
-                } catch (const fault::ShardError &e) {
-                    std::fprintf(stderr,
-                                 "serve: shard %llu delta rejected: "
-                                 "%s\n",
-                                 static_cast<unsigned long long>(
-                                     shard),
-                                 e.what());
-                }
-            }
-            if (folded) {
-                queue.ack(shard);
-                continue;
-            }
-            const char *diag =
-                res.diag.empty() ? "delta rejected" : res.diag.c_str();
-            // A Reject means the worker derived a different
-            // configuration signature; retrying cannot help.
-            const bool reject =
-                res.status == sim::TransportResult::Status::Reject;
-            if (reject || attempt >= kStrikes) {
-                if (reject)
-                    std::fprintf(stderr, "serve: shard %llu: %s\n",
-                                 static_cast<unsigned long long>(shard),
-                                 diag);
-                else
-                    std::fprintf(stderr,
-                                 "serve: shard %llu failed %u times "
-                                 "(last: %s); giving up\n",
-                                 static_cast<unsigned long long>(shard),
-                                 attempt, diag);
-                std::lock_guard<std::mutex> lk(aggMu);
-                fatal = true;
-                queue.ack(shard);
-                continue;
-            }
-            std::fprintf(stderr,
-                         "serve: shard %llu attempt %u failed (%s); "
-                         "re-issuing\n",
-                         static_cast<unsigned long long>(shard), attempt,
-                         diag);
-            queue.fail(shard);
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
-        pool.emplace_back(workerLoop);
-    for (auto &t : pool)
-        t.join();
-
-    if (fatal || !agg.complete()) {
-        std::fprintf(stderr,
-                     "serve: campaign incomplete (%llu of %llu "
-                     "shards folded)%s\n",
-                     static_cast<unsigned long long>(
-                         agg.foldedShards()),
-                     static_cast<unsigned long long>(
-                         agg.totalShards()),
-                     statePath.empty()
-                         ? ""
-                         : "; state file kept for resume");
-        return 1;
-    }
-    if (const auto r = queue.failures())
-        std::printf("serve: %llu shard re-issue(s) after worker "
-                    "death\n",
-                    static_cast<unsigned long long>(r));
-
-    const auto rep = agg.report();
-    printCampaignReport(rep);
-    const int rc = writeReportJson(rep, c.outPath);
-    if (rc == 0 && !statePath.empty())
-        std::remove(statePath.c_str());
-    return rc;
 }
 
 /** The run-mode flag table, writing into @p o. */
@@ -1081,9 +740,7 @@ int
 main(int argc, char **argv)
 {
     static const std::pair<std::string_view, int (*)(int, char **)>
-        modes[] = {{"campaign", campaignMain},
-                   {"serve", serveMain},
-                   {"shard", shardMain}};
+        modes[] = {{"campaign", campaignMain}};
     for (const auto &[name, mode] : modes) {
         if (argc > 1 && argv[1] == name) {
             setVerbose(false);
@@ -1095,7 +752,7 @@ main(int argc, char **argv)
     cli::FlagTable t(
         "warped_sim",
         "[workload|all] [options]\n"
-        "campaign|serve|shard <workload> [options]   (fault-injection "
+        "campaign <workload> [options]   (fault-injection "
         "campaigns; see `warped_sim campaign --help`)",
         "Run Table-4 workloads on the simulated GPU under a chosen\n"
         "protection configuration and print their statistics.\n");

@@ -11,6 +11,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "fault/shard.hh"
 #include "gpu/gpu.hh"
 #include "mem/mem_fault.hh"
 #include "sim/run_pool.hh"
@@ -1012,19 +1013,15 @@ void
 writeCheckpoint(const std::string &path, const CampaignReport &rep,
                 std::uint64_t signature)
 {
-    // Counters only (integers round-trip exactly; every gauge is
-    // derivable from them), plus the header the loader validates.
-    // Version 2 adds a payload fingerprint so a torn or damaged file
-    // is *detected* on resume instead of silently restoring a prefix
-    // of itself.
-    auto m = rep.toMetrics();
-    trace::MetricsRegistry state;
-    state.counter("campaign.checkpoint.version") = 2;
-    state.counter("campaign.checkpoint.signature") = signature;
-    state.counter("campaign.checkpoint.fingerprint") =
-        trace::countersFingerprint(m.counters());
-    for (const auto &[k, v] : m.counters())
-        state.counter(k) = v;
+    // A checkpoint is the shard delta of runs [0, sampled): counters
+    // only (integers round-trip exactly; every gauge is derivable from
+    // them), under the delta's header and payload fingerprint, so a
+    // torn or damaged file is *detected* on resume instead of silently
+    // restoring a prefix of itself.
+    const std::string text =
+        ShardDelta{0, 0, rep.sampled, signature,
+                   rep.toMetrics().counters()}
+            .toJson();
     const std::string tmp = path + ".tmp";
     {
         std::ofstream f(tmp);
@@ -1032,7 +1029,7 @@ writeCheckpoint(const std::string &path, const CampaignReport &rep,
             warped_warn("campaign: cannot write checkpoint ", tmp);
             return;
         }
-        f << state.toJson();
+        f << text;
     }
     // Crash-atomic swap: rename(2) replaces the destination in one
     // step, so every observable state of `path` is either the old
@@ -1044,9 +1041,11 @@ writeCheckpoint(const std::string &path, const CampaignReport &rep,
 }
 
 /** Load @p path into @p rep; false (and an untouched report) when
- *  the file is absent or is a stale checkpoint (version or signature
- *  mismatch — warned and ignored). Throws CheckpointError when the
- *  file exists but is torn or fails its integrity fingerprint. */
+ *  the file is absent or is a stale checkpoint (another version
+ *  header, such as an older checkpoint format, or another signature —
+ *  warned and ignored). Throws CheckpointError when the file exists
+ *  but is oversized, torn, fails its integrity fingerprint, or is not
+ *  the delta of a run prefix. */
 bool
 loadCheckpoint(const std::string &path, std::uint64_t signature,
                CampaignReport &rep)
@@ -1056,35 +1055,28 @@ loadCheckpoint(const std::string &path, std::uint64_t signature,
         return false;
     std::stringstream ss;
     ss << f.rdbuf();
-    const std::string text = ss.str();
-    if (!trace::flatJsonComplete(text))
-        throw CheckpointError(
-            "checkpoint " + path +
-            " is truncated (no closing '}'): the previous writer "
-            "crashed mid-write; delete the file to restart from zero");
-    auto kv = trace::parseFlatCounters(text);
-
-    const auto get = [&](const char *key) -> std::uint64_t {
-        const auto it = kv.find(key);
-        return it == kv.end() ? 0 : it->second;
-    };
-    if (get("campaign.checkpoint.version") != 2 ||
-        get("campaign.checkpoint.signature") != signature) {
+    ShardDelta d;
+    try {
+        d = ShardDelta::fromJson(ss.str());
+    } catch (const ShardVersionError &) {
+        warped_warn("campaign: checkpoint ", path,
+                    " has an unknown format version; ignoring");
+        return false;
+    } catch (const ShardError &e) {
+        throw CheckpointError("checkpoint " + path + ": " + e.what());
+    }
+    if (d.signature != signature) {
         warped_warn("campaign: checkpoint ", path,
                     " does not match this configuration; ignoring");
         return false;
     }
-    const auto fingerprint = get("campaign.checkpoint.fingerprint");
-    kv.erase("campaign.checkpoint.version");
-    kv.erase("campaign.checkpoint.signature");
-    kv.erase("campaign.checkpoint.fingerprint");
-    if (fingerprint != trace::countersFingerprint(kv))
-        throw CheckpointError(
-            "checkpoint " + path +
-            " fails its integrity fingerprint: the file is damaged; "
-            "delete it to restart from zero");
-
-    restoreReportCounters(kv, rep);
+    const auto sampled = d.counters.find("campaign.sampled");
+    if (d.shard != 0 || d.base != 0 || sampled == d.counters.end() ||
+        sampled->second != d.count)
+        throw CheckpointError("checkpoint " + path +
+                              " is not the delta of a run prefix: its "
+                              "header is damaged");
+    restoreReportCounters(d.counters, rep);
     return true;
 }
 

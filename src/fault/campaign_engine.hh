@@ -491,9 +491,9 @@ class CampaignEngine
      * config captures both instead), the site space, the planned
      * sample size, the stratified sampler (when cfg.strataWindows >
      * 0) and the configuration signature. Idempotent; run() and runRange() call
-     * it implicitly. Workers and the shard orchestrator call it
-     * directly — each process derives the identical plan from the
-     * identical configuration, and the signature proves it.
+     * it implicitly. Shard planners call it directly — every engine
+     * derives the identical plan from the identical configuration,
+     * and the signature proves it.
      */
     void prepare();
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * fault::ShardAggregator and friends — the sharded campaign protocol.
+ * fault::ShardAggregator and friends — the library shard protocol.
  *
  * A campaign of N planned runs is split into contiguous run-index
  * shards (planShards). Any process that holds the same EngineConfig
@@ -9,7 +9,9 @@
  * proves the derivation matched), runs its shard's range
  * (CampaignEngine::runRange) and serializes the resulting delta
  * report as a ShardDelta — a flat counter document with a header and
- * an integrity fingerprint, the same shape as a campaign checkpoint.
+ * an integrity fingerprint. A campaign checkpoint is the delta of runs
+ * [0, sampled), so checkpoints are written and read in this format
+ * too.
  *
  * The orchestrator folds deltas into a ShardAggregator in ANY order:
  * every campaign statistic is an associative counter sum, so the
@@ -25,11 +27,6 @@
  * Keys that are configuration echo rather than accumulated state
  * (campaign.span, campaign.space.size, campaign.strata.*) are taken
  * from the orchestrator's own skeleton and skipped during summation.
- *
- * The aggregator itself checkpoints (stateJson/loadState, with the
- * same tmp+rename crash-atomic write discipline and fingerprint
- * validation), so a killed orchestrator resumes with only the
- * not-yet-folded shards outstanding.
  */
 
 #ifndef WARPED_FAULT_SHARD_HH
@@ -46,7 +43,7 @@
 namespace warped {
 namespace fault {
 
-/** A malformed, torn, or mismatched shard delta / aggregator state. */
+/** A malformed, torn, or mismatched shard delta. */
 struct ShardError : std::runtime_error
 {
     using std::runtime_error::runtime_error;
@@ -88,15 +85,18 @@ struct ShardDelta
     std::string toJson() const;
 
     /** Parse and validate a toJson document.
-     *  @throws ShardError on torn input, a missing/mismatched
-     *  fingerprint, or a bad version. */
+     *  @throws ShardVersionError on a missing or different version
+     *  header; ShardError on an oversized or torn document, a runaway
+     *  key, a corrupt header or a failed fingerprint. */
     static ShardDelta fromJson(const std::string &text);
 };
 
-/** Run @p plan's range on @p engine and package the result as that
- *  shard's delta. Every worker path (the `shard` subcommand, the
- *  orchestrator's zero-run fold) builds its delta here. */
-ShardDelta runShard(CampaignEngine &engine, const ShardPlan &plan);
+/** A document that is not a current-version delta (say, a counter
+ *  document of an older format): stale rather than damaged. */
+struct ShardVersionError : ShardError
+{
+    using ShardError::ShardError;
+};
 
 /** Run shard @p plan of the campaign in this process with a fresh
  *  engine and package the delta (the library-level worker). */
@@ -127,37 +127,15 @@ class ShardAggregator
     bool fold(const ShardDelta &d);
 
     bool has(std::uint64_t shard) const;
-    std::uint64_t foldedShards() const { return folded_; }
-    std::uint64_t totalShards() const { return shardCount_; }
     bool complete() const { return folded_ == shardCount_; }
-
-    /** Shard indices not folded yet, ascending. */
-    std::vector<std::uint64_t> pendingShards() const;
 
     /** The reconstructed campaign report.
      *  @throws ShardError unless complete(). */
     CampaignReport report() const;
 
-    /** Runs folded so far (sum of shard counts). */
-    std::uint64_t sampled() const;
-
-    /** Aggregator state as a flat JSON document (crash-safe resume
-     *  surface for the orchestrator; fingerprinted like a
-     *  checkpoint). */
-    std::string stateJson() const;
-
-    /**
-     * Restore a stateJson document. A state written for a different
-     * signature / shard layout is warned about and ignored (returns
-     * false) — the stale-checkpoint semantics; a torn or damaged
-     * document throws ShardError.
-     */
-    bool loadState(const std::string &text);
-
   private:
     CampaignReport skel_;
     std::uint64_t signature_ = 0;
-    std::uint64_t totalRuns_ = 0;
     std::uint64_t shardCount_ = 0;
     std::uint64_t folded_ = 0;
     std::vector<ShardPlan> plan_;

@@ -538,7 +538,8 @@ Sm::State::bytes() const
     std::size_t n = sizeof(State) + warps.size() * sizeof(Warp) +
                     stacks.size() * sizeof(arch::SimtStack::Entry) +
                     stats.trace.size() * sizeof(TraceEvent) +
-                    undoTargets.size() * sizeof(unsigned);
+                    undoTargets.size() * sizeof(unsigned) +
+                    stats.rawDistance.bytes();
     n += planes.size() * sizeof(std::uint32_t) +
          pending.size() * sizeof(Pending);
     for (const Block &b : blocks)

@@ -44,6 +44,15 @@ class RawDistanceTracker
 
     std::uint64_t minDistance() const;
 
+    /** Heap bytes held: the samples and the per-register pending
+     *  writes. */
+    std::size_t
+    bytes() const
+    {
+        return samples_.size() * sizeof(std::uint64_t) +
+               pending_.size() * sizeof(PendingWrite);
+    }
+
   private:
     struct PendingWrite
     {

@@ -89,8 +89,8 @@ class MetricsRegistry
  * Parse every `"key": <unsigned integer>` pair out of a flat JSON
  * document — the inverse of MetricsRegistry::toJson for the counter
  * keys (gauges and quoted string values are skipped). Used by the
- * campaign checkpoint and shard-delta loaders; tolerant of torn
- * input, so callers MUST validate integrity separately (see
+ * shard-delta loader, which campaign checkpoints share; tolerant of
+ * torn input, so callers MUST validate integrity separately (see
  * flatJsonComplete and countersFingerprint).
  */
 std::map<std::string, std::uint64_t>

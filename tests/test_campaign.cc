@@ -19,6 +19,7 @@
 #include "mem/mem_fault.hh"
 #include "protection/scheme_registry.hh"
 #include "stats/confidence.hh"
+#include "trace/metrics.hh"
 
 using namespace warped;
 using namespace warped::fault;
@@ -422,6 +423,40 @@ TEST(CampaignEngine, TamperedCheckpointFailsItsFingerprint)
     ec.stopAfterChunks = 0;
     EXPECT_THROW(CampaignEngine(scanFactory(), ec).run(),
                  CheckpointError);
+    std::remove(ckpt.c_str());
+}
+
+TEST(CampaignEngine, PreviousFormatCheckpointIsStale)
+{
+    const std::string ckpt =
+        testing::TempDir() + "warped_campaign_v2.json";
+    std::remove(ckpt.c_str());
+
+    auto ec = scanEngineCfg();
+    ec.checkpointPath = ckpt;
+    ec.checkpointEvery = 10;
+    ec.stopAfterChunks = 1;
+
+    // A checkpoint of the earlier campaign.checkpoint.* format (version
+    // 2) for this very configuration after its first 10 runs, with a
+    // correct payload fingerprint: the counters are the run prefix's
+    // delta and the signature is the engine's.
+    CampaignEngine engine(scanFactory(), ec);
+    const auto counters = engine.runRange(0, 10).toMetrics().counters();
+    const std::string header = "campaign.checkpoint.";
+    trace::MetricsRegistry old;
+    old.counter(header + "version") = 2;
+    old.counter(header + "signature") = engine.signature();
+    old.counter(header + "fingerprint") =
+        trace::countersFingerprint(counters);
+    for (const auto &[k, v] : counters)
+        old.counter(k) = v;
+    spill(ckpt, old.toJson());
+
+    // Not a current-format document: warned about and ignored, so the
+    // campaign restarts (a resume would have carried it to 20 runs).
+    const auto restarted = CampaignEngine(scanFactory(), ec).run();
+    EXPECT_EQ(restarted.sampled, 10u);
     std::remove(ckpt.c_str());
 }
 

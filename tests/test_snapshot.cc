@@ -6,9 +6,11 @@
  * (sm.*, dmr.*, recovery.*) — under every protection scheme, with
  * recovery on, on banked DRAM with SECDED, and from snapshots taken
  * while a block waits at a barrier or the ReplayQ is full. Restored
- * records keep their clean stamp. Also pins the gpu::Ladder's caps,
- * rung-choice rules and rung horizons, and checks that its activity
- * log names every (SM, cycle) where a live fault hook is applied.
+ * records keep their clean stamp, and a captured SM state's bytes()
+ * counts the RAW-distance samples it holds. Also pins the
+ * gpu::Ladder's caps, rung-choice rules and rung horizons, and checks
+ * that its activity log names every (SM, cycle) where a live fault
+ * hook is applied.
  */
 
 #include <gtest/gtest.h>
@@ -225,6 +227,33 @@ TEST(Snapshot, ResumeWithAFullReplayQueue)
             full += st->state.queue.records.size() == m.dmr.replayQSize;
         }
     EXPECT_GT(full, 0u);
+}
+
+TEST(Snapshot, StateBytesCountTheRawDistanceSamples)
+{
+    // SM 0 tracks one thread's write-to-read distances (Fig 8b), and
+    // every captured SM 0 state copies the samples so far. The ladder
+    // budgets its rungs by bytes(), so bytes() must count them.
+    setVerbose(false);
+    Machine m;
+    m.gpu.numSms = 4;
+    EveryK sink(1024);
+    runLaunch([] { return workloads::makeSha(4); }, m, nullptr, &sink);
+    ASSERT_FALSE(sink.snaps.empty());
+    sm::Sm::State &late = *sink.snaps.back().sms[0];
+    auto &raw = late.stats.rawDistance;
+    const std::size_t samples = raw.samples().size();
+    ASSERT_GT(samples, 0u);
+    EXPECT_GE(late.bytes(), samples * sizeof(std::uint64_t));
+    // Each further sample the state holds grows bytes() by 8 bytes.
+    const std::size_t before = late.bytes();
+    constexpr unsigned kMore = 100;
+    for (unsigned i = 0; i < kMore; ++i) {
+        raw.onWrite(0, Cycle{1000000} + 2 * i);
+        raw.onRead(0, Cycle{1000001} + 2 * i);
+    }
+    ASSERT_EQ(raw.samples().size(), samples + kMore);
+    EXPECT_GE(late.bytes(), before + kMore * sizeof(std::uint64_t));
 }
 
 TEST(Ladder, CapsRungsAndBytesByDoublingTheSpacing)

@@ -9,11 +9,12 @@
 # Usage: tools/check_changelog.sh [changes-file]   (from the repo root)
 #        tools/check_changelog.sh --cli-smoke <warped_sim>
 #
-# --cli-smoke exercises the strict-CLI contract of the campaign-family
-# subcommands on a built warped_sim binary: malformed or missing
-# required arguments must exit 2 (usage), never run with a silently
-# defaulted value. CI runs it after the build so a new subcommand
-# can't land without its argument validation.
+# --cli-smoke exercises the strict-CLI contract of run mode and the
+# campaign subcommand on a built warped_sim binary: malformed or
+# missing required arguments must exit 2 (usage), never run with a
+# silently defaulted value, and a torn checkpoint must exit 1. CI runs
+# it after the build so a new subcommand can't land without its
+# argument validation.
 
 set -eu
 
@@ -34,17 +35,21 @@ if [ "${1:-}" = "--cli-smoke" ]; then
         fi
     }
 
-    # Strict numeric parsing across the campaign family.
+    # Strict numeric parsing in campaign mode.
     expect_exit 2 "$sim" campaign SCAN --sites banana
     expect_exit 2 "$sim" campaign SCAN --checkpoint-every 0
     expect_exit 2 "$sim" campaign SCAN --strata 0
-    # serve/shard required arguments and bounds.
-    expect_exit 2 "$sim" serve SCAN --sites 5
-    expect_exit 2 "$sim" serve SCAN --sites 5 --shards 0
-    expect_exit 2 "$sim" serve SCAN --sites 5 --shards 2 --workers 0
-    expect_exit 2 "$sim" shard SCAN --sites 5
-    expect_exit 2 "$sim" shard SCAN --sites 5 --shard-index 3 \
-        --shard-count 2 --delta-out /dev/null
+    # `campaign` is the one campaign mode: `serve` and `shard` fall
+    # into run mode, which refuses them like any unknown workload.
+    expect_exit 2 "$sim" serve SCAN --shards 2
+    expect_exit 2 "$sim" shard SCAN --shard-index 0
+    # A torn checkpoint (its writer died mid-write) is a hard,
+    # explained error, never a silent restart from zero.
+    torn="${TMPDIR:-/tmp}/warped_cli_smoke_torn.$$.ckpt"
+    printf '{\n  "shard.version": 1' >"$torn"
+    expect_exit 1 "$sim" campaign SCAN --size 2 --sites 5 \
+        --checkpoint "$torn"
+    rm -f "$torn"
     # Values are never guessed: an unknown or missing choice, a second
     # positional workload and an unknown workload all refuse, in run
     # mode and campaign mode alike.
@@ -66,15 +71,10 @@ if [ "${1:-}" = "--cli-smoke" ]; then
     expect_exit 2 "$sim" SCAN --warp 0
     expect_exit 2 "$sim" SCAN --cluster 3
     expect_exit 2 "$sim" campaign SCAN --sms 0
-    expect_exit 2 "$sim" serve SCAN --sites 5 --shards 2 --warp 0
-    expect_exit 2 "$sim" shard SCAN --sites 5 --shard-index 0 \
-        --shard-count 1 --delta-out /dev/null --cluster 3
     # --help is a request, not an error, on every mode.
     expect_exit 0 "$sim" --help
     expect_exit 0 "$sim" campaign --help
-    expect_exit 0 "$sim" serve --help
-    expect_exit 0 "$sim" shard --help
-    echo "check_changelog --cli-smoke: campaign-family CLI edges OK"
+    echo "check_changelog --cli-smoke: CLI edges OK"
     exit 0
 fi
 
