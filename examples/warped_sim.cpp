@@ -85,7 +85,7 @@ void
 addMachineFlags(cli::FlagTable &t, arch::GpuConfig &gpu,
                 dmr::DmrConfig &dmr, protection::SchemeConfig &scheme)
 {
-    t.section("machine and protection options:", true);
+    t.section("machine and protection options:");
     t.choice("--dmr", {"on", "off"},
              [&dmr](std::size_t i) {
                  if (i == 1)
@@ -390,14 +390,12 @@ printCampaignReport(const fault::CampaignReport &rep)
     std::printf("  detected:  %8llu  (%5.2f%%)\n",
                 static_cast<unsigned long long>(o.detected),
                 frac(o.detected));
-    if (rep.recoveryEnabled)
-        std::printf("  recovered: %8llu  (%5.2f%%)\n",
-                    static_cast<unsigned long long>(o.recovered),
-                    frac(o.recovered));
-    if (rep.memEnabled)
-        std::printf("  ecc-fixed: %8llu  (%5.2f%%)\n",
-                    static_cast<unsigned long long>(o.eccCorrected),
-                    frac(o.eccCorrected));
+    std::printf("  recovered: %8llu  (%5.2f%%)\n",
+                static_cast<unsigned long long>(o.recovered),
+                frac(o.recovered));
+    std::printf("  ecc-fixed: %8llu  (%5.2f%%)\n",
+                static_cast<unsigned long long>(o.eccCorrected),
+                frac(o.eccCorrected));
     std::printf("  SDC:       %8llu  (%5.2f%%)\n",
                 static_cast<unsigned long long>(o.sdc), frac(o.sdc));
     std::printf("  DUE:       %8llu  (%5.2f%%)\n",
@@ -418,29 +416,21 @@ printCampaignReport(const fault::CampaignReport &rep)
                     static_cast<unsigned long long>(rep.latencyCount),
                     double(rep.kernelLengthSum) /
                         double(rep.latencyCount));
-    if (rep.recoveryEnabled) {
-        const auto consequential = o.detected + o.recovered;
-        const auto rfrac =
-            consequential ? 100.0 * double(o.recovered) /
-                                double(consequential)
-                          : 0.0;
-        std::printf("recovered fraction (of detections):   %6.2f%%  "
-                    "(%llu rollbacks, %llu give-ups)\n",
-                    rfrac,
-                    static_cast<unsigned long long>(rep.rollbacks),
-                    static_cast<unsigned long long>(rep.giveUps));
-        if (rep.recoveryCount)
-            std::printf("mean recovery latency: %.1f cycles over "
-                        "%llu recoveries\n",
-                        rep.meanRecoveryCycles(),
-                        static_cast<unsigned long long>(
-                            rep.recoveryCount));
-        if (rep.abortedRuns)
-            std::printf("aborted runs retried then classified as "
-                        "DUE: %llu\n",
-                        static_cast<unsigned long long>(
-                            rep.abortedRuns));
-    }
+    const auto alarmed = o.detected + o.recovered;
+    std::printf("recovered fraction (of detections):   %6.2f%%  "
+                "(%llu rollbacks, %llu give-ups)\n",
+                alarmed ? 100.0 * double(o.recovered) / double(alarmed)
+                        : 0.0,
+                static_cast<unsigned long long>(rep.rollbacks),
+                static_cast<unsigned long long>(rep.giveUps));
+    if (rep.recoveryCount)
+        std::printf("mean recovery latency: %.1f cycles over %llu "
+                    "recoveries\n",
+                    rep.meanRecoveryCycles(),
+                    static_cast<unsigned long long>(rep.recoveryCount));
+    if (rep.abortedRuns)
+        std::printf("aborted runs retried then classified as DUE: %llu\n",
+                    static_cast<unsigned long long>(rep.abortedRuns));
 
     if (!rep.byKind.empty()) {
         std::printf("\nper-kind coverage:\n");
@@ -454,33 +444,26 @@ printCampaignReport(const fault::CampaignReport &rep)
         }
     }
 
-    if (rep.memEnabled) {
-        const auto t = o.total();
-        const auto escaped = o.sdc + o.due;
-        const auto esc = stats::wilsonInterval(escaped, t);
-        std::printf("\nescaped ECC and DMR (SDC+DUE):        %6.2f%%"
-                    "  Wilson 95%% CI [%5.2f, %5.2f]\n",
-                    t ? 100.0 * double(escaped) / double(t) : 0.0,
-                    100 * esc.lo, 100 * esc.hi);
-        if (!rep.byMemKind.empty()) {
-            std::printf("\nper-memory-kind outcomes "
-                        "(ecc-fixed / escaped):\n");
-            for (const auto &[kind, c] : rep.byMemKind) {
-                const auto kt = c.total();
-                const auto kfrac = [&](std::uint64_t n) {
-                    return kt ? 100.0 * double(n) / double(kt) : 0.0;
-                };
-                std::printf("  %-18s %6.2f%% / %6.2f%%  "
-                            "(%llu sampled)\n",
-                            mem::memFaultKindSlug(kind),
-                            kfrac(c.eccCorrected),
-                            kfrac(c.sdc + c.due),
-                            static_cast<unsigned long long>(kt));
-            }
+    const auto escaped = o.sdc + o.due;
+    const auto esc = stats::wilsonInterval(escaped, o.total());
+    std::printf("\nescaped ECC and DMR (SDC+DUE):        %6.2f%%"
+                "  Wilson 95%% CI [%5.2f, %5.2f]\n",
+                frac(escaped), 100 * esc.lo, 100 * esc.hi);
+    if (!rep.byMemKind.empty()) {
+        std::printf("\nper-memory-kind outcomes (ecc-fixed / escaped):\n");
+        for (const auto &[kind, c] : rep.byMemKind) {
+            const auto kt = c.total();
+            const auto kfrac = [&](std::uint64_t n) {
+                return kt ? 100.0 * double(n) / double(kt) : 0.0;
+            };
+            std::printf("  %-18s %6.2f%% / %6.2f%%  (%llu sampled)\n",
+                        mem::memFaultKindSlug(kind), kfrac(c.eccCorrected),
+                        kfrac(c.sdc + c.due),
+                        static_cast<unsigned long long>(kt));
         }
     }
 
-    if (rep.strataWindows && !rep.stratumSizes.empty()) {
+    if (!rep.stratumSizes.empty()) {
         const auto est = rep.stratifiedCoverage();
         const auto ci = est.interval();
         const auto pooled = est.pooledWilson();
@@ -742,10 +725,8 @@ main(int argc, char **argv)
     static const std::pair<std::string_view, int (*)(int, char **)>
         modes[] = {{"campaign", campaignMain}};
     for (const auto &[name, mode] : modes) {
-        if (argc > 1 && argv[1] == name) {
-            setVerbose(false);
+        if (argc > 1 && argv[1] == name)
             return mode(argc, argv);
-        }
     }
 
     Options o;

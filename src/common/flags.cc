@@ -95,8 +95,7 @@ FlagTable::Flag &
 FlagTable::custom(const std::string &name, const std::string &metavar,
                   Reader read, const std::string &help)
 {
-    flags_.push_back(
-        {name, metavar, help, "", section_, forward_, std::move(read)});
+    flags_.push_back({name, metavar, help, "", section_, std::move(read)});
     return flags_.back();
 }
 
@@ -193,7 +192,6 @@ FlagTable::parse(int argc, char *const *argv, int first)
 {
     error_.clear();
     seen_.clear();
-    forwarded_.clear();
     std::size_t nextPositional = 0;
     for (int i = first; i < argc; ++i) {
         const std::string a = argv[i];
@@ -212,11 +210,6 @@ FlagTable::parse(int argc, char *const *argv, int first)
             if (const auto err = f->read(v); !err.empty())
                 return bad("bad value '" + v + "' for " + a + ": " + err);
             seen_.insert(a);
-            if (f->forward) {
-                forwarded_.push_back(a);
-                if (takesValue)
-                    forwarded_.push_back(v);
-            }
             continue;
         }
         if (nextPositional >= positionals_.size())

@@ -6,9 +6,8 @@
  * the variable it writes. From the rows the table derives strict
  * parsing (a number is the whole argument and in range, a choice one
  * of its names exactly; a missing value, unknown flag or surplus
- * positional is an error), the usage text with each default read from
- * the bound variable, and the per-section "forward to workers" bit the
- * campaign orchestrator uses to build worker command lines.
+ * positional is an error) and the usage text with each default read
+ * from the bound variable.
  *
  * The table never exits: parseOrUsage() prints the usage and hands
  * back exit code 0 for --help and 2 for an error.
@@ -58,7 +57,6 @@ class FlagTable
         std::string help;
         std::string defaultText; ///< shown in the usage when non-empty
         std::string section;     ///< usage heading it is listed under
-        bool forward = false;    ///< replayed on worker command lines
         Reader read;
 
         /** Describe the default in words where the raw value is a
@@ -77,13 +75,8 @@ class FlagTable
     FlagTable(std::string prog, std::string synopsis,
               std::string about = {});
 
-    /** Start a usage heading for the rows registered after it; with
-     *  @p forward they carry the forward-to-workers bit. */
-    void section(std::string heading, bool forward = false)
-    {
-        section_ = std::move(heading);
-        forward_ = forward;
-    }
+    /** Start a usage heading for the rows registered after it. */
+    void section(std::string heading) { section_ = std::move(heading); }
 
     /** Value read by @p read (the primitive every kind below uses);
      *  an empty @p metavar makes a switch. */
@@ -164,8 +157,6 @@ class FlagTable
     const std::string &error() const { return error_; }
     /** True when @p name was on the last parsed command line. */
     bool seen(const std::string &name) const { return seen_.count(name); }
-    /** Verbatim tokens of every forwarded flag, in argument order. */
-    const std::vector<std::string> &forwarded() const { return forwarded_; }
     const std::deque<Flag> &flags() const { return flags_; }
     std::string usage() const;
 
@@ -188,12 +179,10 @@ class FlagTable
 
     std::string prog_, synopsis_, about_;
     std::string section_ = "options:";
-    bool forward_ = false;
     std::deque<Flag> flags_;
     std::vector<Positional> positionals_;
     std::string error_;
     std::set<std::string> seen_;
-    std::vector<std::string> forwarded_;
 };
 
 } // namespace cli

@@ -79,29 +79,59 @@ struct RunRecord
     std::string stratumLabel;
 };
 
+using Counters = std::map<std::string, std::uint64_t>;
+
+/** Set @p key to @p n unless n is zero: absent counts read as zero. */
 void
-emitCounts(trace::MetricsRegistry &m, const std::string &prefix,
-           const OutcomeCounts &c)
+putNonZero(Counters &m, const std::string &key, std::uint64_t n)
 {
-    if (c.masked)
-        m.counter(prefix + ".masked") = c.masked;
-    if (c.notActivated)
-        m.counter(prefix + ".masked.not_activated") = c.notActivated;
-    if (c.detected)
-        m.counter(prefix + ".detected") = c.detected;
-    if (c.recovered)
-        m.counter(prefix + ".recovered") = c.recovered;
-    if (c.eccCorrected)
-        m.counter(prefix + ".ecc_corrected") = c.eccCorrected;
-    if (c.sdc)
-        m.counter(prefix + ".sdc") = c.sdc;
-    if (c.due)
-        m.counter(prefix + ".due") = c.due;
+    if (n)
+        m[key] = n;
 }
 
 void
-restoreCounts(const std::map<std::string, std::uint64_t> &kv,
-              const std::string &prefix, OutcomeCounts &c)
+emitCounts(Counters &m, const std::string &prefix, const OutcomeCounts &c)
+{
+    putNonZero(m, prefix + ".masked", c.masked);
+    putNonZero(m, prefix + ".masked.not_activated", c.notActivated);
+    putNonZero(m, prefix + ".detected", c.detected);
+    putNonZero(m, prefix + ".recovered", c.recovered);
+    putNonZero(m, prefix + ".ecc_corrected", c.eccCorrected);
+    putNonZero(m, prefix + ".sdc", c.sdc);
+    putNonZero(m, prefix + ".due", c.due);
+}
+
+/** Key of bucket @p b of a log2 histogram: "<prefix>.bNN". */
+std::string
+histKey(const char *prefix, unsigned b)
+{
+    char key[48];
+    std::snprintf(key, sizeof key, "%s.b%02u", prefix, b);
+    return key;
+}
+
+void
+emitHist(Counters &m, const char *prefix, const stats::Histogram &h)
+{
+    for (unsigned b = 0; b < kLatencyBuckets; ++b)
+        putNonZero(m, histKey(prefix, b), h.count(b));
+}
+
+/** The gauge triple "<key>", "<key>.wilson_lo", "<key>.wilson_hi":
+ *  the proportion @p k / @p n with its Wilson interval. */
+void
+wilsonGauges(trace::MetricsRegistry &m, const std::string &key,
+             std::uint64_t k, std::uint64_t n)
+{
+    const auto ci = stats::wilsonInterval(k, n);
+    m.gauge(key) = n ? double(k) / double(n) : 0.0;
+    m.gauge(key + ".wilson_lo") = ci.lo;
+    m.gauge(key + ".wilson_hi") = ci.hi;
+}
+
+void
+restoreCounts(const Counters &kv, const std::string &prefix,
+              OutcomeCounts &c)
 {
     const auto get = [&](const char *leaf) -> std::uint64_t {
         const auto it = kv.find(prefix + leaf);
@@ -114,6 +144,14 @@ restoreCounts(const std::map<std::string, std::uint64_t> &kv,
     c.eccCorrected = get(".ecc_corrected");
     c.sdc = get(".sdc");
     c.due = get(".due");
+}
+
+void
+restoreHist(const Counters &kv, const char *prefix, stats::Histogram &h)
+{
+    for (unsigned b = 0; b < kLatencyBuckets; ++b)
+        if (const auto it = kv.find(histKey(prefix, b)); it != kv.end())
+            h.add(b, it->second);
 }
 
 } // namespace
@@ -287,171 +325,102 @@ CampaignReport::stratifiedCoverage() const
     return est;
 }
 
-trace::MetricsRegistry
-CampaignReport::toMetrics() const
+Counters
+CampaignReport::counters() const
 {
-    trace::MetricsRegistry m;
-    m.counter("campaign.sampled") = sampled;
-    m.counter("campaign.space.size") = spaceSize;
-    m.counter("campaign.span") = span;
+    Counters m;
+    m["campaign.sampled"] = sampled;
     emitCounts(m, "campaign.outcome", overall);
     for (const auto &[kind, c] : byKind)
-        emitCounts(m, std::string("campaign.kind.") + kindSlug(kind),
-                   c);
+        emitCounts(m, std::string("campaign.kind.") + kindSlug(kind), c);
     for (const auto &[label, c] : byUnit)
         emitCounts(m, "campaign.unit." + label, c);
     for (const auto &[kind, c] : byMemKind)
         emitCounts(m, std::string("campaign.memkind.") +
                           mem::memFaultKindSlug(kind),
                    c);
-    // Stratified-sampling surface, gated on strataWindows so uniform
-    // campaigns render byte-identically to pre-strata ones. The
-    // campaign.strata.* keys are configuration echo (bucket count and
-    // stratum populations — NOT additive across shard deltas); the
-    // campaign.stratum.<label>.* keys are per-stratum outcome tallies
-    // and sum like every other counter.
-    if (strataWindows) {
-        m.counter("campaign.strata.windows") = strataWindows;
-        for (const auto &[label, n] : stratumSizes)
-            m.counter("campaign.strata.size." + label) = n;
-        for (const auto &[label, c] : byStratum)
-            emitCounts(m, "campaign.stratum." + label, c);
-    }
-    for (unsigned b = 0; b < kLatencyBuckets; ++b) {
-        if (const auto n = latencyHist.count(b)) {
-            char key[48];
-            std::snprintf(key, sizeof key,
-                          "campaign.latency.hist.b%02u", b);
-            m.counter(key) = n;
-        }
-    }
-    if (latencySum)
-        m.counter("campaign.latency.sum") = latencySum;
-    if (latencyCount)
-        m.counter("campaign.latency.count") = latencyCount;
-    if (kernelLengthSum)
-        m.counter("campaign.latency.kernel_sum") = kernelLengthSum;
+    for (const auto &[label, c] : byStratum)
+        emitCounts(m, "campaign.stratum." + label, c);
+    emitHist(m, "campaign.latency.hist", latencyHist);
+    putNonZero(m, "campaign.latency.sum", latencySum);
+    putNonZero(m, "campaign.latency.count", latencyCount);
+    putNonZero(m, "campaign.latency.kernel_sum", kernelLengthSum);
+    emitHist(m, "campaign.recovery.hist", recoveryHist);
+    putNonZero(m, "campaign.recovery.sum", recoverySum);
+    putNonZero(m, "campaign.recovery.count", recoveryCount);
+    putNonZero(m, "campaign.recovery.rollbacks", rollbacks);
+    putNonZero(m, "campaign.recovery.giveups", giveUps);
+    putNonZero(m, "campaign.aborted_runs", abortedRuns);
+    return m;
+}
 
-    // Every recovery key is zero-gated (counters) or gated on
-    // recoveryEnabled (gauges), so a recovery-off report renders
-    // byte-identically to one from a build without recovery.
-    for (unsigned b = 0; b < kLatencyBuckets; ++b) {
-        if (const auto n = recoveryHist.count(b)) {
-            char key[48];
-            std::snprintf(key, sizeof key,
-                          "campaign.recovery.hist.b%02u", b);
-            m.counter(key) = n;
-        }
-    }
-    if (recoverySum)
-        m.counter("campaign.recovery.sum") = recoverySum;
-    if (recoveryCount)
-        m.counter("campaign.recovery.count") = recoveryCount;
-    if (rollbacks)
-        m.counter("campaign.recovery.rollbacks") = rollbacks;
-    if (giveUps)
-        m.counter("campaign.recovery.giveups") = giveUps;
-    if (abortedRuns)
-        m.counter("campaign.aborted_runs") = abortedRuns;
+trace::MetricsRegistry
+CampaignReport::toMetrics() const
+{
+    trace::MetricsRegistry m;
+    // Configuration echo, from the skeleton fields.
+    m.counter("campaign.schema") = kSchema;
+    m.counter("campaign.space.size") = spaceSize;
+    m.counter("campaign.span") = span;
+    m.counter("campaign.scheme.id") = static_cast<std::uint64_t>(scheme.id);
+    m.gauge("campaign.scheme.protect_fraction") = scheme.protectFraction;
+    for (const auto &[label, n] : stratumSizes)
+        m.counter("campaign.strata.size." + label) = n;
 
-    // Scheme identity, gated the same way: the default backend
-    // (Warped-DMR, full protection) emits nothing, so pre-seam
-    // reports and post-seam default reports are byte-identical.
-    if (scheme.id != protection::SchemeId::WarpedDmr ||
-        scheme.protectFraction != 1.0) {
-        m.counter("campaign.scheme.id") =
-            static_cast<std::uint64_t>(scheme.id);
-        m.gauge("campaign.scheme.protect_fraction") =
-            scheme.protectFraction;
-    }
+    for (const auto &[k, v] : counters())
+        m.counter(k) = v;
 
-    const auto cov = overall.coverageCi();
-    m.gauge("campaign.coverage") = overall.coverage();
+    // Gauges derived from the counts.
+    const auto &o = overall;
+    const auto t = o.total();
+    const auto cov = o.coverageCi();
+    m.gauge("campaign.coverage") = o.coverage();
     m.gauge("campaign.coverage.wilson_lo") = cov.lo;
     m.gauge("campaign.coverage.wilson_hi") = cov.hi;
-    const auto det = overall.detectionCi();
-    m.gauge("campaign.detection_rate") = overall.detectionRate();
+    const auto det = o.detectionCi();
+    m.gauge("campaign.detection_rate") = o.detectionRate();
     m.gauge("campaign.detection_rate.wilson_lo") = det.lo;
     m.gauge("campaign.detection_rate.wilson_hi") = det.hi;
-    const auto t = overall.total();
-    m.gauge("campaign.masked_rate") =
-        t ? double(overall.masked) / double(t) : 0.0;
-    m.gauge("campaign.sdc_rate") =
-        t ? double(overall.sdc) / double(t) : 0.0;
-    m.gauge("campaign.due_rate") =
-        t ? double(overall.due) / double(t) : 0.0;
+    m.gauge("campaign.masked_rate") = t ? double(o.masked) / double(t) : 0.0;
+    m.gauge("campaign.sdc_rate") = t ? double(o.sdc) / double(t) : 0.0;
+    m.gauge("campaign.due_rate") = t ? double(o.due) / double(t) : 0.0;
     m.gauge("campaign.latency.mean") = meanDetectionLatency();
-    if (recoveryEnabled) {
-        // Recovered fraction of the alarmed (detected ∪ recovered)
-        // runs: the paper-style "how many detections become full
-        // repairs" number, with its Wilson interval.
-        const auto alarmed = overall.detected + overall.recovered;
-        const auto rc =
-            stats::wilsonInterval(overall.recovered, alarmed);
-        m.gauge("campaign.recovered_fraction") =
-            alarmed ? double(overall.recovered) / double(alarmed)
-                    : 0.0;
-        m.gauge("campaign.recovered_fraction.wilson_lo") = rc.lo;
-        m.gauge("campaign.recovered_fraction.wilson_hi") = rc.hi;
-        m.gauge("campaign.recovery.mean") = meanRecoveryCycles();
-    }
+    // Recovered fraction of the alarmed (detected ∪ recovered) runs:
+    // the paper-style "how many detections become full repairs"
+    // number.
+    wilsonGauges(m, "campaign.recovered_fraction", o.recovered,
+                 o.detected + o.recovered);
+    m.gauge("campaign.recovery.mean") = meanRecoveryCycles();
     for (const auto &[kind, c] : byKind)
         m.gauge(std::string("campaign.kind.") + kindSlug(kind) +
                 ".coverage") = c.coverage();
 
     // The stratified coverage estimator (Cochran): per-stratum
     // proportions combined with population weights, plus per-stratum
-    // Wilson intervals. Same gate as the stratum counters above.
-    if (strataWindows && !stratumSizes.empty()) {
+    // Wilson intervals.
+    if (!stratumSizes.empty()) {
         const auto est = stratifiedCoverage();
         const auto ci = est.interval();
         m.gauge("campaign.coverage.stratified") = est.estimate();
         m.gauge("campaign.coverage.stratified_lo") = ci.lo;
         m.gauge("campaign.coverage.stratified_hi") = ci.hi;
-        for (const auto &[label, c] : byStratum) {
-            const auto w = c.coverageCi();
-            const std::string p = "campaign.stratum." + label;
-            m.gauge(p + ".coverage") = c.coverage();
-            m.gauge(p + ".coverage.wilson_lo") = w.lo;
-            m.gauge(p + ".coverage.wilson_hi") = w.hi;
-        }
+        for (const auto &[label, c] : byStratum)
+            wilsonGauges(m, "campaign.stratum." + label + ".coverage",
+                         caught(c), c.total());
     }
 
-    // The memory-side protection surface, gated on memEnabled so
-    // execution-only reports render byte-identically to pre-memory
-    // builds: how much the ECC absorbed, and — the question the
-    // campaign exists to answer — how much *escaped* both ECC and
-    // DMR (memory-data faults are invisible to redundant execution,
-    // so without ECC the escaped fraction is the SDC+DUE mass).
-    if (memEnabled) {
-        const auto t = overall.total();
-        const auto escaped = overall.sdc + overall.due;
-        const auto esc = stats::wilsonInterval(escaped, t);
-        m.gauge("campaign.escaped_rate") =
-            t ? double(escaped) / double(t) : 0.0;
-        m.gauge("campaign.escaped_rate.wilson_lo") = esc.lo;
-        m.gauge("campaign.escaped_rate.wilson_hi") = esc.hi;
-        const auto ecc =
-            stats::wilsonInterval(overall.eccCorrected, t);
-        m.gauge("campaign.ecc.corrected_rate") =
-            t ? double(overall.eccCorrected) / double(t) : 0.0;
-        m.gauge("campaign.ecc.corrected_rate.wilson_lo") = ecc.lo;
-        m.gauge("campaign.ecc.corrected_rate.wilson_hi") = ecc.hi;
-        for (const auto &[kind, c] : byMemKind) {
-            const std::string p = std::string("campaign.memkind.") +
-                                  mem::memFaultKindSlug(kind);
-            const auto kt = c.total();
-            const auto kesc = stats::wilsonInterval(c.sdc + c.due, kt);
-            m.gauge(p + ".escaped_rate") =
-                kt ? double(c.sdc + c.due) / double(kt) : 0.0;
-            m.gauge(p + ".escaped_rate.wilson_lo") = kesc.lo;
-            m.gauge(p + ".escaped_rate.wilson_hi") = kesc.hi;
-            const auto kecc = stats::wilsonInterval(c.eccCorrected, kt);
-            m.gauge(p + ".corrected_rate") =
-                kt ? double(c.eccCorrected) / double(kt) : 0.0;
-            m.gauge(p + ".corrected_rate.wilson_lo") = kecc.lo;
-            m.gauge(p + ".corrected_rate.wilson_hi") = kecc.hi;
-        }
+    // The memory-side protection surface: how much the ECC absorbed,
+    // and — the question memory campaigns exist to answer — how much
+    // *escaped* both ECC and DMR (memory-data faults are invisible to
+    // redundant execution, so without ECC the escaped fraction is the
+    // SDC+DUE mass).
+    wilsonGauges(m, "campaign.escaped_rate", o.sdc + o.due, t);
+    wilsonGauges(m, "campaign.ecc.corrected_rate", o.eccCorrected, t);
+    for (const auto &[kind, c] : byMemKind) {
+        const std::string p = std::string("campaign.memkind.") +
+                              mem::memFaultKindSlug(kind);
+        wilsonGauges(m, p + ".escaped_rate", c.sdc + c.due, c.total());
+        wilsonGauges(m, p + ".corrected_rate", c.eccCorrected, c.total());
     }
     return m;
 }
@@ -965,47 +934,23 @@ configSignature(const EngineConfig &cfg, const FaultSiteSpace &space,
     mix(cfg.dmr.samplingEpoch);
     mix(cfg.dmr.samplingActive);
     mix(cfg.dmr.arbitrateErrors);
-    // Mixed only when enabled, so pre-recovery checkpoints keep
-    // resuming under the default (off) configuration.
-    if (cfg.recovery.enabled) {
-        mix(0x5ec0);
-        mix(cfg.recovery.retryBudget);
-        mix(cfg.recovery.ringCapacity);
-        mix(cfg.recovery.rollbackPenalty);
-    }
-    // Likewise mixed only for non-default backends, so pre-seam
-    // checkpoints keep resuming under the default (Warped-DMR).
-    if (cfg.scheme.id != protection::SchemeId::WarpedDmr ||
-        cfg.scheme.protectFraction != 1.0) {
-        mix(0x5c3e);
-        mix(static_cast<std::uint64_t>(cfg.scheme.id));
-        mix(static_cast<std::uint64_t>(cfg.scheme.protectFraction *
-                                       1e9));
-    }
-    // Memory model / ECC / fault-domain knobs, mixed only when any
-    // is non-default so pre-memory checkpoints keep resuming. (The
-    // site space's own memory axes are already in space.signature();
-    // this covers the machine knobs that change run *outcomes*.)
-    if (cfg.gpu.memModel != arch::MemModel::Flat ||
-        cfg.gpu.eccKind != arch::EccKind::None ||
-        cfg.space.memEnabled || !cfg.space.execEnabled) {
-        mix(0x3ecc);
-        mix(static_cast<std::uint64_t>(cfg.gpu.memModel));
-        mix(static_cast<std::uint64_t>(cfg.gpu.eccKind));
-        mix(cfg.gpu.memBanks);
-        mix(cfg.gpu.memRowBytes);
-        mix(cfg.gpu.memRowMissPenalty);
-        mix(cfg.space.execEnabled ? 1 : 0);
-        mix(cfg.space.memEnabled ? 1 : 0);
-    }
-    // Stratified sampling changes which site run i draws, so a
-    // stratified checkpoint must never resume a uniform campaign (or
-    // vice versa). Mixed only when on, preserving every pre-strata
-    // signature.
-    if (cfg.strataWindows) {
-        mix(0x57a7);
-        mix(cfg.strataWindows);
-    }
+    mix(cfg.recovery.enabled);
+    mix(cfg.recovery.retryBudget);
+    mix(cfg.recovery.ringCapacity);
+    mix(cfg.recovery.rollbackPenalty);
+    mix(static_cast<std::uint64_t>(cfg.scheme.id));
+    mix(static_cast<std::uint64_t>(cfg.scheme.protectFraction * 1e9));
+    // The memory knobs that change run *outcomes*; the site space's
+    // own memory axes are already in space.signature().
+    mix(static_cast<std::uint64_t>(cfg.gpu.memModel));
+    mix(static_cast<std::uint64_t>(cfg.gpu.eccKind));
+    mix(cfg.gpu.memBanks);
+    mix(cfg.gpu.memRowBytes);
+    mix(cfg.gpu.memRowMissPenalty);
+    mix(cfg.space.execEnabled);
+    mix(cfg.space.memEnabled);
+    // Stratified sampling changes which site run i draws.
+    mix(cfg.strataWindows);
     return h;
 }
 
@@ -1019,9 +964,7 @@ writeCheckpoint(const std::string &path, const CampaignReport &rep,
     // torn or damaged file is *detected* on resume instead of silently
     // restoring a prefix of itself.
     const std::string text =
-        ShardDelta{0, 0, rep.sampled, signature,
-                   rep.toMetrics().counters()}
-            .toJson();
+        ShardDelta{0, 0, rep.sampled, signature, rep.counters()}.toJson();
     const std::string tmp = path + ".tmp";
     {
         std::ofstream f(tmp);
@@ -1090,20 +1033,11 @@ restoreReportCounters(const std::map<std::string, std::uint64_t> &kv,
         const auto it = kv.find(key);
         return it == kv.end() ? 0 : it->second;
     };
-    const auto getInto = [&](const std::string &key,
-                             std::uint64_t &out) {
-        const auto it = kv.find(key);
-        if (it != kv.end())
-            out = it->second;
-    };
-    getInto("campaign.sampled", rep.sampled);
-    getInto("campaign.space.size", rep.spaceSize);
-    getInto("campaign.span", rep.span);
+    rep.sampled = get("campaign.sampled");
     restoreCounts(kv, "campaign.outcome", rep.overall);
 
-    // Breakdown labels are discovered from the key set itself, so
-    // this restorer needs no engine configuration (the shard
-    // aggregator runs it over summed delta counters).
+    // Kind, unit and memory-kind labels are discovered from the key
+    // set itself; stratum labels come from the skeleton.
     static constexpr std::pair<const char *, FaultKind> kKinds[] = {
         {"transient", FaultKind::TransientBitFlip},
         {"stuck0", FaultKind::StuckAtZero},
@@ -1148,46 +1082,18 @@ restoreReportCounters(const std::map<std::string, std::uint64_t> &kv,
                 rep.byUnit[label] = c;
         }
     }
-    // Stratum labels DO contain dots ("any.w03", "sp.perm"), so they
-    // are recovered from the campaign.strata.size.<label> echo keys
-    // (label = the whole remainder) — and, because the shard
-    // aggregator deliberately drops echo keys from its counter sum,
-    // also from the labels the caller's skeleton already carries.
-    {
-        const std::string prefix = "campaign.strata.size.";
-        for (auto it = kv.lower_bound(prefix);
-             it != kv.end() &&
-             it->first.compare(0, prefix.size(), prefix) == 0;
-             ++it)
-            rep.stratumSizes[it->first.substr(prefix.size())] =
-                it->second;
-        for (const auto &[label, n] : rep.stratumSizes) {
-            OutcomeCounts c;
-            restoreCounts(kv, "campaign.stratum." + label, c);
-            if (c.total())
-                rep.byStratum[label] = c;
-        }
+    for (const auto &[label, n] : rep.stratumSizes) {
+        OutcomeCounts c;
+        restoreCounts(kv, "campaign.stratum." + label, c);
+        if (c.total())
+            rep.byStratum[label] = c;
     }
-    if (const auto w = get("campaign.strata.windows"))
-        rep.strataWindows = static_cast<unsigned>(w);
 
-    for (unsigned b = 0; b < kLatencyBuckets; ++b) {
-        char key[48];
-        std::snprintf(key, sizeof key, "campaign.latency.hist.b%02u",
-                      b);
-        if (const auto n = get(key))
-            rep.latencyHist.add(b, n);
-    }
+    restoreHist(kv, "campaign.latency.hist", rep.latencyHist);
     rep.latencySum = get("campaign.latency.sum");
     rep.latencyCount = get("campaign.latency.count");
     rep.kernelLengthSum = get("campaign.latency.kernel_sum");
-    for (unsigned b = 0; b < kLatencyBuckets; ++b) {
-        char key[48];
-        std::snprintf(key, sizeof key, "campaign.recovery.hist.b%02u",
-                      b);
-        if (const auto n = get(key))
-            rep.recoveryHist.add(b, n);
-    }
+    restoreHist(kv, "campaign.recovery.hist", rep.recoveryHist);
     rep.recoverySum = get("campaign.recovery.sum");
     rep.recoveryCount = get("campaign.recovery.count");
     rep.rollbacks = get("campaign.recovery.rollbacks");
@@ -1301,11 +1207,8 @@ CampaignEngine::skeleton()
     CampaignReport rep;
     rep.spaceSize = space_->size();
     rep.span = span_;
-    rep.recoveryEnabled = cfg_.recovery.enabled;
     rep.scheme = cfg_.scheme;
-    rep.memEnabled = space_->config().memEnabled;
     if (strat_) {
-        rep.strataWindows = strat_->windowBuckets();
         for (std::size_t h = 0; h < strat_->strata(); ++h)
             rep.stratumSizes[strat_->stratum(h).label] =
                 strat_->stratum(h).size;
@@ -1347,22 +1250,15 @@ CampaignEngine::run()
 
     // 4. Chunked fan-out: each chunk runs on the pool, folds in
     //    submission-index order (so the accumulated state is
-    //    worker-count-independent), then checkpoints. Nonsensical
-    //    chunk sizes are clamped (zero would never checkpoint inside
-    //    the loop; larger-than-campaign would only checkpoint at the
-    //    very end — both defeat the point of checkpointing).
+    //    worker-count-independent), then checkpoints. A zero chunk
+    //    would never fold a run, so it is clamped; the last chunk
+    //    ends at the plan whatever the chunk size.
     sim::RunPool pool(cfg_.jobs);
     std::uint64_t chunkSize = cfg_.checkpointEvery;
     if (chunkSize == 0) {
         warped_warn("campaign: checkpointEvery 0 would never "
                     "checkpoint; clamping to 1000");
         chunkSize = 1000;
-    }
-    if (planned_ && chunkSize > planned_) {
-        warped_warn("campaign: checkpointEvery ", chunkSize,
-                    " exceeds the ", planned_,
-                    " planned runs; clamping");
-        chunkSize = planned_;
     }
     Sweep &sweep = resetSweep();
     std::vector<RunRecord> records;

@@ -234,21 +234,12 @@ struct CampaignReport
      *  `overall`, not into byKind/byUnit). */
     std::map<mem::MemFaultKind, OutcomeCounts> byMemKind;
 
-    /** Whether the site space included the memory-cell block — gates
-     *  the ECC/escape gauges in toMetrics so exec-only reports stay
-     *  byte-identical to pre-memory ones. */
-    bool memEnabled = false;
-
-    /** Window buckets of the stratified sampler (0 = uniform
-     *  sampling). Gates every stratum key in toMetrics, so
-     *  non-stratified reports stay byte-identical to pre-strata
-     *  ones. */
-    unsigned strataWindows = 0;
     /** Per-stratum outcome tallies, keyed by StratifiedSpace labels
      *  ("any.w03", "sp.perm", "mem.w01", ...). */
     std::map<std::string, OutcomeCounts> byStratum;
     /** Stratum population sizes N_h — the weights of the stratified
-     *  estimator; filled for every stratum, sampled or not. */
+     *  estimator; filled for every stratum, sampled or not, and empty
+     *  under uniform sampling. */
     std::map<std::string, std::uint64_t> stratumSizes;
 
     /** Cycles from firstActivationCycle() to the first DMR detection
@@ -264,15 +255,7 @@ struct CampaignReport
      *  in the top buckets). */
     std::uint64_t kernelLengthSum = 0;
 
-    /** Whether EngineConfig::recovery was enabled — gates the
-     *  recovery gauges in toMetrics so recovery-off reports stay
-     *  byte-identical to pre-recovery ones. */
-    bool recoveryEnabled = false;
-
-    /** The protection backend the campaign ran against. Non-default
-     *  schemes are recorded in toMetrics; the default (Warped-DMR)
-     *  emits nothing extra, keeping reports byte-identical to
-     *  pre-seam ones. */
+    /** The protection backend the campaign ran against. */
     protection::SchemeConfig scheme;
 
     /** Cycles rollback-replay spent repairing each Recovered run
@@ -315,9 +298,22 @@ struct CampaignReport
      *  order, weighted by stratumSizes, caught/total from byStratum. */
     stats::StratifiedEstimator stratifiedCoverage() const;
 
+    /** Version of the report document, echoed as campaign.schema. */
+    static constexpr std::uint64_t kSchema = 2;
+
     /**
-     * Flat metrics rendering: campaign.* counters and gauges in a
-     * trace::MetricsRegistry (sorted keys, fixed precision).
+     * The additive counts alone: every key sums across disjoint run
+     * ranges, so this is what shard deltas and checkpoints carry. The
+     * configuration echo (space size, span, scheme, stratum sizes)
+     * is not here; a reader takes it from its own skeleton.
+     */
+    std::map<std::string, std::uint64_t> counters() const;
+
+    /**
+     * Flat metrics rendering in a trace::MetricsRegistry (sorted keys,
+     * fixed precision): the configuration echo from this report's
+     * skeleton fields, counters(), and the gauges derived from them
+     * (docs/ARCHITECTURE.md, "Report schema 2").
      */
     trace::MetricsRegistry toMetrics() const;
 
@@ -327,13 +323,13 @@ struct CampaignReport
 
 /**
  * Rebuild every counter-derived field of @p rep from a flat counter
- * map (the inverse of toMetrics' counter emission). Keys absent from
- * @p kv leave the corresponding field untouched, so callers seed
- * @p rep with a configuration skeleton first. The breakdown labels
- * (kinds, units, memory kinds, strata) are discovered by scanning the
- * key set — no configuration needed. Shared by the checkpoint loader
- * and the shard aggregator; gauges are never restored (they are
- * derived, and toMetrics recomputes them exactly).
+ * map (the inverse of CampaignReport::counters). Callers seed @p rep
+ * with CampaignEngine::skeleton(), which carries the configuration
+ * echo and the stratum labels; the other breakdown labels (kinds,
+ * units, memory kinds) are discovered by scanning the key set.
+ * Shared by the checkpoint loader and the shard aggregator; gauges
+ * are never restored (they are derived, and toMetrics recomputes
+ * them exactly).
  */
 void
 restoreReportCounters(const std::map<std::string, std::uint64_t> &kv,
@@ -418,15 +414,12 @@ struct EngineConfig
 
     arch::GpuConfig gpu = arch::GpuConfig::testDefault();
     dmr::DmrConfig dmr = dmr::DmrConfig::paperDefault();
-    /** Rollback-replay knobs; the default keeps recovery off, so the
-     *  report (and any checkpoint signature) is byte-identical to a
-     *  pre-recovery campaign. Only schemes with per-instruction
-     *  detection support it (schemeSupportsRecovery) — Recovered is
-     *  unreachable otherwise. */
+    /** Rollback-replay knobs; the default keeps recovery off. Only
+     *  schemes with per-instruction detection support it
+     *  (schemeSupportsRecovery) — Recovered is unreachable
+     *  otherwise. */
     recovery::RecoveryConfig recovery;
-    /** Protection backend under test; the default (Warped-DMR)
-     *  leaves reports and checkpoint signatures byte-identical to
-     *  pre-seam campaigns. */
+    /** Protection backend under test. */
     protection::SchemeConfig scheme;
     SiteSpaceConfig space;
 
@@ -439,9 +432,7 @@ struct EngineConfig
     double marginOfError = 0.01;
 
     /** Stratified sampling: transient window buckets per unit (see
-     *  fault::StratifiedSpace). 0 = uniform i.i.d. sampling — the
-     *  pre-strata behaviour, byte-identical reports and checkpoint
-     *  signatures. */
+     *  fault::StratifiedSpace). 0 = uniform i.i.d. sampling. */
     unsigned strataWindows = 0;
 
     /** Worker threads (sim::RunPool semantics: 0 = hardware
@@ -489,9 +480,9 @@ class CampaignEngine
      * golden access log when the space has memory sites; with
      * recovery on, one more fault-free pass under the recovery
      * config captures both instead), the site space, the planned
-     * sample size, the stratified sampler (when cfg.strataWindows >
-     * 0) and the configuration signature. Idempotent; run() and runRange() call
-     * it implicitly. Shard planners call it directly — every engine
+     * sample size, the stratified sampler (under stratified
+     * sampling) and the configuration signature. Idempotent; run()
+     * and runRange() call it implicitly. Shard planners call it directly — every engine
      * derives the identical plan from the identical configuration,
      * and the signature proves it.
      */
@@ -509,7 +500,7 @@ class CampaignEngine
     CampaignReport runRange(std::uint64_t base, std::uint64_t count);
 
     /** A zero-run report carrying every configuration-derived field
-     *  (space size, span, gating flags, stratum sizes). */
+     *  (space size, span, scheme, stratum sizes). */
     CampaignReport skeleton();
 
     /** The sampled site count the configuration resolves to (derived

@@ -8,16 +8,6 @@ namespace fault {
 
 namespace {
 
-/** Keys that are configuration echo, not accumulated state: the
- *  aggregator takes them from its own skeleton and must NOT sum them
- *  across deltas. */
-bool
-isEchoKey(const std::string &k)
-{
-    return k == "campaign.span" || k == "campaign.space.size" ||
-           k.compare(0, 16, "campaign.strata.") == 0;
-}
-
 std::uint64_t
 require(const std::map<std::string, std::uint64_t> &kv, const char *key)
 {
@@ -35,8 +25,8 @@ require(const std::map<std::string, std::uint64_t> &kv, const char *key)
 constexpr std::size_t kMaxDocumentBytes = 64u * 1024 * 1024;
 
 /** Upper bound on a single counter key. The longest legitimate keys
- *  are strata echoes ("campaign.strata.<unit>.<bucket>..."), well
- *  under a hundred bytes; a multi-KiB key means the document's
+ *  are per-stratum tallies ("campaign.stratum.<label>.<class>..."),
+ *  well under a hundred bytes; a multi-KiB key means the document's
  *  quoting was damaged and a chunk of text fused into one "key". */
 constexpr std::size_t kMaxKeyBytes = 4096;
 
@@ -137,7 +127,7 @@ runShardInProcess(const WorkloadFactory &factory,
     CampaignEngine engine(factory, cfg);
     const CampaignReport delta = engine.runRange(plan.base, plan.count);
     return {plan.index, plan.base, plan.count, engine.signature(),
-            delta.toMetrics().counters()};
+            delta.counters()};
 }
 
 ShardAggregator::ShardAggregator(CampaignReport skeleton,
@@ -166,11 +156,8 @@ ShardAggregator::fold(const ShardDelta &d)
                          "(a delta planned for another shard count?)");
     if (have_[static_cast<std::size_t>(d.shard)])
         return false;
-    for (const auto &[k, v] : d.counters) {
-        if (isEchoKey(k))
-            continue;
+    for (const auto &[k, v] : d.counters)
         sum_[k] += v;
-    }
     have_[static_cast<std::size_t>(d.shard)] = true;
     ++folded_;
     return true;

@@ -24,9 +24,9 @@
  * from the summed counters exactly as the checkpoint loader does, so
  * the final JSON is byte-identical to a single-process run.
  *
- * Keys that are configuration echo rather than accumulated state
- * (campaign.span, campaign.space.size, campaign.strata.*) are taken
- * from the orchestrator's own skeleton and skipped during summation.
+ * A delta carries CampaignReport::counters() only, every key of which
+ * sums; the configuration echo (span, space size, scheme, stratum
+ * sizes) is rendered from the orchestrator's own skeleton.
  */
 
 #ifndef WARPED_FAULT_SHARD_HH
@@ -77,7 +77,8 @@ struct ShardDelta
     /** CampaignEngine::signature() of the producing worker; the
      *  aggregator refuses a delta from a different configuration. */
     std::uint64_t signature = 0;
-    /** The delta report's counters (CampaignReport::toMetrics). */
+    /** The delta report's additive counts
+     *  (CampaignReport::counters). */
     std::map<std::string, std::uint64_t> counters;
 
     /** Flat JSON document: shard.* header keys (version, indices,

@@ -442,7 +442,7 @@ TEST(CampaignEngine, PreviousFormatCheckpointIsStale)
     // correct payload fingerprint: the counters are the run prefix's
     // delta and the signature is the engine's.
     CampaignEngine engine(scanFactory(), ec);
-    const auto counters = engine.runRange(0, 10).toMetrics().counters();
+    const auto counters = engine.runRange(0, 10).counters();
     const std::string header = "campaign.checkpoint.";
     trace::MetricsRegistry old;
     old.counter(header + "version") = 2;
@@ -542,6 +542,26 @@ TEST(CampaignEngine, JsonCarriesTheHeadlineMetrics)
     EXPECT_NE(json.find("campaign.coverage.wilson_lo"),
               std::string::npos);
     EXPECT_NE(json.find("campaign.space.size"), std::string::npos);
+}
+
+TEST(CampaignReport, EveryReportCarriesTheFullSchema)
+{
+    // A default campaign — execution sites only, recovery off,
+    // uniform sampling, Warped-DMR — still renders every
+    // unconditional key of the schema.
+    auto ec = scanEngineCfg();
+    ec.sites = 10;
+    const auto json = CampaignEngine(scanFactory(), ec).run().toJson();
+    EXPECT_NE(json.find("\"campaign.schema\": 2,"), std::string::npos)
+        << json;
+    for (const char *key :
+         {"\"campaign.scheme.id\"", "\"campaign.scheme.protect_fraction\"",
+          "\"campaign.recovered_fraction\"", "\"campaign.recovery.mean\"",
+          "\"campaign.escaped_rate\"", "\"campaign.ecc.corrected_rate\""})
+        EXPECT_NE(json.find(key), std::string::npos) << key;
+    // The blocks whose maps are empty stay out.
+    EXPECT_EQ(json.find("campaign.strata."), std::string::npos);
+    EXPECT_EQ(json.find("campaign.memkind."), std::string::npos);
 }
 
 // ---------------------------------------------------------------------
@@ -748,7 +768,6 @@ TEST(MemCampaign, OutcomeSumInvariantHoldsAcrossSeedsAndCodecs)
             EXPECT_EQ(o.masked + o.detected + o.recovered +
                           o.eccCorrected + o.sdc + o.due,
                       rep.sampled);
-            EXPECT_TRUE(rep.memEnabled);
             EXPECT_GT(rep.spaceSize, 0u);
             // Per-kind splits re-sum to the overall tally.
             std::uint64_t split = 0;

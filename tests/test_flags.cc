@@ -2,8 +2,7 @@
  * @file
  * Unit tests: the declarative flag table (common/flags.hh) — every
  * value kind, range and choice errors, missing values, unknown flags,
- * positionals, --help, the forward-to-workers bit, and the generated
- * usage text.
+ * positionals, --help, and the generated usage text.
  */
 
 #include <gtest/gtest.h>
@@ -92,6 +91,16 @@ TEST(Flags, EveryValueKindStoresItsValue)
     EXPECT_EQ(custom, "a:b");
     EXPECT_TRUE(t.seen("--u32"));
     EXPECT_TRUE(t.error().empty());
+
+    // The last occurrence of a repeated flag wins.
+    ASSERT_EQ(parse(t, {"--u32", "060", "--text", "a", "--u32", "5"}),
+              FlagTable::Status::Ok);
+    EXPECT_EQ(u32, 5u);
+    EXPECT_TRUE(t.seen("--text"));
+    // A fresh parse starts a fresh record.
+    ASSERT_EQ(parse(t, {}), FlagTable::Status::Ok);
+    EXPECT_FALSE(t.seen("--u32"));
+    EXPECT_FALSE(t.seen("--text"));
 }
 
 TEST(Flags, IntegersAreStrictAndRanged)
@@ -233,38 +242,6 @@ TEST(Flags, ErrorsMapToExitTwo)
 
     Argv good({"--n", "3"});
     EXPECT_FALSE(t.parseOrUsage(good.argc(), good.argv()).has_value());
-}
-
-TEST(Flags, ForwardBitCollectsVerbatimTokensInOrder)
-{
-    unsigned sites = 0, jobs = 0;
-    std::string out;
-    bool sweep = false, intra = true;
-    FlagTable t("prog", "<w>");
-    std::string w;
-    t.positional("<w>", w, "workload");
-    t.section("campaign options:", true);
-    t.integer("--sites", sites, "sites");
-    t.action("--no-intra", [&] { intra = false; }, "forwarded switch");
-    t.integer("--jobs", jobs, "jobs");
-    t.section("orchestrator options:");
-    t.text("--out", out, "F", "orchestrator only");
-    t.flag("--sweep", sweep, "orchestrator only");
-    ASSERT_EQ(parse(t, {"SCAN", "--sites", "060", "--out", "r.json",
-                        "--no-intra", "--sweep", "--jobs", "2", "--sites",
-                        "5"}),
-              FlagTable::Status::Ok);
-    EXPECT_EQ(t.forwarded(),
-              (std::vector<std::string>{"--sites", "060", "--no-intra",
-                                        "--jobs", "2", "--sites", "5"}));
-    EXPECT_EQ(sites, 5u);
-    EXPECT_FALSE(intra);
-    for (const auto &f : t.flags())
-        EXPECT_EQ(f.forward, f.section == "campaign options:") << f.name;
-    // A fresh parse starts a fresh record.
-    ASSERT_EQ(parse(t, {"SCAN"}), FlagTable::Status::Ok);
-    EXPECT_TRUE(t.forwarded().empty());
-    EXPECT_FALSE(t.seen("--sites"));
 }
 
 TEST(Flags, UsageListsEveryEntryWithDefaultsFromTheField)

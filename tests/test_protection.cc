@@ -201,15 +201,11 @@ TEST(PartialThread, FullFractionMatchesWarpedDmrCampaign)
     const auto a = campaign(SchemeId::WarpedDmr);
     const auto b = campaign(SchemeId::PartialThread);
 
-    // Whole-report comparison via the counter map (it covers the
-    // outcome split, per-kind/per-unit splits and latency histogram);
-    // only the scheme-identity key itself may differ.
-    auto ca = a.toMetrics().counters();
-    auto cb = b.toMetrics().counters();
-    ca.erase("campaign.scheme.id");
-    cb.erase("campaign.scheme.id");
+    // Whole-report comparison via the additive counts (the outcome
+    // split, per-kind/per-unit splits and latency histogram); the
+    // scheme identity is echo, not a count, so it is not among them.
     EXPECT_EQ(a.span, b.span);
-    EXPECT_EQ(ca, cb);
+    EXPECT_EQ(a.counters(), b.counters());
 }
 
 TEST(PartialThread, HalfFractionCoversLessThanFull)

@@ -186,23 +186,6 @@ TEST(Recovery, DisabledPathIsByteIdentical)
     EXPECT_EQ(j1.find("recovery"), std::string::npos);
 }
 
-TEST(Recovery, OffCampaignReportCarriesNoRecoveryKeys)
-{
-    fault::EngineConfig ec;
-    ec.workload = "SCAN";
-    ec.gpu = arch::GpuConfig::testDefault();
-    ec.space.cycleWindows = 64;
-    ec.sites = 10;
-    ec.seed = 7;
-    const auto json =
-        fault::CampaignEngine([] { return workloads::makeScan(2); },
-                              ec)
-            .run()
-            .toJson();
-    EXPECT_EQ(json.find("recovery"), std::string::npos);
-    EXPECT_EQ(json.find("recovered"), std::string::npos);
-}
-
 // ---------------------------------------------------------------------
 // end-to-end: checkpointing, repair, give-up
 
@@ -342,7 +325,6 @@ TEST(Recovery, CampaignConvertsDetectionsIntoRecoveries)
         fault::CampaignEngine([] { return workloads::makeScan(2); },
                               ec)
             .run();
-    EXPECT_TRUE(rep.recoveryEnabled);
     // The headline guarantee: recovery never mints a new SDC.
     EXPECT_EQ(rep.overall.sdc, 0u);
     EXPECT_GT(rep.overall.recovered, 0u);

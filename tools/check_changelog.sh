@@ -12,9 +12,9 @@
 # --cli-smoke exercises the strict-CLI contract of run mode and the
 # campaign subcommand on a built warped_sim binary: malformed or
 # missing required arguments must exit 2 (usage), never run with a
-# silently defaulted value, and a torn checkpoint must exit 1. CI runs
-# it after the build so a new subcommand can't land without its
-# argument validation.
+# silently defaulted value, a torn checkpoint must exit 1, and a stale
+# one must be warned about on stderr. CI runs it after the build so a
+# new subcommand can't land without its argument validation.
 
 set -eu
 
@@ -35,6 +35,28 @@ if [ "${1:-}" = "--cli-smoke" ]; then
         fi
     }
 
+    # Like expect_exit, and stderr must also match the grep pattern
+    # given after the exit code.
+    expect_stderr() {
+        want="$1"
+        pattern="$2"
+        shift 2
+        set +e
+        err=$("$@" 2>&1 >/dev/null)
+        got=$?
+        set -e
+        if [ "$got" -ne "$want" ]; then
+            echo "check_changelog --cli-smoke: '$*' exited $got," \
+                 "expected $want" >&2
+            exit 1
+        fi
+        if ! printf '%s\n' "$err" | grep -q "$pattern"; then
+            echo "check_changelog --cli-smoke: '$*' printed no" \
+                 "'$pattern' on stderr" >&2
+            exit 1
+        fi
+    }
+
     # Strict numeric parsing in campaign mode.
     expect_exit 2 "$sim" campaign SCAN --sites banana
     expect_exit 2 "$sim" campaign SCAN --checkpoint-every 0
@@ -50,6 +72,16 @@ if [ "${1:-}" = "--cli-smoke" ]; then
     expect_exit 1 "$sim" campaign SCAN --size 2 --sites 5 \
         --checkpoint "$torn"
     rm -f "$torn"
+    # A checkpoint of another configuration is stale: the campaign
+    # restarts from zero, and says so.
+    stale="${TMPDIR:-/tmp}/warped_cli_smoke_stale.$$.ckpt"
+    rm -f "$stale"
+    expect_exit 0 "$sim" campaign SCAN --size 2 --sites 5 --seed 1 \
+        --checkpoint "$stale"
+    expect_stderr 0 "does not match this configuration" \
+        "$sim" campaign SCAN --size 2 --sites 5 --seed 2 \
+        --checkpoint "$stale"
+    rm -f "$stale"
     # Values are never guessed: an unknown or missing choice, a second
     # positional workload and an unknown workload all refuse, in run
     # mode and campaign mode alike.
