@@ -429,7 +429,8 @@ printCampaignReport(const fault::CampaignReport &rep)
                     rep.meanRecoveryCycles(),
                     static_cast<unsigned long long>(rep.recoveryCount));
     if (rep.abortedRuns)
-        std::printf("aborted runs retried then classified as DUE: %llu\n",
+        std::printf("aborted runs (a panic before any machine check), "
+                    "classified as DUE: %llu\n",
                     static_cast<unsigned long long>(rep.abortedRuns));
 
     if (!rep.byKind.empty()) {
@@ -542,7 +543,9 @@ campaignMain(int argc, char **argv)
     std::fprintf(stderr,
                  "fork: %llu sites simulated (%llu forked from the sweep, "
                  "%llu from a rung), %llu golden cycles advanced, %llu "
-                 "site cycles simulated (%.1f per site)\n",
+                 "site cycles simulated (%.1f per site); settled %llu by "
+                 "the activity oracle, %llu not read, %llu corrected, "
+                 "%llu machine check\n",
                  static_cast<unsigned long long>(ft.sitesSimulated),
                  static_cast<unsigned long long>(ft.sweepForks),
                  static_cast<unsigned long long>(ft.rungForks),
@@ -550,7 +553,11 @@ campaignMain(int argc, char **argv)
                  static_cast<unsigned long long>(ft.siteCycles),
                  ft.sitesSimulated
                      ? double(ft.siteCycles) / double(ft.sitesSimulated)
-                     : 0.0);
+                     : 0.0,
+                 static_cast<unsigned long long>(ft.settledOracle),
+                 static_cast<unsigned long long>(ft.settledNotRead),
+                 static_cast<unsigned long long>(ft.settledCorrected),
+                 static_cast<unsigned long long>(ft.settledMachineCheck));
     return writeReportJson(rep, c.outPath);
 }
 

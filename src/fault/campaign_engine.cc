@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cctype>
 #include <cstdio>
 #include <fstream>
@@ -451,9 +452,15 @@ settledByAccessLog(const mem::MemAccessLog &log, const FaultSpec &spec,
       case mem::MemAccess::Read:
         break;
     }
-    return mem::MemFaultPlane::correctsRead(ecc, spec.memKind, spec.bit)
-               ? MemSettlement::Corrected
-               : MemSettlement::Simulate;
+    switch (mem::MemFaultPlane::readStatus(ecc, spec.memKind, spec.bit)) {
+      case mem::CodecStatus::Corrected:
+        return MemSettlement::Corrected;
+      case mem::CodecStatus::Detected:
+        return MemSettlement::Uncorrectable;
+      case mem::CodecStatus::Ok:
+        break;
+    }
+    return MemSettlement::Simulate;
 }
 
 CampaignEngine::CampaignEngine(WorkloadFactory factory,
@@ -471,7 +478,8 @@ namespace {
  * the run still needs simulating, false when a golden log settled it:
  * an execution site whose window the golden pass never asked the
  * hook about (settledByOracle), or a memory site @p access_log
- * settles (settledByAccessLog).
+ * settles (settledByAccessLog). @p access_log is null only when the
+ * space has no memory sites.
  */
 bool
 drawRun(std::uint64_t run_index, const FaultSiteSpace &space,
@@ -501,15 +509,38 @@ drawRun(std::uint64_t run_index, const FaultSiteSpace &space,
     rec.memKind = spec.memKind;
     // Golden access log: an upset the run never reads, or whose first
     // read the codec corrects (and scrubs), leaves the run the golden
-    // run.
+    // run; one whose first read the codec flags ends the run there,
+    // a machine-checked DUE.
     const auto settled =
-        access_log ? settledByAccessLog(*access_log, spec, cfg.gpu.eccKind)
-                   : MemSettlement::Simulate;
-    if (settled == MemSettlement::Corrected) {
+        settledByAccessLog(*access_log, spec, cfg.gpu.eccKind);
+    switch (settled) {
+      case MemSettlement::Corrected:
         rec.activated = true;
         rec.cls = OutcomeClass::EccCorrected;
+        break;
+      case MemSettlement::Uncorrectable:
+        rec.activated = true;
+        rec.cls = OutcomeClass::Due;
+        break;
+      case MemSettlement::Simulate:
+      case MemSettlement::NotRead:
+        break;
     }
     return settled == MemSettlement::Simulate;
+}
+
+/** Count run @p rec, which a golden log settled, under its verdict. */
+void
+countSettled(ForkTelemetry &t, const RunRecord &rec)
+{
+    if (!rec.isMemory)
+        ++t.settledOracle;
+    else if (!rec.activated)
+        ++t.settledNotRead;
+    else if (rec.cls == OutcomeClass::EccCorrected)
+        ++t.settledCorrected;
+    else
+        ++t.settledMachineCheck;
 }
 
 /** Clears a resident machine's per-site attachments however the site
@@ -694,6 +725,16 @@ class Resident
         }
     }
 
+    /**
+     * A detected-uncorrectable read is a machine check that ends the
+     * run as a DUE, yet this runs the site to its usual exit with no
+     * stop predicate: no simulated site can raise one. The golden
+     * access log settles every site whose first read the codec
+     * corrects or flags, so a simulated site's first read was silent
+     * (settledByAccessLog), and the codes are linear, so every later
+     * read of the same upset is silent too
+     * (mem::MemFaultPlane::readStatus).
+     */
     void
     simulateMemory(RunRecord &rec, const FaultSpec &spec, Cycle fork)
     {
@@ -713,6 +754,7 @@ class Resident
         bool outputOk = true;
         if (!r.hung)
             outputOk = w_->verify(site_);
+        assert(plane.uncorrectable() == 0);
         rec.activated = plane.consumedReads() > 0;
         rec.cls = classifyMemOutcome(
             rec.activated, plane.uncorrectable() > 0, plane.corrected() > 0,
@@ -786,6 +828,9 @@ class CampaignEngine::Sweep
                                  : e_.ladder_->execFork(d.spec.cycleBegin);
             }
         });
+        for (const Draw &d : order)
+            if (!d.simulate)
+                countSettled(settled_, records[d.slot]);
         std::erase_if(order, [](const Draw &d) { return !d.simulate; });
         std::stable_sort(order.begin(), order.end(),
                          [](const Draw &a, const Draw &b) {
@@ -818,7 +863,7 @@ class CampaignEngine::Sweep
     ForkTelemetry
     telemetry() const
     {
-        ForkTelemetry t;
+        ForkTelemetry t = settled_;
         for (const auto &r : free_)
             t += r->telemetry();
         return t;
@@ -827,6 +872,7 @@ class CampaignEngine::Sweep
     void
     resetTelemetry()
     {
+        settled_ = {};
         for (const auto &r : free_)
             r->resetTelemetry();
     }
@@ -859,6 +905,8 @@ class CampaignEngine::Sweep
     /** Guards free_; a pair in use belongs to the task running it. */
     std::mutex mu_;
     std::vector<std::unique_ptr<Resident>> free_;
+    /** The settled counts (classify's calling thread only). */
+    ForkTelemetry settled_;
 };
 
 CampaignEngine::~CampaignEngine() = default;
@@ -1142,7 +1190,10 @@ CampaignEngine::prepare()
         const std::uint64_t footprint = g.allocator().used() / 4;
         mem::MemFaultPlane recorder(cfg_.gpu.eccKind);
         if (sink && cfg_.space.memEnabled) {
-            access_log = std::make_shared<mem::MemAccessLog>(footprint);
+            // The log spans every word a memory site can strike, so
+            // the log decides every memory site (settledByAccessLog).
+            access_log = std::make_shared<mem::MemAccessLog>(
+                std::max(footprint, cfg_.space.memWords));
             recorder.recordInto(access_log.get());
             g.mem().attachFaultPlane(&recorder);
         }
@@ -1155,8 +1206,9 @@ CampaignEngine::prepare()
         g.mem().attachFaultPlane(nullptr);
         // The log shows the golden run only if that is what this
         // pass was; a comparator alarm here would make it otherwise.
-        if (r.dmr.errorsDetected > 0)
-            access_log.reset();
+        if (access_log && r.dmr.errorsDetected > 0)
+            warped_fatal("workload '", w->name(),
+                         "' raised a DMR alarm on a fault-free GPU");
         return Pass{r.cycles, footprint};
     };
     const Pass golden = fault_free_pass(

@@ -28,9 +28,10 @@
  *                  The memory-side analogue of Recovered;
  *  - **SDC**:      silent data corruption — wrong output, no alarm;
  *  - **DUE**:      detectable uncorrectable event — the fault broke
- *                  control flow and the watchdog ended the run, or
- *                  the run tripped a simulator sanity panic (an
- *                  aborted run, counted in abortedRuns).
+ *                  control flow and the watchdog ended the run, an
+ *                  ECC-flagged read raised a machine check (memory
+ *                  sites), or the run tripped a simulator sanity
+ *                  panic (an aborted run, counted in abortedRuns).
  *
  * The resulting CampaignReport carries per-kind and per-unit outcome
  * breakdowns, Wilson-score confidence intervals, detection-latency
@@ -46,8 +47,8 @@
  * state at each fork cycle in place into one resident site machine. A run whose fault window the golden
  * pass never asked the hook about is settled with no simulation at
  * all (settledByOracle), and so is a memory run whose upset the
- * golden pass never read, or read through a codec that corrects it
- * (settledByAccessLog).
+ * golden pass never read, or first read through a codec that
+ * corrects or flags it (settledByAccessLog).
  *
  * Long campaigns checkpoint periodically to a JSON state file and
  * resume from it: runs are folded in submission-index order in
@@ -144,7 +145,8 @@ OutcomeClass classifyOutcome(bool activated, bool detected, bool hung,
  *
  * @param activated        the upset word was read at least once
  * @param ecc_uncorrectable the codec flagged a detected-but-
- *        uncorrectable read — a memory DUE, regardless of output
+ *        uncorrectable read — a machine check, so a memory DUE
+ *        regardless of output
  * @param ecc_corrected    the codec transparently repaired a read
  * @param detected         the execution-side DMR comparator fired
  *        (essentially unreachable for memory data faults: redundant
@@ -268,9 +270,9 @@ struct CampaignReport
     std::uint64_t rollbacks = 0;
     std::uint64_t giveUps = 0;
 
-    /** Runs that tripped a simulator sanity panic and were
-     *  force-classified as hang-DUE (a run is a pure function of its
-     *  index, so it is never retried). */
+    /** Runs that tripped a simulator sanity panic before any machine
+     *  check and were force-classified as hang-DUE (a run is a pure
+     *  function of its index, so it is never retried). */
     std::uint64_t abortedRuns = 0;
     /** First few aborted sites, for post-mortem reproduction (not
      *  checkpointed — diagnostics only). */
@@ -347,9 +349,10 @@ bool settledByOracle(const gpu::Ladder &ladder, const FaultSpec &spec);
 /** What the golden access log decides about a memory site. */
 enum class MemSettlement
 {
-    Simulate,  ///< the log cannot tell: run the site
-    NotRead,   ///< Masked, not activated
-    Corrected, ///< EccCorrected, activated
+    Simulate,      ///< a silent first read, or no memory site: run it
+    NotRead,       ///< Masked, not activated
+    Corrected,     ///< EccCorrected, activated
+    Uncorrectable, ///< machine check: DUE, activated
 };
 
 /**
@@ -357,10 +360,12 @@ enum class MemSettlement
  * a memory upset whose word the ladder's capturing pass (kernel and
  * verify readback) never touched from the strike on, or wrote first,
  * is never read, so the run is the golden run (NotRead). One that is
- * read first, through a codec that corrects a read of it under
- * @p ecc, is scrubbed by that read and the run is again the golden
- * run, with one corrected read (Corrected). Every other memory site,
- * and every execution site, is Simulate.
+ * read first is decided by what @p ecc makes of that read
+ * (mem::MemFaultPlane::readStatus): a corrected read scrubs the upset
+ * and the run is again the golden run, with one corrected read
+ * (Corrected); a flagged read is a machine check that ends the run
+ * as a DUE (Uncorrectable). A silent first read, and every execution
+ * site, is Simulate.
  */
 MemSettlement settledByAccessLog(const mem::MemAccessLog &log,
                                  const FaultSpec &spec,
@@ -382,6 +387,13 @@ using WorkloadFactory =
  */
 struct ForkTelemetry
 {
+    /** Sites the golden activity oracle settled, and memory sites the
+     *  golden access log settled, by verdict; with sitesSimulated
+     *  they sum to the runs classified. */
+    std::uint64_t settledOracle = 0;
+    std::uint64_t settledNotRead = 0;
+    std::uint64_t settledCorrected = 0;
+    std::uint64_t settledMachineCheck = 0;
     /** Sites neither golden log settled. */
     std::uint64_t sitesSimulated = 0;
     /** Forks the golden machine reached by sweeping on from the
@@ -396,6 +408,10 @@ struct ForkTelemetry
     ForkTelemetry &
     operator+=(const ForkTelemetry &o)
     {
+        settledOracle += o.settledOracle;
+        settledNotRead += o.settledNotRead;
+        settledCorrected += o.settledCorrected;
+        settledMachineCheck += o.settledMachineCheck;
         sitesSimulated += o.sitesSimulated;
         sweepForks += o.sweepForks;
         rungForks += o.rungForks;
@@ -521,9 +537,9 @@ class CampaignEngine
      *  injected run forks by; valid (and immutable) after prepare(). */
     const gpu::Ladder &ladder() const { return *ladder_; }
 
-    /** The golden access log memory sites are settled from; null
-     *  when the space has no memory sites or the capturing pass saw
-     *  a comparator alarm. Valid (and immutable) after prepare(). */
+    /** The golden access log memory sites are settled from, over
+     *  every word a memory site can strike; null when the space has
+     *  no memory sites. Valid (and immutable) after prepare(). */
     const mem::MemAccessLog *accessLog() const { return accessLog_.get(); }
 
     /** What the last run() or runRange() simulated (zero before). */

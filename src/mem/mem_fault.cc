@@ -81,14 +81,17 @@ MemAccessLog::bytes() const
            segs_.capacity() * sizeof(Segment);
 }
 
-bool
-MemFaultPlane::correctsRead(arch::EccKind ecc, MemFaultKind kind,
-                            unsigned bit)
+CodecStatus
+MemFaultPlane::readStatus(arch::EccKind ecc, MemFaultKind kind,
+                          unsigned bit)
 {
     MemFaultPlane probe(ecc);
     probe.inject(0, kind, bit, 0);
     probe.filterWord(0, 0);
-    return probe.corrected() > 0;
+    if (probe.corrected() > 0)
+        return CodecStatus::Corrected;
+    return probe.uncorrectable() > 0 ? CodecStatus::Detected
+                                     : CodecStatus::Ok;
 }
 
 void

@@ -17,7 +17,8 @@
  *  - a corrected read scrubs the upset (the controller writes back
  *    the repaired word), so later reads are clean;
  *  - a detected-uncorrectable read raises the sticky `uncorrectable`
- *    flag — the campaign classifies the run as a memory DUE;
+ *    flag — a machine check: the campaign's run ends at that read
+ *    as a memory DUE;
  *  - with EccKind::None (or a silent alias) the corrupted data
  *    propagates into the pipeline — candidate SDC;
  *  - any write to the word at-or-after the strike re-encodes the
@@ -42,6 +43,7 @@
 
 #include "arch/gpu_config.hh"
 #include "common/types.hh"
+#include "mem/codec.hh"
 
 namespace warped {
 namespace mem {
@@ -127,13 +129,15 @@ class MemFaultPlane
     explicit MemFaultPlane(arch::EccKind ecc) : ecc_(ecc) {}
 
     /**
-     * Whether a read of a word struck by an upset of @p kind at
-     * @p bit is corrected under @p ecc. The codes are linear, so the
-     * answer does not depend on the stored word; this runs the
-     * plane's own read path on one.
+     * What @p ecc makes of a read of a word struck by an upset of
+     * @p kind at @p bit: Corrected (and scrubbed), Detected (the
+     * uncorrectable flag) or Ok (the corrupt word reaches the lane:
+     * a silent alias, or any read with ECC off). The codes are
+     * linear, so the answer does not depend on the stored word; this
+     * runs the plane's own read path on one.
      */
-    static bool correctsRead(arch::EccKind ecc, MemFaultKind kind,
-                             unsigned bit);
+    static CodecStatus readStatus(arch::EccKind ecc, MemFaultKind kind,
+                                  unsigned bit);
 
     /** Record mode (with no upset armed): note every access the
      *  plane is shown into @p log, or stop with nullptr. */

@@ -11,9 +11,11 @@
  * 0 — a Gpu::launch with no snapshot and no stop predicate, through
  * an always-live hook, output verified whenever the fault activated —
  * and classifies it with classifyOutcome (classifyMemOutcome for
- * memory-cell sites). Class, activation and detection latency must
- * all match. Then one sweep over the whole sample, every site forked
- * in turn on the same resident machines, must fold to exactly what
+ * memory-cell sites, whose one stop is the machine check a
+ * detected-uncorrectable read raises). Class, activation and
+ * detection latency must all match. Then one sweep over the whole
+ * sample, every site forked in turn on the same resident machines,
+ * must fold to exactly what
  * the per-site verdicts fold to, so no state leaks from one site
  * into the next. The one allowed difference is the documented
  * first-detection exception: a site that detects and *then* trips a
@@ -57,6 +59,8 @@ struct Verdict
     bool hasLatency = false;
     std::uint64_t latency = 0;
     bool aborted = false;
+    /** Memory reference only: a flagged read ended the run. */
+    bool machineCheck = false;
 };
 
 /** Forwards to a FaultInjector but keeps the default liveness
@@ -140,34 +144,49 @@ reference(const FaultSpec &spec, Cycle span,
     }
 }
 
-/** Full simulation of memory site @p spec from cycle 0. */
+/** Full simulation of memory site @p spec from cycle 0. A
+ *  detected-uncorrectable read is a machine check: the run ends at
+ *  it, a DUE. */
 Verdict
 memReference(const FaultSpec &spec, Cycle span,
              const WorkloadFactory &factory, const EngineConfig &cfg)
 {
     auto w = factory();
+    // Outside the try: a panic thrown once the plane has flagged a
+    // read comes after the machine check that ended the run, so the
+    // run is that DUE, not an aborted one.
+    mem::MemFaultPlane plane(cfg.gpu.eccKind);
+    Verdict v;
     try {
         gpu::Gpu g(cfg.gpu, cfg.dmr, /*seed=*/1, nullptr, cfg.recovery,
                    cfg.scheme);
         w->setup(g);
-        mem::MemFaultPlane plane(cfg.gpu.eccKind);
         plane.inject(spec.memAddr, spec.memKind, spec.bit,
                      spec.cycleBegin);
         g.mem().attachFaultPlane(&plane);
+        const gpu::StopPredicate stop =
+            [&plane](Cycle, const gpu::LaunchLoop &) {
+                return plane.uncorrectable() > 0;
+            };
         const auto r = g.launch(w->program(), w->gridBlocks(),
-                                w->blockThreads(), span * 20 + 100000);
-        const bool outputOk = r.hung ? true : w->verify(g);
+                                w->blockThreads(), span * 20 + 100000,
+                                stop);
+        const bool outputOk =
+            r.hung || plane.uncorrectable() > 0 ? true : w->verify(g);
         g.mem().attachFaultPlane(nullptr);
-        Verdict v;
         v.activated = plane.consumedReads() > 0;
         v.cls = classifyMemOutcome(v.activated, plane.uncorrectable() > 0,
                                    plane.corrected() > 0,
                                    r.dmr.errorsDetected > 0, r.hung,
                                    outputOk);
-        return v;
     } catch (const std::exception &) {
-        return abortedVerdict();
+        if (plane.uncorrectable() == 0)
+            return abortedVerdict();
+        v.activated = true;
+        v.cls = OutcomeClass::Due;
     }
+    v.machineCheck = plane.uncorrectable() > 0;
+    return v;
 }
 
 /** The engine's verdict for run @p i, read off its one-run delta. */
@@ -545,9 +564,9 @@ TEST_P(OracleSoundness, SettledSitesNeverActivate)
  * the engine (settled from the log where it can be, else simulated
  * from a rung) and by full simulation from cycle 0 with no log
  * (memReference); class, activation and abort must match. The log
- * must settle every not-read and every corrected site, and the share
- * of memory sites it settles must reach a measured floor, so a log
- * that quietly settles nothing fails.
+ * must settle every not-read, every corrected and every
+ * machine-checked site, and the share of memory sites it settles must
+ * reach a measured floor, so a log that quietly settles nothing fails.
  */
 struct MemOracleCase
 {
@@ -629,8 +648,10 @@ TEST_P(MemOracleSoundness, SettledSitesMatchFullSimulation)
     engine.prepare();
     ASSERT_NE(engine.accessLog(), nullptr);
 
-    std::uint64_t memSites = 0, notRead = 0, corrected = 0, aborted = 0,
-                  wantNotRead = 0, wantCorrected = 0, oracleSettled = 0;
+    std::uint64_t memSites = 0, notRead = 0, corrected = 0,
+                  uncorrectable = 0, aborted = 0, wantNotRead = 0,
+                  wantCorrected = 0, wantUncorrectable = 0,
+                  oracleSettled = 0;
     std::vector<Verdict> verdicts;
     for (std::uint64_t i = 0; i < engine.plannedSites(); ++i) {
         const auto spec =
@@ -646,11 +667,13 @@ TEST_P(MemOracleSoundness, SettledSitesMatchFullSimulation)
             settledByAccessLog(*engine.accessLog(), spec, tc.ecc);
         notRead += settled == MemSettlement::NotRead;
         corrected += settled == MemSettlement::Corrected;
+        uncorrectable += settled == MemSettlement::Uncorrectable;
         const Verdict want =
             memReference(spec, engine.span(), tc.factory, cfg);
         aborted += want.aborted;
         wantNotRead += !want.activated;
         wantCorrected += want.cls == OutcomeClass::EccCorrected;
+        wantUncorrectable += want.machineCheck;
         SCOPED_TRACE("memory run " + std::to_string(i) + " (" +
                      mem::memFaultKindSlug(spec.memKind) + ", addr " +
                      std::to_string(spec.memAddr) + ", bit " +
@@ -660,25 +683,32 @@ TEST_P(MemOracleSoundness, SettledSitesMatchFullSimulation)
         EXPECT_EQ(got.activated, want.activated);
         EXPECT_EQ(got.aborted, want.aborted);
     }
+    const std::uint64_t settled = notRead + corrected + uncorrectable;
     std::printf("%s: %llu memory sites, settled %llu not read + %llu "
-                "corrected, %llu aborted under full simulation; log "
-                "%zu bytes\n",
+                "corrected + %llu machine check, %llu aborted under full "
+                "simulation; log %zu bytes\n",
                 tc.name, static_cast<unsigned long long>(memSites),
                 static_cast<unsigned long long>(notRead),
                 static_cast<unsigned long long>(corrected),
+                static_cast<unsigned long long>(uncorrectable),
                 static_cast<unsigned long long>(aborted),
                 engine.accessLog()->bytes());
-    expectSweepFolds(engine, verdicts, notRead + corrected + oracleSettled);
+    expectSweepFolds(engine, verdicts, settled + oracleSettled);
     EXPECT_GT(memSites, 0u);
     EXPECT_EQ(aborted > 0, tc.aborts);
     // The log is exact for the classes it settles.
     EXPECT_EQ(notRead, wantNotRead);
     EXPECT_EQ(corrected, wantCorrected);
-    EXPECT_GE((notRead + corrected) * 100, memSites * tc.floorPct);
+    EXPECT_EQ(uncorrectable, wantUncorrectable);
+    EXPECT_GE(settled * 100, memSites * tc.floorPct);
 }
 
 const WorkloadFactory kMatrixMul32 = [] {
     return workloads::makeMatrixMul(32);
+};
+const WorkloadFactory kPanicking = [] {
+    return std::make_unique<PanicsOnWrongOutput>(
+        workloads::makeMatrixMul(32));
 };
 
 INSTANTIATE_TEST_SUITE_P(
@@ -686,7 +716,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         MemOracleCase{"matrixmul_secded", kMatrixMul32,
                       arch::MemModel::Banked, arch::EccKind::Secded, false,
-                      false, 90},
+                      false, 95},
         MemOracleCase{"matrixmul_flat_none", kMatrixMul32,
                       arch::MemModel::Flat, arch::EccKind::None, false,
                       false, 85},
@@ -698,28 +728,29 @@ INSTANTIATE_TEST_SUITE_P(
                       false, 95},
         MemOracleCase{"scan_secded", [] { return workloads::makeScan(4); },
                       arch::MemModel::Banked, arch::EccKind::Secded, false,
-                      false, 90},
+                      false, 95},
         MemOracleCase{"bfs_chipkill", [] { return workloads::makeBfs(4); },
                       arch::MemModel::Banked, arch::EccKind::Chipkill,
                       false, false, 95},
         MemOracleCase{"sha_secded_recovery",
                       [] { return workloads::makeSha(4); },
                       arch::MemModel::Banked, arch::EccKind::Secded, true,
-                      false, 90},
+                      false, 95},
         MemOracleCase{"matrixmul_both", kMatrixMul32,
                       arch::MemModel::Banked, arch::EccKind::Secded, false,
-                      true, 90},
-        // Every read of a double-bit upset is detected-uncorrectable
-        // under SECDED, and a corrupt output makes this workload's
-        // host check panic: those runs abort, which no settled
-        // verdict may hide.
-        MemOracleCase{"matrixmul_secded_double_aborting",
-                      [] {
-                          return std::make_unique<PanicsOnWrongOutput>(
-                              workloads::makeMatrixMul(32));
-                      },
+                      true, 95},
+        // With ECC off every read of a double-bit upset reaches the
+        // lane, and a corrupt output makes this workload's host check
+        // panic: those runs abort, which no settled verdict may hide.
+        MemOracleCase{"matrixmul_none_double_aborting", kPanicking,
+                      arch::MemModel::Banked, arch::EccKind::None, false,
+                      false, 85, {mem::MemFaultKind::DoubleBit}, true},
+        // Under SECDED every read of a double-bit upset is flagged: a
+        // machine check ends the run before the panicking host check,
+        // so every read site settles and none aborts.
+        MemOracleCase{"matrixmul_secded_double", kPanicking,
                       arch::MemModel::Banked, arch::EccKind::Secded, false,
-                      false, 85, {mem::MemFaultKind::DoubleBit}, true}),
+                      false, 100, {mem::MemFaultKind::DoubleBit}}),
     [](const ::testing::TestParamInfo<MemOracleCase> &info) {
         return std::string(info.param.name);
     });

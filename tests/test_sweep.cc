@@ -163,3 +163,39 @@ TEST(ForkTelemetry, StaysOutOfTheReportAndForksNextToTheFault)
         EXPECT_EQ(t.sitesSimulated, simulated);
     }
 }
+
+TEST(ForkTelemetry, SettledCountsAreJobsIndependentAndCoverThePlan)
+{
+    setVerbose(false);
+    const SweepCase tc = sweepCases()[1]; // MatrixMul-32 both, SECDED
+    EngineConfig ec = tc.cfg;
+    ec.seed = 7;
+    ec.sites = 400;
+    ec.checkpointEvery = 150;
+    ForkTelemetry first;
+    for (const unsigned jobs : {1u, 3u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        ec.jobs = jobs;
+        CampaignEngine engine(tc.factory, ec);
+        engine.run();
+        const auto &t = engine.forkTelemetry();
+        // Every run is settled by one golden log or simulated, and
+        // each verdict occurs here.
+        EXPECT_EQ(t.settledOracle + t.settledNotRead + t.settledCorrected +
+                      t.settledMachineCheck + t.sitesSimulated,
+                  engine.plannedSites());
+        EXPECT_GT(t.settledOracle, 0u);
+        EXPECT_GT(t.settledNotRead, 0u);
+        EXPECT_GT(t.settledCorrected, 0u);
+        EXPECT_GT(t.settledMachineCheck, 0u);
+        if (jobs == 1) {
+            first = t;
+            continue;
+        }
+        EXPECT_EQ(t.settledOracle, first.settledOracle);
+        EXPECT_EQ(t.settledNotRead, first.settledNotRead);
+        EXPECT_EQ(t.settledCorrected, first.settledCorrected);
+        EXPECT_EQ(t.settledMachineCheck, first.settledMachineCheck);
+        EXPECT_EQ(t.sitesSimulated, first.sitesSimulated);
+    }
+}
