@@ -540,10 +540,15 @@ campaignMain(int argc, char **argv)
     printCampaignReport(rep);
     // Fork telemetry depends on --jobs, so it stays out of the report.
     const auto &ft = engine.forkTelemetry();
+    const auto perSite = [&ft](std::uint64_t n) {
+        return ft.sitesSimulated ? double(n) / double(ft.sitesSimulated)
+                                 : 0.0;
+    };
     std::fprintf(stderr,
                  "fork: %llu sites simulated (%llu forked from the sweep, "
                  "%llu from a rung), %llu golden cycles advanced, %llu "
-                 "site cycles simulated (%.1f per site); settled %llu by "
+                 "site cycles simulated (%.1f per site), %llu register "
+                 "planes copied (%.1f per site); settled %llu by "
                  "the activity oracle, %llu not read, %llu corrected, "
                  "%llu machine check\n",
                  static_cast<unsigned long long>(ft.sitesSimulated),
@@ -551,9 +556,9 @@ campaignMain(int argc, char **argv)
                  static_cast<unsigned long long>(ft.rungForks),
                  static_cast<unsigned long long>(ft.goldenCycles),
                  static_cast<unsigned long long>(ft.siteCycles),
-                 ft.sitesSimulated
-                     ? double(ft.siteCycles) / double(ft.sitesSimulated)
-                     : 0.0,
+                 perSite(ft.siteCycles),
+                 static_cast<unsigned long long>(ft.planesCopied),
+                 perSite(ft.planesCopied),
                  static_cast<unsigned long long>(ft.settledOracle),
                  static_cast<unsigned long long>(ft.settledNotRead),
                  static_cast<unsigned long long>(ft.settledCorrected),

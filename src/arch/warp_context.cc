@@ -59,21 +59,21 @@ WarpContext::setReg(unsigned lane, RegIndex r, RegValue v)
     written_ |= regBit(r);
 }
 
-const RegValue *
-WarpContext::regPlane(RegIndex r) const
+void
+WarpContext::copyFrom(const WarpContext &o, std::uint64_t planes)
 {
-    if (r >= numRegs_)
-        warped_panic("register plane out of range: r", unsigned(r));
-    return regs_.data() + std::size_t{r} * warpSize_;
-}
-
-RegValue *
-WarpContext::regPlane(RegIndex r)
-{
-    if (r >= numRegs_)
-        warped_panic("register plane out of range: r", unsigned(r));
-    written_ |= regBit(r);
-    return regs_.data() + std::size_t{r} * warpSize_;
+    restoreHeader(o.header());
+    stack_ = o.stack_;
+    if (planes == ~std::uint64_t{0}) {
+        regs_ = o.regs_;
+    } else {
+        for (unsigned r = 0; r < numRegs_; ++r)
+            if (planes & regBit(static_cast<RegIndex>(r)))
+                std::copy_n(o.regs_.data() + std::size_t{r} * warpSize_,
+                            warpSize_,
+                            regs_.data() + std::size_t{r} * warpSize_);
+    }
+    written_ = 0;
 }
 
 void

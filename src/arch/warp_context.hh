@@ -6,6 +6,7 @@
 #ifndef WARPED_ARCH_WARP_CONTEXT_HH
 #define WARPED_ARCH_WARP_CONTEXT_HH
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -74,18 +75,31 @@ class WarpContext
     void setReg(unsigned lane, RegIndex r, RegValue v);
 
     /** Contiguous per-lane plane of register @p r (SoA hot path);
-     *  element i is lane i's value. Bounds-checked once per plane.
-     *  The mutable overload counts as a write (see takeWritten), so
-     *  read through a const context. */
-    const RegValue *regPlane(RegIndex r) const;
-    RegValue *regPlane(RegIndex r);
+     *  element i is lane i's value. @p r must be below numRegs():
+     *  isa::Program rejects any instruction naming a register outside
+     *  its window, so the check is a debug assertion. The mutable
+     *  overload counts as a write (see takeWritten), so read through a
+     *  const context. */
+    const RegValue *
+    regPlane(RegIndex r) const
+    {
+        assert(r < numRegs_);
+        return regs_.data() + std::size_t{r} * warpSize_;
+    }
+    RegValue *
+    regPlane(RegIndex r)
+    {
+        assert(r < numRegs_);
+        written_ |= regBit(r);
+        return regs_.data() + std::size_t{r} * warpSize_;
+    }
 
     /**
      * Registers possibly written since the previous call, as a bit
      * mask (bit r = register r; bit 63 stands for every register from
      * 63 up), then forget them. Everything counts as written after
-     * construction and reinit(). Snapshot capture copies only these
-     * register planes.
+     * construction and reinit(). Snapshot capture and the fork
+     * (sm::Sm::copyFrom) copy only these register planes.
      */
     std::uint64_t
     takeWritten()
@@ -130,6 +144,15 @@ class WarpContext
         exited_ = h.exited;
         atBarrier_ = h.atBarrier;
     }
+
+    /**
+     * Make this context equal to @p o (same warp size and register
+     * count): header and SIMT stack, and of the register file only the
+     * planes @p planes names (bits as in takeWritten) — the caller
+     * knows the others already match. Afterwards nothing counts as
+     * written.
+     */
+    void copyFrom(const WarpContext &o, std::uint64_t planes);
 
     SimtStack &stack() { return stack_; }
     const SimtStack &stack() const { return stack_; }

@@ -71,6 +71,18 @@ DmrEngine::saveState() const
 }
 
 void
+DmrEngine::copyFrom(const protection::ProtectionScheme &o)
+{
+    const DmrEngine &e = protection::sameScheme(*this, o);
+    queue_.copyFrom(e.queue_);
+    rng_ = e.rng_;
+    stats_ = e.stats_;
+    hasPending_ = e.hasPending_;
+    if (hasPending_)
+        pendingRec().copyFrom(e.pendingRec(), gpu_.warpSize);
+}
+
+void
 DmrEngine::attachRecorder(trace::Recorder *rec)
 {
     recorder_ = rec;

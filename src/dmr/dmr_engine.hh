@@ -161,6 +161,7 @@ class DmrEngine final : public protection::ProtectionScheme
     State saveStateValue() const;
     void restoreState(const State &s);
     std::unique_ptr<protection::SchemeState> saveState() const override;
+    void copyFrom(const protection::ProtectionScheme &o) override;
 
   private:
     /** Intra-warp DMR: RFU pairing + comparison; updates coverage. */
@@ -231,6 +232,11 @@ class DmrEngine final : public protection::ProtectionScheme
     bool hasPending_ = false;
 
     func::ExecRecord &pendingRec() { return scratchIsA_ ? bufB_ : bufA_; }
+    const func::ExecRecord &
+    pendingRec() const
+    {
+        return scratchIsA_ ? bufB_ : bufA_;
+    }
 
     /** Unit type used by a verification this cycle (-1 = none):
      *  the opportunistic drain must not double-book an issue slot. */

@@ -59,6 +59,23 @@ ReplayQueue::restoreState(const State &s)
 }
 
 void
+ReplayQueue::copyFrom(const ReplayQueue &o)
+{
+    if (o.capacity_ != capacity_ || o.warpSize_ != warpSize_)
+        warped_panic("ReplayQueue copy across capacities or warp widths");
+    for (const std::uint32_t slot : o.order_) {
+        slots_[slot].rec.copyFrom(o.slots_[slot].rec, warpSize_);
+        slots_[slot].enqueued = o.slots_[slot].enqueued;
+    }
+    order_ = o.order_;
+    free_ = o.free_;
+    writeBit_ = o.writeBit_;
+    writeRegMask_ = o.writeRegMask_;
+    typeCount_ = o.typeCount_;
+    peakDepth_ = o.peakDepth_;
+}
+
+void
 ReplayQueue::push(const func::ExecRecord &rec, Cycle now)
 {
     if (full())

@@ -147,6 +147,10 @@ class ReplayQueue
      *  and warp width). Slot numbering may differ from the saving
      *  queue's; nothing observes it. */
     void restoreState(const State &s);
+    /** Make the contents equal to @p o's (a queue of the same
+     *  capacity and warp width), slot numbering included; only the
+     *  occupied entries' records are copied. */
+    void copyFrom(const ReplayQueue &o);
 
     /** Paper §4.3.1: bytes one entry occupies in hardware. */
     static constexpr std::size_t

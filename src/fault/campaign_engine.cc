@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -16,7 +17,6 @@
 #include "gpu/gpu.hh"
 #include "mem/mem_fault.hh"
 #include "sim/run_pool.hh"
-#include "sm/plane_store.hh"
 #include "stats/accumulator.hh"
 
 namespace warped {
@@ -543,6 +543,35 @@ countSettled(ForkTelemetry &t, const RunRecord &rec)
         ++t.settledMachineCheck;
 }
 
+/**
+ * What classifying a site reads of its run, straight off the site
+ * machine's SMs: the fields of the LaunchResult Gpu::finish would
+ * build from them (the aggregation concatenates the SMs' error logs
+ * in SM order, so the first detection is the first non-empty log's
+ * front).
+ */
+struct SiteEnd
+{
+    SiteEnd(const gpu::Gpu &g, const gpu::LaunchLoop::Outcome &o)
+        : cycles(o.cycles), hung(o.hung)
+    {
+        for (const auto &sp : g.sms()) {
+            const dmr::DmrStats &d = sp->scheme().stats();
+            detections += d.errorsDetected;
+            if (!firstDetection && !d.errorLog.empty())
+                firstDetection = d.errorLog.front().cycle;
+            if (sp->recovery())
+                recovery.merge(sp->recovery()->stats());
+        }
+    }
+
+    Cycle cycles;
+    bool hung;
+    std::uint64_t detections = 0;
+    std::optional<Cycle> firstDetection;
+    recovery::RecoveryStats recovery;
+};
+
 /** Clears a resident machine's per-site attachments however the site
  *  ends (aborted runs throw). */
 struct SiteScope
@@ -567,9 +596,12 @@ struct SiteScope
  * A site forked at cycle c (Ladder::execFork, or a memory upset's
  * strike) is the golden run until c (docs/FAULT_MODEL.md, "Snapshot
  * fork"): the golden machine advances to c — restarting from the
- * ladder rung at or before c when that rung is ahead of it — and a
- * snapshot taken there is restored in place into the site machine,
- * which then runs under the site's fault to its usual exit.
+ * ladder rung at or before c when that rung is ahead of it — and the
+ * site machine is made equal to it there (gpu::Gpu::forkFrom, which
+ * copies only what either machine changed since their previous
+ * fork). The site machine then runs under the site's fault to its
+ * usual exit, and the site is classified from its SMs (SiteEnd), with
+ * no launch result built.
  */
 class Resident
 {
@@ -584,8 +616,7 @@ class Resident
           golden_(cfg.gpu, cfg.dmr, /*seed=*/1, nullptr, cfg.recovery,
                   cfg.scheme),
           site_(cfg.gpu, cfg.dmr, /*seed=*/1, nullptr, cfg.recovery,
-                cfg.scheme),
-          planes_(std::make_shared<sm::PlaneStore>(cfg.gpu.warpSize))
+                cfg.scheme)
     {
         w_->setup(site_);
     }
@@ -656,12 +687,7 @@ class Resident
         const Cycle from = golden_.cycle();
         golden_.advanceTo(fork);
         tel_.goldenCycles += golden_.cycle() - from;
-        site_.restore(prog, grid, block, golden_.capture(planes_));
-        // The fork's snapshot is dead once restored: keep the plane
-        // store it appended to bounded (the next capture after a
-        // clear copies every live plane again).
-        if (planes_->bytes() > kForkPlaneBytes)
-            planes_->clear();
+        tel_.planesCopied += site_.forkFrom(golden_);
         return site_.cycle();
     }
 
@@ -691,11 +717,11 @@ class Resident
         const Cycle start = forkAt(fork);
         SiteScope scope{site_};
         site_.setHook(&injector);
-        const auto r = site_.finish(watchdog_, stop);
+        const SiteEnd r(site_, site_.runToEnd(watchdog_, stop));
         tel_.siteCycles += r.cycles - start;
 
         rec.activated = injector.activations() > 0;
-        const bool detected = r.dmr.errorsDetected > 0;
+        const bool detected = r.detections > 0;
         const bool recoveredClean = cfg_.recovery.enabled && detected &&
                                     r.recovery.giveUps == 0;
         // The golden-reference comparison: Workload::verify checks
@@ -711,8 +737,8 @@ class Resident
                                   outputOk, recoveredClean);
         if ((rec.cls == OutcomeClass::Detected ||
              rec.cls == OutcomeClass::Recovered) &&
-            !r.dmr.errorLog.empty()) {
-            const Cycle det = r.dmr.errorLog.front().cycle;
+            r.firstDetection) {
+            const Cycle det = *r.firstDetection;
             const Cycle act = injector.firstActivationCycle();
             rec.latency = det >= act ? det - act : 0;
             rec.hasLatency = true;
@@ -746,7 +772,7 @@ class Resident
         plane.inject(spec.memAddr, spec.memKind, spec.bit, spec.cycleBegin);
         SiteScope scope{site_};
         site_.mem().attachFaultPlane(&plane);
-        const auto r = site_.finish(watchdog_);
+        const SiteEnd r(site_, site_.runToEnd(watchdog_));
         tel_.siteCycles += r.cycles - start;
         // Host readback goes through the plane too, so an upset that
         // survives in an output word is caught by verify() whether or
@@ -758,11 +784,8 @@ class Resident
         rec.activated = plane.consumedReads() > 0;
         rec.cls = classifyMemOutcome(
             rec.activated, plane.uncorrectable() > 0, plane.corrected() > 0,
-            r.dmr.errorsDetected > 0, r.hung, outputOk);
+            r.detections > 0, r.hung, outputOk);
     }
-
-    /** Fork plane-store cap (see forkAt). */
-    static constexpr std::size_t kForkPlaneBytes = std::size_t{1} << 20;
 
     const EngineConfig &cfg_;
     const gpu::Ladder &ladder_;
@@ -770,7 +793,6 @@ class Resident
     std::unique_ptr<workloads::Workload> w_;
     gpu::Gpu golden_;
     gpu::Gpu site_;
-    std::shared_ptr<sm::PlaneStore> planes_;
     /** The golden machine stands somewhere on the golden run. */
     bool goldenValid_ = false;
     ForkTelemetry tel_;

@@ -404,6 +404,10 @@ struct ForkTelemetry
     std::uint64_t goldenCycles = 0;
     /** Cycles the site machines simulated, fork to exit. */
     std::uint64_t siteCycles = 0;
+    /** Register planes the forks copied from golden to site machine
+     *  (gpu::Gpu::forkFrom): only those either machine wrote since
+     *  the pair's previous fork. */
+    std::uint64_t planesCopied = 0;
 
     ForkTelemetry &
     operator+=(const ForkTelemetry &o)
@@ -417,6 +421,7 @@ struct ForkTelemetry
         rungForks += o.rungForks;
         goldenCycles += o.goldenCycles;
         siteCycles += o.siteCycles;
+        planesCopied += o.planesCopied;
         return *this;
     }
 };

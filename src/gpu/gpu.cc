@@ -268,5 +268,52 @@ Gpu::finish(Cycle cycle_cap, const StopPredicate &stop)
     return run(cycle_cap, stop, nullptr);
 }
 
+LaunchLoop::Outcome
+Gpu::runToEnd(Cycle cycle_cap, const StopPredicate &stop)
+{
+    if (!machine_)
+        warped_panic("Gpu::runToEnd with no launch bound");
+    return drive(cycle_cap, &stop, nullptr, nullptr);
+}
+
+const std::vector<std::unique_ptr<sm::Sm>> &
+Gpu::sms() const
+{
+    if (!machine_)
+        warped_panic("Gpu::sms with no launch bound");
+    return machine_->sms;
+}
+
+std::uint64_t
+Gpu::forkFrom(Gpu &golden)
+{
+    if (!golden.machine_)
+        warped_panic("Gpu::forkFrom a machine with no launch bound");
+    Machine &g = *golden.machine_;
+    if (golden.cfg_.numSms != cfg_.numSms ||
+        golden.cfg_.usesMemorySystem() != cfg_.usesMemorySystem())
+        warped_panic("Gpu::forkFrom a machine of another configuration");
+    if (!machine_ || &machine_->prog != &g.prog ||
+        machine_->gridBlocks != g.gridBlocks ||
+        machine_->blockThreads != g.blockThreads)
+        bind(g.prog, g.gridBlocks, g.blockThreads);
+    Machine &m = *machine_;
+    const bool paired = forkPeer_ == &golden && golden.forkPeer_ == this;
+    forkPeer_ = &golden;
+    golden.forkPeer_ = this;
+    if (!paired || forkedEpochs_.golden != golden.mem_.writeEpoch() ||
+        forkedEpochs_.site != mem_.writeEpoch()) {
+        mem_.copyFrom(golden.mem_);
+        forkedEpochs_ = {golden.mem_.writeEpoch(), mem_.writeEpoch()};
+    }
+    if (cfg_.usesMemorySystem())
+        m.memSys.restoreState(g.memSys.state());
+    std::uint64_t planes = 0;
+    for (std::size_t s = 0; s < m.sms.size(); ++s)
+        planes += m.sms[s]->copyFrom(*g.sms[s]);
+    m.at = g.at;
+    return planes;
+}
+
 } // namespace gpu
 } // namespace warped

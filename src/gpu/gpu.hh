@@ -12,9 +12,12 @@
  * machine at cycle 0 (or at a snapshot), runs it to the end and
  * discards it. Fault
  * campaigns keep the machine resident instead: restore() puts it at
- * a snapshot in place, advanceTo() and finish() run it on, and
- * capture() snapshots it where it stands (docs/FAULT_MODEL.md,
- * "Snapshot fork"). A Gpu instance is fully self-contained —
+ * a snapshot in place, advanceTo() and finish() run it on, capture()
+ * snapshots it where it stands, and forkFrom() makes it equal to
+ * another resident machine, copying what changed since the two last
+ * forked (docs/FAULT_MODEL.md, "Snapshot fork"). A site run drives
+ * the machine with runToEnd() and reads what it needs off sms(),
+ * with no LaunchResult built. A Gpu instance is fully self-contained —
  * independent instances may run concurrently on different threads
  * (sim::RunPool relies on this).
  */
@@ -145,6 +148,28 @@ class Gpu
     LaunchResult finish(Cycle cycle_cap = 0,
                         const StopPredicate &stop = {});
 
+    /** finish() without the aggregation: the run's statistics stay in
+     *  the SMs (sms()), and no trace events are recorded. */
+    LaunchLoop::Outcome runToEnd(Cycle cycle_cap = 0,
+                                 const StopPredicate &stop = {});
+
+    /** The bound machine's SMs. */
+    const std::vector<std::unique_ptr<sm::Sm>> &sms() const;
+
+    /**
+     * The machine fork: make the bound machine equal to @p golden's,
+     * a machine of the same configuration that stands somewhere in
+     * the same launch, binding the launch first when needed. Global
+     * memory, the memory system, every SM (sm::Sm::copyFrom) and the
+     * loop position are copied into this machine's own buffers, but
+     * register planes, shared segments and global memory only where
+     * either machine wrote since the pair's previous fork; that is
+     * why @p golden is not const (its write bits are consumed). The
+     * hook and an attached fault plane are left as they are.
+     * @return register planes copied.
+     */
+    std::uint64_t forkFrom(Gpu &golden);
+
   private:
     struct Machine;
 
@@ -172,6 +197,15 @@ class Gpu
     mem::Memory mem_;
     mem::LinearAllocator alloc_;
     std::unique_ptr<Machine> machine_;
+    /** The machine this one last forked from or into (forkFrom); the
+     *  pair's global memories are in sync only while each names the
+     *  other and neither write epoch moved from forkedEpochs_. */
+    const Gpu *forkPeer_ = nullptr;
+    struct ForkedEpochs
+    {
+        std::uint64_t golden = 0;
+        std::uint64_t site = 0;
+    } forkedEpochs_;
 };
 
 } // namespace gpu

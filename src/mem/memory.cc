@@ -113,13 +113,28 @@ Memory::restoreSpan(const Span &s)
     const std::size_t hi = s.lo + s.bytes.size();
     if (hi > bytes_.size() || hi < s.lo)
         outOfBounds(s.lo, s.bytes.size());
+    assignSpan(s.lo, hi, s.bytes.data());
+}
+
+void
+Memory::copyFrom(const Memory &o)
+{
+    if (o.size() != size())
+        warped_panic("memory copy from ", o.size(), " bytes into ",
+                     size());
+    assignSpan(o.dirtyLo_, o.dirtyHi_, o.bytes_.data() + o.dirtyLo_);
+}
+
+void
+Memory::assignSpan(std::size_t lo, std::size_t hi, const std::uint8_t *src)
+{
     // Only the current written span can be non-zero; skip zeroing it
     // when the incoming span covers it anyway.
-    if (dirtyLo_ < dirtyHi_ && (dirtyLo_ < s.lo || dirtyHi_ > hi))
+    if (dirtyLo_ < dirtyHi_ && (lo >= hi || dirtyLo_ < lo || dirtyHi_ > hi))
         std::memset(bytes_.data() + dirtyLo_, 0, dirtyHi_ - dirtyLo_);
-    if (!s.bytes.empty()) {
-        std::memcpy(bytes_.data() + s.lo, s.bytes.data(), s.bytes.size());
-        dirtyLo_ = s.lo;
+    if (lo < hi) {
+        std::memcpy(bytes_.data() + lo, src, hi - lo);
+        dirtyLo_ = lo;
         dirtyHi_ = hi;
     } else {
         dirtyLo_ = bytes_.size();

@@ -116,7 +116,16 @@ class Memory
      */
     void restoreSpan(const Span &s);
 
+    /** Make the contents equal to @p o's (a memory of the same size),
+     *  as restoreSpan does for its written span: the machine fork
+     *  (gpu::Gpu::forkFrom) copies memory to memory this way. */
+    void copyFrom(const Memory &o);
+
   private:
+    /** Make the contents the @p hi - @p lo bytes at @p src in
+     *  [lo, hi), zero everywhere else (nothing when lo >= hi). */
+    void assignSpan(std::size_t lo, std::size_t hi, const std::uint8_t *src);
+
     /** Widen the written span to cover [addr, addr + n). */
     void
     markDirty(Addr addr, std::size_t n)

@@ -100,6 +100,15 @@ PartialThreadScheme::saveState() const
         State{engine_.saveStateValue(), stallAcc_, partial_});
 }
 
+void
+PartialThreadScheme::copyFrom(const ProtectionScheme &o)
+{
+    const PartialThreadScheme &p = sameScheme(*this, o);
+    engine_.copyFrom(p.engine_);
+    stallAcc_ = p.stallAcc_;
+    partial_ = p.partial_;
+}
+
 const dmr::DmrStats &
 PartialThreadScheme::stats() const
 {

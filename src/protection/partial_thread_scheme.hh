@@ -102,6 +102,7 @@ class PartialThreadScheme final : public ProtectionScheme
     };
     void restoreState(const State &s);
     std::unique_ptr<SchemeState> saveState() const override;
+    void copyFrom(const ProtectionScheme &o) override;
 
   private:
     const arch::GpuConfig &gpu_;

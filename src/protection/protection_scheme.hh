@@ -204,7 +204,24 @@ class ProtectionScheme
     /** Copy the mutable state at a cycle boundary (snapshot
      *  support); SchemeState::restoreInto puts it back. */
     virtual std::unique_ptr<SchemeState> saveState() const = 0;
+
+    /** Make the mutable state (what saveState would copy) equal to
+     *  @p o's at a cycle boundary, copying into this scheme's own
+     *  buffers (the machine fork, sm::Sm::copyFrom). @p o must be a
+     *  scheme of the same type and configuration. */
+    virtual void copyFrom(const ProtectionScheme &o) = 0;
 };
+
+/** @p o as the scheme type of @p self, for copyFrom; panics when @p o
+ *  is another scheme. */
+template <class S>
+const S &
+sameScheme(const S &self, const ProtectionScheme &o)
+{
+    if (o.id() != self.id())
+        warped_panic("fork from a different protection scheme");
+    return static_cast<const S &>(o);
+}
 
 } // namespace protection
 } // namespace warped

@@ -26,6 +26,21 @@ ReplayCompareScheme::restoreState(const State &s)
     replayLeft_ = s.replayLeft;
 }
 
+void
+ReplayCompareScheme::copyFrom(const ProtectionScheme &o)
+{
+    const ReplayCompareScheme &r = sameScheme(*this, o);
+    stats_ = r.stats_;
+    candidates_ = r.candidates_;
+    droppedCandidates_ = r.droppedCandidates_;
+    replayExecs_ = r.replayExecs_;
+    firstIssue_ = r.firstIssue_;
+    lastIssue_ = r.lastIssue_;
+    any_ = r.any_;
+    phase_ = r.phase_;
+    replayLeft_ = r.replayLeft_;
+}
+
 std::unique_ptr<SchemeState>
 ReplayCompareScheme::saveState() const
 {

@@ -88,6 +88,7 @@ class ReplayCompareScheme final : public SoftwareSchemeBase
     };
     void restoreState(const State &s);
     std::unique_ptr<SchemeState> saveState() const override;
+    void copyFrom(const ProtectionScheme &o) override;
 
   private:
     void finishReplay(Cycle end);

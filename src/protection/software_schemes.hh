@@ -95,6 +95,11 @@ class SoftwareSchemeBase : public ProtectionScheme
     };
     void restoreState(const State &s) { stats_ = s.stats; }
     std::unique_ptr<SchemeState> saveState() const override;
+    void
+    copyFrom(const ProtectionScheme &o) override
+    {
+        stats_ = sameScheme(*this, o).stats_;
+    }
 
   protected:
     /**
@@ -171,6 +176,13 @@ class RThreadScheme final : public SoftwareSchemeBase
         stallAcc_ = s.stallAcc;
     }
     std::unique_ptr<SchemeState> saveState() const override;
+    void
+    copyFrom(const ProtectionScheme &o) override
+    {
+        const RThreadScheme &r = sameScheme(*this, o);
+        stats_ = r.stats_;
+        stallAcc_ = r.stallAcc_;
+    }
 
   private:
     /** Duplicated threads that found no spare lane, pending

@@ -9,8 +9,8 @@
  * referenced again (arch::WarpContext::takeWritten says which). A
  * rung then costs the planes its interval wrote, not the whole
  * register file. Append-only while capturing; compact() drops planes
- * no surviving snapshot references, and clear() drops them all.
- * Read-only (and so shareable across threads) once capture ends.
+ * no surviving snapshot references. Read-only (and so shareable
+ * across threads) once capture ends.
  */
 
 #ifndef WARPED_SM_PLANE_STORE_HH
@@ -61,17 +61,6 @@ class PlaneStore
     bytes() const
     {
         return sizeof(*this) + std::size_t{count_} * ws_ * sizeof(RegValue);
-    }
-
-    /** Drop every plane (a store reused across many short-lived
-     *  snapshots stays bounded this way). Like compact(), it
-     *  invalidates every index handed out earlier. */
-    void
-    clear()
-    {
-        chunks_.clear();
-        count_ = 0;
-        ++generation_;
     }
 
     /** Keep only the planes @p lists reference, renumbering them in

@@ -568,6 +568,9 @@ Sm::saveState(PlaneStore &planes, Cycle now)
     capturedShared_.resize(blocks_.size());
     capturedInto_ = &planes;
     capturedGen_ = planes.generation();
+    // takeWritten below forgets this SM's writes: a fork partner can
+    // no longer rely on them.
+    pairedWith_ = nullptr;
     s.warps.reserve(residentWarps_);
     s.stacks.reserve(std::size_t{residentWarps_} * 4);
     s.planes.reserve(std::size_t{residentWarps_} * regs);
@@ -650,13 +653,10 @@ Sm::restoreState(const State &s, const PlaneStore &planes)
 {
     if (!s.recovery != !recovery_)
         warped_panic("SM ", smId_, ": snapshot of a different machine");
-    // Whatever this SM ran before, its capture cache no longer
-    // describes it.
-    ++mutations_;
-    captured_.reset();
-    capturedInto_ = nullptr;
-    std::fill(capturedShared_.begin(), capturedShared_.end(),
-              CapturedShared{});
+    // Whatever this SM ran before, neither its capture cache nor a
+    // fork partner describes it any more.
+    forgetCapture();
+    pairedWith_ = nullptr;
 
     // Empty every warp slot and scoreboard row; the snapshot's
     // resident warps then refill theirs. An empty slot's row is
@@ -733,6 +733,113 @@ Sm::restoreState(const State &s, const PlaneStore &planes)
     stallCycles_ = s.stallCycles;
     lastProgress_ = s.lastProgress;
     ldstPortFreeAt_ = s.ldstPortFreeAt;
+}
+
+void
+Sm::forgetCapture()
+{
+    ++mutations_;
+    captured_.reset();
+    capturedInto_ = nullptr;
+    std::fill(capturedShared_.begin(), capturedShared_.end(),
+              CapturedShared{});
+}
+
+std::uint64_t
+Sm::copyFrom(Sm &o)
+{
+    if (!o.recovery_ != !recovery_ || o.maxWarps_ != maxWarps_ ||
+        o.blocks_.size() != blocks_.size() ||
+        o.scoreboard_.numRegs() != scoreboard_.numRegs())
+        warped_panic("SM ", smId_, ": fork from a different machine");
+    // Since the pair's previous fork, every register either SM wrote
+    // is in its warps' write bits, unless something else consumed
+    // them (saveState, restoreState, a fork with another partner).
+    const bool paired = pairedWith_ == &o && o.pairedWith_ == this;
+    pairedWith_ = &o;
+    o.pairedWith_ = this;
+    forgetCapture();
+    o.forgetCapture();
+
+    const unsigned regs = scoreboard_.numRegs();
+    const unsigned ws = cfg_.warpSize;
+    std::uint64_t copied = 0;
+    warpState_ = o.warpState_;
+    warpPc_ = o.warpPc_;
+    warpBlockSlot_ = o.warpBlockSlot_;
+    for (unsigned w = 0; w < o.scanLimit_; ++w) {
+        if (o.warpState_[w] == kWarpEmpty)
+            continue;
+        arch::WarpContext &g = *o.warps_[w];
+        auto &ctx = warps_[w];
+        std::uint64_t planes = g.takeWritten();
+        if (paired && ctx)
+            planes |= ctx->takeWritten();
+        else
+            planes = ~std::uint64_t{0};
+        if (!ctx)
+            ctx.emplace(ws, prog_.numRegs(), 0, 0, ws, ws, 1);
+        ctx->copyFrom(g, planes);
+        for (unsigned r = 0; r < regs; ++r)
+            if (planes & arch::WarpContext::regBit(static_cast<RegIndex>(r)))
+                ++copied;
+    }
+    scoreboard_ = o.scoreboard_;
+
+    forkedShared_.resize(blocks_.size());
+    for (std::size_t k = 0; k < blocks_.size(); ++k) {
+        BlockSlot &b = blocks_[k];
+        const BlockSlot &gb = o.blocks_[k];
+        b.active = gb.active;
+        b.blockId = gb.blockId;
+        b.liveWarps = gb.liveWarps;
+        b.barrierWaiters = gb.barrierWaiters;
+        b.warpSlots = gb.warpSlots;
+        if (!gb.active)
+            continue;
+        const mem::Memory &gs = *gb.shared;
+        if (!b.shared || b.shared->size() != gs.size())
+            b.shared = std::make_unique<mem::Memory>(gs.size());
+        ForkedShared &f = forkedShared_[k];
+        if (!paired || f.golden != &gs || f.goldenEpoch != gs.writeEpoch() ||
+            f.site != b.shared.get() ||
+            f.siteEpoch != b.shared->writeEpoch()) {
+            b.shared->copyFrom(gs);
+            f = {&gs, b.shared.get(), gs.writeEpoch(),
+                 b.shared->writeEpoch()};
+        }
+    }
+
+    stats_ = o.stats_;
+    scheme_->copyFrom(*o.scheme_);
+    if (recovery_) {
+        *recovery_ = *o.recovery_;
+        recovery_->attachRecorder(recorder_);
+        // The copied undo entries name the golden SM's memories.
+        recovery_->ring().forEachUndo([&](func::MemUndo &u) {
+            if (u.mem == &o.global_) {
+                u.mem = &global_;
+                return;
+            }
+            std::size_t k = 0;
+            while (k < blocks_.size() && o.blocks_[k].shared.get() != u.mem)
+                ++k;
+            u.mem = k < blocks_.size() ? blocks_[k].shared.get() : nullptr;
+            if (!u.mem)
+                warped_panic("SM ", smId_, ": recovery undo entry names "
+                             "an unknown memory");
+        });
+    }
+    issueSeq_ = o.issueSeq_;
+    residentWarps_ = o.residentWarps_;
+    residentThreads_ = o.residentThreads_;
+    scanLimit_ = o.scanLimit_;
+    barrierBlocks_ = o.barrierBlocks_;
+    lastScheduled_ = o.lastScheduled_;
+    stallCycles_ = o.stallCycles_;
+    lastProgress_ = o.lastProgress_;
+    ldstPortFreeAt_ = o.ldstPortFreeAt_;
+    return copied;
 }
 
 } // namespace sm

@@ -211,6 +211,22 @@ class Sm
      */
     void restoreState(const State &s, const PlaneStore &planes);
 
+    /**
+     * The machine fork: make this SM equal to @p golden, an SM built
+     * for the same program and configuration (gpu::Gpu::forkFrom),
+     * whatever this one ran since — statistics, protection scheme and
+     * recovery state included. It copies into this SM's own buffers.
+     * Warp headers, SIMT stacks, the scoreboard, block slots and the
+     * counters are always copied. Of a resident warp's register file
+     * only the planes either SM wrote since this pair's previous fork
+     * are copied (arch::WarpContext::takeWritten, consumed on both
+     * sides), and a block's shared memory only when either segment's
+     * write epoch moved. Any other capture, restore or fork on either
+     * SM in between makes the next fork copy them all.
+     * @return register planes copied.
+     */
+    std::uint64_t copyFrom(Sm &golden);
+
     /** Run every later value through @p hook (see Executor::setHook). */
     void setHook(func::FaultHook &hook) { exec_.setHook(hook); }
 
@@ -323,6 +339,23 @@ class Sm
         std::uint64_t epoch = 0;
     };
     std::vector<CapturedShared> capturedShared_;
+    /** Drop the capture cache: the next saveState is a full one. */
+    void forgetCapture();
+
+    /** The SM this one last forked from or into (copyFrom), while
+     *  neither has consumed its warps' write bits another way since;
+     *  the pair is in sync only when each names the other. */
+    const Sm *pairedWith_ = nullptr;
+    /** Per block slot: both shared segments and their write epochs
+     *  when copyFrom last left them equal. */
+    struct ForkedShared
+    {
+        const mem::Memory *golden = nullptr;
+        const mem::Memory *site = nullptr;
+        std::uint64_t goldenEpoch = 0;
+        std::uint64_t siteEpoch = 0;
+    };
+    std::vector<ForkedShared> forkedShared_;
     /** The previous capture, and mutations_ when it was taken. */
     std::shared_ptr<State> captured_;
     std::uint64_t capturedAt_ = 0;

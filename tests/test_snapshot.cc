@@ -7,7 +7,9 @@
  * recovery on, on banked DRAM with SECDED, and from snapshots taken
  * while a block waits at a barrier or the ReplayQ is full. Restored
  * records keep their clean stamp, and a captured SM state's bytes()
- * counts the RAW-distance samples it holds. Also pins the
+ * counts the RAW-distance samples it holds. A machine forked from a
+ * resident golden machine ends like a launch resumed at the fork's
+ * cycle. Also pins the
  * gpu::Ladder's caps, rung-choice rules and rung horizons, and checks
  * that its activity log names every (SM, cycle) where a live fault
  * hook is applied.
@@ -610,7 +612,9 @@ TEST(Snapshot, ResumingADifferentLaunchPanics)
  * already run — to the end, part way, under a fault, or into a panic
  * — must end exactly like a fresh launch resumed from the same
  * snapshot; a golden machine advanced to a cycle and captured there
- * must hold what the uninterrupted launch held at that cycle.
+ * must hold what the uninterrupted launch held at that cycle; and a
+ * site machine forked from it there (Gpu::forkFrom), whatever either
+ * machine ran since their previous fork, must end like that resume.
  */
 struct ResidentCase
 {
@@ -761,15 +765,16 @@ TEST(ResidentMachine, AdvancedAndCapturedGoldenMatchesTheLaunch)
         w->setup(site);
         golden.restore(w->program(), w->gridBlocks(), w->blockThreads(),
                        sink.snaps.front());
-        const auto planes = std::make_shared<sm::PlaneStore>(m.gpu.warpSize);
-        // Fork at uneven cycles, twice at some, and once with the
-        // plane store cleared (the next capture is then a full one).
+        auto planes = std::make_shared<sm::PlaneStore>(m.gpu.warpSize);
+        // Capture at uneven cycles, twice at some, and now and then
+        // into a fresh plane store (the next capture is then a full
+        // one).
         unsigned forks = 0;
         for (Cycle c = 3; c < full.result.cycles; c += 97 + c % 89) {
             golden.advanceTo(c);
             ASSERT_EQ(golden.cycle(), c);
             if (++forks % 4 == 0)
-                planes->clear();
+                planes = std::make_shared<sm::PlaneStore>(m.gpu.warpSize);
             for (unsigned twice = 0; twice < 1 + forks % 2; ++twice) {
                 SCOPED_TRACE("forked at cycle " + std::to_string(c));
                 expectSame(full,
@@ -780,6 +785,116 @@ TEST(ResidentMachine, AdvancedAndCapturedGoldenMatchesTheLaunch)
         // Past the end, the golden machine stops at the launch's end.
         golden.advanceTo(full.result.cycles + 100);
         EXPECT_EQ(golden.cycle(), full.result.cycles);
+    }
+}
+
+/** Fork @p site from @p golden, run it to the end and read back what
+ *  it left: the result and the device image. */
+Outcome
+forkAndFinish(gpu::Gpu &site, gpu::Gpu &golden)
+{
+    site.forkFrom(golden);
+    Outcome o;
+    o.result = site.finish();
+    o.dram.resize(site.allocator().used());
+    site.mem().copyOut(0, o.dram.data(), o.dram.size());
+    return o;
+}
+
+TEST(ResidentMachine, ForkFromGoldenMatchesAFreshResume)
+{
+    setVerbose(false);
+    for (const auto &tc : residentCases()) {
+        SCOPED_TRACE(tc.name);
+        EveryK sink(193);
+        const Outcome full =
+            runLaunch(tc.factory, tc.machine, nullptr, &sink);
+        ASSERT_GT(sink.snaps.size(), 3u);
+        const auto &m = tc.machine;
+        auto w = tc.factory();
+        gpu::Gpu golden(m.gpu, m.dmr, /*seed=*/1, nullptr, m.recovery,
+                        m.scheme);
+        gpu::Gpu site(m.gpu, m.dmr, /*seed=*/1, nullptr, m.recovery,
+                      m.scheme);
+        w->setup(site);
+        golden.restore(w->program(), w->gridBlocks(), w->blockThreads(),
+                       sink.snaps.front());
+        std::uint64_t planes = 0;
+        unsigned k = 0;
+        for (const auto &snap : sink.snaps) {
+            const Cycle at = snap.loop.cycle;
+            SCOPED_TRACE("forked at cycle " + std::to_string(at));
+            // The golden machine sweeps on from the previous fork, in
+            // which the site machine ran on to the end: both wrote
+            // since. Every third fork instead follows a short site,
+            // forked where the golden machine stood before it swept
+            // on and run a few cycles the way a campaign site is, so
+            // most of what changed since was written by the golden
+            // machine alone. Every other fork is also preceded by a
+            // site forked at the same cycle that left
+            // the site machine somewhere no golden run goes, while
+            // the golden machine stood still: a faulty run stopped part
+            // way (registers, shared memory, the ReplayQ and the
+            // recovery ring written under a stuck bit), a faulty run
+            // to the end (global memory too), or a run that panicked
+            // mid-tick. A stray store to an input word rides along.
+            if (k % 3 == 2 && golden.cycle() < at) {
+                planes += site.forkFrom(golden);
+                const Cycle stop_at = golden.cycle() + 4;
+                site.runToEnd(0, [stop_at](Cycle c,
+                                           const gpu::LaunchLoop &) {
+                    return c + 1 >= stop_at;
+                });
+            }
+            golden.advanceTo(at);
+            ASSERT_EQ(golden.cycle(), at);
+            switch (k++ % 6) {
+              case 1:
+              case 3: {
+                planes += site.forkFrom(golden);
+                fault::FaultSpec spec;
+                spec.kind = fault::FaultKind::StuckAtOne;
+                spec.sm = k % m.gpu.numSms;
+                spec.lane = k % 32;
+                spec.bit = 3 + k % 29;
+                fault::FaultInjector inj;
+                inj.add(spec);
+                site.setHook(&inj);
+                const Cycle stop_at = k % 4 == 1 ? at + 150 : 0;
+                const gpu::StopPredicate stop =
+                    [stop_at](Cycle c, const gpu::LaunchLoop &) {
+                        return stop_at != 0 && c + 1 >= stop_at;
+                    };
+                try {
+                    site.runToEnd(full.result.cycles * 4 + 1000, stop);
+                } catch (const std::exception &) {
+                    // A fault may trip a sanity panic: state is torn.
+                }
+                site.setHook(nullptr);
+                site.mem().writeWord(256, 0xdeadbeefu);
+                break;
+              }
+              case 5: {
+                planes += site.forkFrom(golden);
+                PanicAt panic(at + 2);
+                site.setHook(&panic);
+                EXPECT_THROW(site.runToEnd(), std::exception);
+                site.setHook(nullptr);
+                break;
+              }
+              default:
+                break;
+            }
+            expectSame(runLaunch(tc.factory, m, &snap, nullptr),
+                       forkAndFinish(site, golden));
+        }
+        EXPECT_GT(planes, 0u);
+        // Forking from the golden machine left it on the golden run.
+        Outcome rest;
+        rest.result = golden.finish();
+        rest.dram.resize(site.allocator().used());
+        golden.mem().copyOut(0, rest.dram.data(), rest.dram.size());
+        expectSame(full, rest);
     }
 }
 
