@@ -67,8 +67,9 @@ main(int argc, char **argv)
             const bool ok = activated && !detected && !r.hung
                                 ? w->verify(g)
                                 : true;
-            cells[i] = Cell{fault::classifyOutcome(activated, detected,
-                                                   r.hung, ok),
+            cells[i] = Cell{fault::classifyOutcome(
+                                activated, detected, r.hung, ok,
+                                /*recovered_clean=*/false),
                             activated};
         });
 

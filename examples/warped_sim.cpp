@@ -28,7 +28,6 @@
 #include "stats/accumulator.hh"
 #include "gpu/report.hh"
 #include "protection/scheme_registry.hh"
-#include "trace/binary.hh"
 #include "trace/export.hh"
 #include "trace/metrics.hh"
 #include "isa/assembler.hh"
@@ -605,7 +604,7 @@ addRunFlags(cli::FlagTable &t, Options &o)
     t.integer("--trace", o.gpu.traceIssueLimit,
               "print the first N issue events");
     t.text("--trace-out", o.traceOut, "F",
-           "write Chrome trace JSON to F (a .bin path: binary format)");
+           "write Chrome trace JSON to F");
     t.text("--metrics-out", o.metricsOut, "F",
            "write the flat metrics JSON to F (under 'all', per workload)");
     t.flag("--report", o.report, "print the full statistics block");
@@ -635,22 +634,9 @@ runOne(const std::string &name, const Options &o,
     const bool multi = o.workload == "all";
     if (!o.traceOut.empty()) {
         const auto path = exportPath(o.traceOut, name, multi);
-        // A .bin destination selects the compact binary format
-        // (docs/TRACE_FORMAT.md); tools/trace_convert turns it into
-        // the byte-identical Chrome JSON offline. Anything else gets
-        // the Chrome trace_event JSON directly.
-        const bool binary =
-            path.size() >= 4 &&
-            path.compare(path.size() - 4, 4, ".bin") == 0;
-        std::ofstream f(path, binary
-                                  ? std::ios::out | std::ios::binary
-                                  : std::ios::out);
+        std::ofstream f(path);
         if (!f)
             std::fprintf(stderr, "cannot open %s\n", path.c_str());
-        else if (binary)
-            trace::writeBinaryTrace(
-                f, r.events, name,
-                r.metrics.counterValue("trace.dropped"));
         else
             trace::writeChromeTrace(f, r.events, name);
     }
@@ -670,16 +656,16 @@ runOne(const std::string &name, const Options &o,
     }
 
     if (cfg.traceIssueLimit) {
-        std::printf("issue trace (first %u events per SM):\n",
+        std::printf("issue trace (first %u issue events):\n",
                     cfg.traceIssueLimit);
         unsigned shown = 0;
         for (const auto &ev : r.trace) {
             if (shown++ >= cfg.traceIssueLimit)
                 break;
-            std::printf("  cy %6llu sm%-2u w%-2u [%2u/32] pc %3u  %s\n",
+            std::printf("  cy %6llu sm%-2u w%-2u [%2u/%u] pc %3u  %s\n",
                         static_cast<unsigned long long>(ev.cycle),
-                        ev.sm, ev.warp, ev.activeCount, ev.pc,
-                        ev.instr.toString().c_str());
+                        ev.sm, ev.warp, ev.activeCount, cfg.warpSize,
+                        ev.pc, ev.instr.toString().c_str());
         }
     }
 

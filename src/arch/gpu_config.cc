@@ -87,8 +87,7 @@ GpuConfig::toString() const
     std::ostringstream os;
     os << "GPU: " << numSms << " SMs x " << warpSize
        << "-wide SIMT, cluster " << lanesPerCluster
-       << ", max " << maxThreadsPerSm << " thr/SM, "
-       << numRegBanks << " reg banks, RF " << rfStages
+       << ", max " << maxThreadsPerSm << " thr/SM, RF " << rfStages
        << "cy, SP " << spLatency << "cy, SFU " << sfuLatency
        << "cy, shmem " << sharedMemLatency << "cy, gmem "
        << globalMemLatency << "cy, clock " << clockGhz << " GHz";

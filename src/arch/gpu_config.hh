@@ -55,8 +55,8 @@ const char *eccKindName(EccKind k);
  * Static hardware parameters of the simulated GPGPU.
  *
  * Defaults model the paper's baseline (NVIDIA Fermi-style): 30 SMs,
- * 32-wide SIMT, 4-lane SIMT clusters, 32 register banks, in-order
- * single-scheduler SMs, 800 MHz core clock (1.25 ns cycle).
+ * 32-wide SIMT, 4-lane SIMT clusters, in-order single-scheduler SMs,
+ * 800 MHz core clock (1.25 ns cycle).
  */
 struct GpuConfig
 {
@@ -65,8 +65,6 @@ struct GpuConfig
     unsigned lanesPerCluster = 4;   ///< SIMT-cluster width (§2.1, [8])
     unsigned maxThreadsPerSm = 1024; ///< resident-thread limit (Table 3)
     unsigned maxBlocksPerSm = 8;    ///< resident-block limit
-    unsigned numRegBanks = 32;      ///< register banks per SM (Table 3)
-    unsigned registerFileBytes = 64 * 1024; ///< per SM (Table 3)
     unsigned sharedMemBytes = 64 * 1024;    ///< per SM (§2.1)
 
     /**

@@ -198,14 +198,6 @@ classifyOutcome(bool activated, bool detected, bool hung,
 }
 
 OutcomeClass
-classifyOutcome(bool activated, bool detected, bool hung,
-                bool output_ok)
-{
-    return classifyOutcome(activated, detected, hung, output_ok,
-                           /*recovered_clean=*/false);
-}
-
-OutcomeClass
 classifyMemOutcome(bool activated, bool ecc_uncorrectable,
                    bool ecc_corrected, bool detected, bool hung,
                    bool output_ok)

@@ -136,10 +136,6 @@ const char *outcomeClassName(OutcomeClass c);
 OutcomeClass classifyOutcome(bool activated, bool detected, bool hung,
                              bool output_ok, bool recovered_clean);
 
-/** Recovery-oblivious overload (recovered_clean = false). */
-OutcomeClass classifyOutcome(bool activated, bool detected, bool hung,
-                             bool output_ok);
-
 /**
  * Classify one finished *memory-site* run (the ECC-side taxonomy).
  *

@@ -2,15 +2,15 @@
  * @file
  * ECC codec family for the memory fault model.
  *
- * Two codecs grow the fixed (39,32) SECDED in mem/ecc.* into the
- * configurable protection the banked memory model exposes:
+ * Two codecs give the configurable protection the banked memory
+ * model exposes:
  *
  *  - SecdedCode: a runtime-width Hamming + overall-parity code over
- *    k data bits (k in {8, 16, 32, 64} — the (72,64) instance is the
+ *    k data bits (k in {8, 16, 32, 64} — the (39,32) instance guards
+ *    the simulator's 32-bit words, and the (72,64) instance is the
  *    classic DRAM DIMM code). Single-error-correct,
- *    double-error-detect, same construction as mem::Secded but
- *    parameterized so the exhaustive codec tests cover every
- *    supported word width.
+ *    double-error-detect, parameterized so the exhaustive codec
+ *    tests cover every supported word width.
  *
  *  - ChipkillCode: symbol correction over GF(16). A 32-bit word is
  *    split into eight 4-bit symbols (one per DRAM chip slice) and

@@ -7,10 +7,6 @@
  * merged (cycle, sm, seq) order, one per line, and all numbers are
  * integers or fixed-precision — so the golden-trace suite can diff
  * them byte for byte across compilers and `--jobs` values.
- *
- * For hot-path capture there is a third rendering: the binary
- * container of trace/binary.hh, which `tools/trace_convert` turns
- * back into the exact bytes writeChromeTrace would have produced.
  */
 
 #ifndef WARPED_TRACE_EXPORT_HH

@@ -19,7 +19,7 @@ namespace trace {
  * Bounded most-recent-N container. Once full, each push overwrites
  * the oldest entry and increments the drop counter — the counter is
  * how a bounded trace capture stays honest about being a suffix of
- * the stream rather than the whole stream (docs/TRACE_FORMAT.md,
+ * the stream rather than the whole stream (docs/ARCHITECTURE.md §9,
  * "Ring-drop accounting").
  */
 template <typename T>

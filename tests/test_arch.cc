@@ -21,7 +21,6 @@ TEST(GpuConfig, DefaultsMatchTable3)
     EXPECT_EQ(c.warpSize, 32u);
     EXPECT_EQ(c.lanesPerCluster, 4u);
     EXPECT_EQ(c.maxThreadsPerSm, 1024u);
-    EXPECT_EQ(c.numRegBanks, 32u);
     EXPECT_DOUBLE_EQ(c.cyclePeriodNs(), 1.25);
     EXPECT_EQ(c.clustersPerWarp(), 8u);
     EXPECT_EQ(c.warpsPerBlock(256), 8u);

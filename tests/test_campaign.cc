@@ -15,8 +15,8 @@
 
 #include "common/logging.hh"
 #include "fault/campaign_engine.hh"
-#include "mem/ecc.hh"
 #include "mem/mem_fault.hh"
+#include "mem/memory.hh"
 #include "protection/scheme_registry.hh"
 #include "stats/confidence.hh"
 #include "trace/metrics.hh"
@@ -183,19 +183,19 @@ TEST(SiteSpace, SignatureTracksAxes)
 TEST(Outcome, ClassificationPriority)
 {
     // Never-activated is Masked no matter what else happened.
-    EXPECT_EQ(classifyOutcome(false, false, false, true),
+    EXPECT_EQ(classifyOutcome(false, false, false, true, false),
               OutcomeClass::Masked);
     // Detection outranks hang and corruption.
-    EXPECT_EQ(classifyOutcome(true, true, true, false),
+    EXPECT_EQ(classifyOutcome(true, true, true, false, false),
               OutcomeClass::Detected);
     // An undetected hang is a DUE even if the output also differs.
-    EXPECT_EQ(classifyOutcome(true, false, true, false),
+    EXPECT_EQ(classifyOutcome(true, false, true, false, false),
               OutcomeClass::Due);
     // Wrong output with no alarm is the SDC case.
-    EXPECT_EQ(classifyOutcome(true, false, false, false),
+    EXPECT_EQ(classifyOutcome(true, false, false, false, false),
               OutcomeClass::Sdc);
     // Activated but architecturally masked.
-    EXPECT_EQ(classifyOutcome(true, false, false, true),
+    EXPECT_EQ(classifyOutcome(true, false, false, true, false),
               OutcomeClass::Masked);
 }
 
@@ -228,47 +228,47 @@ TEST(Outcome, LatencyBucketsAreLog2)
     EXPECT_EQ(latencyBucket(~std::uint64_t{0}), kLatencyBuckets - 1);
 }
 
-TEST(Outcome, EccCorrectedMemoryFaultsFoldAsMaskedNotRecovered)
+TEST(Outcome, EccCorrectedMemoryFaultsFoldAsEccCorrectedNotRecovered)
 {
-    // ECC / DMR interplay at the campaign boundary. The site space
-    // deliberately contains only execution-unit faults (memory is
-    // SECDED-protected per the paper's model), so a memory-bit upset
-    // enters a campaign only through the "never activated" door: ECC
-    // corrects the word before it can reach an execution unit. Fold a
-    // batch of such sites into OutcomeCounts with the recovery-aware
-    // classifier and check they land in masked — recovered stays 0,
-    // and the coverage Wilson machinery is untouched by them.
-    mem::EccMemory ecc(32);
+    // ECC / DMR interplay at the campaign boundary. A memory site's
+    // upset is read through the codec before any execution unit sees
+    // it, so a word SECDED corrects reaches the pipeline golden and
+    // DMR never fires. Fold a batch of such sites, each a mem::Memory
+    // behind a Secded fault plane classified the way the engine
+    // classifies memory sites, into OutcomeCounts: they land in
+    // eccCorrected, count toward coverage, and recovered stays 0
+    // (classifyMemOutcome has no recovery input).
     OutcomeCounts c;
     for (unsigned site = 0; site < 8; ++site) {
         const Addr addr = 4 * site;
-        const std::uint32_t v = 0xa5a50000u + site;
-        ecc.writeWord(addr, v);
-        ecc.injectBitFlip(addr, (site * 7) % mem::Secded::kCodeBits);
-        mem::Secded::Status st = mem::Secded::Status::Ok;
-        const bool outputOk = ecc.readWord(addr, &st) == v;
+        const RegValue v = 0xa5a50000u + site;
+        mem::Memory m(32);
+        mem::MemFaultPlane plane(arch::EccKind::Secded);
+        m.writeWord(addr, v);
+        m.attachFaultPlane(&plane);
+        plane.inject(addr, mem::MemFaultKind::Bit, (site * 7) % 32,
+                     /*at=*/0);
+        const bool outputOk = m.readWord(addr) == v;
         ASSERT_TRUE(outputOk);
-        ASSERT_EQ(st, mem::Secded::Status::Corrected);
-        // Corrected before any execution unit consumed it: the DMR
-        // checker never fires and the campaign sees a dormant site,
-        // regardless of the recovered_clean flag the engine computes.
-        const auto cls = classifyOutcome(/*activated=*/false,
-                                         /*detected=*/false,
-                                         /*hung=*/false, outputOk,
-                                         /*recovered_clean=*/true);
-        EXPECT_EQ(cls, OutcomeClass::Masked);
-        c.add(cls, /*activated=*/false);
+        ASSERT_EQ(plane.corrected(), 1u);
+        const bool activated = plane.consumedReads() > 0;
+        const auto cls = classifyMemOutcome(
+            activated, plane.uncorrectable() > 0, plane.corrected() > 0,
+            /*detected=*/false, /*hung=*/false, outputOk);
+        EXPECT_EQ(cls, OutcomeClass::EccCorrected);
+        c.add(cls, activated);
     }
     EXPECT_EQ(c.total(), 8u);
-    EXPECT_EQ(c.masked, 8u);
-    EXPECT_EQ(c.notActivated, 8u);
+    EXPECT_EQ(c.eccCorrected, 8u);
+    EXPECT_EQ(c.masked, 0u);
+    EXPECT_EQ(c.notActivated, 0u);
     EXPECT_EQ(c.recovered, 0u);
     EXPECT_EQ(c.detected, 0u);
     EXPECT_EQ(c.sdc, 0u);
-    // All-masked campaigns have zero coverage and a vacuously perfect
-    // detection rate (no consequential runs); recovery must not
-    // perturb either.
-    EXPECT_DOUBLE_EQ(c.coverage(), 0.0);
+    // Every site was caught and repaired by the ECC controller: full
+    // coverage and a perfect detection rate, with no help from
+    // recovery.
+    EXPECT_DOUBLE_EQ(c.coverage(), 1.0);
     EXPECT_DOUBLE_EQ(c.detectionRate(), 1.0);
 }
 

@@ -1,6 +1,9 @@
 /**
  * @file
- * Unit and property tests: the SECDED codec and ECC memory — the
+ * Unit and property tests: the SECDED and chipkill codecs, and how a
+ * memory upset they correct or flag classifies on the path a
+ * campaign's memory sites take (a mem::Memory behind a
+ * mem::MemFaultPlane, classified by fault::classifyMemOutcome) — the
  * substrate behind the paper's "memory is protected, only execution
  * units are vulnerable" fault model.
  */
@@ -15,208 +18,118 @@
 #include "gpu/gpu.hh"
 #include "kernel_fuzzer.hh"
 #include "mem/codec.hh"
-#include "mem/ecc.hh"
+#include "mem/mem_fault.hh"
+#include "mem/memory.hh"
 
 using namespace warped;
+using fault::OutcomeClass;
 using mem::ChipkillCode;
 using mem::CodecStatus;
-using mem::EccMemory;
-using mem::Secded;
+using mem::MemFaultKind;
 using mem::SecdedCode;
 
-TEST(Secded, CleanRoundTrip)
-{
-    for (std::uint32_t v : {0u, 1u, 0xffffffffu, 0xdeadbeefu,
-                            0x80000000u, 0x55555555u}) {
-        const auto cw = Secded::encode(v);
-        const auto dec = Secded::decode(cw);
-        EXPECT_EQ(dec.status, Secded::Status::Ok);
-        EXPECT_EQ(dec.data, v);
-    }
-}
-
-TEST(Secded, EverySingleBitErrorIsCorrected)
-{
-    Rng rng(11);
-    for (unsigned trial = 0; trial < 64; ++trial) {
-        const auto v = static_cast<std::uint32_t>(rng.next());
-        const auto cw = Secded::encode(v);
-        for (unsigned bit = 0; bit < Secded::kCodeBits; ++bit) {
-            const auto dec = Secded::decode(cw ^ (1ULL << bit));
-            EXPECT_EQ(dec.status, Secded::Status::Corrected)
-                << "bit " << bit;
-            EXPECT_EQ(dec.data, v) << "bit " << bit;
-        }
-    }
-}
-
-TEST(Secded, EveryDoubleBitErrorIsDetected)
-{
-    Rng rng(13);
-    for (unsigned trial = 0; trial < 8; ++trial) {
-        const auto v = static_cast<std::uint32_t>(rng.next());
-        const auto cw = Secded::encode(v);
-        for (unsigned a = 0; a < Secded::kCodeBits; ++a) {
-            for (unsigned b = a + 1; b < Secded::kCodeBits; ++b) {
-                const auto dec =
-                    Secded::decode(cw ^ (1ULL << a) ^ (1ULL << b));
-                EXPECT_EQ(dec.status, Secded::Status::DoubleError)
-                    << "bits " << a << "," << b;
-            }
-        }
-    }
-}
-
-TEST(EccMemory, TransparentCorrectionOnRead)
-{
-    EccMemory m(1024);
-    m.writeWord(64, 0xcafebabe);
-    m.injectBitFlip(64, 17);
-
-    Secded::Status st;
-    EXPECT_EQ(m.readWord(64, &st), 0xcafebabeu);
-    EXPECT_EQ(st, Secded::Status::Corrected);
-    EXPECT_EQ(m.correctedCount(), 1u);
-
-    // The read scrubbed in place: the next read is clean.
-    EXPECT_EQ(m.readWord(64, &st), 0xcafebabeu);
-    EXPECT_EQ(st, Secded::Status::Ok);
-}
-
-TEST(EccMemory, DoubleErrorIsFlaggedNotSilent)
-{
-    EccMemory m(1024);
-    m.writeWord(0, 0x12345678);
-    m.injectBitFlip(0, 3);
-    m.injectBitFlip(0, 29);
-    Secded::Status st;
-    m.readWord(0, &st);
-    EXPECT_EQ(st, Secded::Status::DoubleError);
-    EXPECT_EQ(m.doubleErrorCount(), 1u);
-}
-
-TEST(EccMemory, ScrubPassFixesAccumulatedUpsets)
-{
-    EccMemory m(4096);
-    for (Addr a = 0; a < 4096; a += 4)
-        m.writeWord(a, static_cast<RegValue>(a * 2654435761u));
-    // Sprinkle single-bit upsets.
-    Rng rng(5);
-    unsigned injected = 0;
-    for (Addr a = 0; a < 4096; a += 4) {
-        if (rng.nextBool(0.3)) {
-            m.injectBitFlip(a, static_cast<unsigned>(
-                                   rng.nextBelow(Secded::kCodeBits)));
-            ++injected;
-        }
-    }
-    EXPECT_EQ(m.scrub(), injected);
-    // All data intact afterwards.
-    for (Addr a = 0; a < 4096; a += 4) {
-        Secded::Status st;
-        EXPECT_EQ(m.readWord(a, &st),
-                  static_cast<RegValue>(a * 2654435761u));
-        EXPECT_EQ(st, Secded::Status::Ok);
-    }
-}
-
-TEST(EccMemory, OutOfBoundsPanics)
-{
-    setVerbose(false);
-    EccMemory m(64);
-    EXPECT_THROW(m.readWord(64), std::logic_error);
-    EXPECT_THROW(m.injectBitFlip(0, 40), std::logic_error);
-}
-
-TEST(EccMemory, SizeRoundsUpToWords)
-{
-    EccMemory m(10);
-    EXPECT_EQ(m.size(), 12u);
-}
-
 // ---------------------------------------------------------------------------
-// ECC / DMR interplay. Memory is SECDED-protected, so a memory bit
-// upset that ECC corrects never reaches the execution units and never
-// activates at the DMR checker boundary: it must classify as Masked
-// under the campaign taxonomy — never Detected, and never Recovered,
-// even when the rollback-replay engine is enabled. A double-bit error
-// is ECC's own detected-uncorrectable event (a DUE), not something
-// DMR's comparator or the recovery engine can claim credit for.
+// ECC / DMR interplay. A memory upset is read through the configured
+// codec before any execution unit sees the word, so both redundant
+// executions consume the same decoded value and DMR's comparator has
+// nothing to compare: what happens to the upset is the codec's call.
+// A single-bit upset SECDED corrects is EccCorrected — never Detected,
+// and never Recovered, since classifyMemOutcome takes no recovery
+// input. A double-bit upset is ECC's own detected-uncorrectable event
+// (a machine check, so a DUE), not something DMR's comparator or the
+// recovery engine can claim credit for.
 // ---------------------------------------------------------------------------
 
-TEST(EccDmrInterplay, CorrectedMemoryUpsetClassifiesAsMasked)
+namespace {
+
+/// One memory site on the SECDED machine: @p value stored in a
+/// mem::Memory behind a Secded plane, an upset of @p kind at @p bit
+/// struck at cycle 0.
+struct SecdedSite
 {
-    EccMemory m(64);
-    m.writeWord(16, 0xdeadbeefu);
-    m.injectBitFlip(16, 21);
+    static constexpr Addr kAddr = 16;
+    mem::Memory m{64};
+    mem::MemFaultPlane plane{arch::EccKind::Secded};
+    RegValue golden;
 
-    Secded::Status st = Secded::Status::Ok;
-    EXPECT_EQ(m.readWord(16, &st), 0xdeadbeefu);
-    EXPECT_EQ(st, Secded::Status::Corrected);
-    EXPECT_EQ(m.correctedCount(), 1u);
+    SecdedSite(RegValue value, MemFaultKind kind, unsigned bit)
+        : golden(value)
+    {
+        m.writeWord(kAddr, golden);
+        m.attachFaultPlane(&plane);
+        plane.inject(kAddr, kind, bit, /*at=*/0);
+    }
 
-    // The corrected read means the fault never activated downstream:
-    // activated=false dominates every other flag, with recovery both
-    // off and on (recovered_clean=true must not promote a fault that
-    // DMR never saw).
-    using fault::classifyOutcome;
-    using fault::OutcomeClass;
-    EXPECT_EQ(classifyOutcome(false, false, false, true, false),
-              OutcomeClass::Masked);
-    EXPECT_EQ(classifyOutcome(false, false, false, true, true),
-              OutcomeClass::Masked);
-    // 4-arg legacy overload agrees.
-    EXPECT_EQ(classifyOutcome(false, false, false, true),
-              OutcomeClass::Masked);
+    /// Read the word once and classify the run as the campaign
+    /// engine does, given whether DMR fired (@p detected).
+    OutcomeClass
+    readAndClassify(bool detected = false)
+    {
+        const bool outputOk = m.readWord(kAddr) == golden;
+        return fault::classifyMemOutcome(
+            plane.consumedReads() > 0, plane.uncorrectable() > 0,
+            plane.corrected() > 0, detected, /*hung=*/false, outputOk);
+    }
+};
+
+} // namespace
+
+TEST(EccDmrInterplay, CorrectedMemoryUpsetClassifiesAsEccCorrected)
+{
+    SecdedSite s(0xdeadbeefu, MemFaultKind::Bit, 21);
+    EXPECT_EQ(s.readAndClassify(), OutcomeClass::EccCorrected);
+    EXPECT_EQ(s.plane.consumedReads(), 1u);
+    EXPECT_EQ(s.plane.corrected(), 1u);
+    EXPECT_EQ(s.plane.uncorrectable(), 0u);
+    // The corrected read scrubbed the cell: the next read is clean.
+    EXPECT_EQ(s.m.readWord(SecdedSite::kAddr), 0xdeadbeefu);
+    EXPECT_EQ(s.plane.consumedReads(), 1u);
 }
 
-TEST(EccDmrInterplay, EverySingleBitUpsetStaysMaskedUnderRecovery)
+TEST(EccDmrInterplay, EverySingleBitUpsetIsEccCorrectedNeverRecovered)
 {
     // Property form: any single-bit upset in any stored word is
     // absorbed by SECDED, so the whole single-bit memory fault space
-    // contributes only Masked outcomes to a recovery-enabled
-    // campaign.
+    // contributes only EccCorrected outcomes to a campaign.
     Rng rng(23);
-    EccMemory m(32);
-    for (unsigned trial = 0; trial < 16; ++trial) {
-        const Addr addr = 4 * (rng.next() % 8);
-        const auto v = static_cast<std::uint32_t>(rng.next());
-        m.writeWord(addr, v);
-        const auto bit =
-            static_cast<unsigned>(rng.next() % Secded::kCodeBits);
-        m.injectBitFlip(addr, bit);
-        Secded::Status st = Secded::Status::Ok;
-        const auto got = m.readWord(addr, &st);
-        EXPECT_EQ(got, v) << "addr " << addr << " bit " << bit;
-        EXPECT_NE(st, Secded::Status::DoubleError);
-        EXPECT_EQ(fault::classifyOutcome(false, false, false, got == v,
-                                         true),
-                  fault::OutcomeClass::Masked);
+    for (unsigned trial = 0; trial < 4; ++trial) {
+        const auto v = static_cast<RegValue>(rng.next());
+        for (unsigned bit = 0; bit < 32; ++bit) {
+            SecdedSite s(v, MemFaultKind::Bit, bit);
+            EXPECT_EQ(s.readAndClassify(), OutcomeClass::EccCorrected)
+                << "value " << v << " bit " << bit;
+            EXPECT_EQ(s.plane.uncorrectable(), 0u);
+        }
+    }
+    // No combination of a memory site's flags classifies as
+    // Recovered: rollback-replay repairs what DMR detected, and the
+    // memory taxonomy has no input through which it could.
+    for (unsigned flags = 0; flags < 64; ++flags) {
+        const auto bit = [flags](unsigned i) -> bool {
+            return (flags >> i) & 1u;
+        };
+        EXPECT_NE(fault::classifyMemOutcome(bit(0), bit(1), bit(2),
+                                            bit(3), bit(4), bit(5)),
+                  OutcomeClass::Recovered)
+            << "flags " << flags;
     }
 }
 
 TEST(EccDmrInterplay, DoubleErrorIsEccsDueNotDmrs)
 {
-    EccMemory m(64);
-    m.writeWord(32, 0x12345678u);
-    m.injectBitFlip(32, 3);
-    m.injectBitFlip(32, 17);
+    // An uncorrectable read is one of the memory DUE sources worth
+    // telling apart from execution-side detections (dos Santos et
+    // al., arXiv 2108.00554).
+    SecdedSite s(0x12345678u, MemFaultKind::DoubleBit, 3);
+    EXPECT_EQ(s.readAndClassify(), OutcomeClass::Due);
+    EXPECT_EQ(s.plane.uncorrectable(), 1u);
+    EXPECT_EQ(s.plane.corrected(), 0u);
 
-    Secded::Status st = Secded::Status::Ok;
-    (void)m.readWord(32, &st);
-    EXPECT_EQ(st, Secded::Status::DoubleError);
-    EXPECT_EQ(m.doubleErrorCount(), 1u);
-
-    // The machine reports the uncorrectable error and halts the run:
-    // detected-uncorrectable maps to Due at the campaign level. DMR
-    // never flagged it (detected=false) and recovery cannot touch it.
-    EXPECT_EQ(fault::classifyOutcome(true, false, true, false, false),
-              fault::OutcomeClass::Due);
-    // Even a (hypothetical) clean recovery flag cannot promote a
-    // detected-then-hung run to Recovered: the hang blocks promotion
-    // and the run stays at plain Detected.
-    EXPECT_EQ(fault::classifyOutcome(true, true, true, false, true),
-              fault::OutcomeClass::Detected);
+    // The machine check outranks a DMR alarm on the same run: the
+    // codec flagged the error first, so the run stays ECC's DUE and
+    // DMR cannot claim it as Detected.
+    SecdedSite both(0x12345678u, MemFaultKind::DoubleBit, 3);
+    EXPECT_EQ(both.readAndClassify(/*detected=*/true), OutcomeClass::Due);
 }
 
 // ---------------------------------------------------------------------------

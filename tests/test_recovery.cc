@@ -142,9 +142,6 @@ TEST(Outcome, RecoveredClassification)
               OutcomeClass::Sdc);
     EXPECT_EQ(classifyOutcome(false, false, false, true, true),
               OutcomeClass::Masked);
-    // The 4-arg overload is the recovery-oblivious classification.
-    EXPECT_EQ(classifyOutcome(true, true, false, true),
-              OutcomeClass::Detected);
     EXPECT_STREQ(fault::outcomeClassName(OutcomeClass::Recovered),
                  "recovered");
 }
