@@ -2,8 +2,10 @@
  * @file
  * Thread-local recycling pool for large, lazily zeroed byte buffers.
  *
- * Fault campaigns construct one `mem::Memory` (8 MB of global memory
- * for the reference workloads) per launch. Fresh buffers come from
+ * Fresh launches (`sim_ref`, the figure sweeps) construct one
+ * `mem::Memory` (8 MB of global memory for the reference workloads)
+ * per launch; fault campaigns construct one per resident machine
+ * pair. Fresh buffers come from
  * zero pages: large ones are anonymous `mmap` mappings and the
  * allocator's value-initialising construct writes nothing, so a page
  * becomes resident only when the simulation first writes it — a

@@ -14,7 +14,7 @@ DmrEngine::DmrEngine(const arch::GpuConfig &gpu, const DmrConfig &cfg,
                      func::Executor &exec, std::uint64_t seed)
     : gpu_(gpu), cfg_(cfg), exec_(exec),
       mapping_(cfg.mapping, gpu.warpSize, gpu.lanesPerCluster),
-      queue_(cfg.replayQSize, gpu.warpSize), rng_(seed)
+      queue_(cfg.replayQSize, gpu.warpSize), vars_{Rng(seed), {}, false}
 {
     // Counted intra-warp verification reads the RFU pairing of each
     // cluster occupancy from a table instead of resolving the MUX
@@ -39,16 +39,15 @@ std::size_t
 DmrEngine::State::bytes() const
 {
     return sizeof(State) + queue.bytes() + pending.bytes() +
-           stats.errorLog.size() * sizeof(ErrorEvent);
+           vars.stats.errorLog.size() * sizeof(ErrorEvent);
 }
 
 DmrEngine::State
 DmrEngine::saveStateValue() const
 {
-    State s{queue_.saveState(), func::PackedRecords(gpu_.warpSize), rng_,
-            stats_};
-    if (hasPending_)
-        s.pending.append(scratchIsA_ ? bufB_ : bufA_);
+    State s{queue_.saveState(), func::PackedRecords(gpu_.warpSize), vars_};
+    if (vars_.hasPending)
+        s.pending.append(pendingRec());
     return s;
 }
 
@@ -56,10 +55,8 @@ void
 DmrEngine::restoreState(const State &s)
 {
     queue_.restoreState(s.queue);
-    rng_ = s.rng;
-    stats_ = s.stats;
-    hasPending_ = !s.pending.empty();
-    if (hasPending_)
+    vars_ = s.vars;
+    if (vars_.hasPending)
         s.pending.unpack(0, pendingRec());
 }
 
@@ -67,18 +64,16 @@ std::unique_ptr<protection::SchemeState>
 DmrEngine::saveState() const
 {
     return std::make_unique<protection::SchemeStateOf<DmrEngine, State>>(
-        saveStateValue());
+        id(), saveStateValue());
 }
 
 void
 DmrEngine::copyFrom(const protection::ProtectionScheme &o)
 {
-    const DmrEngine &e = protection::sameScheme(*this, o);
+    const auto &e = protection::sameScheme<const DmrEngine>(id(), o);
     queue_.copyFrom(e.queue_);
-    rng_ = e.rng_;
-    stats_ = e.stats_;
-    hasPending_ = e.hasPending_;
-    if (hasPending_)
+    vars_ = e.vars_;
+    if (vars_.hasPending)
         pendingRec().copyFrom(e.pendingRec(), gpu_.warpSize);
 }
 
@@ -129,7 +124,7 @@ DmrEngine::rawHazardStall(unsigned warp_id, const isa::Instruction &next,
     // producer so the consumer can go next cycle.
     emit(trace::EventKind::RawStall, producer->rec, now, reads);
     interWarpVerify(producer->rec, now);
-    ++stats_.rawStalls;
+    ++vars_.stats.rawStalls;
     return true;
 }
 
@@ -158,7 +153,7 @@ DmrEngine::onIssue(const func::ExecRecord &rec, Cycle now)
             }
             if (const auto *e = queue_.popOldestOfType(ut, now)) {
                 interWarpVerify(e->rec, now);
-                ++stats_.unitDrainVerifications;
+                ++vars_.stats.unitDrainVerifications;
             }
         }
     }
@@ -168,11 +163,11 @@ DmrEngine::onIssue(const func::ExecRecord &rec, Cycle now)
     const bool full_mask = active == gpu_.warpSize;
 
     if (verifiable) {
-        stats_.verifiableThreadInstrs += active;
+        vars_.stats.verifiableThreadInstrs += active;
         // Sampling extension: outside the duty cycle the instruction
         // issues unprotected (it stays in the coverage denominator).
         if (!cfg_.activeAt(now)) {
-            stats_.sampledOutThreadInstrs += active;
+            vars_.stats.sampledOutThreadInstrs += active;
             if (listener_)
                 listener_->onUnprotected(rec);
             return stall;
@@ -180,9 +175,9 @@ DmrEngine::onIssue(const func::ExecRecord &rec, Cycle now)
         const bool temporal =
             cfg_.interWarp && (full_mask || cfg_.temporalAll);
         if (full_mask)
-            ++stats_.interWarpInstrs;
+            ++vars_.stats.interWarpInstrs;
         else
-            ++stats_.intraWarpInstrs;
+            ++vars_.stats.intraWarpInstrs;
         if (temporal) {
             if (&rec == &scratch()) {
                 // The SM executed into our scratch buffer: adopt it
@@ -191,7 +186,7 @@ DmrEngine::onIssue(const func::ExecRecord &rec, Cycle now)
             } else {
                 pendingRec() = rec;
             }
-            hasPending_ = true;
+            vars_.hasPending = true;
         } else if (!full_mask && cfg_.intraWarp) {
             intraWarpVerify(rec, now);
         } else if (listener_) {
@@ -208,10 +203,10 @@ DmrEngine::squashWarp(unsigned warp_id, std::uint64_t min_trace_id,
                       Cycle now)
 {
     unsigned dropped = 0;
-    if (hasPending_) {
+    if (vars_.hasPending) {
         const func::ExecRecord &p = pendingRec();
         if (p.warpId == warp_id && p.traceId >= min_trace_id) {
-            hasPending_ = false;
+            vars_.hasPending = false;
             ++dropped;
         }
     }
@@ -224,8 +219,8 @@ DmrEngine::preRetireVerify(unsigned warp_id, Cycle now)
 {
     if (!cfg_.enabled)
         return false;
-    if (hasPending_ && pendingRec().warpId == warp_id) {
-        hasPending_ = false;
+    if (vars_.hasPending && pendingRec().warpId == warp_id) {
+        vars_.hasPending = false;
         interWarpVerify(pendingRec(), now);
         return true;
     }
@@ -239,12 +234,12 @@ DmrEngine::preRetireVerify(unsigned warp_id, Cycle now)
 unsigned
 DmrEngine::replayCheck(isa::UnitType next_type, Cycle now)
 {
-    if (!hasPending_)
+    if (!vars_.hasPending)
         return 0;
 
     // Verified/queued in place: the pending buffer is not reused
     // until the adopting onIssue of a later instruction.
-    hasPending_ = false;
+    vars_.hasPending = false;
     const func::ExecRecord &pending = pendingRec();
 
     if (pending.instr.unit() != next_type) {
@@ -253,22 +248,22 @@ DmrEngine::replayCheck(isa::UnitType next_type, Cycle now)
         verifiedUnitThisCycle_ =
             static_cast<int>(pending.instr.unit());
         interWarpVerify(pending, now);
-        ++stats_.coexecVerifications;
+        ++vars_.stats.coexecVerifications;
         return 0;
     }
 
     // Same type. Look for a queued instruction of a different type
     // whose unit is idle this cycle.
-    if (const auto *e = queue_.popDifferentType(next_type, rng_,
+    if (const auto *e = queue_.popDifferentType(next_type, vars_.rng,
                                                 cfg_.dequeuePolicy,
                                                 now)) {
         verifiedUnitThisCycle_ = static_cast<int>(e->rec.instr.unit());
         // Verify the popped entry before the push below reuses its
         // freed slot.
         interWarpVerify(e->rec, now);
-        ++stats_.dequeueVerifications;
+        ++vars_.stats.dequeueVerifications;
         queue_.push(pending, now);
-        ++stats_.enqueues;
+        ++vars_.stats.enqueues;
         return 0;
     }
 
@@ -278,12 +273,12 @@ DmrEngine::replayCheck(isa::UnitType next_type, Cycle now)
         emit(trace::EventKind::ReplayOverflow, pending, now,
              queue_.capacity());
         interWarpVerify(pending, now + 1);
-        ++stats_.eagerStalls;
+        ++vars_.stats.eagerStalls;
         return 1;
     }
 
     queue_.push(pending, now);
-    ++stats_.enqueues;
+    ++vars_.stats.enqueues;
     return 0;
 }
 
@@ -292,18 +287,18 @@ DmrEngine::onIdleCycle(Cycle now)
 {
     if (!cfg_.enabled || !cfg_.interWarp)
         return;
-    if (hasPending_) {
-        hasPending_ = false;
+    if (vars_.hasPending) {
+        vars_.hasPending = false;
         const func::ExecRecord &pending = pendingRec();
         emit(trace::EventKind::IdleDrain, pending, now, 0);
         interWarpVerify(pending, now);
-        ++stats_.idleDrainVerifications;
+        ++vars_.stats.idleDrainVerifications;
         return;
     }
     if (const auto *e = queue_.popOldest(now)) {
         emit(trace::EventKind::IdleDrain, e->rec, now, 1);
         interWarpVerify(e->rec, now);
-        ++stats_.idleDrainVerifications;
+        ++vars_.stats.idleDrainVerifications;
     }
 }
 
@@ -313,11 +308,11 @@ DmrEngine::drainAll(Cycle now)
     if (!cfg_.enabled || !cfg_.interWarp)
         return 0;
     std::uint64_t cycles = 0;
-    while (hasPending_ || !queue_.empty()) {
+    while (vars_.hasPending || !queue_.empty()) {
         ++cycles;
         onIdleCycle(now + cycles);
     }
-    stats_.finalDrainCycles += cycles;
+    vars_.stats.finalDrainCycles += cycles;
     return cycles;
 }
 
@@ -344,8 +339,8 @@ DmrEngine::intraWarpVerify(const func::ExecRecord &rec, Cycle now)
             checkers += n.checkers;
             covered += n.covered;
         }
-        stats_.comparisons += checkers;
-        stats_.redundantThreadExecs[unit] += checkers;
+        vars_.stats.comparisons += checkers;
+        vars_.stats.redundantThreadExecs[unit] += checkers;
     } else {
         // Dormant-hook fast path: re-execute every slot at once with
         // the vectorized plane compute; the RFU pairing below then
@@ -374,13 +369,13 @@ DmrEngine::intraWarpVerify(const func::ExecRecord &rec, Cycle now)
                 const unsigned slot = mapping_.slotOf(monitored_lane);
                 if (dormant &&
                     verifyPlane_[slot] == rec.results[slot]) [[likely]] {
-                    ++stats_.comparisons;
+                    ++vars_.stats.comparisons;
                 } else {
                     mismatch |=
                         verifySlot(rec, slot, checker_lane, true, now);
                 }
                 covered_slots.set(slot);
-                ++stats_.redundantThreadExecs[unit];
+                ++vars_.stats.redundantThreadExecs[unit];
             }
         }
         covered = covered_slots.count();
@@ -388,8 +383,8 @@ DmrEngine::intraWarpVerify(const func::ExecRecord &rec, Cycle now)
     if (covered > 0)
         emit(trace::EventKind::RfuForward, rec, now, covered);
     emit(trace::EventKind::IntraVerify, rec, now, covered);
-    stats_.verifiedThreadInstrs += covered;
-    stats_.intraVerifiedThreads += covered;
+    vars_.stats.verifiedThreadInstrs += covered;
+    vars_.stats.intraVerifiedThreads += covered;
     if (listener_)
         listener_->onVerified(rec, mismatch, now);
 }
@@ -429,8 +424,8 @@ DmrEngine::interWarpVerify(const func::ExecRecord &rec, Cycle now)
 
     if (fast_clean) {
         verified = rec.active.count();
-        stats_.comparisons += verified;
-        stats_.redundantThreadExecs[unit] += verified;
+        vars_.stats.comparisons += verified;
+        vars_.stats.redundantThreadExecs[unit] += verified;
     } else {
         // A live hook, or a record corrupted while the hook was live:
         // per-slot dispatch in slot order, exactly as campaigns
@@ -444,12 +439,12 @@ DmrEngine::interWarpVerify(const func::ExecRecord &rec, Cycle now)
                                  : primary_lane;
             mismatch |= verifySlot(rec, slot, checker_lane, false, now);
             ++verified;
-            ++stats_.redundantThreadExecs[unit];
+            ++vars_.stats.redundantThreadExecs[unit];
         }
     }
     emit(trace::EventKind::InterVerify, rec, now, verified);
-    stats_.verifiedThreadInstrs += verified;
-    stats_.interVerifiedThreads += verified;
+    vars_.stats.verifiedThreadInstrs += verified;
+    vars_.stats.interVerifiedThreads += verified;
     if (listener_)
         listener_->onVerified(rec, mismatch, now);
 }
@@ -472,10 +467,10 @@ DmrEngine::verifySlot(const func::ExecRecord &rec, unsigned slot,
     ctx.isAddress = rec.instr.isMem();
     const RegValue got = exec_.hook().apply(pure, ctx);
 
-    ++stats_.comparisons;
+    ++vars_.stats.comparisons;
     const bool mismatch = got != rec.results[slot];
     if (mismatch) {
-        ++stats_.errorsDetected;
+        ++vars_.stats.errorsDetected;
         emit(trace::EventKind::ErrorDetected, rec, now, slot);
 
         ErrorVerdict verdict = ErrorVerdict::None;
@@ -488,20 +483,20 @@ DmrEngine::verifySlot(const func::ExecRecord &rec, unsigned slot,
             func::FaultCtx tctx = ctx;
             tctx.lane = third_lane;
             const RegValue third = exec_.hook().apply(pure, tctx);
-            ++stats_.arbitrations;
+            ++vars_.stats.arbitrations;
             if (third == got) {
                 verdict = ErrorVerdict::PrimaryBad;
-                ++stats_.arbPrimaryBad;
+                ++vars_.stats.arbPrimaryBad;
             } else if (third == rec.results[slot]) {
                 verdict = ErrorVerdict::CheckerBad;
-                ++stats_.arbCheckerBad;
+                ++vars_.stats.arbCheckerBad;
             } else {
                 verdict = ErrorVerdict::Inconclusive;
-                ++stats_.arbInconclusive;
+                ++vars_.stats.arbInconclusive;
             }
         }
 
-        if (stats_.errorLog.size() < DmrStats::kMaxErrorLog) {
+        if (vars_.stats.errorLog.size() < DmrStats::kMaxErrorLog) {
             ErrorEvent ev;
             ev.cycle = now;
             ev.sm = exec_.smId();
@@ -514,7 +509,7 @@ DmrEngine::verifySlot(const func::ExecRecord &rec, unsigned slot,
             ev.checker = got;
             ev.intraWarp = intra;
             ev.verdict = verdict;
-            stats_.errorLog.push_back(ev);
+            vars_.stats.errorLog.push_back(ev);
         }
     }
     return mismatch;

@@ -137,25 +137,33 @@ class DmrEngine final : public protection::ProtectionScheme
      */
     void finalizeStats() override
     {
-        stats_.replayQPeak = queue_.peakDepth();
+        vars_.stats.replayQPeak = queue_.peakDepth();
     }
 
-    const DmrStats &stats() const override { return stats_; }
+    const DmrStats &stats() const override { return vars_.stats; }
     const ThreadCoreMapping &mapping() const override { return mapping_; }
     const DmrConfig &config() const { return cfg_; }
     unsigned replayQueueSize() const override { return queue_.size(); }
-    bool hasPending() const override { return hasPending_; }
+    bool hasPending() const override { return vars_.hasPending; }
+
+    /** The engine's plain state beside the ReplayQ and the pending
+     *  record: the ReplayQ pick RNG, the counters and whether the RF
+     *  stage holds a pending record. */
+    struct Vars
+    {
+        Rng rng;
+        DmrStats stats;
+        bool hasPending = false;
+    };
 
     /** Mutable state at a cycle boundary: the ReplayQ, the pending
-     *  RF-stage record (when there is one), the ReplayQ pick RNG and
-     *  the counters. */
+     *  RF-stage record (when there is one) and the plain state. */
     struct State
     {
         ReplayQueue::State queue;
         /** Empty, or the one pending record. */
         func::PackedRecords pending;
-        Rng rng;
-        DmrStats stats;
+        Vars vars;
         std::size_t bytes() const;
     };
     State saveStateValue() const;
@@ -216,20 +224,18 @@ class DmrEngine final : public protection::ProtectionScheme
     std::vector<ClusterCounts> clusterCounts_;
     ThreadCoreMapping mapping_;
     ReplayQueue queue_;
-    Rng rng_;
-    DmrStats stats_;
+    Vars vars_;
     trace::Recorder *recorder_ = nullptr;
     RecoveryListener *listener_ = nullptr;
 
     /** Double buffer: one record is the SM-facing scratch()
      *  (next instruction executes into it), the other holds the
      *  fully-utilized instruction currently in the RF stage awaiting
-     *  the Replay Checker's decision (valid when hasPending_).
+     *  the Replay Checker's decision (valid when vars_.hasPending).
      *  Adoption swaps the roles — tracked by a flag, not pointers,
      *  so the engine stays trivially movable. */
     func::ExecRecord bufA_, bufB_;
     bool scratchIsA_ = true;
-    bool hasPending_ = false;
 
     func::ExecRecord &pendingRec() { return scratchIsA_ ? bufB_ : bufA_; }
     const func::ExecRecord &

@@ -7,6 +7,7 @@
 #ifndef WARPED_DMR_DMR_STATS_HH
 #define WARPED_DMR_DMR_STATS_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -85,6 +86,37 @@ struct DmrStats
     std::vector<ErrorEvent> errorLog; ///< first kMaxErrorLog events
 
     static constexpr std::size_t kMaxErrorLog = 64;
+
+    /** Add @p o's counters into these; the ReplayQ peak takes the
+     *  larger. The error log is the caller's to merge. */
+    void
+    addCounters(const DmrStats &o)
+    {
+        verifiableThreadInstrs += o.verifiableThreadInstrs;
+        verifiedThreadInstrs += o.verifiedThreadInstrs;
+        intraVerifiedThreads += o.intraVerifiedThreads;
+        interVerifiedThreads += o.interVerifiedThreads;
+        intraWarpInstrs += o.intraWarpInstrs;
+        interWarpInstrs += o.interWarpInstrs;
+        coexecVerifications += o.coexecVerifications;
+        dequeueVerifications += o.dequeueVerifications;
+        idleDrainVerifications += o.idleDrainVerifications;
+        unitDrainVerifications += o.unitDrainVerifications;
+        enqueues += o.enqueues;
+        eagerStalls += o.eagerStalls;
+        rawStalls += o.rawStalls;
+        finalDrainCycles += o.finalDrainCycles;
+        replayQPeak = std::max(replayQPeak, o.replayQPeak);
+        for (std::size_t u = 0; u < redundantThreadExecs.size(); ++u)
+            redundantThreadExecs[u] += o.redundantThreadExecs[u];
+        comparisons += o.comparisons;
+        errorsDetected += o.errorsDetected;
+        arbitrations += o.arbitrations;
+        arbPrimaryBad += o.arbPrimaryBad;
+        arbCheckerBad += o.arbCheckerBad;
+        arbInconclusive += o.arbInconclusive;
+        sampledOutThreadInstrs += o.sampledOutThreadInstrs;
+    }
 
     /** §3.3 / Fig 9a error-coverage metric. */
     double

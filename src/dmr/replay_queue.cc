@@ -8,24 +8,24 @@ namespace warped {
 namespace dmr {
 
 ReplayQueue::ReplayQueue(unsigned capacity, unsigned warp_size)
-    : capacity_(capacity), warpSize_(warp_size), slots_(capacity),
-      writeBit_(capacity, 0)
+    : capacity_(capacity), warpSize_(warp_size), slots_(capacity)
 {
-    order_.reserve(capacity);
-    free_.reserve(capacity);
+    book_.writeBit.assign(capacity, 0);
+    book_.order.reserve(capacity);
+    book_.free.reserve(capacity);
     // Stack of free slots; pop from the back, so seed it in reverse
     // for slot 0 to be handed out first (cosmetic only).
     for (unsigned i = capacity; i-- > 0;)
-        free_.push_back(i);
+        book_.free.push_back(i);
 }
 
 ReplayQueue::State
 ReplayQueue::saveState() const
 {
-    State s{func::PackedRecords(warpSize_), {}, peakDepth_};
-    s.records.reserve(order_.size());
-    s.enqueued.reserve(order_.size());
-    for (const std::uint32_t slot : order_) {
+    State s{book_, func::PackedRecords(warpSize_), {}};
+    s.records.reserve(book_.order.size());
+    s.enqueued.reserve(book_.order.size());
+    for (const std::uint32_t slot : book_.order) {
         s.records.append(slots_[slot].rec);
         s.enqueued.push_back(slots_[slot].enqueued);
     }
@@ -35,27 +35,15 @@ ReplayQueue::saveState() const
 void
 ReplayQueue::restoreState(const State &s)
 {
-    if (s.records.size() > capacity_)
-        warped_panic("ReplayQueue restore of ", s.records.size(),
-                     " entries into capacity ", capacity_);
-    order_.clear();
-    free_.clear();
-    for (unsigned i = capacity_; i-- > 0;)
-        free_.push_back(i);
-    writeRegMask_ = 0;
-    typeCount_.fill(0);
-    for (std::size_t i = 0; i < s.records.size(); ++i) {
-        const std::uint32_t slot = free_.back();
-        free_.pop_back();
-        s.records.unpack(i, slots_[slot].rec);
-        slots_[slot].enqueued = s.enqueued[i];
-        const isa::Instruction &in = s.records.instr(i);
-        writeBit_[slot] = in.hasDst() ? 1ULL << in.dst.idx : 0;
-        writeRegMask_ |= writeBit_[slot];
-        ++typeCount_[static_cast<unsigned>(in.unit())];
-        order_.push_back(slot);
+    if (s.book.writeBit.size() != capacity_)
+        warped_panic("ReplayQueue restore across capacities (",
+                     s.book.writeBit.size(), " into ", capacity_, ")");
+    book_ = s.book;
+    for (std::size_t i = 0; i < book_.order.size(); ++i) {
+        Entry &e = slots_[book_.order[i]];
+        s.records.unpack(i, e.rec);
+        e.enqueued = s.enqueued[i];
     }
-    peakDepth_ = s.peakDepth;
 }
 
 void
@@ -63,16 +51,11 @@ ReplayQueue::copyFrom(const ReplayQueue &o)
 {
     if (o.capacity_ != capacity_ || o.warpSize_ != warpSize_)
         warped_panic("ReplayQueue copy across capacities or warp widths");
-    for (const std::uint32_t slot : o.order_) {
+    for (const std::uint32_t slot : o.book_.order) {
         slots_[slot].rec.copyFrom(o.slots_[slot].rec, warpSize_);
         slots_[slot].enqueued = o.slots_[slot].enqueued;
     }
-    order_ = o.order_;
-    free_ = o.free_;
-    writeBit_ = o.writeBit_;
-    writeRegMask_ = o.writeRegMask_;
-    typeCount_ = o.typeCount_;
-    peakDepth_ = o.peakDepth_;
+    book_ = o.book_;
 }
 
 void
@@ -80,36 +63,36 @@ ReplayQueue::push(const func::ExecRecord &rec, Cycle now)
 {
     if (full())
         warped_panic("ReplayQueue overflow (capacity ", capacity_, ")");
-    const std::uint32_t slot = free_.back();
-    free_.pop_back();
+    const std::uint32_t slot = book_.free.back();
+    book_.free.pop_back();
     slots_[slot].rec.copyFrom(rec, warpSize_);
     slots_[slot].enqueued = now;
-    writeBit_[slot] =
+    book_.writeBit[slot] =
         rec.instr.hasDst() ? 1ULL << rec.instr.dst.idx : 0;
-    writeRegMask_ |= writeBit_[slot];
-    ++typeCount_[static_cast<unsigned>(rec.instr.unit())];
-    order_.push_back(slot);
+    book_.writeRegMask |= book_.writeBit[slot];
+    ++book_.typeCount[static_cast<unsigned>(rec.instr.unit())];
+    book_.order.push_back(slot);
     if (recorder_) [[unlikely]]
-        recordEvent(trace::EventKind::ReplayPush, rec, order_.size(),
+        recordEvent(trace::EventKind::ReplayPush, rec, book_.order.size(),
                     now);
-    peakDepth_ = std::max(peakDepth_,
-                          static_cast<unsigned>(order_.size()));
+    book_.peakDepth = std::max(book_.peakDepth,
+                               static_cast<unsigned>(book_.order.size()));
 }
 
 const ReplayQueue::Entry *
 ReplayQueue::take(std::size_t pos, Cycle now)
 {
-    const std::uint32_t slot = order_[pos];
-    order_.erase(order_.begin() + pos);
-    free_.push_back(slot);
+    const std::uint32_t slot = book_.order[pos];
+    book_.order.erase(book_.order.begin() + pos);
+    book_.free.push_back(slot);
     // Rebuild the hazard fast-reject union (<= capacity_ ORs).
-    writeRegMask_ = 0;
-    for (const std::uint32_t s : order_)
-        writeRegMask_ |= writeBit_[s];
+    book_.writeRegMask = 0;
+    for (const std::uint32_t s : book_.order)
+        book_.writeRegMask |= book_.writeBit[s];
     const Entry &e = slots_[slot];
-    --typeCount_[static_cast<unsigned>(e.rec.instr.unit())];
+    --book_.typeCount[static_cast<unsigned>(e.rec.instr.unit())];
     if (recorder_) [[unlikely]]
-        recordEvent(trace::EventKind::ReplayPop, e.rec, order_.size(),
+        recordEvent(trace::EventKind::ReplayPop, e.rec, book_.order.size(),
                     now);
     return &e;
 }
@@ -136,7 +119,7 @@ ReplayQueue::popDifferentType(isa::UnitType busy, Rng &rng,
 {
     // The per-type count says how many entries qualify without a walk.
     const std::size_t count =
-        order_.size() - typeCount_[static_cast<unsigned>(busy)];
+        book_.order.size() - book_.typeCount[static_cast<unsigned>(busy)];
     if (count == 0)
         return nullptr;
     // Oldest-first, or at random: the k-th qualifying entry in
@@ -144,8 +127,8 @@ ReplayQueue::popDifferentType(isa::UnitType busy, Rng &rng,
     std::size_t k = policy == DequeuePolicy::OldestFirst || count == 1
                         ? 0
                         : rng.nextBelow(count);
-    for (std::size_t i = 0; i < order_.size(); ++i) {
-        if (slots_[order_[i]].rec.instr.unit() != busy && k-- == 0)
+    for (std::size_t i = 0; i < book_.order.size(); ++i) {
+        if (slots_[book_.order[i]].rec.instr.unit() != busy && k-- == 0)
             return take(i, now);
     }
     warped_panic("popDifferentType: candidate walk out of sync");
@@ -154,7 +137,7 @@ ReplayQueue::popDifferentType(isa::UnitType busy, Rng &rng,
 const ReplayQueue::Entry *
 ReplayQueue::popOldest(Cycle now)
 {
-    if (order_.empty())
+    if (book_.order.empty())
         return nullptr;
     return take(0, now);
 }
@@ -162,10 +145,10 @@ ReplayQueue::popOldest(Cycle now)
 const ReplayQueue::Entry *
 ReplayQueue::popOldestOfType(isa::UnitType t, Cycle now)
 {
-    if (typeCount_[static_cast<unsigned>(t)] == 0)
+    if (book_.typeCount[static_cast<unsigned>(t)] == 0)
         return nullptr;
-    for (std::size_t i = 0; i < order_.size(); ++i) {
-        if (slots_[order_[i]].rec.instr.unit() == t)
+    for (std::size_t i = 0; i < book_.order.size(); ++i) {
+        if (slots_[book_.order[i]].rec.instr.unit() == t)
             return take(i, now);
     }
     return nullptr;
@@ -174,8 +157,8 @@ ReplayQueue::popOldestOfType(isa::UnitType t, Cycle now)
 const ReplayQueue::Entry *
 ReplayQueue::popOldestOfWarp(unsigned warp_id, Cycle now)
 {
-    for (std::size_t i = 0; i < order_.size(); ++i) {
-        if (slots_[order_[i]].rec.warpId == warp_id)
+    for (std::size_t i = 0; i < book_.order.size(); ++i) {
+        if (slots_[book_.order[i]].rec.warpId == warp_id)
             return take(i, now);
     }
     return nullptr;
@@ -186,8 +169,8 @@ ReplayQueue::squashWarp(unsigned warp_id, std::uint64_t min_trace_id,
                         Cycle now)
 {
     unsigned dropped = 0;
-    for (std::size_t i = 0; i < order_.size();) {
-        const Entry &e = slots_[order_[i]];
+    for (std::size_t i = 0; i < book_.order.size();) {
+        const Entry &e = slots_[book_.order[i]];
         if (e.rec.warpId == warp_id && e.rec.traceId >= min_trace_id) {
             take(i, now); // emits ReplayPop; slot returns to the pool
             ++dropped;
@@ -211,9 +194,9 @@ bool
 ReplayQueue::hasRawHazard(unsigned warp_id,
                           std::uint64_t reg_read_mask) const
 {
-    if ((writeRegMask_ & reg_read_mask) == 0)
+    if ((book_.writeRegMask & reg_read_mask) == 0)
         return false;
-    for (const std::uint32_t s : order_) {
+    for (const std::uint32_t s : book_.order) {
         const auto &e = slots_[s];
         if (e.rec.warpId == warp_id && writesInMask(e.rec, reg_read_mask))
             return true;
@@ -225,10 +208,10 @@ const ReplayQueue::Entry *
 ReplayQueue::popRawHazard(unsigned warp_id, std::uint64_t reg_read_mask,
                           Cycle now)
 {
-    if ((writeRegMask_ & reg_read_mask) == 0)
+    if ((book_.writeRegMask & reg_read_mask) == 0)
         return nullptr;
-    for (std::size_t i = 0; i < order_.size(); ++i) {
-        const auto &e = slots_[order_[i]];
+    for (std::size_t i = 0; i < book_.order.size(); ++i) {
+        const auto &e = slots_[book_.order[i]];
         if (e.rec.warpId == warp_id &&
             writesInMask(e.rec, reg_read_mask)) {
             return take(i, now);

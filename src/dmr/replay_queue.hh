@@ -51,12 +51,16 @@ class ReplayQueue
                          unsigned warp_size = func::kMaxWarp);
 
     unsigned capacity() const { return capacity_; }
-    unsigned size() const { return static_cast<unsigned>(order_.size()); }
-    bool empty() const { return order_.empty(); }
-    bool full() const { return order_.size() >= capacity_; }
+    unsigned
+    size() const
+    {
+        return static_cast<unsigned>(book_.order.size());
+    }
+    bool empty() const { return book_.order.empty(); }
+    bool full() const { return book_.order.size() >= capacity_; }
 
     /** Deepest the queue has ever been (invariant: <= capacity). */
-    unsigned peakDepth() const { return peakDepth_; }
+    unsigned peakDepth() const { return book_.peakDepth; }
 
     /** Emit push/pop events to @p rec on behalf of SM @p sm. */
     void
@@ -126,26 +130,48 @@ class ReplayQueue
                               std::uint64_t reg_read_mask,
                               Cycle now = 0);
 
-    /** The queue's contents at a cycle boundary: the occupied
-     *  entries oldest first, each packed at the machine's warp width,
-     *  plus the depth watermark. */
+    /** The queue's bookkeeping: which slots hold entries in which
+     *  order, and what the fast rejects and the watermark read. */
+    struct Book
+    {
+        std::vector<std::uint32_t> order; ///< oldest-first slot indices
+        std::vector<std::uint32_t> free;  ///< unoccupied slot stack
+        /** Per-slot cached destination-register bit (0 when no dst). */
+        std::vector<std::uint64_t> writeBit;
+        /** Union of destination-register bits over every queued
+         *  entry: a one-AND fast reject for the per-issue RAW hazard
+         *  probe. */
+        std::uint64_t writeRegMask = 0;
+        /** Queued entries per unit type: the per-issue unit drain and
+         *  the Algorithm-1 partner search reject in O(1) when no entry
+         *  can qualify. */
+        std::array<unsigned, isa::kNumUnitTypes> typeCount{};
+        /** Deepest the queue has ever been. */
+        unsigned peakDepth = 0;
+    };
+
+    /** The queue's contents at a cycle boundary: the bookkeeping,
+     *  plus the occupied entries oldest first, each packed at the
+     *  machine's warp width. */
     struct State
     {
+        Book book;
         func::PackedRecords records;
         std::vector<Cycle> enqueued;
-        unsigned peakDepth = 0;
 
         std::size_t
         bytes() const
         {
             return sizeof(*this) + records.bytes() +
-                   enqueued.size() * sizeof(Cycle);
+                   enqueued.size() * sizeof(Cycle) +
+                   (book.order.size() + book.free.size()) *
+                       sizeof(std::uint32_t) +
+                   book.writeBit.size() * sizeof(std::uint64_t);
         }
     };
     State saveState() const;
     /** Replace the contents with @p s (a queue of the same capacity
-     *  and warp width). Slot numbering may differ from the saving
-     *  queue's; nothing observes it. */
+     *  and warp width), slot numbering included. */
     void restoreState(const State &s);
     /** Make the contents equal to @p o's (a queue of the same
      *  capacity and warp width), slot numbering included; only the
@@ -179,19 +205,8 @@ class ReplayQueue
 
     unsigned capacity_;
     unsigned warpSize_; ///< plane slots copied per push
-    unsigned peakDepth_ = 0;
-    std::vector<Entry> slots_;          ///< fixed pool, sized capacity_
-    std::vector<std::uint32_t> order_;  ///< oldest-first slot indices
-    std::vector<std::uint32_t> free_;   ///< unoccupied slot stack
-    /** Per-slot cached destination-register bit (0 when no dst). */
-    std::vector<std::uint64_t> writeBit_;
-    /** Union of destination-register bits over every queued entry:
-     *  a one-AND fast reject for the per-issue RAW hazard probe. */
-    std::uint64_t writeRegMask_ = 0;
-    /** Queued entries per unit type: the per-issue unit drain and
-     *  the Algorithm-1 partner search reject in O(1) when no entry
-     *  can qualify. */
-    std::array<unsigned, isa::kNumUnitTypes> typeCount_{};
+    std::vector<Entry> slots_; ///< fixed pool, sized capacity_
+    Book book_;
     trace::Recorder *recorder_ = nullptr;
     unsigned smId_ = 0;
 };

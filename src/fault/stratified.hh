@@ -88,7 +88,6 @@ class StratifiedSpace
 
     std::size_t strata() const { return strata_.size(); }
     const Stratum &stratum(std::size_t h) const;
-    unsigned windowBuckets() const { return buckets_; }
 
     /** Stable per-stratum labels, in stratum order. */
     std::vector<std::string> labels() const;

@@ -75,15 +75,6 @@ class Gpu
     const mem::Memory &mem() const { return mem_; }
     mem::LinearAllocator &allocator() { return alloc_; }
     const arch::GpuConfig &config() const { return cfg_; }
-    const dmr::DmrConfig &dmrConfig() const { return dcfg_; }
-    const recovery::RecoveryConfig &recoveryConfig() const
-    {
-        return rcfg_;
-    }
-    const protection::SchemeConfig &schemeConfig() const
-    {
-        return scfg_;
-    }
 
     /**
      * Run @p prog over @p grid_blocks blocks of @p block_threads

@@ -41,9 +41,10 @@ class Memory
     /** Backing storage comes zeroed from the thread-local buffer pool
      *  (common/buffer_pool.hh) and is retired back to it on
      *  destruction together with the span of bytes this Memory
-     *  wrote, so per-launch Memory construction in campaign loops
-     *  reuses warm pages and re-zeroes only the previous owner's
-     *  footprint instead of the whole 8 MB global-memory image. */
+     *  wrote, so a Memory per fresh launch (sim_ref, the figure
+     *  sweeps; campaigns build one per resident machine pair) reuses
+     *  warm pages and re-zeroes only the previous owner's footprint
+     *  instead of the whole 8 MB global-memory image. */
     explicit Memory(std::size_t bytes);
     ~Memory();
 

@@ -48,14 +48,14 @@ PartialThreadScheme::onIssue(const func::ExecRecord &rec, Cycle now)
     const unsigned dups = prot.count();
     const unsigned spare = n - active;
     if (dups > spare)
-        stallAcc_ += dups - spare;
+        partial_.stallAcc += dups - spare;
 
     if (!rec.verifiable()) {
         if (listener_)
             listener_->onUnprotected(rec);
     } else {
-        partial_.verifiableThreadInstrs += active;
-        ++partial_.intraWarpInstrs;
+        partial_.stats.verifiableThreadInstrs += active;
+        ++partial_.stats.intraWarpInstrs;
         const unsigned unit = static_cast<unsigned>(rec.instr.unit());
         const auto &map = engine_.mapping();
         const unsigned w = gpu_.lanesPerCluster;
@@ -68,20 +68,20 @@ PartialThreadScheme::onIssue(const func::ExecRecord &rec, Cycle now)
             const unsigned primary = map.laneOf(slot);
             const unsigned checker =
                 shuffle ? dmr::shuffledLane(primary, w) : primary;
-            if (verifySlotThroughHook(exec_, map, partial_, rec, slot,
+            if (verifySlotThroughHook(exec_, map, partial_.stats, rec, slot,
                                       checker, now, now))
                 mismatch = true;
             ++verified;
-            ++partial_.redundantThreadExecs[unit];
+            ++partial_.stats.redundantThreadExecs[unit];
         }
-        partial_.verifiedThreadInstrs += verified;
-        partial_.intraVerifiedThreads += verified;
+        partial_.stats.verifiedThreadInstrs += verified;
+        partial_.stats.intraVerifiedThreads += verified;
         if (listener_)
             listener_->onVerified(rec, mismatch, now);
     }
 
-    const unsigned stall = static_cast<unsigned>(stallAcc_ / n);
-    stallAcc_ %= n;
+    const unsigned stall = static_cast<unsigned>(partial_.stallAcc / n);
+    partial_.stallAcc %= n;
     return stall;
 }
 
@@ -89,7 +89,6 @@ void
 PartialThreadScheme::restoreState(const State &s)
 {
     engine_.restoreState(s.engine);
-    stallAcc_ = s.stallAcc;
     partial_ = s.partial;
 }
 
@@ -97,15 +96,14 @@ std::unique_ptr<SchemeState>
 PartialThreadScheme::saveState() const
 {
     return std::make_unique<SchemeStateOf<PartialThreadScheme, State>>(
-        State{engine_.saveStateValue(), stallAcc_, partial_});
+        id(), State{engine_.saveStateValue(), partial_});
 }
 
 void
 PartialThreadScheme::copyFrom(const ProtectionScheme &o)
 {
-    const PartialThreadScheme &p = sameScheme(*this, o);
+    const auto &p = sameScheme<const PartialThreadScheme>(id(), o);
     engine_.copyFrom(p.engine_);
-    stallAcc_ = p.stallAcc_;
     partial_ = p.partial_;
 }
 
@@ -113,17 +111,8 @@ const dmr::DmrStats &
 PartialThreadScheme::stats() const
 {
     combined_ = engine_.stats();
-    const dmr::DmrStats &p = partial_;
-    combined_.verifiableThreadInstrs += p.verifiableThreadInstrs;
-    combined_.verifiedThreadInstrs += p.verifiedThreadInstrs;
-    combined_.intraVerifiedThreads += p.intraVerifiedThreads;
-    combined_.interVerifiedThreads += p.interVerifiedThreads;
-    combined_.intraWarpInstrs += p.intraWarpInstrs;
-    combined_.interWarpInstrs += p.interWarpInstrs;
-    combined_.comparisons += p.comparisons;
-    combined_.errorsDetected += p.errorsDetected;
-    for (std::size_t u = 0; u < p.redundantThreadExecs.size(); ++u)
-        combined_.redundantThreadExecs[u] += p.redundantThreadExecs[u];
+    const dmr::DmrStats &p = partial_.stats;
+    combined_.addCounters(p);
     if (!p.errorLog.empty()) {
         combined_.errorLog.insert(combined_.errorLog.end(),
                                   p.errorLog.begin(), p.errorLog.end());

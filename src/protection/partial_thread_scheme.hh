@@ -87,17 +87,25 @@ class PartialThreadScheme final : public ProtectionScheme
 
     unsigned protectedSlots() const { return protectedSlots_; }
 
+    /** What the non-delegated path adds: the protected duplicates
+     *  that found no spare lane, pending serialization, and its
+     *  counters. */
+    struct PartialPath
+    {
+        std::uint64_t stallAcc = 0;
+        dmr::DmrStats stats;
+    };
+
     /** The wrapped engine's state plus the partial path's own. */
     struct State
     {
         dmr::DmrEngine::State engine;
-        std::uint64_t stallAcc = 0;
-        dmr::DmrStats partial;
+        PartialPath partial;
         std::size_t
         bytes() const
         {
             return engine.bytes() + sizeof(*this) +
-                   partial.errorLog.size() * sizeof(dmr::ErrorEvent);
+                   partial.stats.errorLog.size() * sizeof(dmr::ErrorEvent);
         }
     };
     void restoreState(const State &s);
@@ -110,9 +118,8 @@ class PartialThreadScheme final : public ProtectionScheme
     dmr::DmrEngine engine_;
     unsigned protectedSlots_;
     LaneMask protectedMask_;
-    std::uint64_t stallAcc_ = 0;
+    PartialPath partial_;
     dmr::RecoveryListener *listener_ = nullptr;
-    dmr::DmrStats partial_; ///< counters from the non-delegated path
     /** engine_ + partial_, rebuilt on demand by stats(). */
     mutable dmr::DmrStats combined_;
 };

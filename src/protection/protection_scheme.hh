@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/types.hh"
@@ -94,31 +95,6 @@ class SchemeState
     virtual void restoreInto(ProtectionScheme &scheme) const = 0;
     /** Heap and inline bytes the copy holds (rung budgeting). */
     virtual std::size_t bytes() const = 0;
-};
-
-/**
- * SchemeState for scheme type @p S whose state is the value type
- * @p StateT: restoreInto hands it to `S::restoreState`, bytes() asks
- * `StateT::bytes`.
- */
-template <class S, class StateT>
-class SchemeStateOf final : public SchemeState
-{
-  public:
-    explicit SchemeStateOf(StateT s) : state(std::move(s)) {}
-
-    void
-    restoreInto(ProtectionScheme &scheme) const override
-    {
-        auto *target = dynamic_cast<S *>(&scheme);
-        if (!target)
-            warped_panic("snapshot restore into a different scheme");
-        target->restoreState(state);
-    }
-
-    std::size_t bytes() const override { return state.bytes(); }
-
-    StateT state;
 };
 
 /**
@@ -212,16 +188,77 @@ class ProtectionScheme
     virtual void copyFrom(const ProtectionScheme &o) = 0;
 };
 
-/** @p o as the scheme type of @p self, for copyFrom; panics when @p o
- *  is another scheme. */
-template <class S>
-const S &
-sameScheme(const S &self, const ProtectionScheme &o)
+/**
+ * @p o as scheme type @p S (const-qualified when @p o is const), the
+ * type of the scheme with id @p id; panics when @p o is another
+ * scheme. The one type check of a fork and of a rung restore: a
+ * scheme id names one scheme class.
+ */
+template <class S, class P>
+S &
+sameScheme(SchemeId id, P &o)
 {
-    if (o.id() != self.id())
-        warped_panic("fork from a different protection scheme");
-    return static_cast<const S &>(o);
+    if (o.id() != id)
+        warped_panic("fork or restore from a different protection scheme");
+    return static_cast<S &>(o);
 }
+
+/**
+ * SchemeState for scheme type @p S whose state is the value type
+ * @p StateT, saved by the scheme with id `id`: restoreInto hands it
+ * to `S::restoreState` once sameScheme has checked the target's id,
+ * bytes() asks `StateT::bytes`.
+ */
+template <class S, class StateT>
+class SchemeStateOf final : public SchemeState
+{
+  public:
+    SchemeStateOf(SchemeId saver, StateT s)
+        : id(saver), state(std::move(s))
+    {
+    }
+
+    void
+    restoreInto(ProtectionScheme &scheme) const override
+    {
+        sameScheme<S>(id, scheme).restoreState(state);
+    }
+
+    std::size_t bytes() const override { return state.bytes(); }
+
+    SchemeId id;
+    StateT state;
+};
+
+/**
+ * A scheme whose whole mutable state is the plain value `st_` of type
+ * @p StateT: the rung capture, the rung restore and the fork each
+ * copy it with one assignment.
+ */
+template <class StateT>
+class PlainStateScheme : public ProtectionScheme
+{
+  public:
+    using State = StateT;
+
+    void restoreState(const State &s) { st_ = s; }
+
+    std::unique_ptr<SchemeState>
+    saveState() const override
+    {
+        return std::make_unique<SchemeStateOf<PlainStateScheme, State>>(
+            id(), st_);
+    }
+
+    void
+    copyFrom(const ProtectionScheme &o) override
+    {
+        st_ = sameScheme<const PlainStateScheme>(id(), o).st_;
+    }
+
+  protected:
+    State st_;
+};
 
 } // namespace protection
 } // namespace warped

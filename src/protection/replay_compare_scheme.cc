@@ -5,58 +5,14 @@
 namespace warped {
 namespace protection {
 
-std::size_t
-ReplayCompareScheme::State::bytes() const
-{
-    return base.bytes() + sizeof(*this) +
-           candidates.size() * sizeof(Candidate);
-}
-
-void
-ReplayCompareScheme::restoreState(const State &s)
-{
-    SoftwareSchemeBase::restoreState(s.base);
-    candidates_ = s.candidates;
-    droppedCandidates_ = s.droppedCandidates;
-    replayExecs_ = s.replayExecs;
-    firstIssue_ = s.firstIssue;
-    lastIssue_ = s.lastIssue;
-    any_ = s.any;
-    phase_ = s.phase;
-    replayLeft_ = s.replayLeft;
-}
-
-void
-ReplayCompareScheme::copyFrom(const ProtectionScheme &o)
-{
-    const ReplayCompareScheme &r = sameScheme(*this, o);
-    stats_ = r.stats_;
-    candidates_ = r.candidates_;
-    droppedCandidates_ = r.droppedCandidates_;
-    replayExecs_ = r.replayExecs_;
-    firstIssue_ = r.firstIssue_;
-    lastIssue_ = r.lastIssue_;
-    any_ = r.any_;
-    phase_ = r.phase_;
-    replayLeft_ = r.replayLeft_;
-}
-
-std::unique_ptr<SchemeState>
-ReplayCompareScheme::saveState() const
-{
-    return std::make_unique<SchemeStateOf<ReplayCompareScheme, State>>(
-        State{{stats_}, candidates_, droppedCandidates_, replayExecs_,
-              firstIssue_, lastIssue_, any_, phase_, replayLeft_});
-}
-
 unsigned
 ReplayCompareScheme::onIssue(const func::ExecRecord &rec, Cycle now)
 {
-    if (!any_) {
-        any_ = true;
-        firstIssue_ = now;
+    if (!st_.any) {
+        st_.any = true;
+        st_.firstIssue = now;
     }
-    lastIssue_ = now;
+    st_.lastIssue = now;
     // Nothing is verified before the end of the kernel, so from a
     // per-instruction consumer's view every record is unprotected.
     if (listener_)
@@ -64,8 +20,8 @@ ReplayCompareScheme::onIssue(const func::ExecRecord &rec, Cycle now)
     if (!rec.verifiable())
         return 0;
     const unsigned active = rec.active.count();
-    stats_.verifiableThreadInstrs += active;
-    replayExecs_[static_cast<unsigned>(rec.instr.unit())] += active;
+    st_.stats.verifiableThreadInstrs += active;
+    st_.replayExecs[static_cast<unsigned>(rec.instr.unit())] += active;
     // A clean record's results are the hook-free recompute itself:
     // no slot can become a candidate.
     if (rec.clean)
@@ -81,8 +37,8 @@ ReplayCompareScheme::onIssue(const func::ExecRecord &rec, Cycle now)
             continue;
         if (pure[slot] == rec.results[slot])
             continue; // will compare equal on replay too
-        if (candidates_.size() >= kMaxCandidates) {
-            ++droppedCandidates_;
+        if (st_.candidates.size() >= kMaxCandidates) {
+            ++st_.droppedCandidates;
             continue;
         }
         Candidate c;
@@ -95,7 +51,7 @@ ReplayCompareScheme::onIssue(const func::ExecRecord &rec, Cycle now)
         c.lane = mapping_.laneOf(slot);
         c.warpId = rec.warpId;
         c.pc = rec.pc;
-        candidates_.push_back(c);
+        st_.candidates.push_back(c);
     }
     return 0;
 }
@@ -103,19 +59,19 @@ ReplayCompareScheme::onIssue(const func::ExecRecord &rec, Cycle now)
 void
 ReplayCompareScheme::onIdleCycle(Cycle now, bool sm_busy)
 {
-    if (sm_busy || !any_ || phase_ == Phase::Done)
+    if (sm_busy || !st_.any || st_.phase == Phase::Done)
         return;
-    if (phase_ == Phase::Recording) {
+    if (st_.phase == Phase::Recording) {
         // Warps retired: the replay run starts, costing the primary
         // run's issue span again.
-        phase_ = Phase::Replaying;
-        replayLeft_ = lastIssue_ - firstIssue_ + 1;
+        st_.phase = Phase::Replaying;
+        st_.replayLeft = st_.lastIssue - st_.firstIssue + 1;
     }
-    if (replayLeft_ > 0) {
-        --replayLeft_;
-        ++stats_.finalDrainCycles;
+    if (st_.replayLeft > 0) {
+        --st_.replayLeft;
+        ++st_.stats.finalDrainCycles;
     }
-    if (replayLeft_ == 0)
+    if (st_.replayLeft == 0)
         finishReplay(now);
 }
 
@@ -133,8 +89,8 @@ ReplayCompareScheme::drainAll(Cycle now)
 void
 ReplayCompareScheme::finishReplay(Cycle end)
 {
-    phase_ = Phase::Done;
-    for (const auto &c : candidates_) {
+    st_.phase = Phase::Done;
+    for (const auto &c : st_.candidates) {
         // Re-execute the corrupted slot on the same lane at replay
         // time; only a fault still active *now* can reproduce the
         // corruption and hide it from the comparator.
@@ -147,10 +103,10 @@ ReplayCompareScheme::finishReplay(Cycle end)
         const RegValue pure =
             func::Executor::computeLane(c.instr, c.ops, c.laneInfo);
         const RegValue got = exec_.hook().apply(pure, ctx);
-        ++stats_.comparisons;
+        ++st_.stats.comparisons;
         if (got != c.result) {
-            ++stats_.errorsDetected;
-            if (stats_.errorLog.size() < dmr::DmrStats::kMaxErrorLog) {
+            ++st_.stats.errorsDetected;
+            if (st_.stats.errorLog.size() < dmr::DmrStats::kMaxErrorLog) {
                 dmr::ErrorEvent ev;
                 ev.cycle = end;
                 ev.sm = exec_.smId();
@@ -162,15 +118,15 @@ ReplayCompareScheme::finishReplay(Cycle end)
                 ev.primary = c.result;
                 ev.checker = got;
                 ev.intraWarp = false;
-                stats_.errorLog.push_back(ev);
+                st_.stats.errorLog.push_back(ev);
             }
         }
     }
     // The replay run re-executed and compared the whole kernel.
-    stats_.verifiedThreadInstrs = stats_.verifiableThreadInstrs;
-    stats_.interVerifiedThreads = stats_.verifiedThreadInstrs;
-    for (std::size_t u = 0; u < replayExecs_.size(); ++u)
-        stats_.redundantThreadExecs[u] += replayExecs_[u];
+    st_.stats.verifiedThreadInstrs = st_.stats.verifiableThreadInstrs;
+    st_.stats.interVerifiedThreads = st_.stats.verifiedThreadInstrs;
+    for (std::size_t u = 0; u < st_.replayExecs.size(); ++u)
+        st_.stats.redundantThreadExecs[u] += st_.replayExecs[u];
 }
 
 } // namespace protection

@@ -32,26 +32,11 @@
 namespace warped {
 namespace protection {
 
-class ReplayCompareScheme final : public SoftwareSchemeBase
+/** ReplayCompareScheme's state: the counters plus the recording and
+ *  replay progress. */
+struct ReplayCompareState : SoftwareState
 {
-  public:
-    using SoftwareSchemeBase::SoftwareSchemeBase;
-
-    SchemeId id() const override { return SchemeId::ReplayCompare; }
-    /** Detection arrives after the warps (and any rollback state)
-     *  are gone: recovery cannot compose with this scheme. */
-    bool supportsRecovery() const override { return false; }
-
-    unsigned onIssue(const func::ExecRecord &rec, Cycle now) override;
-    void onIdleCycle(Cycle now, bool sm_busy) override;
-    std::uint64_t drainAll(Cycle now) override;
-    bool
-    hasPending() const override
-    {
-        return any_ && phase_ != Phase::Done;
-    }
-
-  private:
+    /** A slot the fault hook corrupted in the primary run. */
     struct Candidate
     {
         isa::Instruction instr;
@@ -71,40 +56,53 @@ class ReplayCompareScheme final : public SoftwareSchemeBase
         Done
     };
 
-  public:
-    /** Counters plus the recording/replay progress. */
-    struct State
+    std::vector<Candidate> candidates;
+    std::uint64_t droppedCandidates = 0;
+    std::array<std::uint64_t, isa::kNumUnitTypes> replayExecs{};
+    Cycle firstIssue = 0;
+    Cycle lastIssue = 0;
+    bool any = false;
+    Phase phase = Phase::Recording;
+    Cycle replayLeft = 0;
+
+    std::size_t
+    bytes() const
     {
-        SoftwareSchemeBase::State base;
-        std::vector<Candidate> candidates;
-        std::uint64_t droppedCandidates = 0;
-        std::array<std::uint64_t, isa::kNumUnitTypes> replayExecs{};
-        Cycle firstIssue = 0;
-        Cycle lastIssue = 0;
-        bool any = false;
-        Phase phase = Phase::Recording;
-        Cycle replayLeft = 0;
-        std::size_t bytes() const;
-    };
-    void restoreState(const State &s);
-    std::unique_ptr<SchemeState> saveState() const override;
-    void copyFrom(const ProtectionScheme &o) override;
+        return sizeof(*this) +
+               stats.errorLog.size() * sizeof(dmr::ErrorEvent) +
+               candidates.size() * sizeof(Candidate);
+    }
+};
+
+class ReplayCompareScheme final
+    : public SoftwareSchemeBase<ReplayCompareState>
+{
+  public:
+    using SoftwareSchemeBase::SoftwareSchemeBase;
+
+    SchemeId id() const override { return SchemeId::ReplayCompare; }
+    /** Detection arrives after the warps (and any rollback state)
+     *  are gone: recovery cannot compose with this scheme. */
+    bool supportsRecovery() const override { return false; }
+
+    unsigned onIssue(const func::ExecRecord &rec, Cycle now) override;
+    void onIdleCycle(Cycle now, bool sm_busy) override;
+    std::uint64_t drainAll(Cycle now) override;
+    bool
+    hasPending() const override
+    {
+        return st_.any && st_.phase != State::Phase::Done;
+    }
 
   private:
+    using Candidate = State::Candidate;
+    using Phase = State::Phase;
+
     void finishReplay(Cycle end);
 
     /** Bound on remembered corrupted slots; overflow is counted and
      *  conservatively dropped (an undetected candidate, not a crash). */
     static constexpr std::size_t kMaxCandidates = 4096;
-
-    std::vector<Candidate> candidates_;
-    std::uint64_t droppedCandidates_ = 0;
-    std::array<std::uint64_t, isa::kNumUnitTypes> replayExecs_{};
-    Cycle firstIssue_ = 0;
-    Cycle lastIssue_ = 0;
-    bool any_ = false;
-    Phase phase_ = Phase::Recording;
-    Cycle replayLeft_ = 0;
 };
 
 } // namespace protection

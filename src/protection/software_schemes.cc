@@ -6,28 +6,6 @@
 namespace warped {
 namespace protection {
 
-SoftwareSchemeBase::SoftwareSchemeBase(const arch::GpuConfig &gpu,
-                                       func::Executor &exec)
-    : gpu_(gpu), exec_(exec),
-      mapping_(dmr::MappingPolicy::Linear, gpu.warpSize,
-               gpu.lanesPerCluster)
-{
-}
-
-std::unique_ptr<SchemeState>
-SoftwareSchemeBase::saveState() const
-{
-    return std::make_unique<SchemeStateOf<SoftwareSchemeBase, State>>(
-        State{stats_});
-}
-
-std::unique_ptr<SchemeState>
-RThreadScheme::saveState() const
-{
-    return std::make_unique<SchemeStateOf<RThreadScheme, State>>(
-        State{{stats_}, stallAcc_});
-}
-
 bool
 verifySlotThroughHook(func::Executor &exec,
                       const dmr::ThreadCoreMapping &mapping,
@@ -70,15 +48,6 @@ verifySlotThroughHook(func::Executor &exec,
     return mismatch;
 }
 
-bool
-SoftwareSchemeBase::verifySlotAt(const func::ExecRecord &rec,
-                                 unsigned slot, unsigned checker_lane,
-                                 Cycle fault_cycle, Cycle log_cycle)
-{
-    return verifySlotThroughHook(exec_, mapping_, stats_, rec, slot,
-                                 checker_lane, fault_cycle, log_cycle);
-}
-
 unsigned
 RNaiveScheme::onIssue(const func::ExecRecord &rec, Cycle now)
 {
@@ -93,7 +62,7 @@ RNaiveScheme::onIssue(const func::ExecRecord &rec, Cycle now)
     const unsigned unit = static_cast<unsigned>(rec.instr.unit());
     unsigned verified = 0;
     bool mismatch = false;
-    stats_.verifiableThreadInstrs += rec.active.count();
+    st_.stats.verifiableThreadInstrs += rec.active.count();
     for (unsigned slot = 0; slot < gpu_.warpSize; ++slot) {
         if (!rec.active.test(slot))
             continue;
@@ -104,10 +73,10 @@ RNaiveScheme::onIssue(const func::ExecRecord &rec, Cycle now)
         if (verifySlotAt(rec, slot, lane, now + kSecondRunOffset, now))
             mismatch = true;
         ++verified;
-        ++stats_.redundantThreadExecs[unit];
+        ++st_.stats.redundantThreadExecs[unit];
     }
-    stats_.verifiedThreadInstrs += verified;
-    stats_.interVerifiedThreads += verified;
+    st_.stats.verifiedThreadInstrs += verified;
+    st_.stats.interVerifiedThreads += verified;
     if (listener_)
         listener_->onVerified(rec, mismatch, now);
     return 1;
@@ -123,7 +92,7 @@ RThreadScheme::onIssue(const func::ExecRecord &rec, Cycle now)
     // extra issue cycles.
     const unsigned spare = n - active;
     if (active > spare)
-        stallAcc_ += active - spare;
+        st_.stallAcc += active - spare;
 
     if (!rec.verifiable()) {
         if (listener_)
@@ -132,7 +101,7 @@ RThreadScheme::onIssue(const func::ExecRecord &rec, Cycle now)
         const unsigned unit = static_cast<unsigned>(rec.instr.unit());
         unsigned verified = 0;
         bool mismatch = false;
-        stats_.verifiableThreadInstrs += active;
+        st_.stats.verifiableThreadInstrs += active;
         for (unsigned slot = 0; slot < n; ++slot) {
             if (!rec.active.test(slot))
                 continue;
@@ -143,16 +112,16 @@ RThreadScheme::onIssue(const func::ExecRecord &rec, Cycle now)
             if (verifySlotAt(rec, slot, checker_lane, now, now))
                 mismatch = true;
             ++verified;
-            ++stats_.redundantThreadExecs[unit];
+            ++st_.stats.redundantThreadExecs[unit];
         }
-        stats_.verifiedThreadInstrs += verified;
-        stats_.intraVerifiedThreads += verified;
+        st_.stats.verifiedThreadInstrs += verified;
+        st_.stats.intraVerifiedThreads += verified;
         if (listener_)
             listener_->onVerified(rec, mismatch, now);
     }
 
-    const unsigned stall = static_cast<unsigned>(stallAcc_ / n);
-    stallAcc_ %= n;
+    const unsigned stall = static_cast<unsigned>(st_.stallAcc / n);
+    st_.stallAcc %= n;
     return stall;
 }
 

@@ -46,13 +46,32 @@ bool verifySlotThroughHook(func::Executor &exec,
                            unsigned checker_lane, Cycle fault_cycle,
                            Cycle log_cycle);
 
+/** The counters: all the state a stateless backend has. */
+struct SoftwareState
+{
+    dmr::DmrStats stats;
+    std::size_t
+    bytes() const
+    {
+        return sizeof(*this) +
+               stats.errorLog.size() * sizeof(dmr::ErrorEvent);
+    }
+};
+
 /** Shared plumbing for the non-DmrEngine backends: linear mapping,
- *  own scratch record, a DmrStats block, and a verify-one-slot helper
- *  mirroring the engine's comparator. */
-class SoftwareSchemeBase : public ProtectionScheme
+ *  own scratch record, a state of type @p StateT (a SoftwareState:
+ *  the DmrStats block, plus what the backend adds), and a
+ *  verify-one-slot helper mirroring the engine's comparator. */
+template <class StateT = SoftwareState>
+class SoftwareSchemeBase : public PlainStateScheme<StateT>
 {
   public:
-    SoftwareSchemeBase(const arch::GpuConfig &gpu, func::Executor &exec);
+    SoftwareSchemeBase(const arch::GpuConfig &gpu, func::Executor &exec)
+        : gpu_(gpu), exec_(exec),
+          mapping_(dmr::MappingPolicy::Linear, gpu.warpSize,
+                   gpu.lanesPerCluster)
+    {
+    }
 
     bool rawHazardStall(unsigned, const isa::Instruction &,
                         Cycle) override
@@ -76,29 +95,10 @@ class SoftwareSchemeBase : public ProtectionScheme
     bool hasPending() const override { return false; }
     unsigned replayQueueSize() const override { return 0; }
     void finalizeStats() override {}
-    const dmr::DmrStats &stats() const override { return stats_; }
+    const dmr::DmrStats &stats() const override { return this->st_.stats; }
     const dmr::ThreadCoreMapping &mapping() const override
     {
         return mapping_;
-    }
-
-    /** The counters: all the state a stateless backend has. */
-    struct State
-    {
-        dmr::DmrStats stats;
-        std::size_t
-        bytes() const
-        {
-            return sizeof(*this) +
-                   stats.errorLog.size() * sizeof(dmr::ErrorEvent);
-        }
-    };
-    void restoreState(const State &s) { stats_ = s.stats; }
-    std::unique_ptr<SchemeState> saveState() const override;
-    void
-    copyFrom(const ProtectionScheme &o) override
-    {
-        stats_ = sameScheme(*this, o).stats_;
     }
 
   protected:
@@ -110,20 +110,24 @@ class SoftwareSchemeBase : public ProtectionScheme
      * call because its granularity is per-record, not per-slot.
      * Returns true on mismatch.
      */
-    bool verifySlotAt(const func::ExecRecord &rec, unsigned slot,
-                      unsigned checker_lane, Cycle fault_cycle,
-                      Cycle log_cycle);
+    bool
+    verifySlotAt(const func::ExecRecord &rec, unsigned slot,
+                 unsigned checker_lane, Cycle fault_cycle, Cycle log_cycle)
+    {
+        return verifySlotThroughHook(exec_, mapping_, this->st_.stats, rec,
+                                     slot, checker_lane, fault_cycle,
+                                     log_cycle);
+    }
 
     const arch::GpuConfig &gpu_;
     func::Executor &exec_;
     dmr::ThreadCoreMapping mapping_;
-    dmr::DmrStats stats_;
     dmr::RecoveryListener *listener_ = nullptr;
     func::ExecRecord scratch_;
 };
 
 /** The unprotected baseline: every hook is a no-op. */
-class OriginalScheme final : public SoftwareSchemeBase
+class OriginalScheme final : public SoftwareSchemeBase<>
 {
   public:
     using SoftwareSchemeBase::SoftwareSchemeBase;
@@ -137,7 +141,7 @@ class OriginalScheme final : public SoftwareSchemeBase
 };
 
 /** Kernel-level re-execution: §5.3's R-Naive. */
-class RNaiveScheme final : public SoftwareSchemeBase
+class RNaiveScheme final : public SoftwareSchemeBase<>
 {
   public:
     using SoftwareSchemeBase::SoftwareSchemeBase;
@@ -153,8 +157,21 @@ class RNaiveScheme final : public SoftwareSchemeBase
     static constexpr Cycle kSecondRunOffset = Cycle{1} << 40;
 };
 
+/** RThreadScheme's state: the counters plus the duplicated threads
+ *  that found no spare lane, pending serialization; drained in
+ *  warp-size quanta as whole extra issue cycles. */
+struct RThreadState : SoftwareState
+{
+    std::uint64_t stallAcc = 0;
+    std::size_t
+    bytes() const
+    {
+        return SoftwareState::bytes() + sizeof(stallAcc);
+    }
+};
+
 /** Spare-lane thread duplication: §5.3's R-Thread. */
-class RThreadScheme final : public SoftwareSchemeBase
+class RThreadScheme final : public SoftwareSchemeBase<RThreadState>
 {
   public:
     using SoftwareSchemeBase::SoftwareSchemeBase;
@@ -162,33 +179,6 @@ class RThreadScheme final : public SoftwareSchemeBase
     SchemeId id() const override { return SchemeId::RThread; }
     bool supportsRecovery() const override { return true; }
     unsigned onIssue(const func::ExecRecord &rec, Cycle now) override;
-
-    struct State
-    {
-        SoftwareSchemeBase::State base;
-        std::uint64_t stallAcc = 0;
-        std::size_t bytes() const { return base.bytes() + sizeof(stallAcc); }
-    };
-    void
-    restoreState(const State &s)
-    {
-        SoftwareSchemeBase::restoreState(s.base);
-        stallAcc_ = s.stallAcc;
-    }
-    std::unique_ptr<SchemeState> saveState() const override;
-    void
-    copyFrom(const ProtectionScheme &o) override
-    {
-        const RThreadScheme &r = sameScheme(*this, o);
-        stats_ = r.stats_;
-        stallAcc_ = r.stallAcc_;
-    }
-
-  private:
-    /** Duplicated threads that found no spare lane, pending
-     *  serialization; drained in warp-size quanta as whole extra
-     *  issue cycles. */
-    std::uint64_t stallAcc_ = 0;
 };
 
 } // namespace protection

@@ -41,7 +41,7 @@ bool
 Sm::canAcceptBlock(unsigned block_threads) const
 {
     const unsigned need_warps = cfg_.warpsPerBlock(block_threads);
-    if (residentThreads_ + block_threads > cfg_.maxThreadsPerSm)
+    if (vars_.residentThreads + block_threads > cfg_.maxThreadsPerSm)
         return false;
 
     bool free_block = false;
@@ -54,7 +54,7 @@ Sm::canAcceptBlock(unsigned block_threads) const
     if (!free_block)
         return false;
 
-    if (maxWarps_ - residentWarps_ < need_warps)
+    if (maxWarps_ - vars_.residentWarps < need_warps)
         return false;
 
     unsigned shared_in_use = 0;
@@ -115,17 +115,17 @@ Sm::assignBlock(unsigned block_id, unsigned block_threads,
         warpState_[w] = warps_[w]->finished() ? kWarpFinished
                                               : kWarpReady;
         warpPc_[w] = 0;
-        scanLimit_ = std::max(scanLimit_, w + 1);
+        vars_.scanLimit = std::max(vars_.scanLimit, w + 1);
         b.warpSlots.push_back(w);
         ++assigned;
-        ++residentWarps_;
+        ++vars_.residentWarps;
     }
     b.liveWarps = 0;
     for (unsigned w : b.warpSlots)
         if (warpState_[w] != kWarpFinished)
             ++b.liveWarps;
     b.barrierWaiters = 0;
-    residentThreads_ += block_threads;
+    vars_.residentThreads += block_threads;
 }
 
 void
@@ -145,7 +145,7 @@ Sm::releaseBarriers()
             }
         }
         b.barrierWaiters = 0;
-        --barrierBlocks_;
+        --vars_.barrierBlocks;
     }
 }
 
@@ -166,11 +166,12 @@ Sm::retireIfDone(unsigned block_slot)
         warpState_[w] = kWarpEmpty;
         warpBlockSlot_[w] = -1;
         scoreboard_.resetWarp(w);
-        --residentWarps_;
+        --vars_.residentWarps;
     }
-    while (scanLimit_ > 0 && warpState_[scanLimit_ - 1] == kWarpEmpty)
-        --scanLimit_;
-    residentThreads_ -= threads;
+    while (vars_.scanLimit > 0 &&
+           warpState_[vars_.scanLimit - 1] == kWarpEmpty)
+        --vars_.scanLimit;
+    vars_.residentThreads -= threads;
     b.active = false;
     // b.shared is kept for recycling by the next assignBlock.
     b.warpSlots.clear();
@@ -312,7 +313,7 @@ Sm::tryIssue(unsigned warp_slot, Cycle now, isa::UnitType &unit_out)
     if (!scoreboard_.ready(warp_slot, in, now))
         return IssueOutcome::None;
     if (cfg_.modelCoalescing && in.isMem() &&
-        !isa::opcodeIsSharedMem(in.op) && now < ldstPortFreeAt_) {
+        !isa::opcodeIsSharedMem(in.op) && now < vars_.ldstPortFreeAt) {
         return IssueOutcome::None; // LD/ST port still draining
     }
 
@@ -327,7 +328,7 @@ Sm::tryIssue(unsigned warp_slot, Cycle now, isa::UnitType &unit_out)
         recovery_->hasUnverified(warp_slot)) [[unlikely]] {
         recovery_->countRetireStall();
         scheme_->preRetireVerify(warp_slot, now);
-        lastProgress_ = now;
+        vars_.lastProgress = now;
         return IssueOutcome::Stalled; // cycle consumed
     }
 
@@ -335,7 +336,7 @@ Sm::tryIssue(unsigned warp_slot, Cycle now, isa::UnitType &unit_out)
     // stalls for a cycle while the producer is verified.
     if (scheme_->rawHazardStall(warp_slot, in, now)) {
         ++stats_.stallCyclesRaw;
-        lastProgress_ = now;
+        vars_.lastProgress = now;
         return IssueOutcome::Stalled; // cycle consumed
     }
     unit_out = in.unit();
@@ -354,7 +355,7 @@ Sm::tryIssue(unsigned warp_slot, Cycle now, isa::UnitType &unit_out)
     exec_.stepInto(*warp, prog_, shared, scheme_->mapping().laneTable(),
                    now, rec, undo);
     rec.warpId = warp_slot;
-    rec.traceId = (std::uint64_t{smId_} << 40) | ++issueSeq_;
+    rec.traceId = (std::uint64_t{smId_} << 40) | ++vars_.issueSeq;
     if (recovery_) [[unlikely]]
         recovery_->commitDelta(warp_slot, rec);
 
@@ -382,7 +383,7 @@ Sm::tryIssue(unsigned warp_slot, Cycle now, isa::UnitType &unit_out)
         }
         if (cfg_.modelCoalescing) {
             extra_mem_cycles = n > 1 ? n - 1 : 0;
-            ldstPortFreeAt_ = now + 1 + extra_mem_cycles;
+            vars_.ldstPortFreeAt = now + 1 + extra_mem_cycles;
         }
         if (memSys_)
             contended_ready =
@@ -399,7 +400,7 @@ Sm::tryIssue(unsigned warp_slot, Cycle now, isa::UnitType &unit_out)
     ++stats_.busyCycles;
 
     const unsigned stall = scheme_->onIssue(rec, now);
-    stallCycles_ += stall;
+    vars_.stallCycles += stall;
     stats_.stallCyclesDmr += stall;
 
     // Mirror the executed warp's new schedulability and PC.
@@ -412,12 +413,12 @@ Sm::tryIssue(unsigned warp_slot, Cycle now, isa::UnitType &unit_out)
         if (warp->atBarrier()) {
             warpState_[warp_slot] = kWarpBarrier;
             if (blocks_[block_slot].barrierWaiters++ == 0)
-                ++barrierBlocks_;
+                ++vars_.barrierBlocks;
         }
     }
 
-    lastScheduled_ = warp_slot;
-    lastProgress_ = now;
+    vars_.lastScheduled = warp_slot;
+    vars_.lastProgress = now;
     return IssueOutcome::Issued;
 }
 
@@ -427,8 +428,8 @@ Sm::tick(Cycle now)
     ++mutations_;
     ++stats_.cycles;
 
-    if (stallCycles_ > 0) {
-        --stallCycles_;
+    if (vars_.stallCycles > 0) {
+        --vars_.stallCycles;
         return;
     }
 
@@ -451,11 +452,11 @@ Sm::tick(Cycle now)
             warpState_[wu] = kWarpReady;
             warpPc_[wu] = warps_[wu]->stack().pc();
         }
-        lastProgress_ = now;
+        vars_.lastProgress = now;
         return;
     }
 
-    if (barrierBlocks_ > 0)
+    if (vars_.barrierBlocks > 0)
         releaseBarriers();
 
     // Up to numSchedulers issues per cycle, each from a different
@@ -464,7 +465,7 @@ Sm::tick(Cycle now)
     // one instruction per shared unit type issues per cycle.
     unsigned progress = 0;
     bool ldst_used = false, sfu_used = false;
-    // Fix the scan base up front: tryIssue advances lastScheduled_,
+    // Fix the scan base up front: tryIssue advances vars_.lastScheduled,
     // and re-reading it mid-scan could revisit an already-issued warp.
     // LRR resumes after the last issued warp; GTO retries the same
     // warp first (greedy) and then falls back to slot order (oldest).
@@ -472,11 +473,11 @@ Sm::tick(Cycle now)
         cfg_.schedPolicy == arch::SchedPolicy::GreedyThenOldest;
     // Scan only up to the highest occupied slot. For LRR the base is
     // clamped below the limit (retirement may have shrunk it past
-    // lastScheduled_); cyclic order over the occupied slots is
-    // unchanged because none sits at or above scanLimit_.
-    const unsigned limit = scanLimit_;
-    const unsigned base = gto ? lastScheduled_
-                              : std::min(lastScheduled_,
+    // vars_.lastScheduled); cyclic order over the occupied slots is
+    // unchanged because none sits at or above vars_.scanLimit.
+    const unsigned limit = vars_.scanLimit;
+    const unsigned base = gto ? vars_.lastScheduled
+                              : std::min(vars_.lastScheduled,
                                          limit > 0 ? limit - 1 : 0);
     const unsigned scan_len = gto ? limit + 1 : limit;
     for (unsigned i = 1;
@@ -497,7 +498,7 @@ Sm::tick(Cycle now)
         if (outcome == IssueOutcome::None)
             continue;
         ++progress;
-        if (outcome == IssueOutcome::Stalled || stallCycles_ > 0)
+        if (outcome == IssueOutcome::Stalled || vars_.stallCycles > 0)
             break; // a pipeline stall ends this cycle's issue group
         if (unit == isa::UnitType::LDST)
             ldst_used = true;
@@ -526,7 +527,7 @@ Sm::tick(Cycle now)
     }
     scheme_->onIdleCycle(now, busy());
 
-    if (busy() && now - lastProgress_ > 1000000)
+    if (busy() && now - vars_.lastProgress > 1000000)
         warped_panic("SM ", smId_, " made no progress for 1M cycles: "
                      "barrier deadlock or scoreboard bug (pc ",
                      "unknown)");
@@ -571,10 +572,10 @@ Sm::saveState(PlaneStore &planes, Cycle now)
     // takeWritten below forgets this SM's writes: a fork partner can
     // no longer rely on them.
     pairedWith_ = nullptr;
-    s.warps.reserve(residentWarps_);
-    s.stacks.reserve(std::size_t{residentWarps_} * 4);
-    s.planes.reserve(std::size_t{residentWarps_} * regs);
-    for (unsigned w = 0; w < scanLimit_; ++w) {
+    s.warps.reserve(vars_.residentWarps);
+    s.stacks.reserve(std::size_t{vars_.residentWarps} * 4);
+    s.planes.reserve(std::size_t{vars_.residentWarps} * regs);
+    for (unsigned w = 0; w < vars_.scanLimit; ++w) {
         if (warpState_[w] == kWarpEmpty)
             continue;
         arch::WarpContext &ctx = *warps_[w];
@@ -613,8 +614,7 @@ Sm::saveState(PlaneStore &planes, Cycle now)
             c.of = b.shared.get();
             c.epoch = b.shared->writeEpoch();
         }
-        s.blocks.push_back({k, b.blockId, b.liveWarps, b.barrierWaiters,
-                            b.warpSlots, b.shared->size(), c.span});
+        s.blocks.push_back({b, k, b.shared->size(), c.span});
     }
     s.scheme = scheme_->saveState();
     if (recovery_) {
@@ -634,15 +634,7 @@ Sm::saveState(PlaneStore &planes, Cycle now)
             u.mem = nullptr;
         });
     }
-    s.issueSeq = issueSeq_;
-    s.residentWarps = residentWarps_;
-    s.residentThreads = residentThreads_;
-    s.scanLimit = scanLimit_;
-    s.barrierBlocks = barrierBlocks_;
-    s.lastScheduled = lastScheduled_;
-    s.stallCycles = stallCycles_;
-    s.lastProgress = lastProgress_;
-    s.ldstPortFreeAt = ldstPortFreeAt_;
+    s.vars = vars_;
     captured_ = sp;
     capturedAt_ = mutations_;
     return sp;
@@ -692,20 +684,11 @@ Sm::restoreState(const State &s, const PlaneStore &planes)
             p.readyAt;
     // Likewise every block slot; retired slots keep their shared
     // segment for assignBlock to recycle.
-    for (BlockSlot &b : blocks_) {
-        b.active = false;
-        b.blockId = 0;
-        b.liveWarps = 0;
-        b.barrierWaiters = 0;
-        b.warpSlots.clear();
-    }
+    for (BlockSlot &b : blocks_)
+        static_cast<BlockVars &>(b) = BlockVars{};
     for (const State::Block &sb : s.blocks) {
         BlockSlot &b = blocks_[sb.slot];
-        b.active = true;
-        b.blockId = sb.blockId;
-        b.liveWarps = sb.liveWarps;
-        b.barrierWaiters = sb.barrierWaiters;
-        b.warpSlots = sb.warpSlots;
+        static_cast<BlockVars &>(b) = sb;
         if (!b.shared || b.shared->size() != sb.sharedBytes)
             b.shared = std::make_unique<mem::Memory>(sb.sharedBytes);
         b.shared->restoreSpan(*sb.shared);
@@ -724,15 +707,7 @@ Sm::restoreState(const State &s, const PlaneStore &planes)
                              "names a retired block's shared memory");
         });
     }
-    issueSeq_ = s.issueSeq;
-    residentWarps_ = s.residentWarps;
-    residentThreads_ = s.residentThreads;
-    scanLimit_ = s.scanLimit;
-    barrierBlocks_ = s.barrierBlocks;
-    lastScheduled_ = s.lastScheduled;
-    stallCycles_ = s.stallCycles;
-    lastProgress_ = s.lastProgress;
-    ldstPortFreeAt_ = s.ldstPortFreeAt;
+    vars_ = s.vars;
 }
 
 void
@@ -767,7 +742,7 @@ Sm::copyFrom(Sm &o)
     warpState_ = o.warpState_;
     warpPc_ = o.warpPc_;
     warpBlockSlot_ = o.warpBlockSlot_;
-    for (unsigned w = 0; w < o.scanLimit_; ++w) {
+    for (unsigned w = 0; w < o.vars_.scanLimit; ++w) {
         if (o.warpState_[w] == kWarpEmpty)
             continue;
         arch::WarpContext &g = *o.warps_[w];
@@ -790,11 +765,7 @@ Sm::copyFrom(Sm &o)
     for (std::size_t k = 0; k < blocks_.size(); ++k) {
         BlockSlot &b = blocks_[k];
         const BlockSlot &gb = o.blocks_[k];
-        b.active = gb.active;
-        b.blockId = gb.blockId;
-        b.liveWarps = gb.liveWarps;
-        b.barrierWaiters = gb.barrierWaiters;
-        b.warpSlots = gb.warpSlots;
+        static_cast<BlockVars &>(b) = gb;
         if (!gb.active)
             continue;
         const mem::Memory &gs = *gb.shared;
@@ -830,15 +801,7 @@ Sm::copyFrom(Sm &o)
                              "an unknown memory");
         });
     }
-    issueSeq_ = o.issueSeq_;
-    residentWarps_ = o.residentWarps_;
-    residentThreads_ = o.residentThreads_;
-    scanLimit_ = o.scanLimit_;
-    barrierBlocks_ = o.barrierBlocks_;
-    lastScheduled_ = o.lastScheduled_;
-    stallCycles_ = o.stallCycles_;
-    lastProgress_ = o.lastProgress_;
-    ldstPortFreeAt_ = o.ldstPortFreeAt_;
+    vars_ = o.vars_;
     return copied;
 }
 

@@ -70,7 +70,7 @@ class Sm
                      unsigned grid_dim);
 
     /** Any resident unfinished warp? */
-    bool busy() const { return residentWarps_ > 0; }
+    bool busy() const { return vars_.residentWarps > 0; }
 
     /** All work done *and* all pending verifications performed? */
     bool
@@ -114,6 +114,40 @@ class Sm
     }
     unsigned id() const { return smId_; }
 
+    /** The SM's scalar state: what the rung capture, the rung
+     *  restore and the fork copy with one assignment. */
+    struct Vars
+    {
+        std::uint64_t issueSeq = 0; ///< per-SM issue index (traceId low)
+        unsigned residentWarps = 0;
+        unsigned residentThreads = 0;
+        /** 1 + highest occupied warp slot: warp allocation is
+         *  first-fit from slot 0, so the scheduler scan never needs to
+         *  look past this. Cyclic (LRR) order over the occupied slots
+         *  is the same mod scanLimit as mod the warp slots because
+         *  every occupied slot is below it. */
+        unsigned scanLimit = 0;
+        /** Active blocks with at least one warp waiting at the
+         *  barrier; releaseBarriers() is skipped when zero. */
+        unsigned barrierBlocks = 0;
+        unsigned lastScheduled = 0;
+        unsigned stallCycles = 0;
+        Cycle lastProgress = 0;
+        Cycle ldstPortFreeAt = 0; ///< coalescing: port busy horizon
+    };
+
+    /** A block slot's occupancy, copied by value with the SM. */
+    struct BlockVars
+    {
+        bool active = false;
+        unsigned blockId = 0;
+        /** Resident warps not yet finished. */
+        unsigned liveWarps = 0;
+        /** Live warps currently waiting at the block barrier. */
+        unsigned barrierWaiters = 0;
+        std::vector<unsigned> warpSlots;
+    };
+
     /**
      * The SM's live state at a cycle boundary (snapshot support):
      * resident warps — context, schedulability, PC, block and
@@ -138,13 +172,10 @@ class Sm
             arch::WarpContext::Header header;
         };
 
-        struct Block
+        /** An active block slot. */
+        struct Block : BlockVars
         {
             unsigned slot = 0;
-            unsigned blockId = 0;
-            unsigned liveWarps = 0;
-            unsigned barrierWaiters = 0;
-            std::vector<unsigned> warpSlots;
             std::size_t sharedBytes = 0;
             /** Shared with the previous capture while unchanged. */
             std::shared_ptr<const mem::Memory::Span> shared;
@@ -178,15 +209,7 @@ class Sm
          *  1 + k = block slot k's shared segment. */
         std::optional<recovery::RecoveryManager> recovery;
         std::vector<unsigned> undoTargets;
-        std::uint64_t issueSeq = 0;
-        unsigned residentWarps = 0;
-        unsigned residentThreads = 0;
-        unsigned scanLimit = 0;
-        unsigned barrierBlocks = 0;
-        unsigned lastScheduled = 0;
-        unsigned stallCycles = 0;
-        Cycle lastProgress = 0;
-        Cycle ldstPortFreeAt = 0;
+        Vars vars;
 
         /** Heap and inline bytes held, register planes aside (rung
          *  budgeting). */
@@ -231,15 +254,8 @@ class Sm
     void setHook(func::FaultHook &hook) { exec_.setHook(hook); }
 
   private:
-    struct BlockSlot
+    struct BlockSlot : BlockVars
     {
-        bool active = false;
-        unsigned blockId = 0;
-        /** Resident warps not yet finished. */
-        unsigned liveWarps = 0;
-        /** Live warps currently waiting at the block barrier. */
-        unsigned barrierWaiters = 0;
-        std::vector<unsigned> warpSlots;
         std::unique_ptr<mem::Memory> shared;
     };
 
@@ -291,7 +307,6 @@ class Sm
     SmStats stats_;
 
     trace::Recorder *recorder_ = nullptr;
-    std::uint64_t issueSeq_ = 0; ///< per-SM issue index (traceId low)
 
     unsigned maxWarps_;
     /** Warp contexts are pooled: a slot's context survives block
@@ -311,19 +326,7 @@ class Sm
     std::vector<Pc> warpPc_;
     std::vector<int> warpBlockSlot_; ///< warp slot -> block slot or -1
     std::vector<BlockSlot> blocks_;
-    unsigned residentWarps_ = 0;
-    unsigned residentThreads_ = 0;
-    /** 1 + highest occupied warp slot: warp allocation is first-fit
-     *  from slot 0, so the scheduler scan never needs to look past
-     *  this. Cyclic (LRR) order over the occupied slots is the same
-     *  mod scanLimit_ as mod maxWarps_ because every occupied slot
-     *  is below it. */
-    unsigned scanLimit_ = 0;
-    /** Active blocks with at least one warp waiting at the barrier;
-     *  releaseBarriers() is skipped when zero. */
-    unsigned barrierBlocks_ = 0;
-    unsigned lastScheduled_ = 0;
-    unsigned stallCycles_ = 0;
+    Vars vars_;
     /** Plane indices of each warp slot's registers at the previous
      *  saveState ([slot * numRegs + r]), valid for capturedInto_ at
      *  capturedGen_. */
@@ -361,8 +364,6 @@ class Sm
     std::uint64_t capturedAt_ = 0;
     /** Ticks plus block assignments: unchanged means untouched. */
     std::uint64_t mutations_ = 0;
-    Cycle lastProgress_ = 0;
-    Cycle ldstPortFreeAt_ = 0; ///< coalescing: port busy horizon
 };
 
 } // namespace sm

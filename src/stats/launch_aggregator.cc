@@ -52,30 +52,7 @@ LaunchAggregator::addSm(sm::SmStats &st, const dmr::DmrStats &d,
     smGap_.add(st.smIdleGap.mean(), st.smIdleGap.weight());
     laneGap_.add(st.laneIdleGap.mean(), st.laneIdleGap.weight());
 
-    r.dmr.verifiableThreadInstrs += d.verifiableThreadInstrs;
-    r.dmr.verifiedThreadInstrs += d.verifiedThreadInstrs;
-    r.dmr.intraVerifiedThreads += d.intraVerifiedThreads;
-    r.dmr.interVerifiedThreads += d.interVerifiedThreads;
-    r.dmr.intraWarpInstrs += d.intraWarpInstrs;
-    r.dmr.interWarpInstrs += d.interWarpInstrs;
-    r.dmr.coexecVerifications += d.coexecVerifications;
-    r.dmr.dequeueVerifications += d.dequeueVerifications;
-    r.dmr.idleDrainVerifications += d.idleDrainVerifications;
-    r.dmr.unitDrainVerifications += d.unitDrainVerifications;
-    r.dmr.enqueues += d.enqueues;
-    r.dmr.eagerStalls += d.eagerStalls;
-    r.dmr.rawStalls += d.rawStalls;
-    r.dmr.finalDrainCycles += d.finalDrainCycles;
-    r.dmr.replayQPeak = std::max(r.dmr.replayQPeak, d.replayQPeak);
-    for (unsigned t = 0; t < isa::kNumUnitTypes; ++t)
-        r.dmr.redundantThreadExecs[t] += d.redundantThreadExecs[t];
-    r.dmr.comparisons += d.comparisons;
-    r.dmr.errorsDetected += d.errorsDetected;
-    r.dmr.arbitrations += d.arbitrations;
-    r.dmr.arbPrimaryBad += d.arbPrimaryBad;
-    r.dmr.arbCheckerBad += d.arbCheckerBad;
-    r.dmr.arbInconclusive += d.arbInconclusive;
-    r.dmr.sampledOutThreadInstrs += d.sampledOutThreadInstrs;
+    r.dmr.addCounters(d);
     for (const auto &ev : d.errorLog) {
         if (r.dmr.errorLog.size() < dmr::DmrStats::kMaxErrorLog)
             r.dmr.errorLog.push_back(ev);

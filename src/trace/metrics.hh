@@ -31,26 +31,6 @@ class MetricsRegistry
     /** Reference to the named gauge, creating it at zero. */
     double &gauge(const std::string &name);
 
-    /**
-     * Pre-resolved counter handle: resolve the string key once, then
-     * bump through the pointer on hot paths (per-event / per-sample
-     * accumulation must not re-run a string-keyed map lookup). The
-     * pointer stays valid for the registry's lifetime — node-based
-     * map storage — including across later insertions.
-     */
-    std::uint64_t *
-    counterHandle(const std::string &name)
-    {
-        return &counter(name);
-    }
-
-    /** Pre-resolved gauge handle; same contract as counterHandle. */
-    double *
-    gaugeHandle(const std::string &name)
-    {
-        return &gauge(name);
-    }
-
     /** Counter value; 0 when absent. */
     std::uint64_t counterValue(const std::string &name) const;
 

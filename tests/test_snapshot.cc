@@ -653,6 +653,18 @@ residentCases()
         m.scheme.id = protection::SchemeId::PartialThread;
         m.scheme.protectFraction = 0.5;
     });
+    add("scan_replay_compare", kScan, [](Machine &m) {
+        m.scheme.id = protection::SchemeId::ReplayCompare;
+    });
+    add("matrixmul_dmtr", kMatrixMul, [](Machine &m) {
+        m.scheme.id = protection::SchemeId::Dmtr;
+    });
+    add("sha_rnaive", kSha, [](Machine &m) {
+        m.scheme.id = protection::SchemeId::RNaive;
+    });
+    add("scan_original", kScan, [](Machine &m) {
+        m.scheme.id = protection::SchemeId::Original;
+    });
     return cases;
 }
 
@@ -788,6 +800,20 @@ TEST(ResidentMachine, AdvancedAndCapturedGoldenMatchesTheLaunch)
     }
 }
 
+/** An identity hook that notes the last cycle it is applied at. */
+class LastApply final : public func::FaultHook
+{
+  public:
+    RegValue
+    apply(RegValue pure, const func::FaultCtx &ctx) override
+    {
+        last = std::max(last, ctx.cycle);
+        return pure;
+    }
+
+    Cycle last = 0;
+};
+
 /** Fork @p site from @p golden, run it to the end and read back what
  *  it left: the result and the device image. */
 Outcome
@@ -811,6 +837,11 @@ TEST(ResidentMachine, ForkFromGoldenMatchesAFreshResume)
             runLaunch(tc.factory, tc.machine, nullptr, &sink);
         ASSERT_GT(sink.snaps.size(), 3u);
         const auto &m = tc.machine;
+        // A scheme whose launch ends in a drain that re-executes
+        // nothing (Replay-Compare's replay, an emptied ReplayQ)
+        // applies no hook after its last one here.
+        LastApply last;
+        runLaunch(tc.factory, m, nullptr, nullptr, &last);
         auto w = tc.factory();
         gpu::Gpu golden(m.gpu, m.dmr, /*seed=*/1, nullptr, m.recovery,
                         m.scheme);
@@ -878,7 +909,10 @@ TEST(ResidentMachine, ForkFromGoldenMatchesAFreshResume)
                 planes += site.forkFrom(golden);
                 PanicAt panic(at + 2);
                 site.setHook(&panic);
-                EXPECT_THROW(site.runToEnd(), std::exception);
+                if (at + 2 <= last.last)
+                    EXPECT_THROW(site.runToEnd(), std::exception);
+                else
+                    EXPECT_NO_THROW(site.runToEnd());
                 site.setHook(nullptr);
                 break;
               }
