@@ -850,11 +850,8 @@ class CampaignEngine::Sweep
                          [](const Draw &a, const Draw &b) {
                              return a.fork < b.fork;
                          });
-        // One resident pair per worker that can be busy. They are
-        // built here, on the calling thread, so their global-memory
-        // buffers come from and go back to this thread's buffer pool
-        // (common/buffer_pool.hh) instead of being mapped and unmapped
-        // by short-lived pool threads on every run().
+        // One resident pair per worker that can be busy, built here
+        // on the calling thread and kept in free_ for later chunks.
         const std::size_t pairs = std::min<std::size_t>(pool.jobs(),
                                                         order.size());
         while (free_.size() < pairs)
@@ -1035,6 +1032,15 @@ writeCheckpoint(const std::string &path, const CampaignReport &rep,
             return;
         }
         f << text;
+        f.close();
+        if (!f) {
+            // A short write (a full disk) must not replace the
+            // previous, complete checkpoint.
+            warped_warn("campaign: cannot write checkpoint ", tmp,
+                        "; keeping the previous one");
+            std::remove(tmp.c_str());
+            return;
+        }
     }
     // Crash-atomic swap: rename(2) replaces the destination in one
     // step, so every observable state of `path` is either the old
@@ -1193,17 +1199,17 @@ CampaignEngine::prepare()
         std::uint64_t footprintWords;
     };
     const auto fault_free_pass = [&](const recovery::RecoveryConfig &rcfg,
-                                     gpu::SnapshotSink *sink) {
+                                     bool capture) {
         auto w = factory_();
-        gpu::Gpu g(cfg_.gpu, cfg_.dmr, /*seed=*/1,
-                   sink ? &ladder->hook() : nullptr, rcfg, cfg_.scheme);
+        gpu::Gpu g(cfg_.gpu, cfg_.dmr, /*seed=*/1, nullptr, rcfg,
+                   cfg_.scheme);
         w->setup(g);
         // Device footprint the memory-cell axes cover: every word
         // the workload's allocator handed out (inputs, outputs and
         // scratch — dead words are legitimate Masked sites).
         const std::uint64_t footprint = g.allocator().used() / 4;
         mem::MemFaultPlane recorder(cfg_.gpu.eccKind);
-        if (sink && cfg_.space.memEnabled) {
+        if (capture && cfg_.space.memEnabled) {
             // The log spans every word a memory site can strike, so
             // the log decides every memory site (settledByAccessLog).
             access_log = std::make_shared<mem::MemAccessLog>(
@@ -1211,8 +1217,11 @@ CampaignEngine::prepare()
             recorder.recordInto(access_log.get());
             g.mem().attachFaultPlane(&recorder);
         }
-        const auto r = g.launch(w->program(), w->gridBlocks(),
-                                w->blockThreads(), 0, {}, nullptr, sink);
+        const auto r =
+            capture ? ladder->capture(g, w->program(), w->gridBlocks(),
+                                      w->blockThreads())
+                    : g.launch(w->program(), w->gridBlocks(),
+                               w->blockThreads());
         if (!w->verify(g))
             warped_fatal("workload '", w->name(),
                          "' failed output verification on a fault-free "
@@ -1225,8 +1234,7 @@ CampaignEngine::prepare()
                          "' raised a DMR alarm on a fault-free GPU");
         return Pass{r.cycles, footprint};
     };
-    const Pass golden = fault_free_pass(
-        {}, cfg_.recovery.enabled ? nullptr : ladder.get());
+    const Pass golden = fault_free_pass({}, !cfg_.recovery.enabled);
     const Cycle span = golden.cycles;
     const std::uint64_t footprint_words = golden.footprintWords;
     //    Injected runs carry the campaign's recovery engine, a
@@ -1236,7 +1244,7 @@ CampaignEngine::prepare()
     //    (the retire gate holds BAR/EXIT for unverified work); the
     //    span stays the golden one — the pass only supplies rungs.
     if (cfg_.recovery.enabled)
-        fault_free_pass(cfg_.recovery, ladder.get());
+        fault_free_pass(cfg_.recovery, true);
     ladder_ = std::move(ladder);
     accessLog_ = std::move(access_log);
 

@@ -70,13 +70,15 @@ struct Gpu::Machine
      *  captures share it while nothing wrote it. */
     std::shared_ptr<const mem::Memory::Span> dram;
     std::uint64_t dramEpoch = 0;
+    /** Kept equal to the cycle being simulated (see start). */
+    Cycle *clock = nullptr;
 };
 
 Gpu::~Gpu() = default;
 
 void
-Gpu::bind(const isa::Program &prog, unsigned grid_blocks,
-          unsigned block_threads)
+Gpu::start(const isa::Program &prog, unsigned grid_blocks,
+           unsigned block_threads, Cycle *clock)
 {
     if (grid_blocks == 0 || block_threads == 0)
         warped_fatal("launch of '", prog.name(), "' with empty grid");
@@ -90,27 +92,7 @@ Gpu::bind(const isa::Program &prog, unsigned grid_blocks,
     machine_.reset();
     machine_ = std::make_unique<Machine>(*this, prog, grid_blocks,
                                          block_threads);
-}
-
-void
-Gpu::restoreMachine(const Snapshot &at)
-{
-    Machine &m = *machine_;
-    if (at.sms.size() != m.sms.size() || at.gridBlocks != m.gridBlocks ||
-        at.blockThreads != m.blockThreads ||
-        at.memSys.has_value() != cfg_.usesMemorySystem())
-        warped_panic("launch of '", m.prog.name(), "' resumed from a "
-                     "snapshot of a different launch");
-    mem_.restoreSpan(*at.dram);
-    // Global memory now holds exactly this image: the next capture
-    // shares it until something writes.
-    m.dram = at.dram;
-    m.dramEpoch = mem_.writeEpoch();
-    if (at.memSys)
-        m.memSys.restoreState(*at.memSys);
-    for (std::size_t s = 0; s < m.sms.size(); ++s)
-        m.sms[s]->restoreState(*at.sms[s], *at.planes);
-    m.at = at.loop;
+    machine_->clock = clock;
 }
 
 void
@@ -129,8 +111,23 @@ Gpu::restore(const isa::Program &prog, unsigned grid_blocks,
     if (!machine_ || &machine_->prog != &prog ||
         machine_->gridBlocks != grid_blocks ||
         machine_->blockThreads != block_threads)
-        bind(prog, grid_blocks, block_threads);
-    restoreMachine(at);
+        start(prog, grid_blocks, block_threads);
+    Machine &m = *machine_;
+    if (at.sms.size() != m.sms.size() || at.gridBlocks != m.gridBlocks ||
+        at.blockThreads != m.blockThreads ||
+        at.memSys.has_value() != cfg_.usesMemorySystem())
+        warped_panic("launch of '", m.prog.name(), "' resumed from a "
+                     "snapshot of a different launch");
+    mem_.restoreSpan(*at.dram);
+    // Global memory now holds exactly this image: the next capture
+    // shares it until something writes.
+    m.dram = at.dram;
+    m.dramEpoch = mem_.writeEpoch();
+    if (at.memSys)
+        m.memSys.restoreState(*at.memSys);
+    for (std::size_t s = 0; s < m.sms.size(); ++s)
+        m.sms[s]->restoreState(*at.sms[s], *at.planes);
+    m.at = at.loop;
 }
 
 Cycle
@@ -166,25 +163,14 @@ Gpu::capture(const std::shared_ptr<sm::PlaneStore> &planes)
 }
 
 LaunchLoop::Outcome
-Gpu::drive(Cycle cycle_cap, const StopPredicate *stop, SnapshotSink *sink,
+Gpu::drive(Cycle cycle_cap, const StopPredicate *stop,
            trace::Recorder *recorder)
 {
     Machine &m = *machine_;
     LaunchLoop loop(m.sms, m.prog.name(), m.gridBlocks, m.blockThreads,
                     cycle_cap);
     loop.resumeAt(m.at);
-    LaunchLoop::CycleTap tap;
-    std::shared_ptr<sm::PlaneStore> planes;
-    if (sink) {
-        planes = std::make_shared<sm::PlaneStore>(cfg_.warpSize);
-        tap = [&](const LaunchLoop::Counters &c) {
-            m.at = c;
-            sink->take(capture(planes));
-            return sink->nextWanted(c.cycle + 1);
-        };
-        loop.setCycleTap(&tap, sink->nextWanted(m.at.cycle));
-        loop.setCycleClock(sink->cycleClock());
-    }
+    loop.setCycleClock(m.clock);
     // The SMs outlive the recorder: detach it however the run ends.
     struct Detach
     {
@@ -209,7 +195,7 @@ Gpu::drive(Cycle cycle_cap, const StopPredicate *stop, SnapshotSink *sink,
 }
 
 LaunchResult
-Gpu::run(Cycle cycle_cap, const StopPredicate &stop, SnapshotSink *sink)
+Gpu::run(Cycle cycle_cap, const StopPredicate &stop)
 {
     // The run's private event recorder: per-SM ring buffers, so
     // recording never crosses SM (or RunPool worker) boundaries.
@@ -217,7 +203,7 @@ Gpu::run(Cycle cycle_cap, const StopPredicate &stop, SnapshotSink *sink)
     if (cfg_.traceEvents)
         recorder.emplace(cfg_.numSms, cfg_.traceRingCapacity);
     const auto outcome =
-        drive(cycle_cap, &stop, sink, recorder ? &*recorder : nullptr);
+        drive(cycle_cap, &stop, recorder ? &*recorder : nullptr);
 
     stats::LaunchAggregator agg(cfg_.warpSize);
     for (auto &sp : machine_->sms) {
@@ -235,13 +221,10 @@ Gpu::run(Cycle cycle_cap, const StopPredicate &stop, SnapshotSink *sink)
 LaunchResult
 Gpu::launch(const isa::Program &prog, unsigned grid_blocks,
             unsigned block_threads, Cycle cycle_cap,
-            const StopPredicate &stop, const Snapshot *resume,
-            SnapshotSink *sink)
+            const StopPredicate &stop)
 {
-    bind(prog, grid_blocks, block_threads);
-    if (resume)
-        restoreMachine(*resume);
-    auto result = run(cycle_cap, stop, sink);
+    start(prog, grid_blocks, block_threads);
+    auto result = run(cycle_cap, stop);
     // A fresh machine's program need not outlive the launch.
     machine_.reset();
     return result;
@@ -257,7 +240,7 @@ Gpu::advanceTo(Cycle until)
     const StopPredicate stop = [until](Cycle c, const LaunchLoop &) {
         return c + 1 >= until;
     };
-    drive(0, &stop, nullptr, nullptr);
+    drive(0, &stop, nullptr);
 }
 
 LaunchResult
@@ -265,7 +248,7 @@ Gpu::finish(Cycle cycle_cap, const StopPredicate &stop)
 {
     if (!machine_)
         warped_panic("Gpu::finish with no launch bound");
-    return run(cycle_cap, stop, nullptr);
+    return run(cycle_cap, stop);
 }
 
 LaunchLoop::Outcome
@@ -273,7 +256,7 @@ Gpu::runToEnd(Cycle cycle_cap, const StopPredicate &stop)
 {
     if (!machine_)
         warped_panic("Gpu::runToEnd with no launch bound");
-    return drive(cycle_cap, &stop, nullptr, nullptr);
+    return drive(cycle_cap, &stop, nullptr);
 }
 
 const std::vector<std::unique_ptr<sm::Sm>> &
@@ -296,7 +279,7 @@ Gpu::forkFrom(Gpu &golden)
     if (!machine_ || &machine_->prog != &g.prog ||
         machine_->gridBlocks != g.gridBlocks ||
         machine_->blockThreads != g.blockThreads)
-        bind(g.prog, g.gridBlocks, g.blockThreads);
+        start(g.prog, g.gridBlocks, g.blockThreads);
     Machine &m = *machine_;
     const bool paired = forkPeer_ == &golden && golden.forkPeer_ == this;
     forkPeer_ = &golden;

@@ -8,14 +8,15 @@
  * position. Every simulation drives that machine through one path,
  * gpu::LaunchLoop (block dispatch + tick + watchdog), and
  * stats::LaunchAggregator folds the per-SM statistics into a
- * LaunchResult. Gpu::launch is the fresh-machine case: it builds the
- * machine at cycle 0 (or at a snapshot), runs it to the end and
- * discards it. Fault
- * campaigns keep the machine resident instead: restore() puts it at
- * a snapshot in place, advanceTo() and finish() run it on, capture()
- * snapshots it where it stands, and forkFrom() makes it equal to
- * another resident machine, copying what changed since the two last
- * forked (docs/FAULT_MODEL.md, "Snapshot fork"). A site run drives
+ * LaunchResult. Gpu::launch is the fresh-machine case: it binds the
+ * machine at cycle 0 (start()), runs it to the end and discards it.
+ * Everything else keeps the machine resident: start() or restore()
+ * (to a snapshot, in place) binds it, advanceTo() and finish() run it
+ * on, capture() snapshots it where it stands, and forkFrom() makes it
+ * equal to another resident machine, copying what changed since the
+ * two last forked (docs/FAULT_MODEL.md, "Snapshot fork"). The golden
+ * pass of a fault campaign steps one from start() to the end,
+ * capturing as it goes (gpu::Ladder::capture). A site run drives
  * the machine with runToEnd() and reads what it needs off sms(),
  * with no LaunchResult built. A Gpu instance is fully self-contained —
  * independent instances may run concurrently on different threads
@@ -90,24 +91,26 @@ class Gpu
      *        StopPredicate); empty = run to completion. A stopped
      *        launch reports the cycles it simulated and the statistics
      *        gathered so far.
-     * @param resume start from this snapshot of the same launch
-     *        (same program, geometry, configuration and, after
-     *        setup, the same memory image) instead of cycle 0;
-     *        nullptr = from the start. The result is the one the
-     *        uninterrupted launch would report.
-     * @param sink  given a snapshot at the top of each cycle its
-     *        nextWanted() names; nullptr = none (one compare per
-     *        cycle).
      */
     LaunchResult launch(const isa::Program &prog, unsigned grid_blocks,
                         unsigned block_threads, Cycle cycle_cap = 0,
-                        const StopPredicate &stop = {},
-                        const Snapshot *resume = nullptr,
-                        SnapshotSink *sink = nullptr);
+                        const StopPredicate &stop = {});
 
     /** Route the values of every later cycle through @p hook
      *  (nullptr = fault-free), on the bound machine too. */
     void setHook(func::FaultHook *hook);
+
+    /**
+     * Bind a fresh machine for the launch of @p prog over
+     * @p grid_blocks x @p block_threads, standing at the top of cycle
+     * 0 over the current global memory. The program must outlive the
+     * machine.
+     * @param clock kept equal to the cycle being simulated by every
+     *        later run of this machine, set at the top of each cycle
+     *        (a gpu::HorizonHook's clock); nullptr = none.
+     */
+    void start(const isa::Program &prog, unsigned grid_blocks,
+               unsigned block_threads, Cycle *clock = nullptr);
 
     /**
      * Put the machine at @p at, a snapshot of the launch of @p prog
@@ -115,7 +118,8 @@ class Gpu
      * memory system, every SM and the loop position. The first call
      * for a launch builds its machine; later ones restore it in
      * place, whatever it ran since (an aborted run included). The
-     * program must outlive the machine.
+     * program must outlive the machine. Panics on a snapshot of
+     * another launch.
      */
     void restore(const isa::Program &prog, unsigned grid_blocks,
                  unsigned block_threads, const Snapshot &at);
@@ -164,20 +168,13 @@ class Gpu
   private:
     struct Machine;
 
-    /** Build a fresh machine for the launch at cycle 0. */
-    void bind(const isa::Program &prog, unsigned grid_blocks,
-              unsigned block_threads);
-    /** Overwrite the bound machine with @p at. */
-    void restoreMachine(const Snapshot &at);
     /** Drive the bound machine from where it stands until it ends,
      *  @p stop fires or the watchdog trips: the one simulation path.
-     *  Snapshots go to @p sink and events to @p recorder when set. */
+     *  Events go to @p recorder when set. */
     LaunchLoop::Outcome drive(Cycle cycle_cap, const StopPredicate *stop,
-                              SnapshotSink *sink,
                               trace::Recorder *recorder);
     /** drive() to the end, then aggregate the launch's statistics. */
-    LaunchResult run(Cycle cycle_cap, const StopPredicate &stop,
-                     SnapshotSink *sink);
+    LaunchResult run(Cycle cycle_cap, const StopPredicate &stop);
 
     arch::GpuConfig cfg_;
     dmr::DmrConfig dcfg_;

@@ -33,8 +33,6 @@ LaunchLoop::run()
     std::uint64_t ticks = start_.ticks;
 
     for (;;) {
-        if (cycle == tapAt_) [[unlikely]]
-            tapAt_ = (*tap_)(Counters{cycle, next_block, ticks});
         if (clock_) [[unlikely]]
             *clock_ = cycle;
 

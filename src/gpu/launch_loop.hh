@@ -42,18 +42,13 @@ class LaunchLoop
 {
   public:
     /** The loop's own state at the top of a cycle: everything a
-     *  resumed launch needs besides the SMs and memory. */
+     *  restored machine needs besides the SMs and memory. */
     struct Counters
     {
         Cycle cycle = 0;
         unsigned nextBlock = 0;  ///< next block id to dispatch
         std::uint64_t ticks = 0; ///< SM ticks so far
     };
-
-    /** Observer called at the top of chosen cycles, before that
-     *  cycle's dispatch — where a snapshot is taken. Returns the next
-     *  cycle it wants to be called at. */
-    using CycleTap = std::function<Cycle(const Counters &)>;
 
     /** Outcome of driving the SMs to completion (or the watchdog). */
     struct Outcome
@@ -108,16 +103,6 @@ class LaunchLoop
      *  uninterrupted launch. Call before run(). */
     void resumeAt(const Counters &at) { start_ = at; }
 
-    /** Call @p tap at the top of cycle @p first and then of each
-     *  cycle it names. Call before run(); without a tap (the
-     *  default) the loop pays one compare per cycle. Non-owning. */
-    void
-    setCycleTap(const CycleTap *tap, Cycle first)
-    {
-        tap_ = tap;
-        tapAt_ = first;
-    }
-
     /** Keep @p clock equal to the cycle being simulated: it is set
      *  at the top of every cycle, before that cycle's dispatch. Call
      *  before run(); nullptr (the default) costs one pointer test per
@@ -132,8 +117,6 @@ class LaunchLoop
     trace::Recorder *recorder_ = nullptr;
     mem::MemFaultPlane *plane_ = nullptr;
     const StopPredicate *stop_ = nullptr;
-    const CycleTap *tap_ = nullptr;
-    Cycle tapAt_ = ~Cycle{0}; ///< next cycle to call tap_ at
     Cycle *clock_ = nullptr;
     Counters start_;
     std::vector<std::unique_ptr<sm::Sm>> &sms_;

@@ -4,6 +4,7 @@
 #include <iterator>
 
 #include "common/logging.hh"
+#include "gpu/gpu.hh"
 
 namespace warped {
 namespace gpu {
@@ -132,6 +133,25 @@ Ladder::take(Snapshot &&s)
         if (r.snap.loop.cycle % spacing_ != 0)
             return;
     }
+}
+
+stats::LaunchResult
+Ladder::capture(Gpu &golden, const isa::Program &prog,
+                unsigned grid_blocks, unsigned block_threads)
+{
+    golden.setHook(&hook_);
+    golden.start(prog, grid_blocks, block_threads, hook_.clock());
+    const auto planes =
+        std::make_shared<sm::PlaneStore>(golden.config().warpSize);
+    // A launch that ends before the next rung's cycle stops short of
+    // it, and the pass is over.
+    for (Cycle next = 0;; next = nextWanted(next + 1)) {
+        golden.advanceTo(next);
+        if (golden.cycle() != next)
+            break;
+        take(golden.capture(planes));
+    }
+    return golden.finish();
 }
 
 Cycle

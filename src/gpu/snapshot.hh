@@ -7,18 +7,18 @@
  * blocks and their shared memory, scoreboard, statistics, protection
  * scheme and recovery state), the launch loop's counters, the memory
  * system's bank/partition timing and the written span of global
- * memory. Gpu::launch captures snapshots into a SnapshotSink while it
- * runs and resumes from one instead of cycle 0, and a resident
- * machine is restored to one in place (Gpu::restore) or captured
- * where it stands (Gpu::capture); cycles stay absolute, so a resumed
- * launch reports exactly what the uninterrupted one did.
+ * memory. A resident machine is captured where it stands
+ * (Gpu::capture) and restored to a snapshot in place (Gpu::restore);
+ * cycles stay absolute, so a restored machine run to the end
+ * (Gpu::finish) reports exactly what the uninterrupted launch did.
  * The trace recorder is not part of a snapshot (campaign machines run
- * with GpuConfig::traceEvents off): a resumed, traced launch records
- * from its resume cycle on.
+ * with GpuConfig::traceEvents off): a restored, traced machine
+ * records from its restore cycle on.
  *
- * A gpu::Ladder is the sink fault campaigns use: the golden pass
- * keeps one snapshot (a *rung*) every K cycles and records, for every
- * cycle, how far ahead the hook calls made so far looked (the horizon
+ * A gpu::Ladder is what fault campaigns capture: its golden pass
+ * steps a resident machine from cycle 0 to the end, keeps one
+ * snapshot (a *rung*) every K cycles, and records, for every cycle,
+ * how far ahead the hook calls made so far looked (the horizon
  * table). Each injected run forks from the golden run at the latest
  * cycle its fault cannot have touched, which the horizon table names;
  * the rungs are where a campaign's resident golden machine restarts
@@ -38,17 +38,21 @@
 
 #include "func/fault_hook.hh"
 #include "gpu/launch_loop.hh"
+#include "isa/program.hh"
 #include "mem/memory.hh"
 #include "mem/memory_system.hh"
 #include "sm/plane_store.hh"
 #include "sm/sm.hh"
+#include "stats/launch_result.hh"
 
 namespace warped {
 namespace gpu {
 
+class Gpu;
+
 /** One launch's live state at the top of a cycle (see file comment).
- *  Move-only; resuming copies out of it, so one snapshot serves any
- *  number of resumed launches, concurrently. Snapshots of one launch
+ *  Move-only; restoring copies out of it, so one snapshot serves any
+ *  number of restored machines, concurrently. Snapshots of one launch
  *  share what did not change between them: the register planes and
  *  an unchanged global-memory image. */
 struct Snapshot
@@ -68,20 +72,6 @@ struct Snapshot
 
     /** Heap and inline bytes held, shared parts aside. */
     std::size_t bytes() const;
-};
-
-/** Receives the snapshots a launch captures. */
-class SnapshotSink
-{
-  public:
-    virtual ~SnapshotSink() = default;
-    /** The first cycle at or after @p cycle to snapshot at. */
-    virtual Cycle nextWanted(Cycle cycle) const = 0;
-    /** A snapshot taken at a cycle nextWanted() named. */
-    virtual void take(Snapshot &&s) = 0;
-    /** A variable the launch keeps equal to the cycle being
-     *  simulated (LaunchLoop::setCycleClock); nullptr = none. */
-    virtual Cycle *cycleClock() { return nullptr; }
 };
 
 /**
@@ -154,8 +144,8 @@ class HorizonHook final : public func::FaultHook
     const std::vector<Step> &steps() const { return steps_; }
     /** The (SM, cycle) pairs every call so far named. */
     const ActivityLog &log() const { return log_; }
-    /** The cycle being simulated; the capturing launch keeps it
-     *  current. */
+    /** The cycle being simulated; the capturing machine keeps it
+     *  current (Gpu::start). */
     Cycle *clock() { return &now_; }
 
   private:
@@ -186,10 +176,10 @@ class HorizonHook final : public func::FaultHook
  * spacing (rung 0, the launch's starting state, always stays). The
  * table holds one step per cycle in which the horizon rose
  * (HorizonHook::steps), 16 bytes each.
- * Immutable once the capturing launch returns; resumed launches on
- * any number of threads may share it.
+ * Immutable once capture() returns; machines on any number of threads
+ * may share it.
  */
-class Ladder final : public SnapshotSink
+class Ladder
 {
   public:
     static constexpr Cycle kInitialSpacing = 512;
@@ -204,20 +194,22 @@ class Ladder final : public SnapshotSink
         std::size_t bytes = 0;
     };
 
-    /** The hook the capturing launch must run under. */
-    func::FaultHook &hook() { return hook_; }
-
-    Cycle
-    nextWanted(Cycle cycle) const override
-    {
-        return (cycle + spacing_ - 1) / spacing_ * spacing_;
-    }
-    void take(Snapshot &&s) override;
-    Cycle *cycleClock() override { return hook_.clock(); }
+    /**
+     * The golden pass: bind @p golden (set up for the launch of
+     * @p prog over @p grid_blocks x @p block_threads) at cycle 0 under
+     * the ladder's fault-free HorizonHook, keeping its clock
+     * (Gpu::start); step it to each rung's cycle and capture it there
+     * (Gpu::advanceTo, Gpu::capture); then run it to the launch's end.
+     * The machine stays bound under that hook. Call once per ladder.
+     * @return the launch's result (Gpu::finish).
+     */
+    stats::LaunchResult capture(Gpu &golden, const isa::Program &prog,
+                                unsigned grid_blocks,
+                                unsigned block_threads);
 
     /**
      * The hook horizon at the top of cycle @p cycle: every hook call
-     * the capturing launch made before that cycle named a cycle below
+     * the golden pass made before that cycle named a cycle below
      * it (HorizonHook::bound then). Nondecreasing; 0 at cycle 0. A
      * cycle past the launch's end has the horizon of its end.
      */
@@ -238,7 +230,7 @@ class Ladder final : public SnapshotSink
     const Snapshot &rungAt(Cycle cycle) const;
 
     /**
-     * No hook call of the capturing launch named SM @p sm at a cycle
+     * No hook call of the golden pass named SM @p sm at a cycle
      * in [lo, hi]. An execution-unit fault on that SM whose window is
      * [lo, hi] then never activates (docs/FAULT_MODEL.md, "Golden
      * activity oracle").
@@ -255,6 +247,15 @@ class Ladder final : public SnapshotSink
     std::size_t bytes() const;
 
   private:
+    /** The first cycle at or after @p cycle to take a rung at. */
+    Cycle
+    nextWanted(Cycle cycle) const
+    {
+        return (cycle + spacing_ - 1) / spacing_ * spacing_;
+    }
+    /** Keep @p s, a snapshot at a cycle nextWanted() named, within
+     *  the caps. */
+    void take(Snapshot &&s);
     /** Sum of rungs_[i].bytes. */
     std::size_t rungBytes() const;
     /** Drop every other rung, double the spacing, and compact the

@@ -1,6 +1,8 @@
 #include "isa/assembler.hh"
 
+#include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <map>
 #include <sstream>
 
@@ -78,20 +80,32 @@ class LineParser
         return s_.substr(start, pos_ - start);
     }
 
+    /** A signed decimal integer in [@p lo, @p hi] (default: int32). */
     std::int64_t
-    integer()
+    integer(std::int64_t lo = INT32_MIN, std::int64_t hi = INT32_MAX)
     {
         skipWs();
-        std::size_t start = pos_;
+        const bool negative = pos_ < s_.size() && s_[pos_] == '-';
         if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+'))
             ++pos_;
-        while (pos_ < s_.size() &&
-               std::isdigit(static_cast<unsigned char>(s_[pos_])))
-            ++pos_;
-        if (pos_ == start)
+        const std::size_t digits = pos_;
+        std::int64_t v = 0;
+        for (; pos_ < s_.size() &&
+               std::isdigit(static_cast<unsigned char>(s_[pos_]));
+             ++pos_)
+            v = std::min<std::int64_t>(v * 10 + (s_[pos_] - '0'),
+                                       std::int64_t{1} << 40);
+        if (pos_ == digits)
             fail("expected an integer");
-        return std::stoll(s_.substr(start, pos_ - start));
+        if (negative)
+            v = -v;
+        if (v < lo || v > hi)
+            fail("integer out of range");
+        return v;
     }
+
+    /** A non-negative integer that fits an int32 (a count or a PC). */
+    std::int64_t count() { return integer(0, INT32_MAX); }
 
     Reg
     reg()
@@ -144,16 +158,6 @@ printsImm(Opcode op)
 
 } // namespace
 
-Opcode
-opcodeFromName(const std::string &name)
-{
-    const auto &t = nameTable();
-    const auto it = t.find(name);
-    if (it == t.end())
-        warped_fatal("assembler: unknown mnemonic '", name, "'");
-    return it->second;
-}
-
 Program
 parseProgram(const std::string &text)
 {
@@ -177,11 +181,11 @@ parseProgram(const std::string &text)
             lp.consume('(');
             if (!lp.tryConsumeWord("regs"))
                 lp.fail("expected 'regs'");
-            num_regs = static_cast<unsigned>(lp.integer());
+            num_regs = static_cast<unsigned>(lp.count());
             lp.consume(',');
             if (!lp.tryConsumeWord("shared"))
                 lp.fail("expected 'shared'");
-            shared_bytes = static_cast<unsigned>(lp.integer());
+            shared_bytes = static_cast<unsigned>(lp.count());
             lp.consume('B');
             lp.consume(')');
             have_header = true;
@@ -189,13 +193,17 @@ parseProgram(const std::string &text)
         }
 
         // "<pc>: MNEMONIC operands"
-        const auto pc = lp.integer();
+        const auto pc = lp.count();
         lp.consume(':');
         if (static_cast<std::size_t>(pc) != instrs.size())
             lp.fail("instructions must be listed in PC order");
 
         Instruction ins;
-        ins.op = opcodeFromName(lp.word());
+        const std::string mnemonic = lp.word();
+        const auto op = nameTable().find(mnemonic);
+        if (op == nameTable().end())
+            lp.fail("unknown mnemonic '" + mnemonic + "'");
+        ins.op = op->second;
 
         bool first = true;
         auto sep = [&] {
@@ -230,11 +238,11 @@ parseProgram(const std::string &text)
             lp.tryConsume(','); // the printer separates with ", "
             lp.consume('-');
             lp.consume('>');
-            ins.target = static_cast<Pc>(lp.integer());
+            ins.target = static_cast<Pc>(lp.count());
             if (lp.tryConsume('(')) {
                 if (!lp.tryConsumeWord("reconv"))
                     lp.fail("expected 'reconv'");
-                ins.reconv = static_cast<Pc>(lp.integer());
+                ins.reconv = static_cast<Pc>(lp.count());
                 lp.consume(')');
             }
         }

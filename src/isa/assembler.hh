@@ -25,13 +25,12 @@ namespace isa {
 
 /**
  * Parse a program from its textual form. Calls warped_fatal with a
- * line-numbered message on any syntax or consistency error; the
- * returned program has passed Program::validate().
+ * line-numbered message on any syntax error, unknown mnemonic or
+ * number out of range (immediates and offsets must fit an int32;
+ * counts, PCs and targets must be non-negative); the returned program
+ * has passed Program::validate(), whose errors name the program.
  */
 Program parseProgram(const std::string &text);
-
-/** Look up an opcode by mnemonic; fatal on unknown names. */
-Opcode opcodeFromName(const std::string &name);
 
 } // namespace isa
 } // namespace warped

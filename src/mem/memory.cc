@@ -1,23 +1,54 @@
 #include "mem/memory.hh"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 
-#include "common/buffer_pool.hh"
 #include "common/logging.hh"
 #include "mem/mem_fault.hh"
 
 namespace warped {
 namespace mem {
 
-Memory::Memory(std::size_t bytes)
-    : bytes_(common::acquireBuffer(bytes)), dirtyLo_(bytes_.size())
+namespace {
+
+/** Storage at least this large is mapped, smaller storage calloc'd
+ *  (shared-memory segments are recycled in place by the SM). */
+constexpr std::size_t kMinMappedBytes = 1 << 16;
+
+} // namespace
+
+void *
+allocateZeroed(std::size_t bytes)
 {
+    if (bytes >= kMinMappedBytes) {
+        void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (p == MAP_FAILED)
+            throw std::bad_alloc();
+        return p;
+    }
+    void *p = std::calloc(bytes ? bytes : 1, 1);
+    if (!p)
+        throw std::bad_alloc();
+    return p;
 }
 
-Memory::~Memory()
+void
+releaseZeroed(void *p, std::size_t bytes) noexcept
 {
-    common::releaseBuffer(std::move(bytes_), dirtyLo_, dirtyHi_);
+    if (!p)
+        return;
+    if (bytes >= kMinMappedBytes)
+        ::munmap(p, bytes);
+    else
+        std::free(p);
+}
+
+Memory::Memory(std::size_t bytes) : bytes_(bytes), dirtyLo_(bytes_.size())
+{
 }
 
 void

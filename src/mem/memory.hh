@@ -16,15 +16,74 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
-#include "common/buffer_pool.hh"
 #include "common/types.hh"
 
 namespace warped {
 namespace mem {
 
 class MemFaultPlane;
+
+/** Zero-filled storage of @p bytes: an anonymous mapping for large
+ *  sizes (pages materialise on first write), calloc otherwise. */
+void *allocateZeroed(std::size_t bytes);
+/** Release storage from allocateZeroed(@p bytes). */
+void releaseZeroed(void *p, std::size_t bytes) noexcept;
+
+/**
+ * Allocator whose storage starts out zero and whose value-initialising
+ * construct is a no-op, so a vector of n elements writes no byte
+ * and faults in no page: a kernel that touches 40 KB of an 8 MB
+ * global memory costs 40 KB of RSS, not 8 MB. Only for trivial
+ * element types, whose value initialisation is all-zero bytes.
+ */
+template <class T>
+struct ZeroPageAllocator
+{
+    static_assert(std::is_trivial_v<T>);
+    using value_type = T;
+
+    ZeroPageAllocator() = default;
+    template <class U>
+    ZeroPageAllocator(const ZeroPageAllocator<U> &) noexcept
+    {
+    }
+
+    T *
+    allocate(std::size_t n)
+    {
+        return static_cast<T *>(allocateZeroed(n * sizeof(T)));
+    }
+    void
+    deallocate(T *p, std::size_t n) noexcept
+    {
+        releaseZeroed(p, n * sizeof(T));
+    }
+
+    /** Value initialisation: the storage is already zero. */
+    template <class U>
+    void
+    construct(U *) noexcept
+    {
+    }
+    template <class U, class... Args>
+    void
+    construct(U *p, Args &&...args)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+    }
+
+    template <class U>
+    bool
+    operator==(const ZeroPageAllocator<U> &) const noexcept
+    {
+        return true;
+    }
+};
 
 /**
  * A flat, byte-addressable, bounds-checked memory. Used both for the
@@ -38,15 +97,9 @@ class MemFaultPlane;
 class Memory
 {
   public:
-    /** Backing storage comes zeroed from the thread-local buffer pool
-     *  (common/buffer_pool.hh) and is retired back to it on
-     *  destruction together with the span of bytes this Memory
-     *  wrote, so a Memory per fresh launch (sim_ref, the figure
-     *  sweeps; campaigns build one per resident machine pair) reuses
-     *  warm pages and re-zeroes only the previous owner's footprint
-     *  instead of the whole 8 MB global-memory image. */
+    /** Backing storage comes from zero pages (ZeroPageAllocator):
+     *  only the pages a run writes become resident. */
     explicit Memory(std::size_t bytes);
-    ~Memory();
 
     Memory(const Memory &) = delete;
     Memory &operator=(const Memory &) = delete;
@@ -142,7 +195,7 @@ class Memory
     RegValue filterWordSlow(Addr addr, RegValue v) const;
     void onWriteSlow(Addr addr, std::size_t n);
 
-    common::ZeroedBuffer bytes_;
+    std::vector<std::uint8_t, ZeroPageAllocator<std::uint8_t>> bytes_;
     MemFaultPlane *plane_ = nullptr; ///< non-owning; campaign-run scoped
     /** Every byte outside [dirtyLo_, dirtyHi_) is still zero (empty
      *  when dirtyLo_ >= dirtyHi_). Covers every store, including

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <set>
@@ -423,6 +424,44 @@ TEST(CampaignEngine, TamperedCheckpointFailsItsFingerprint)
     ec.stopAfterChunks = 0;
     EXPECT_THROW(CampaignEngine(scanFactory(), ec).run(),
                  CheckpointError);
+    std::remove(ckpt.c_str());
+}
+
+TEST(CampaignEngine, FailedCheckpointWriteKeepsThePreviousCheckpoint)
+{
+    namespace fs = std::filesystem;
+    if (!fs::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full to fail a write with";
+    const std::string ckpt =
+        testing::TempDir() + "warped_campaign_full.json";
+    const std::string tmp = ckpt + ".tmp";
+    std::remove(ckpt.c_str());
+    std::remove(tmp.c_str());
+
+    auto ec = scanEngineCfg();
+    const auto full = CampaignEngine(scanFactory(), ec).run();
+
+    // One 15-run chunk, checkpointed...
+    ec.checkpointPath = ckpt;
+    ec.checkpointEvery = 15;
+    ec.stopAfterChunks = 1;
+    CampaignEngine(scanFactory(), ec).run();
+    const auto old = slurp(ckpt);
+    ASSERT_FALSE(old.empty());
+
+    // ...then the resumed campaign's one checkpoint write hits a full
+    // disk. The short file must not replace the complete one.
+    fs::create_symlink("/dev/full", tmp);
+    ec.stopAfterChunks = 0;
+    const auto resumed = CampaignEngine(scanFactory(), ec).run();
+    EXPECT_EQ(resumed.toJson(), full.toJson());
+    // Reading a checkpoint replaced by the link would stream zeros
+    // forever.
+    ASSERT_FALSE(fs::is_symlink(ckpt));
+    ASSERT_TRUE(fs::is_regular_file(ckpt));
+    EXPECT_EQ(slurp(ckpt), old);
+    EXPECT_FALSE(fs::exists(fs::symlink_status(tmp)));
+    std::remove(tmp.c_str());
     std::remove(ckpt.c_str());
 }
 

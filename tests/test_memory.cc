@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests: simulated memories, the dirty-span buffer reuse under
- * them, and the device allocator.
+ * Unit tests: simulated memories, their written-span bookkeeping, and
+ * the device allocator.
  */
 
 #include <gtest/gtest.h>
@@ -99,13 +99,13 @@ TEST(Allocator, ExhaustionIsFatal)
     EXPECT_THROW(a.alloc(512), std::runtime_error);
 }
 
-// Pooled buffers (>= 64 KiB) are re-zeroed only over the span their
-// previous owner wrote; every write path must widen that span.
+// Every write path must widen a memory's written span: clear() zeroes
+// only that span, and a memory built after another wrote, through any
+// path, starts out all zero.
 
 TEST(DirtySpanPool, EveryWritePathIsZeroedOnReuse)
 {
-    // An odd size no other test uses, so the pooled buffer the second
-    // Memory receives is the one the first Memory released.
+    // Mapped storage (>= 64 KiB), an odd size no other test uses.
     constexpr std::size_t kBytes = (1u << 18) + 4096u;
     for (unsigned round = 0; round < 3; ++round) {
         {
@@ -117,6 +117,8 @@ TEST(DirtySpanPool, EveryWritePathIsZeroedOnReuse)
             const std::uint8_t blob[100] = {1, 2, 3, 4, 5, 6, 7, 8, 9};
             m.copyIn(70000 + 8 * round, blob, sizeof blob);
             EXPECT_EQ(m.readWord(kBytes - 4), 0xdeadbeefu);
+            m.clear();
+            EXPECT_EQ(firstNonZero(m), kBytes) << "round " << round;
         }
         Memory next(kBytes);
         EXPECT_EQ(firstNonZero(next), kBytes) << "round " << round;
@@ -164,6 +166,9 @@ TEST(DirtySpanPool, WrappedCorruptedStoreIsZeroedOnReuse)
         ASSERT_LT(firstNonZero(g.mem(), std::size_t{1} << 22),
                   g.mem().size())
             << "no store wrapped into the upper half";
+        // The written span covers the wrapped stores.
+        g.mem().clear();
+        EXPECT_EQ(firstNonZero(g.mem()), g.mem().size());
     }
     Memory next(cfg.globalMemBytes);
     EXPECT_EQ(firstNonZero(next), next.size());

@@ -1,14 +1,15 @@
 /**
  * @file
- * Launch-level snapshot/resume: a launch resumed from any snapshot
- * it captured must end exactly like the uninterrupted launch — final
+ * Snapshot/resume: a machine stepped from cycle 0 and captured as it
+ * goes, restored on a fresh Gpu from any of those snapshots and run to
+ * the end, must end exactly like the uninterrupted launch — final
  * global memory, cycles, hang flag and every LaunchResult counter
  * (sm.*, dmr.*, recovery.*) — under every protection scheme, with
  * recovery on, on banked DRAM with SECDED, and from snapshots taken
  * while a block waits at a barrier or the ReplayQ is full. Restored
  * records keep their clean stamp, and a captured SM state's bytes()
  * counts the RAW-distance samples it holds. A machine forked from a
- * resident golden machine ends like a launch resumed at the fork's
+ * resident golden machine ends like a machine restored at the fork's
  * cycle. Also pins the
  * gpu::Ladder's caps, rung-choice rules and rung horizons, and checks
  * that its activity log names every (SM, cycle) where a live fault
@@ -42,23 +43,6 @@ namespace {
 
 using Factory = std::function<std::unique_ptr<workloads::Workload>()>;
 
-/** A sink that keeps every snapshot at a fixed spacing, uncapped. */
-class EveryK final : public gpu::SnapshotSink
-{
-  public:
-    explicit EveryK(Cycle k) : k_(k) {}
-    Cycle
-    nextWanted(Cycle cycle) const override
-    {
-        return (cycle + k_ - 1) / k_ * k_;
-    }
-    void take(gpu::Snapshot &&s) override { snaps.push_back(std::move(s)); }
-    std::vector<gpu::Snapshot> snaps;
-
-  private:
-    Cycle k_;
-};
-
 struct Machine
 {
     arch::GpuConfig gpu = arch::GpuConfig::testDefault();
@@ -74,20 +58,72 @@ struct Outcome
     std::vector<std::uint8_t> dram;
 };
 
+/** What @p g left after the run that returned @p result. */
+Outcome
+outcomeOf(gpu::Gpu &g, gpu::LaunchResult result)
+{
+    Outcome o;
+    o.result = std::move(result);
+    o.dram.resize(g.allocator().used());
+    g.mem().copyOut(0, o.dram.data(), o.dram.size());
+    return o;
+}
+
+/** One launch on a fresh machine under @p hook (nullptr = fault-free)
+ *  or, given @p ladder, that ladder's golden pass (under its own
+ *  hook). */
 Outcome
 runLaunch(const Factory &factory, const Machine &m,
-          const gpu::Snapshot *resume, gpu::SnapshotSink *sink,
-          func::FaultHook *hook = nullptr)
+          func::FaultHook *hook = nullptr, gpu::Ladder *ladder = nullptr)
 {
     auto w = factory();
     gpu::Gpu g(m.gpu, m.dmr, /*seed=*/1, hook, m.recovery, m.scheme);
     w->setup(g);
-    Outcome o;
-    o.result = g.launch(w->program(), w->gridBlocks(), w->blockThreads(),
-                        0, {}, resume, sink);
-    o.dram.resize(g.allocator().used());
-    g.mem().copyOut(0, o.dram.data(), o.dram.size());
-    return o;
+    return outcomeOf(g, ladder ? ladder->capture(g, w->program(),
+                                                 w->gridBlocks(),
+                                                 w->blockThreads())
+                               : g.launch(w->program(), w->gridBlocks(),
+                                          w->blockThreads()));
+}
+
+/** The launch's outcome and the snapshots taken along the way. */
+struct Captured
+{
+    Outcome full;
+    std::vector<gpu::Snapshot> snaps;
+};
+
+/** Step a fresh machine from cycle 0 to the end of the launch,
+ *  capturing it at every multiple of @p k cycles. */
+Captured
+captureEvery(const Factory &factory, const Machine &m, Cycle k)
+{
+    auto w = factory();
+    gpu::Gpu g(m.gpu, m.dmr, /*seed=*/1, nullptr, m.recovery, m.scheme);
+    w->setup(g);
+    g.start(w->program(), w->gridBlocks(), w->blockThreads());
+    const auto planes = std::make_shared<sm::PlaneStore>(m.gpu.warpSize);
+    Captured c;
+    for (Cycle at = 0;; at += k) {
+        g.advanceTo(at);
+        if (g.cycle() != at)
+            break;
+        c.snaps.push_back(g.capture(planes));
+    }
+    c.full = outcomeOf(g, g.finish());
+    return c;
+}
+
+/** Restore a fresh machine at @p snap and run it to the end. */
+Outcome
+resumeFrom(const Factory &factory, const Machine &m,
+           const gpu::Snapshot &snap)
+{
+    auto w = factory();
+    gpu::Gpu g(m.gpu, m.dmr, /*seed=*/1, nullptr, m.recovery, m.scheme);
+    w->setup(g);
+    g.restore(w->program(), w->gridBlocks(), w->blockThreads(), snap);
+    return outcomeOf(g, g.finish());
 }
 
 void
@@ -106,18 +142,17 @@ expectSame(const Outcome &want, const Outcome &got)
 std::vector<gpu::Snapshot>
 checkEverySnapshot(const Factory &factory, const Machine &m, Cycle k)
 {
-    EveryK sink(k);
-    const Outcome full = runLaunch(factory, m, nullptr, &sink);
-    EXPECT_FALSE(full.result.hung);
-    EXPECT_GT(sink.snaps.size(), 3u);
+    Captured c = captureEvery(factory, m, k);
+    EXPECT_FALSE(c.full.result.hung);
+    EXPECT_GT(c.snaps.size(), 3u);
     // Capturing does not perturb the launch.
-    expectSame(runLaunch(factory, m, nullptr, nullptr), full);
-    for (const auto &snap : sink.snaps) {
+    expectSame(runLaunch(factory, m), c.full);
+    for (const auto &snap : c.snaps) {
         SCOPED_TRACE("resumed at cycle " +
                      std::to_string(snap.loop.cycle));
-        expectSame(full, runLaunch(factory, m, &snap, nullptr));
+        expectSame(c.full, resumeFrom(factory, m, snap));
     }
-    return std::move(sink.snaps);
+    return std::move(c.snaps);
 }
 
 const Factory kMatrixMul = [] { return workloads::makeMatrixMul(32); };
@@ -239,10 +274,9 @@ TEST(Snapshot, StateBytesCountTheRawDistanceSamples)
     setVerbose(false);
     Machine m;
     m.gpu.numSms = 4;
-    EveryK sink(1024);
-    runLaunch([] { return workloads::makeSha(4); }, m, nullptr, &sink);
-    ASSERT_FALSE(sink.snaps.empty());
-    sm::Sm::State &late = *sink.snaps.back().sms[0];
+    Captured c = captureEvery([] { return workloads::makeSha(4); }, m, 1024);
+    ASSERT_FALSE(c.snaps.empty());
+    sm::Sm::State &late = *c.snaps.back().sms[0];
     auto &raw = late.stats.rawDistance;
     const std::size_t samples = raw.samples().size();
     ASSERT_GT(samples, 0u);
@@ -265,7 +299,7 @@ TEST(Ladder, CapsRungsAndBytesByDoublingTheSpacing)
     m.gpu.numSms = 4;
     gpu::Ladder ladder;
     const Outcome full = runLaunch([] { return workloads::makeSha(16); }, m,
-                                   nullptr, &ladder, &ladder.hook());
+                                   nullptr, &ladder);
     const auto &rungs = ladder.rungs();
     ASSERT_FALSE(rungs.empty());
     EXPECT_LE(rungs.size(), gpu::Ladder::kMaxRungs);
@@ -283,9 +317,7 @@ TEST(Ladder, CapsRungsAndBytesByDoublingTheSpacing)
     EXPECT_EQ(ladder.horizon(0), 0u);
     // The horizon hook is a fault-free hook: the capture ran the
     // golden launch unchanged.
-    expectSame(runLaunch([] { return workloads::makeSha(16); }, m,
-                         nullptr, nullptr),
-               full);
+    expectSame(runLaunch([] { return workloads::makeSha(16); }, m), full);
 }
 
 TEST(Ladder, ExecFaultsForkAtTheLatestCycleBelowTheirHorizon)
@@ -295,8 +327,7 @@ TEST(Ladder, ExecFaultsForkAtTheLatestCycleBelowTheirHorizon)
     m.gpu.numSms = 2;
     m.dmr.replayQSize = 1; // eager re-executions verify at now + 1
     gpu::Ladder ladder;
-    const Outcome full =
-        runLaunch(kMatrixMul, m, nullptr, &ladder, &ladder.hook());
+    const Outcome full = runLaunch(kMatrixMul, m, nullptr, &ladder);
     const auto &rungs = ladder.rungs();
     ASSERT_GT(rungs.size(), 2u);
     EXPECT_EQ(&ladder.rungAt(0), &rungs[0].snap);
@@ -367,7 +398,7 @@ TEST(Ladder, HorizonsMatchTheRecomputingEngine)
         m.gpu.numSms = c.sms;
         m.dmr.replayQSize = c.qsize;
         gpu::Ladder ladder;
-        runLaunch(c.factory, m, nullptr, &ladder, &ladder.hook());
+        runLaunch(c.factory, m, nullptr, &ladder);
         std::vector<std::pair<Cycle, Cycle>> got;
         for (const auto &r : ladder.rungs())
             got.emplace_back(r.snap.loop.cycle,
@@ -423,13 +454,13 @@ class RecordingLiveHook final : public func::FaultHook
     std::vector<std::pair<unsigned, Cycle>> seen;
 };
 
-/** One launch on a fresh machine, run under @p hook while capturing
- *  into @p sink (may be null). */
+/** One launch on a fresh machine: @p ladder's golden pass when set,
+ *  else a plain launch under @p hook. */
 using HookedLaunch =
-    std::function<void(func::FaultHook &hook, gpu::SnapshotSink *sink)>;
+    std::function<void(func::FaultHook *hook, gpu::Ladder *ladder)>;
 
 /**
- * Log completeness: run @p launch as a pass capturing @p ladder and
+ * Log completeness: run @p launch as @p ladder's golden pass and
  * again under RecordingLiveHook. Every (SM, cycle) an apply() call of
  * the live run named must be non-quiet in the ladder's log — the live
  * run applies the hook wherever a fault could act, so a quiet pair
@@ -439,9 +470,9 @@ using HookedLaunch =
 std::vector<std::pair<unsigned, Cycle>>
 expectLogComplete(const HookedLaunch &launch, gpu::Ladder &ladder)
 {
-    launch(ladder.hook(), &ladder);
+    launch(nullptr, &ladder);
     RecordingLiveHook live;
-    launch(live, nullptr);
+    launch(&live, nullptr);
     std::size_t missing = 0;
     for (const auto &[sm, c] : live.seen) {
         if (ladder.quiet(sm, c, c) && missing++ == 0)
@@ -464,14 +495,18 @@ TEST(ActivityLog, LadderLogCoversEveryLiveApplyOfThePinnedConfigs)
         gcfg.eccKind = cfg.ecc;
         for (const auto &factory : cfg.factories) {
             gpu::Ladder ladder;
-            expectLogComplete([&](func::FaultHook &hook,
-                                  gpu::SnapshotSink *sink) {
+            expectLogComplete([&](func::FaultHook *hook,
+                                  gpu::Ladder *ladder) {
                 auto w = factory();
-                gpu::Gpu g(gcfg, cfg.dmr, /*seed=*/1, &hook, cfg.recovery,
+                gpu::Gpu g(gcfg, cfg.dmr, /*seed=*/1, hook, cfg.recovery,
                            cfg.scheme);
                 w->setup(g);
-                g.launch(w->program(), w->gridBlocks(), w->blockThreads(),
-                         0, {}, nullptr, sink);
+                if (ladder)
+                    ladder->capture(g, w->program(), w->gridBlocks(),
+                                    w->blockThreads());
+                else
+                    g.launch(w->program(), w->gridBlocks(),
+                             w->blockThreads());
                 EXPECT_TRUE(w->verify(g));
             }, ladder);
         }
@@ -491,13 +526,16 @@ TEST(ActivityLog, LadderLogCoversEveryLiveApplyOfFuzzedKernels)
             if (eager)
                 d.replayQSize = 1; // eager verifies look ahead to now + 1
             gpu::Ladder ladder;
-            expectLogComplete([&](func::FaultHook &hook,
-                                  gpu::SnapshotSink *sink) {
-                gpu::Gpu g(gcfg, d, /*seed=*/1, &hook);
+            expectLogComplete([&](func::FaultHook *hook,
+                                  gpu::Ladder *ladder) {
+                gpu::Gpu g(gcfg, d, /*seed=*/1, hook);
                 const Addr out = g.allocator().alloc(64 * 4);
                 const isa::Program prog =
                     testutil::KernelFuzzer(seed).generate(out);
-                g.launch(prog, 2, 64, 0, {}, nullptr, sink);
+                if (ladder)
+                    ladder->capture(g, prog, 2, 64);
+                else
+                    g.launch(prog, 2, 64);
             }, ladder);
         }
     }
@@ -514,8 +552,8 @@ TEST(ActivityLog, RNaiveSecondRunCallsLandBeyondTheBitmap)
     m.scheme.id = protection::SchemeId::RNaive;
     gpu::Ladder ladder;
     const auto seen = expectLogComplete(
-        [&](func::FaultHook &hook, gpu::SnapshotSink *sink) {
-            runLaunch(kMatrixMul, m, nullptr, sink, &hook);
+        [&](func::FaultHook *hook, gpu::Ladder *ladder) {
+            runLaunch(kMatrixMul, m, hook, ladder);
         },
         ladder);
     std::size_t beyond = 0;
@@ -574,12 +612,11 @@ TEST(Snapshot, RestoredRecordsKeepTheirCleanBit)
     Machine m;
     m.gpu.numSms = 2;
     m.dmr.replayQSize = 2;
-    EveryK sink(5);
-    runLaunch(kMatrixMul, m, nullptr, &sink);
+    const Captured c = captureEvery(kMatrixMul, m, 5);
     using DmrState =
         protection::SchemeStateOf<dmr::DmrEngine, dmr::DmrEngine::State>;
     unsigned held = 0;
-    for (const auto &snap : sink.snaps)
+    for (const auto &snap : c.snaps)
         for (const auto &sm : snap.sms) {
             const auto *st =
                 dynamic_cast<const DmrState *>(sm->scheme.get());
@@ -600,17 +637,15 @@ TEST(Snapshot, ResumingADifferentLaunchPanics)
 {
     setVerbose(false);
     Machine m;
-    EveryK sink(1000);
-    runLaunch(kScan, m, nullptr, &sink);
-    ASSERT_FALSE(sink.snaps.empty());
-    EXPECT_THROW(runLaunch(kMatrixMul, m, &sink.snaps.back(), nullptr),
-                 std::exception);
+    const Captured c = captureEvery(kScan, m, 1000);
+    ASSERT_FALSE(c.snaps.empty());
+    EXPECT_THROW(resumeFrom(kMatrixMul, m, c.snaps.back()), std::exception);
 }
 
 /**
  * Resident machines. A Gpu restored in place over a machine that has
  * already run — to the end, part way, under a fault, or into a panic
- * — must end exactly like a fresh launch resumed from the same
+ * — must end exactly like a fresh machine restored at the same
  * snapshot; a golden machine advanced to a cycle and captured there
  * must hold what the uninterrupted launch held at that cycle; and a
  * site machine forked from it there (Gpu::forkFrom), whatever either
@@ -674,11 +709,7 @@ finishResident(gpu::Gpu &g, const workloads::Workload &w,
                const gpu::Snapshot &snap)
 {
     g.restore(w.program(), w.gridBlocks(), w.blockThreads(), snap);
-    Outcome o;
-    o.result = g.finish();
-    o.dram.resize(g.allocator().used());
-    g.mem().copyOut(0, o.dram.data(), o.dram.size());
-    return o;
+    return outcomeOf(g, g.finish());
 }
 
 /** A hook that panics, mid-tick, on the first value it sees at or
@@ -705,10 +736,10 @@ TEST(ResidentMachine, RestoresOverAUsedMachineLikeAFreshResume)
     setVerbose(false);
     for (const auto &tc : residentCases()) {
         SCOPED_TRACE(tc.name);
-        EveryK sink(311);
-        const Outcome full =
-            runLaunch(tc.factory, tc.machine, nullptr, &sink);
-        ASSERT_GT(sink.snaps.size(), 3u);
+        const Captured c = captureEvery(tc.factory, tc.machine, 311);
+        const Outcome &full = c.full;
+        const auto &snaps = c.snaps;
+        ASSERT_GT(snaps.size(), 3u);
         const auto &m = tc.machine;
         auto w = tc.factory();
         gpu::Gpu g(m.gpu, m.dmr, /*seed=*/1, nullptr, m.recovery,
@@ -717,13 +748,13 @@ TEST(ResidentMachine, RestoresOverAUsedMachineLikeAFreshResume)
         // Latest snapshot first, then in order: every restore lands
         // on a machine that ran past it, or not as far.
         std::vector<std::size_t> order;
-        for (std::size_t i = sink.snaps.size(); i-- > 0;)
+        for (std::size_t i = snaps.size(); i-- > 0;)
             order.push_back(i);
-        for (std::size_t i = 0; i < sink.snaps.size(); ++i)
+        for (std::size_t i = 0; i < snaps.size(); ++i)
             order.push_back(i);
         unsigned k = 0;
         for (const std::size_t i : order) {
-            const auto &snap = sink.snaps[i];
+            const auto &snap = snaps[i];
             // Every third restore follows a faulty run that a stuck
             // bit corrupted, and every fifth one a run that panicked
             // mid-tick, so it lands on state no golden run holds.
@@ -737,7 +768,7 @@ TEST(ResidentMachine, RestoresOverAUsedMachineLikeAFreshResume)
                 inj.add(spec);
                 g.setHook(&inj);
                 g.restore(w->program(), w->gridBlocks(), w->blockThreads(),
-                          sink.snaps[(i + 1) % sink.snaps.size()]);
+                          snaps[(i + 1) % snaps.size()]);
                 try {
                     g.finish(full.result.cycles * 4 + 1000);
                 } catch (const std::exception &) {
@@ -749,7 +780,7 @@ TEST(ResidentMachine, RestoresOverAUsedMachineLikeAFreshResume)
                 PanicAt panic(snap.loop.cycle / 2 + 1);
                 g.setHook(&panic);
                 g.restore(w->program(), w->gridBlocks(), w->blockThreads(),
-                          sink.snaps.front());
+                          snaps.front());
                 EXPECT_THROW(g.finish(), std::exception);
                 g.setHook(nullptr);
             }
@@ -765,9 +796,8 @@ TEST(ResidentMachine, AdvancedAndCapturedGoldenMatchesTheLaunch)
     setVerbose(false);
     for (const auto &tc : residentCases()) {
         SCOPED_TRACE(tc.name);
-        EveryK sink(257);
-        const Outcome full =
-            runLaunch(tc.factory, tc.machine, nullptr, &sink);
+        const Captured c = captureEvery(tc.factory, tc.machine, 257);
+        const Outcome &full = c.full;
         const auto &m = tc.machine;
         auto w = tc.factory();
         gpu::Gpu golden(m.gpu, m.dmr, /*seed=*/1, nullptr, m.recovery,
@@ -776,19 +806,19 @@ TEST(ResidentMachine, AdvancedAndCapturedGoldenMatchesTheLaunch)
                       m.scheme);
         w->setup(site);
         golden.restore(w->program(), w->gridBlocks(), w->blockThreads(),
-                       sink.snaps.front());
+                       c.snaps.front());
         auto planes = std::make_shared<sm::PlaneStore>(m.gpu.warpSize);
         // Capture at uneven cycles, twice at some, and now and then
         // into a fresh plane store (the next capture is then a full
         // one).
         unsigned forks = 0;
-        for (Cycle c = 3; c < full.result.cycles; c += 97 + c % 89) {
-            golden.advanceTo(c);
-            ASSERT_EQ(golden.cycle(), c);
+        for (Cycle at = 3; at < full.result.cycles; at += 97 + at % 89) {
+            golden.advanceTo(at);
+            ASSERT_EQ(golden.cycle(), at);
             if (++forks % 4 == 0)
                 planes = std::make_shared<sm::PlaneStore>(m.gpu.warpSize);
             for (unsigned twice = 0; twice < 1 + forks % 2; ++twice) {
-                SCOPED_TRACE("forked at cycle " + std::to_string(c));
+                SCOPED_TRACE("forked at cycle " + std::to_string(at));
                 expectSame(full,
                            finishResident(site, *w, golden.capture(planes)));
             }
@@ -820,11 +850,7 @@ Outcome
 forkAndFinish(gpu::Gpu &site, gpu::Gpu &golden)
 {
     site.forkFrom(golden);
-    Outcome o;
-    o.result = site.finish();
-    o.dram.resize(site.allocator().used());
-    site.mem().copyOut(0, o.dram.data(), o.dram.size());
-    return o;
+    return outcomeOf(site, site.finish());
 }
 
 TEST(ResidentMachine, ForkFromGoldenMatchesAFreshResume)
@@ -832,16 +858,15 @@ TEST(ResidentMachine, ForkFromGoldenMatchesAFreshResume)
     setVerbose(false);
     for (const auto &tc : residentCases()) {
         SCOPED_TRACE(tc.name);
-        EveryK sink(193);
-        const Outcome full =
-            runLaunch(tc.factory, tc.machine, nullptr, &sink);
-        ASSERT_GT(sink.snaps.size(), 3u);
+        const Captured c = captureEvery(tc.factory, tc.machine, 193);
+        const Outcome &full = c.full;
+        ASSERT_GT(c.snaps.size(), 3u);
         const auto &m = tc.machine;
         // A scheme whose launch ends in a drain that re-executes
         // nothing (Replay-Compare's replay, an emptied ReplayQ)
         // applies no hook after its last one here.
         LastApply last;
-        runLaunch(tc.factory, m, nullptr, nullptr, &last);
+        runLaunch(tc.factory, m, &last);
         auto w = tc.factory();
         gpu::Gpu golden(m.gpu, m.dmr, /*seed=*/1, nullptr, m.recovery,
                         m.scheme);
@@ -849,10 +874,10 @@ TEST(ResidentMachine, ForkFromGoldenMatchesAFreshResume)
                       m.scheme);
         w->setup(site);
         golden.restore(w->program(), w->gridBlocks(), w->blockThreads(),
-                       sink.snaps.front());
+                       c.snaps.front());
         std::uint64_t planes = 0;
         unsigned k = 0;
-        for (const auto &snap : sink.snaps) {
+        for (const auto &snap : c.snaps) {
             const Cycle at = snap.loop.cycle;
             SCOPED_TRACE("forked at cycle " + std::to_string(at));
             // The golden machine sweeps on from the previous fork, in
@@ -919,7 +944,7 @@ TEST(ResidentMachine, ForkFromGoldenMatchesAFreshResume)
               default:
                 break;
             }
-            expectSame(runLaunch(tc.factory, m, &snap, nullptr),
+            expectSame(resumeFrom(tc.factory, m, snap),
                        forkAndFinish(site, golden));
         }
         EXPECT_GT(planes, 0u);

@@ -12,9 +12,11 @@
 # --cli-smoke exercises the strict-CLI contract of run mode and the
 # campaign subcommand on a built warped_sim binary: malformed or
 # missing required arguments must exit 2 (usage), never run with a
-# silently defaulted value, a torn checkpoint must exit 1, and a stale
-# one must be warned about on stderr. CI runs it after the build so a
-# new subcommand can't land without its argument validation.
+# silently defaulted value, a torn checkpoint must exit 1, a stale
+# one must be warned about on stderr, a failed checkpoint write must
+# keep the previous checkpoint, and a kernel file the assembler
+# rejects must exit 1 with a line-numbered error. CI runs it after the
+# build so a new subcommand can't land without its argument validation.
 
 set -eu
 
@@ -82,6 +84,33 @@ if [ "${1:-}" = "--cli-smoke" ]; then
         "$sim" campaign SCAN --size 2 --sites 5 --seed 2 \
         --checkpoint "$stale"
     rm -f "$stale"
+    # A failed checkpoint write (here a full disk) is warned about and
+    # keeps the previous checkpoint: the short file never replaces it.
+    if [ -e /dev/full ]; then
+        full="${TMPDIR:-/tmp}/warped_cli_smoke_full.$$.ckpt"
+        rm -f "$full" "$full.tmp" "$full.old"
+        expect_exit 0 "$sim" campaign SCAN --size 2 --sites 5 --seed 1 \
+            --checkpoint "$full"
+        cp "$full" "$full.old"
+        ln -s /dev/full "$full.tmp"
+        expect_stderr 0 "keeping the previous one" \
+            "$sim" campaign SCAN --size 2 --sites 5 --seed 2 \
+            --checkpoint "$full"
+        if [ -L "$full" ] || ! cmp -s "$full" "$full.old"; then
+            echo "check_changelog --cli-smoke: a failed checkpoint" \
+                 "write replaced the previous checkpoint" >&2
+            exit 1
+        fi
+        rm -f "$full" "$full.tmp" "$full.old"
+    fi
+    # A kernel file the assembler rejects, here an immediate beyond
+    # any integer type, is a line-numbered error (exit 1), never a
+    # crash.
+    ovf="${TMPDIR:-/tmp}/warped_cli_smoke_ovf.$$.s"
+    printf '.kernel k  (regs 4, shared 0B)\n  0:\tMOVI r1, #%s\n  1:\tEXIT\n' \
+        99999999999999999999999 >"$ovf"
+    expect_stderr 1 "assembler: line" "$sim" --kernel "$ovf"
+    rm -f "$ovf"
     # Values are never guessed: an unknown or missing choice, a second
     # positional workload and an unknown workload all refuse, in run
     # mode and campaign mode alike.
